@@ -18,11 +18,13 @@ from .harness import (
     HistogramParams,
     LifetimeParams,
     SearchCostParams,
+    check_post_select,
 )
 from .photons import CavityParams, DetectorModel, PhotonModel
 from .readout import ErrorRates, HidingModel, MeasurementErrorTable, ProbeConfig
 from .register import IdleErrorModel
 from .search import GroupCheckNoise, Placement, Strategy
+from .streams import SEED_LIMIT
 
 
 def _float(text: str) -> float:
@@ -65,6 +67,13 @@ def _nonneg_int(text: str) -> int:
     v = int(text)
     if v < 0:
         raise ValueError("must be >= 0")
+    return v
+
+
+def _seed(text: str) -> int:
+    v = int(text)
+    if not 0 <= v < SEED_LIMIT:
+        raise ValueError("must be in [0, 2**64)")
     return v
 
 
@@ -193,7 +202,7 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("run", "trials"): (_positive_int, "default Monte-Carlo trials"),
     ("run", "error_scaling_trials"): (_positive_int, "trials per sweep point for error-scaling"),
     ("run", "lifetime_trials"): (_positive_int, "trials for the lifetime experiment"),
-    ("run", "master_seed"): (_nonneg_int, "master seed for all random streams"),
+    ("run", "master_seed"): (_seed, "master seed for all random streams"),
     ("run", "threads"): (_positive_int, "worker threads (never changes results)"),
 }
 
@@ -295,13 +304,15 @@ class Config:
         )
 
     def error_scaling_params(self) -> ErrorScalingParams:
-        return ErrorScalingParams(
+        params = ErrorScalingParams(
             distances=self[("code", "distances")],
             flip_sweep=self[("code", "flip_sweep")],
             per_round_loss=self[("code", "per_round_loss")],
             rounds=self[("code", "rounds")],
             post_select=self[("code", "post_select")],
         )
+        check_post_select(params)
+        return params
 
     def lifetime_params(self) -> LifetimeParams:
         return LifetimeParams(

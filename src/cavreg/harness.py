@@ -30,7 +30,7 @@ from .readout import (
     ProbeConfig,
     sequential_array_readout,
 )
-from .register import F1, F2, IdleErrorModel, uniform_register
+from .register import F1_CODE, F2, VACANT_CODE, IdleErrorModel, state_codes, uniform_register
 from .repcode import (
     CurveCell,
     logical_lifetime,
@@ -46,7 +46,7 @@ from .search import (
     run_search,
     sample_register,
 )
-from .streams import chunk_sizes, map_chunks, stream
+from .streams import SEED_LIMIT, chunk_sizes, map_chunks, stream
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ConfigurationError(
+                f"master seed {self.master_seed} is outside [0, 2**64)"
+            )
 
 
 @dataclass
@@ -189,43 +193,36 @@ def run_depump_scaling(
     Atoms are re-pumped to F=2 right after each measurement, so from the
     second round on every atom accumulates the same hidden-depump exposure
     (one per other-site measurement) between its own measurements.  Errors
-    are counted among atoms whose presence was detected.
+    are counted among atoms whose presence was detected.  Each chunk of
+    trials is read out as one state-code array.
     """
     readout_rounds = params.rounds
 
     def trial_counts(point: int, chunk) -> np.ndarray:
-        idx, start, size = chunk
+        idx, _, size = chunk
         n = params.sizes[point]
+        rng = stream(master_seed, point, idx)
+        codes = state_codes(uniform_register(n, F2).sites)
+        records, _ = sequential_array_readout(
+            np.tile(codes, (size, 1)), list(range(n)), params.hiding_power_mw, rng,
+            probe=params.probe, table=params.table, photon=params.photon, hiding=params.hiding,
+            adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive,
+            adaptive_loss_factor=params.adaptive_loss_factor, rounds=readout_rounds,
+            idle_intervals=params.idle_intervals, re_prepare="bright",
+        )
         # [site, round, (errors, detections)]
         acc = np.zeros((n, readout_rounds, 2), dtype=np.int64)
-        for t in range(size):
-            rng = stream(master_seed, point, idx, start + t)
-            reg = uniform_register(n, F2)
-            records, _ = sequential_array_readout(
-                reg,
-                list(range(n)),
-                params.hiding_power_mw,
-                rng,
-                probe=params.probe,
-                table=params.table,
-                photon=params.photon,
-                hiding=params.hiding,
-                adaptive_rounds=params.adaptive_rounds,
-                adaptive=params.adaptive,
-                adaptive_loss_factor=params.adaptive_loss_factor,
-                rounds=readout_rounds,
-                idle_intervals=params.idle_intervals,
-                re_prepare="bright",
+        for rec in records:
+            inferred = rec.result.inferred
+            # lost atoms / undetected presence are excluded
+            detected = rec.was_occupied & (inferred != VACANT_CODE)
+            acc[rec.site, rec.round_index] += (
+                np.count_nonzero(detected & (inferred == F1_CODE)), np.count_nonzero(detected)
             )
-            for rec in records:
-                if not rec.was_occupied or rec.result.inferred is None:
-                    continue  # lost atoms / undetected presence are excluded
-                acc[rec.site, rec.round_index, 0] += rec.result.inferred is F1
-                acc[rec.site, rec.round_index, 1] += 1
         return acc
 
     rows = []
-    steady_x, steady_y = [], []
+    steady_counts = []  # per size, over rounds 2 and on
     first_round_by_site: dict[int, Estimate] = {}
     for point, n in enumerate(params.sizes):
         total = np.zeros((n, readout_rounds, 2), dtype=np.int64)
@@ -248,18 +245,20 @@ def run_depump_scaling(
                 }
             )
         err, det = int(steady[:, :, 0].sum()), int(steady[:, :, 1].sum())
-        if det:
-            steady_x.append(float(n))
-            steady_y.append(err / det)
+        steady_counts.append({"n_sites": n, "errors": err, "detections": det})
         if n == max(params.sizes):
             for site in range(n):
                 e, d = int(total[site, 0, 0]), int(total[site, 0, 1])
                 if d:
                     first_round_by_site[site] = Estimate.from_binomial(e, d)
 
-    summary: dict[str, Any] = {}
-    if len(steady_x) >= 3:
-        fit = fit_linear(steady_x, steady_y)
+    summary: dict[str, Any] = {"steady_state_counts": steady_counts}
+    steady = [c for c in steady_counts if c["detections"]]
+    if len(steady) >= 3:
+        fit = fit_linear(
+            [float(c["n_sites"]) for c in steady],
+            [c["errors"] / c["detections"] for c in steady],
+        )
         summary["error_vs_size"] = {
             "intercept": fit.intercept,
             "slope": fit.slope,
@@ -347,9 +346,22 @@ def run_search_cost(
 # ------------------------------------------------------------- error scaling
 
 
+def check_post_select(params: ErrorScalingParams) -> None:
+    """Reject a survivor count that some distance cannot reach."""
+    if params.post_select in ("distance", "none"):
+        return
+    count, smallest = int(params.post_select), min(params.distances)
+    if not 0 <= count <= smallest:
+        raise ConfigurationError(
+            f"code.post_select = {count} is outside [0, {smallest}] "
+            "(0 to the smallest code distance)"
+        )
+
+
 def run_error_scaling(
     params: ErrorScalingParams, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
+    check_post_select(params)
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
 
     def chunk_counts(point: int, chunk) -> np.ndarray:

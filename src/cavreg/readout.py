@@ -28,7 +28,9 @@ from .photons import (
     sample_adaptive_interval,
     sample_full_interval,
 )
-from .register import F1, F2, HyperfineState, Register, SiteState
+from .register import (
+    CODE_STATES, F1_CODE, F2_CODE, VACANT_CODE, Register, SiteState, as_codes, state_codes
+)
 
 
 @dataclass(frozen=True)
@@ -166,21 +168,24 @@ def light_shift_profile(model: HidingModel, power_uw: float, r_um: float) -> flo
 
 @dataclass(frozen=True)
 class SiteMeasurement:
-    """Outcome of one hyperfine + occupation measurement pair."""
+    """Outcome of one hyperfine + occupation measurement pair: scalars for
+    one site, arrays over the trial axis for an array of state codes."""
 
     hyperfine: IntervalOutcome
     occupation: IntervalOutcome
     inferred: SiteState  # None if occupation read dark, else F2/F1 by hyperfine
 
-    @staticmethod
-    def infer(hyperfine: IntervalOutcome, occupation: IntervalOutcome) -> SiteState:
-        if not occupation.bright:
-            return None
-        return F2 if hyperfine.bright else F1
+    def item(self, trial: int = 0) -> "SiteMeasurement":
+        """The scalar measurement of one trial of an array measurement."""
+        return SiteMeasurement(
+            self.hyperfine.item(trial),
+            self.occupation.item(trial),
+            CODE_STATES[self.inferred[trial]],
+        )
 
 
 def measure_site(
-    site: SiteState,
+    site: SiteState | np.ndarray,
     probe: ProbeConfig,
     table: MeasurementErrorTable,
     photon: PhotonModel,
@@ -188,8 +193,11 @@ def measure_site(
     *,
     adaptive: bool = True,
     adaptive_loss_factor: float = 4.5,
-) -> tuple[SiteMeasurement, SiteState]:
+) -> tuple[SiteMeasurement, SiteState | np.ndarray]:
     """Measure one site and return (record, post-measurement site state).
+
+    `site` is one site state, or an array of state codes with one entry per
+    trial; the record and the post state then hold arrays of codes.
 
     The state-appropriate infidelity flips the effective emitter for the
     hyperfine interval (misclassification channel).  Loss is applied once per
@@ -198,39 +206,34 @@ def measure_site(
     adaptive_loss_factor.  Re-preparation is left to the caller.
     """
     sample = sample_adaptive_interval if adaptive else sample_full_interval
-
-    if site is None:
-        hyperfine = sample(None, photon, rng)
-        occupation = sample(None, photon, rng)
-        meas = SiteMeasurement(
-            hyperfine, occupation, SiteMeasurement.infer(hyperfine, occupation)
-        )
-        return meas, None
-
+    codes = as_codes(site)
     rates = table.lookup(probe)
-    if site is F2:
-        infidelity, loss = rates.infidelity_f2, rates.loss_f2
-        if adaptive:
-            loss = loss / adaptive_loss_factor
-    else:
-        infidelity, loss = rates.infidelity_f1, rates.loss_f1
+    loss_f2 = rates.loss_f2 / adaptive_loss_factor if adaptive else rates.loss_f2
+    # probabilities per state code (vacant, F=1, F=2)
+    infidelity = np.array([0.0, rates.infidelity_f1, rates.infidelity_f2])[codes]
+    loss = np.array([0.0, rates.loss_f1, loss_f2])[codes]
 
-    effective = site
-    if rng.random() < infidelity:
-        effective = F1 if site is F2 else F2
-
+    flip = rng.random(codes.shape) < infidelity
+    effective = np.where(flip, F1_CODE + F2_CODE - codes, codes)
     hyperfine = sample(effective, photon, rng)
-    occupation = sample(F2, photon, rng)  # repumper on: any present atom is bright
-    meas = SiteMeasurement(
-        hyperfine, occupation, SiteMeasurement.infer(hyperfine, occupation)
-    )
+    # repumper on: any present atom is bright
+    occupation = sample(np.array([VACANT_CODE, F2_CODE, F2_CODE])[codes], photon, rng)
+    # present: F=2 if the hyperfine interval read bright, else F=1
+    inferred = np.where(occupation.bright, F1_CODE + hyperfine.bright, VACANT_CODE)
+    post = np.where(rng.random(codes.shape) < loss, VACANT_CODE, effective)
 
-    post: SiteState = None if rng.random() < loss else effective
-    return meas, post
+    meas = SiteMeasurement(hyperfine, occupation, inferred)
+    if isinstance(site, np.ndarray):
+        return meas, post
+    return meas.item(), CODE_STATES[post[0]]
 
 
 @dataclass(frozen=True)
 class ReadoutRecord:
+    """One (round, target) step.  In an array readout every field but
+    round_index and site is an array over the trials that measured the
+    target: all of them, unless adaptive_rounds skipped some."""
+
     round_index: int
     site: int
     was_occupied: bool  # ground truth just before this measurement
@@ -238,8 +241,17 @@ class ReadoutRecord:
     result: SiteMeasurement
 
 
+def _depump(states: np.ndarray, p: float, rng, spare: int | None = None) -> None:
+    """In place, each bright atom outside column `spare` depumps to F=1 with
+    probability p."""
+    hit = (rng.random(states.shape) < p) & (states == F2_CODE)
+    if spare is not None:
+        hit[:, spare] = False
+    states[hit] = F1_CODE
+
+
 def sequential_array_readout(
-    register: Register,
+    register: Register | np.ndarray,
     target_order: list[int],
     hiding_power_mw: float,
     rng: np.random.Generator,
@@ -254,9 +266,13 @@ def sequential_array_readout(
     rounds: int = 1,
     idle_intervals: int = 0,
     re_prepare: str = "bright",
-) -> tuple[list[ReadoutRecord], Register]:
+) -> tuple[list[ReadoutRecord], Register | np.ndarray]:
     """Sequentially measure the target sites, one at a time, for one or more
     rounds.
+
+    `register` is a Register, or an int8 array of state codes of shape
+    (trials, sites) whose trials are read out together; the records then
+    hold arrays and the final state comes back as a code array.
 
     While a target is probed, every other occupied bright atom independently
     depumps with hidden_depump_probability (charged once per target
@@ -268,49 +284,48 @@ def sequential_array_readout(
     measurement (bright-state characterization), "inferred" resets it to the
     inferred state, "none" leaves the post-measurement state.
     """
+    single = isinstance(register, Register)
+    states = state_codes(register.sites)[None, :] if single else register.copy()
+    trials, n = states.shape
     if len(set(target_order)) != len(target_order):
         raise ConfigurationError("duplicate target indices")
-    if any(i < 0 or i >= register.n for i in target_order):
+    if any(i < 0 or i >= n for i in target_order):
         raise ConfigurationError("target index out of range")
     if re_prepare not in ("bright", "inferred", "none"):
         raise ConfigurationError(f"unknown re_prepare policy {re_prepare!r}")
 
     p_hidden = hidden_depump_probability(hiding, hiding_power_mw)
-    sites = list(register.sites)
-    believed_present = {i: True for i in target_order}
+    believed_present = np.ones((trials, n), dtype=bool)
     records: list[ReadoutRecord] = []
 
     for round_index in range(rounds):
         for target in target_order:
-            if adaptive_rounds and not believed_present[target]:
+            rows = slice(None)  # every trial, unless adaptive rounds skip some
+            if adaptive_rounds:
+                rows = np.flatnonzero(believed_present[:, target])
+            prepared = states[rows, target].copy()
+            if prepared.size == 0:
                 continue
-            prepared = sites[target]
-            meas, post = measure_site(
-                sites[target],
-                probe,
-                table,
-                photon,
-                rng,
-                adaptive=adaptive,
-                adaptive_loss_factor=adaptive_loss_factor,
-            )
-            sites[target] = post
-            records.append(
-                ReadoutRecord(round_index, target, prepared is not None, prepared, meas)
-            )
-            believed_present[target] = meas.inferred is not None
-            if re_prepare == "bright" and sites[target] is not None:
-                sites[target] = F2
-            elif re_prepare == "inferred" and sites[target] is not None:
-                if isinstance(meas.inferred, HyperfineState):
-                    sites[target] = meas.inferred
+            meas, post = measure_site(prepared, probe, table, photon, rng, adaptive=adaptive,
+                                      adaptive_loss_factor=adaptive_loss_factor)
+            records.append(ReadoutRecord(round_index, target, prepared != VACANT_CODE,
+                                         prepared, meas))
+            believed_present[rows, target] = meas.inferred != VACANT_CODE
+            present = post != VACANT_CODE
+            if re_prepare == "bright":
+                post = np.where(present, F2_CODE, post)
+            elif re_prepare == "inferred":
+                post = np.where(present & (meas.inferred != VACANT_CODE), meas.inferred, post)
+            states[rows, target] = post
             # hidden bright atoms elsewhere depump during this measurement
-            for j, s in enumerate(sites):
-                if j != target and s is F2 and rng.random() < p_hidden:
-                    sites[j] = F1
+            hidden = states[rows]  # a view, or a copy that is written back
+            _depump(hidden, p_hidden, rng, spare=target)
+            states[rows] = hidden
         for _ in range(idle_intervals):
-            for j, s in enumerate(sites):
-                if s is F2 and rng.random() < hiding.background_floor:
-                    sites[j] = F1
+            _depump(states, hiding.background_floor, rng)
 
-    return records, replace(register, sites=sites)
+    if not single:
+        return records, states
+    records = [ReadoutRecord(r.round_index, r.site, bool(r.was_occupied[0]),
+                             CODE_STATES[r.prepared[0]], r.result.item()) for r in records]
+    return records, replace(register, sites=[CODE_STATES[c] for c in states[0]])

@@ -1,10 +1,12 @@
 """Atomic register model: tweezer occupancy, hyperfine state, idling errors.
 
 A site is either vacant (None) or holds one atom in the F=1 (dark) or
-F=2 (bright) ground-state manifold.  During idling, atoms depump toward an
-equal hyperfine mixture with timescale ``tau_depump_ms`` and are ejected by
-background-gas collisions with timescale ``tau_vacuum_ms``.  Within a trial
-lost atoms are never reloaded, so the occupied set only shrinks.
+F=2 (bright) ground-state manifold; the readout kernels carry it as an
+int8 state code (0 vacant, 1 F=1, 2 F=2) with a leading trial axis.
+During idling, atoms depump toward an equal hyperfine mixture with timescale
+``tau_depump_ms`` and are ejected by background-gas collisions with timescale
+``tau_vacuum_ms``.  Within a trial lost atoms are never reloaded, so the
+occupied set only shrinks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,20 @@ F2 = HyperfineState.F2
 # A site is vacant (None) or occupied by an atom in a hyperfine state.
 SiteState = HyperfineState | None
 VACANT: SiteState = None
+
+# State codes of the array representation, and the site state of each code.
+VACANT_CODE, F1_CODE, F2_CODE = 0, F1.value, F2.value
+CODE_STATES: tuple[SiteState, ...] = (None, F1, F2)
+
+
+def state_codes(sites: list[SiteState]) -> np.ndarray:
+    """int8 state codes of a list of site states."""
+    return np.array([0 if s is None else s.value for s in sites], dtype=np.int8)
+
+
+def as_codes(state: SiteState | np.ndarray) -> np.ndarray:
+    """A code array as it is, or one site state as a one-trial code array."""
+    return state if isinstance(state, np.ndarray) else state_codes([state])
 
 
 @dataclass

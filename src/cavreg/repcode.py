@@ -27,8 +27,7 @@ from .readout import (
     HidingModel,
     MeasurementErrorTable,
     ProbeConfig,
-    hidden_depump_probability,
-    measure_site,
+    sequential_array_readout,
 )
 from .register import (
     F1,
@@ -136,18 +135,13 @@ def run_round(
         if None in (idle_model, probe, table, photon, hiding):
             raise ConfigurationError("physical mode needs the full readout models")
         reg = idle(replace(register, sites=sites), config.idle_ms, idle_model, rng)
+        records, reg = sequential_array_readout(
+            reg, code_sites, hiding_power_mw, rng,
+            probe=probe, table=table, photon=photon, hiding=hiding,
+            adaptive_loss_factor=adaptive_loss_factor, rounds=1, re_prepare="none",
+        )
         sites = list(reg.sites)
-        p_hidden = hidden_depump_probability(hiding, hiding_power_mw)
-        for i in code_sites:
-            meas, post = measure_site(
-                sites[i], probe, table, photon, rng,
-                adaptive=True, adaptive_loss_factor=adaptive_loss_factor,
-            )
-            sites[i] = post
-            votes.append(meas.inferred)
-            for j in code_sites:
-                if j != i and sites[j] is F2 and rng.random() < p_hidden:
-                    sites[j] = F1
+        votes = [rec.result.inferred for rec in records]
     else:
         raise ConfigurationError(f"unknown mode {mode!r}")
 

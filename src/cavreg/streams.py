@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # master seeds lie in [0, SEED_LIMIT)
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier
 
 CHUNK_TRIALS = 4096

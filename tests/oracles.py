@@ -124,3 +124,100 @@ def compounded_depump_error(
     some point and read correctly dark."""
     survive = (1.0 - per_exposure) ** exposures
     return survive * infid_f2 + (1.0 - survive) * (1.0 - infid_f1)
+
+
+# --------------------------------------------------------------------------
+# Transcript-level reference for the sequential hidden readout: the
+# per-trial scalar loop (one Python step per site, interval and depump
+# draw) that the array kernels in cavreg.readout replaced.  It shares only
+# the model objects with the library.
+
+
+def _oracle_interval(bright: bool, photon, rng, adaptive: bool) -> tuple[int, float]:
+    """(counts, duration_us) of one interval for a bright or dark emitter."""
+    mean = photon.mean_full(bright)
+    if not adaptive:
+        return int(rng.poisson(mean)), photon.full_interval_us
+    lam_sub = mean / photon.n_sub
+    total = 0
+    for k in range(1, photon.n_sub + 1):
+        total += int(rng.poisson(lam_sub))
+        if total >= photon.threshold:
+            return total, k * photon.sub_interval_us
+    return total, photon.full_interval_us
+
+
+def _oracle_measure(site, rates, photon, rng, adaptive, adaptive_loss_factor):
+    """(inferred, post) for one site state None / 1 (F=1) / 2 (F=2)."""
+    if site is None:
+        hyper, _ = _oracle_interval(False, photon, rng, adaptive)
+        occ, _ = _oracle_interval(False, photon, rng, adaptive)
+    else:
+        if site == 2:
+            infidelity, loss = rates.infidelity_f2, rates.loss_f2
+            if adaptive:
+                loss = loss / adaptive_loss_factor
+        else:
+            infidelity, loss = rates.infidelity_f1, rates.loss_f1
+        effective = site
+        if rng.random() < infidelity:
+            effective = 1 if site == 2 else 2
+        hyper, _ = _oracle_interval(effective == 2, photon, rng, adaptive)
+        occ, _ = _oracle_interval(True, photon, rng, adaptive)
+    if occ < photon.threshold:
+        inferred = None
+    else:
+        inferred = 2 if hyper >= photon.threshold else 1
+    if site is None:
+        return inferred, None
+    return inferred, None if rng.random() < loss else effective
+
+
+def sequential_readout_transcript(
+    sites: list,
+    target_order: list[int],
+    p_hidden: float,
+    rng,
+    *,
+    rates,
+    photon,
+    background_floor: float,
+    adaptive_rounds: bool = False,
+    adaptive: bool = True,
+    adaptive_loss_factor: float = 4.5,
+    rounds: int = 1,
+    idle_intervals: int = 0,
+    re_prepare: str = "bright",
+) -> tuple[list[tuple], list]:
+    """One trial of the sequential hidden readout.
+
+    Sites are None (vacant), 1 (F=1) or 2 (F=2).  Returns the transcript,
+    one (round, site, prepared, inferred) tuple per measurement, and the
+    final site states."""
+    sites = list(sites)
+    believed_present = {i: True for i in target_order}
+    transcript = []
+    for round_index in range(rounds):
+        for target in target_order:
+            if adaptive_rounds and not believed_present[target]:
+                continue
+            prepared = sites[target]
+            inferred, post = _oracle_measure(
+                prepared, rates, photon, rng, adaptive, adaptive_loss_factor
+            )
+            sites[target] = post
+            transcript.append((round_index, target, prepared, inferred))
+            believed_present[target] = inferred is not None
+            if post is not None:
+                if re_prepare == "bright":
+                    sites[target] = 2
+                elif re_prepare == "inferred" and inferred is not None:
+                    sites[target] = inferred
+            for j, s in enumerate(sites):
+                if j != target and s == 2 and rng.random() < p_hidden:
+                    sites[j] = 1
+        for _ in range(idle_intervals):
+            for j, s in enumerate(sites):
+                if s == 2 and rng.random() < background_floor:
+                    sites[j] = 1
+    return transcript, sites
