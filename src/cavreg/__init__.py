@@ -52,7 +52,6 @@ from .repcode import (
     VoteOutcome,
     encode,
     fit_error_exponent,
-    logical_error_curve,
     logical_lifetime,
     majority_error_probability,
     run_round,

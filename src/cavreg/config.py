@@ -12,18 +12,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigurationError
-from .harness import (
-    DepumpScalingParams,
-    ErrorScalingParams,
-    HistogramParams,
-    LifetimeParams,
-    SearchCostParams,
-    check_post_select,
-)
+from .harness import EXPERIMENTS
 from .photons import CavityParams, DetectorModel, PhotonModel
 from .readout import ErrorRates, HidingModel, MeasurementErrorTable, ProbeConfig
 from .register import IdleErrorModel
-from .search import GroupCheckNoise, Placement, Strategy
+from .search import Placement, Strategy
 from .streams import SEED_LIMIT
 
 
@@ -146,20 +139,25 @@ def _definition(text: str) -> str:
     return text
 
 
+# Model keys that `validate-config` range-checks but no experiment reads carry
+# this mark: the cavity keys feed `cooperativity`, the hiding-beam profile keys
+# feed `light_shift_profile`, and the detection efficiency is a recorded
+# calibration value that enters no formula.
+_MODEL_ONLY = " (model only: range-checked, read by no experiment)"
+
 # (section, key) -> (parser, description); the single source of truth for
 # what a configuration file may and must contain.
 SCHEMA: dict[tuple[str, str], tuple] = {
-    ("register", "spacing_um"): (_positive_float, "tweezer spacing"),
     ("register", "tau_depump_ms"): (_positive_float, "background depump/repump timescale"),
     ("register", "tau_vacuum_ms"): (_positive_float, "vacuum (background-gas) lifetime"),
-    ("cavity", "two_g0_mhz"): (_positive_float, "single-photon Rabi frequency 2*g0"),
-    ("cavity", "kappa_mhz"): (_positive_float, "cavity linewidth"),
-    ("cavity", "gamma_mhz"): (_positive_float, "atomic excited-state linewidth"),
-    ("cavity", "finesse"): (_positive_float, "cavity finesse (metadata)"),
-    ("cavity", "waist_um"): (_positive_float, "cavity waist (metadata)"),
+    ("cavity", "two_g0_mhz"): (_positive_float, "single-photon Rabi frequency 2*g0" + _MODEL_ONLY),
+    ("cavity", "kappa_mhz"): (_positive_float, "cavity linewidth" + _MODEL_ONLY),
+    ("cavity", "gamma_mhz"): (_positive_float, "atomic excited-state linewidth" + _MODEL_ONLY),
+    ("cavity", "finesse"): (_positive_float, "cavity finesse" + _MODEL_ONLY),
+    ("cavity", "waist_um"): (_positive_float, "cavity waist" + _MODEL_ONLY),
     ("detector", "dark_rate_hz"): (_nonneg_float, "dark counts per second per detector"),
     ("detector", "n_detectors"): (_positive_int, "number of photon counters"),
-    ("detector", "quantum_efficiency"): (_probability, "total detection efficiency"),
+    ("detector", "quantum_efficiency"): (_probability, "total detection efficiency" + _MODEL_ONLY),
     ("photon", "bright_mean_full"): (_positive_float, "mean bright-atom counts per full interval"),
     ("photon", "full_interval_us"): (_positive_float, "full measurement interval"),
     ("photon", "sub_interval_us"): (_positive_float, "adaptive polling period"),
@@ -167,11 +165,10 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("hiding", "depump_per_interval_unhidden"): (_probability, "unhidden depump probability per interval"),
     ("hiding", "suppression_points_mw"): (_pairs, "power_mW:factor calibration pairs"),
     ("hiding", "background_floor_per_interval"): (_probability, "background depump floor per interval"),
-    ("hiding", "beam_waist_um"): (_positive_float, "hiding beam waist"),
-    ("hiding", "shift_slope_mhz_per_uw"): (_positive_float, "light shift per microwatt at center"),
-    ("hiding", "residual_at_10um"): (_probability, "residual shift fraction at 10 um"),
+    ("hiding", "beam_waist_um"): (_positive_float, "hiding beam waist" + _MODEL_ONLY),
+    ("hiding", "shift_slope_mhz_per_uw"): (_positive_float, "light shift per microwatt at center" + _MODEL_ONLY),
+    ("hiding", "residual_at_10um"): (_probability, "residual shift fraction at 10 um" + _MODEL_ONLY),
     ("probe", "tweezer_depth_mk"): (_positive_float, "tweezer depth"),
-    ("probe", "detuning_pa_mhz"): (_float, "probe-atom detuning"),
     ("probe", "detuning_pc_mhz"): (_float, "probe-cavity detuning"),
     ("error_table", "row_1"): (_table_row, "calibration row: depth detuning infid_f1 loss_f1 infid_f2 loss_f2"),
     ("error_table", "row_2"): (_table_row, "calibration row"),
@@ -260,7 +257,6 @@ class Config:
     def probe_config(self) -> ProbeConfig:
         return ProbeConfig(
             tweezer_depth_mk=self[("probe", "tweezer_depth_mk")],
-            detuning_pa_mhz=self[("probe", "detuning_pa_mhz")],
             detuning_pc_mhz=self[("probe", "detuning_pc_mhz")],
         )
 
@@ -271,72 +267,13 @@ class Config:
             rows[(round(depth, 6), round(abs(det), 6))] = ErrorRates(if1, lf1, if2, lf2)
         return MeasurementErrorTable(rows=rows)
 
-    # ------------------------------------------------------- experiment params
-
-    def histogram_params(self) -> HistogramParams:
-        return HistogramParams(photon=self.photon_model())
-
-    def depump_params(self) -> DepumpScalingParams:
-        return DepumpScalingParams(
-            sizes=self[("readout", "sizes")],
-            rounds=self[("readout", "readout_rounds")],
-            hiding_power_mw=self[("readout", "hiding_power_mw")],
-            adaptive_rounds=self[("readout", "adaptive_rounds")],
-            adaptive=self[("readout", "adaptive_termination")],
-            adaptive_loss_factor=self[("readout", "adaptive_loss_factor")],
-            idle_intervals=self[("readout", "idle_intervals")],
-            probe=self.probe_config(),
-            table=self.error_table(),
-            photon=self.photon_model(),
-            hiding=self.hiding_model(),
-        )
-
-    def search_params(self) -> SearchCostParams:
-        return SearchCostParams(
-            sizes=self[("search", "sizes")],
-            probabilities=self[("search", "bright_probabilities")],
-            strategies=self[("search", "strategies")],
-            placement=self[("search", "placement")],
-            noise=GroupCheckNoise(
-                false_positive=self[("search", "false_positive")],
-                false_negative=self[("search", "false_negative")],
-            ),
-        )
-
-    def error_scaling_params(self) -> ErrorScalingParams:
-        params = ErrorScalingParams(
-            distances=self[("code", "distances")],
-            flip_sweep=self[("code", "flip_sweep")],
-            per_round_loss=self[("code", "per_round_loss")],
-            rounds=self[("code", "rounds")],
-            post_select=self[("code", "post_select")],
-        )
-        check_post_select(params)
-        return params
-
-    def lifetime_params(self) -> LifetimeParams:
-        return LifetimeParams(
-            distances=self[("code", "distances")],
-            per_round_flip=self[("code", "per_round_flip")],
-            per_round_loss=self[("code", "per_round_loss")],
-            rounds=self[("code", "rounds")],
-            idle_ms=self[("code", "idle_ms")],
-            round_overhead_ms=self[("code", "round_overhead_ms")],
-            idle_model=self.idle_model(),
-            definition=self[("code", "lifetime_definition")],
-        )
-
     def validate_models(self) -> None:
-        """Build every model object so range invariants are checked."""
-        self.idle_model()
+        """Build every model object and every experiment's params so range
+        invariants are checked."""
         self.cavity_params()
-        self.photon_model()
-        self.hiding_model()
         self.error_table().lookup(self.probe_config())
-        self.search_params()
-        self.error_scaling_params()
-        self.lifetime_params()
-        self.depump_params()
+        for exp in EXPERIMENTS.values():
+            exp.build(self)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Config:

@@ -5,18 +5,24 @@ are partitioned into fixed-size chunks, each chunk draws from a counter-based
 stream keyed by (master_seed, point index, chunk index), and results are
 reduced in chunk order.  Thread count changes wall-clock time only, never
 output bytes.
+
+EXPERIMENTS is the one list of experiments: each record names its params
+class, how to build the params from a config, its [run] trial-count key, its
+runner and its summary lines.  The CLI, `validate-config` and `run` read it.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -31,12 +37,7 @@ from .readout import (
     sequential_array_readout,
 )
 from .register import F1_CODE, F2, VACANT_CODE, IdleErrorModel, state_codes, uniform_register
-from .repcode import (
-    CurveCell,
-    logical_lifetime,
-    simulate_code_abstract,
-    simulate_idling_bit,
-)
+from .repcode import logical_lifetime, simulate_code_abstract, simulate_idling_bit
 from .search import (
     GroupCheckNoise,
     Placement,
@@ -47,6 +48,9 @@ from .search import (
     sample_register,
 )
 from .streams import SEED_LIMIT, chunk_sizes, map_chunks, stream
+
+if TYPE_CHECKING:
+    from .config import Config
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.threads < 1:
+            raise ConfigurationError("threads must be >= 1")
         if not 0 <= self.master_seed < SEED_LIMIT:
             raise ConfigurationError(
                 f"master seed {self.master_seed} is outside [0, 2**64)"
@@ -150,6 +156,31 @@ class ExperimentResult:
     summary: dict
 
 
+def _sweep(
+    n_points: int,
+    kernel: Callable[[int, np.random.Generator, int], Any],
+    trials: int,
+    master_seed: int,
+    threads: int,
+) -> list:
+    """Per sweep point, the sum of kernel(point, rng, size) over the chunks
+    of `trials`.  Each chunk draws from stream(master_seed, point, chunk
+    index), and chunk results are summed in chunk order, so the thread count
+    never changes the result."""
+
+    def chunk_result(point: int, chunk: tuple[int, int, int]):
+        index, _, size = chunk
+        return kernel(point, stream(master_seed, point, index), size)
+
+    return [
+        functools.reduce(
+            operator.add,
+            map_chunks(functools.partial(chunk_result, point), chunk_sizes(trials), threads),
+        )
+        for point in range(n_points)
+    ]
+
+
 # ----------------------------------------------------------------- histogram
 
 
@@ -159,30 +190,40 @@ def run_histogram(
     photon = params.photon
     conditions = ["bright_full", "bright_adaptive", "dark_full"]
 
-    def sample_chunk(point: int, chunk) -> Counter:
-        idx, _, size = chunk
-        rng = stream(master_seed, point, idx)
+    def histogram(point: int, rng: np.random.Generator, size: int) -> Counter:
         cond = conditions[point]
         if cond == "bright_adaptive":
             counts, _ = sample_adaptive_bright_batch(photon, size, rng)
         else:
-            mean = photon.mean_full(cond == "bright_full")
-            counts = rng.poisson(mean, size=size)
+            counts = rng.poisson(photon.mean_full(cond == "bright_full"), size=size)
         return Counter(counts.tolist())
 
-    rows = []
-    for point, cond in enumerate(conditions):
-        hist: Counter = Counter()
-        for part in map_chunks(
-            lambda c, p=point: sample_chunk(p, c), chunk_sizes(trials), threads
-        ):
-            hist.update(part)
-        for value in sorted(hist):
-            rows.append({"counts": value, "frequency": hist[value], "condition": cond})
+    hists = _sweep(len(conditions), histogram, trials, master_seed, threads)
+    rows = [
+        {"counts": value, "frequency": hist[value], "condition": cond}
+        for cond, hist in zip(conditions, hists)
+        for value in sorted(hist)
+    ]
     return ExperimentResult(["counts", "frequency", "condition"], rows, {})
 
 
 # ----------------------------------------------------------- depump scaling
+
+
+def _depump_params(config: Config) -> DepumpScalingParams:
+    return DepumpScalingParams(
+        sizes=config[("readout", "sizes")],
+        rounds=config[("readout", "readout_rounds")],
+        hiding_power_mw=config[("readout", "hiding_power_mw")],
+        adaptive_rounds=config[("readout", "adaptive_rounds")],
+        adaptive=config[("readout", "adaptive_termination")],
+        adaptive_loss_factor=config[("readout", "adaptive_loss_factor")],
+        idle_intervals=config[("readout", "idle_intervals")],
+        probe=config.probe_config(),
+        table=config.error_table(),
+        photon=config.photon_model(),
+        hiding=config.hiding_model(),
+    )
 
 
 def run_depump_scaling(
@@ -198,10 +239,8 @@ def run_depump_scaling(
     """
     readout_rounds = params.rounds
 
-    def trial_counts(point: int, chunk) -> np.ndarray:
-        idx, _, size = chunk
+    def trial_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         n = params.sizes[point]
-        rng = stream(master_seed, point, idx)
         codes = state_codes(uniform_register(n, F2).sites)
         records, _ = sequential_array_readout(
             np.tile(codes, (size, 1)), list(range(n)), params.hiding_power_mw, rng,
@@ -221,15 +260,11 @@ def run_depump_scaling(
             )
         return acc
 
+    totals = _sweep(len(params.sizes), trial_counts, trials, master_seed, threads)
     rows = []
     steady_counts = []  # per size, over rounds 2 and on
     first_round_by_site: dict[int, Estimate] = {}
-    for point, n in enumerate(params.sizes):
-        total = np.zeros((n, readout_rounds, 2), dtype=np.int64)
-        for part in map_chunks(
-            lambda c, p=point: trial_counts(p, c), chunk_sizes(trials), threads
-        ):
-            total += part
+    for n, total in zip(params.sizes, totals):
         steady = total[:, 1:, :] if readout_rounds > 1 else total
         for site in range(n):
             err, det = int(steady[site, :, 0].sum()), int(steady[site, :, 1].sum())
@@ -282,7 +317,30 @@ def run_depump_scaling(
     return ExperimentResult(fieldnames, rows, summary)
 
 
+def _depump_lines(summary: dict) -> list[str]:
+    if "error_vs_size" not in summary:
+        return []
+    fit = summary["error_vs_size"]
+    return [
+        "  error vs array size: intercept %.4f +- %.4f, slope %.5f +- %.5f per site"
+        % (fit["intercept"], fit["intercept_stderr"], fit["slope"], fit["slope_stderr"])
+    ]
+
+
 # --------------------------------------------------------------- search cost
+
+
+def _search_params(config: Config) -> SearchCostParams:
+    return SearchCostParams(
+        sizes=config[("search", "sizes")],
+        probabilities=config[("search", "bright_probabilities")],
+        strategies=config[("search", "strategies")],
+        placement=config[("search", "placement")],
+        noise=GroupCheckNoise(
+            false_positive=config[("search", "false_positive")],
+            false_negative=config[("search", "false_negative")],
+        ),
+    )
 
 
 def run_search_cost(
@@ -293,6 +351,7 @@ def run_search_cost(
         if params.noise.false_positive == 0.0 and params.noise.false_negative == 0.0
         else params.noise
     )
+    at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
     points = [
         (n, p, strat)
         for n in params.sizes
@@ -300,28 +359,22 @@ def run_search_cost(
         for strat in params.strategies
     ]
 
-    def chunk_stats(point: int, chunk) -> tuple[float, float]:
-        idx, _, size = chunk
-        rng = stream(master_seed, point, idx)
+    def cost_moments(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         n, p, strat = points[point]
         problem = SearchProblem(n, p, params.placement)
         s = s2 = 0.0
-        at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
         for _ in range(size):
             reg = sample_register(problem, rng)
             res = run_search(reg, strat, rng, at_most_one=at_most_one, noise=noise)
             s += res.intervals_used
             s2 += res.intervals_used**2
-        return s, s2
+        return np.array([s, s2])
 
     rows = []
-    for point, (n, p, strat) in enumerate(points):
-        s = s2 = 0.0
-        for cs, cs2 in map_chunks(
-            lambda c, q=point: chunk_stats(q, c), chunk_sizes(trials), threads
-        ):
-            s += cs
-            s2 += cs2
+    for (n, p, strat), moments in zip(
+        points, _sweep(len(points), cost_moments, trials, master_seed, threads)
+    ):
+        s, s2 = (float(m) for m in moments)
         mean = s / trials
         var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
         stderr = math.sqrt(var / trials)
@@ -346,6 +399,17 @@ def run_search_cost(
 # ------------------------------------------------------------- error scaling
 
 
+@dataclass
+class CurveCell:
+    p_phys: float
+    distance: int
+    survivors: int
+    p_logical: float
+    stderr: float
+    n_rounds: int
+    flagged: bool
+
+
 def check_post_select(params: ErrorScalingParams) -> None:
     """Reject a survivor count that some distance cannot reach."""
     if params.post_select in ("distance", "none"):
@@ -358,16 +422,53 @@ def check_post_select(params: ErrorScalingParams) -> None:
         )
 
 
+def _error_scaling_params(config: Config) -> ErrorScalingParams:
+    params = ErrorScalingParams(
+        distances=config[("code", "distances")],
+        flip_sweep=config[("code", "flip_sweep")],
+        per_round_loss=config[("code", "per_round_loss")],
+        rounds=config[("code", "rounds")],
+        post_select=config[("code", "post_select")],
+    )
+    check_post_select(params)
+    return params
+
+
+def _post_selected_cells(p_phys: float, counts: np.ndarray, post_select: str) -> list[CurveCell]:
+    """Per-round logical error cells of one sweep point.
+
+    counts[s] holds (logical errors, rounds) among rounds with s surviving
+    atoms, s = 0..d.  post_select "distance" keeps s = d, "none" reports
+    every s, and an integer string keeps that s.  A cell with no rounds, no
+    errors or a stderr above a tenth of its estimate is flagged.
+    """
+    d = len(counts) - 1
+    if post_select == "none":
+        groups = range(d + 1)
+    elif post_select == "distance":
+        groups = [d]
+    else:
+        groups = [int(post_select)]
+    cells = []
+    for s in groups:
+        k, n = int(counts[s, 0]), int(counts[s, 1])
+        if n == 0:
+            cells.append(CurveCell(p_phys, d, s, math.nan, math.nan, 0, True))
+            continue
+        est = Estimate.from_binomial(k, n)
+        flagged = k == 0 or est.stderr > 0.1 * est.mean
+        cells.append(CurveCell(p_phys, d, s, est.mean, est.stderr, n, flagged))
+    return cells
+
+
 def run_error_scaling(
     params: ErrorScalingParams, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
     check_post_select(params)
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
 
-    def chunk_counts(point: int, chunk) -> np.ndarray:
-        idx, _, size = chunk
+    def survivor_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         d, p = points[point]
-        rng = stream(master_seed, point, idx)
         trace = simulate_code_abstract(d, p, params.per_round_loss, params.rounds, size, rng)
         acc = np.zeros((d + 1, 2), dtype=np.int64)
         for s in range(d + 1):
@@ -376,28 +477,12 @@ def run_error_scaling(
             acc[s, 1] = int(sel.sum())
         return acc
 
-    cells: list[CurveCell] = []
-    for point, (d, p) in enumerate(points):
-        acc = np.zeros((d + 1, 2), dtype=np.int64)
-        for part in map_chunks(
-            lambda c, q=point: chunk_counts(q, c), chunk_sizes(trials), threads
-        ):
-            acc += part
-        if params.post_select == "none":
-            groups = list(range(d + 1))
-        elif params.post_select == "distance":
-            groups = [d]
-        else:
-            groups = [int(params.post_select)]
-        for s in groups:
-            k, n = int(acc[s, 0]), int(acc[s, 1])
-            if n == 0:
-                cells.append(CurveCell(p, d, s, math.nan, math.nan, 0, True))
-                continue
-            est = Estimate.from_binomial(k, n)
-            flagged = k == 0 or est.stderr > 0.1 * est.mean
-            cells.append(CurveCell(p, d, s, est.mean, est.stderr, n, flagged))
-
+    totals = _sweep(len(points), survivor_counts, trials, master_seed, threads)
+    cells = [
+        cell
+        for (_, p), counts in zip(points, totals)
+        for cell in _post_selected_cells(p, counts, params.post_select)
+    ]
     rows = [
         {
             "p_phys": c.p_phys,
@@ -412,6 +497,7 @@ def run_error_scaling(
         {"p_phys": c.p_phys, "d": c.distance, "survivors": c.survivors, "n_rounds": c.n_rounds}
         for c in cells if c.flagged
     ]}
+    # looked up at call time, so a wrapper installed on cavreg.repcode is seen
     from .repcode import fit_error_exponent
 
     exponents = {}
@@ -435,76 +521,80 @@ def run_error_scaling(
     )
 
 
+def _error_scaling_lines(summary: dict) -> list[str]:
+    lines = [
+        "  d=%s: exponent %.2f +- %.2f (theory %.1f)"
+        % (d, fit["exponent"], fit["stderr"], fit["theory"])
+        for d, fit in summary["exponents"].items()
+        if "exponent" in fit
+    ]
+    if summary["flagged_cells"]:
+        lines.append(f"  {len(summary['flagged_cells'])} cell(s) flagged for low statistics")
+    return lines
+
+
 # ------------------------------------------------------------------ lifetime
+
+
+def _lifetime_params(config: Config) -> LifetimeParams:
+    return LifetimeParams(
+        distances=config[("code", "distances")],
+        per_round_flip=config[("code", "per_round_flip")],
+        per_round_loss=config[("code", "per_round_loss")],
+        rounds=config[("code", "rounds")],
+        idle_ms=config[("code", "idle_ms")],
+        round_overhead_ms=config[("code", "round_overhead_ms")],
+        idle_model=config.idle_model(),
+        definition=config[("code", "lifetime_definition")],
+    )
 
 
 def run_lifetime(
     params: LifetimeParams, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
+    """Error vs time of an unprotected idling bit (sweep point 0, d = 0 in
+    the CSV) and of each code distance (points 1, 2, ...)."""
     round_time = params.idle_ms + params.round_overhead_ms
     times = round_time * np.arange(1, params.rounds + 1)
 
-    def physical_chunk(chunk) -> np.ndarray:
-        idx, _, size = chunk
-        rng = stream(master_seed, 0, idx)
-        p_err = simulate_idling_bit(params.idle_model, times, size, rng)
-        return np.round(p_err * size).astype(np.int64)
-
-    def code_chunk(point: int, chunk) -> np.ndarray:
-        idx, _, size = chunk
-        d = params.distances[point - 1]
-        rng = stream(master_seed, point, idx)
+    def error_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
+        if point == 0:
+            p_err = simulate_idling_bit(params.idle_model, times, size, rng)
+            return np.round(p_err * size).astype(np.int64)
         trace = simulate_code_abstract(
-            d, params.per_round_flip, params.per_round_loss, params.rounds, size, rng
+            params.distances[point - 1], params.per_round_flip, params.per_round_loss,
+            params.rounds, size, rng,
         )
         out = np.zeros((2, params.rounds), dtype=np.int64)
         out[0] = trace.err_vs_initial.sum(axis=0)
         out[1] = trace.survivors.sum(axis=0)
         return out
 
-    rows = []
-    fits: dict[str, Any] = {}
-
-    err_counts = np.zeros(params.rounds, dtype=np.int64)
-    for part in map_chunks(physical_chunk, chunk_sizes(trials), threads):
-        err_counts += part
-    p_phys_curve = err_counts / trials
-    phys = logical_lifetime(times, p_phys_curve, params.definition)
-    fits["physical"] = _lifetime_jsonable(phys)
-    for r in range(params.rounds):
-        est = Estimate.from_binomial(int(err_counts[r]), trials)
-        rows.append(
-            {
-                "t_ms": float(times[r]),
-                "d": 0,
-                "p_err": est.mean,
-                "stderr": est.stderr,
-                "survivor_mean": math.nan,
-            }
-        )
-
-    for point, d in enumerate(params.distances, start=1):
-        acc = np.zeros((2, params.rounds), dtype=np.int64)
-        for part in map_chunks(
-            lambda c, q=point: code_chunk(q, c), chunk_sizes(trials), threads
-        ):
-            acc += part
-        p_err_curve = acc[0] / trials
-        surv_mean = acc[1] / trials
-        res = logical_lifetime(times, p_err_curve, params.definition)
+    phys_counts, *code_counts = _sweep(
+        1 + len(params.distances), error_counts, trials, master_seed, threads
+    )
+    phys = logical_lifetime(times, phys_counts / trials, params.definition)
+    fits: dict[str, Any] = {"physical": _lifetime_jsonable(phys)}
+    curves = [(0, phys_counts, None)]
+    for d, acc in zip(params.distances, code_counts):
+        res = logical_lifetime(times, acc[0] / trials, params.definition)
         fits[str(d)] = _lifetime_jsonable(res)
         fits[str(d)]["extension_factor"] = (
             res.lifetime_ms / phys.lifetime_ms if phys.lifetime_ms else math.nan
         )
+        curves.append((d, acc[0], acc[1] / trials))
+
+    rows = []
+    for d, errors, surv_mean in curves:
         for r in range(params.rounds):
-            est = Estimate.from_binomial(int(acc[0, r]), trials)
+            est = Estimate.from_binomial(int(errors[r]), trials)
             rows.append(
                 {
                     "t_ms": float(times[r]),
                     "d": d,
                     "p_err": est.mean,
                     "stderr": est.stderr,
-                    "survivor_mean": float(surv_mean[r]),
+                    "survivor_mean": math.nan if surv_mean is None else float(surv_mean[r]),
                 }
             )
 
@@ -522,17 +612,72 @@ def _lifetime_jsonable(res) -> dict:
         "crossing_1_minus_1_over_e_ms": res.crossing_1_minus_1_over_e_ms,
         "crossing_p_inf_over_e_ms": res.crossing_p_inf_over_e_ms,
         "low_confidence": res.low_confidence,
+        "converged": res.fit.converged,
+        "note": res.fit.note,
+        "tau_stderr": res.fit.tau_stderr,
+        "p_inf_stderr": res.fit.p_inf_stderr,
     }
 
 
-# ------------------------------------------------------------------ dispatch
+def _lifetime_lines(summary: dict) -> list[str]:
+    fits = summary["fits"]
+    lines = ["  physical idling bit: tau %.1f ms" % fits["physical"]["tau_ms"]]
+    for d, fit in fits.items():
+        if d != "physical":
+            note = " (low confidence)" if fit["low_confidence"] else ""
+            lines.append(
+                "  d=%s: tau %.1f ms, extension factor %.2f%s"
+                % (d, fit["tau_ms"], fit["extension_factor"], note)
+            )
+    return lines
 
-_EXPERIMENTS = {
-    "histogram": (HistogramParams, run_histogram),
-    "depump_scaling": (DepumpScalingParams, run_depump_scaling),
-    "search_cost": (SearchCostParams, run_search_cost),
-    "error_scaling": (ErrorScalingParams, run_error_scaling),
-    "lifetime": (LifetimeParams, run_lifetime),
+
+# ------------------------------------------------------------------ registry
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the CLI, the config check and `run` know of one experiment."""
+
+    name: str  # ExperimentSpec.experiment; the CLI subcommand uses dashes
+    help: str
+    params: type
+    build: Callable[[Config], Any]  # params from a parsed config
+    trials_key: str  # [run] key holding the configured trial count
+    runner: Callable[[Any, int, int, int], ExperimentResult]
+    summary_lines: Callable[[dict], list[str]] = lambda summary: []
+
+    @property
+    def command(self) -> str:
+        return self.name.replace("_", "-")
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    e.name: e
+    for e in (
+        Experiment(
+            "histogram", "photon-count histograms for bright/dark/adaptive conditions",
+            HistogramParams, lambda config: HistogramParams(photon=config.photon_model()),
+            "trials", run_histogram,
+        ),
+        Experiment(
+            "depump_scaling", "bright-state error vs array size for a sequential hidden readout",
+            DepumpScalingParams, _depump_params, "trials", run_depump_scaling, _depump_lines,
+        ),
+        Experiment(
+            "search_cost", "mean readout intervals for bright-atom search strategies",
+            SearchCostParams, _search_params, "trials", run_search_cost,
+        ),
+        Experiment(
+            "error_scaling", "per-round logical error vs physical error for repetition codes",
+            ErrorScalingParams, _error_scaling_params, "error_scaling_trials",
+            run_error_scaling, _error_scaling_lines,
+        ),
+        Experiment(
+            "lifetime", "logical error vs time and fitted lifetimes for repetition codes",
+            LifetimeParams, _lifetime_params, "lifetime_trials", run_lifetime, _lifetime_lines,
+        ),
+    )
 }
 
 
@@ -540,15 +685,15 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     """Run an experiment; deterministic in (spec, master_seed) regardless of
     the thread count."""
     try:
-        params_cls, fn = _EXPERIMENTS[spec.experiment]
+        exp = EXPERIMENTS[spec.experiment]
     except KeyError:
         raise ConfigurationError(f"unknown experiment {spec.experiment!r}") from None
-    params = spec.parameters if spec.parameters is not None else params_cls()
-    if not isinstance(params, params_cls):
+    params = spec.parameters if spec.parameters is not None else exp.params()
+    if not isinstance(params, exp.params):
         raise ConfigurationError(
-            f"experiment {spec.experiment!r} expects {params_cls.__name__}"
+            f"experiment {spec.experiment!r} expects {exp.params.__name__}"
         )
-    return fn(params, spec.trials, spec.master_seed, max(spec.threads, 1))
+    return exp.runner(params, spec.trials, spec.master_seed, spec.threads)
 
 
 # ----------------------------------------------------------------- csv / io

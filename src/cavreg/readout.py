@@ -35,10 +35,9 @@ from .register import (
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Tweezer depth and probe detunings selecting a calibration row."""
+    """Tweezer depth and probe-cavity detuning selecting a calibration row."""
 
     tweezer_depth_mk: float = 0.25
-    detuning_pa_mhz: float = -5.0
     detuning_pc_mhz: float = -5.0
 
     def __post_init__(self):

@@ -223,59 +223,6 @@ def majority_error_probability(distance: int, p: float) -> float:
     )
 
 
-@dataclass
-class CurveCell:
-    p_phys: float
-    distance: int
-    survivors: int
-    p_logical: float
-    stderr: float
-    n_rounds: int
-    flagged: bool
-
-
-def logical_error_curve(
-    distances: list[int],
-    flip_sweep: list[float],
-    loss_p: float,
-    rounds: int,
-    n_trials: int,
-    rng_for_point,
-    post_select_survivors: int | str | None = "distance",
-) -> list[CurveCell]:
-    """Per-round logical error probability vs physical flip probability.
-
-    rng_for_point(d_index, p_index) must return an independent random stream
-    per sweep point.  post_select_survivors: "distance" keeps rounds with all
-    d atoms present, an int keeps that survivor count, None reports one cell
-    per observed survivor count.
-    """
-    cells: list[CurveCell] = []
-    for di, d in enumerate(distances):
-        for pi, p in enumerate(flip_sweep):
-            trace = simulate_code_abstract(
-                d, p, loss_p, rounds, n_trials, rng_for_point(di, pi)
-            )
-            if post_select_survivors is None:
-                groups = range(d + 1)
-            elif post_select_survivors == "distance":
-                groups = [d]
-            else:
-                groups = [int(post_select_survivors)]
-            for s in groups:
-                sel = trace.survivors == s
-                n = int(sel.sum())
-                if n == 0:
-                    cells.append(CurveCell(p, d, s, math.nan, math.nan, 0, True))
-                    continue
-                k = int(trace.new_error[sel].sum())
-                p_log = k / n
-                stderr = math.sqrt(max(p_log * (1 - p_log), 0.0) / n)
-                flagged = k == 0 or stderr > 0.1 * p_log
-                cells.append(CurveCell(p, d, s, p_log, stderr, n, flagged))
-    return cells
-
-
 def fit_error_exponent(
     p_phys: list[float], p_logical: list[float]
 ) -> tuple[float, float]:

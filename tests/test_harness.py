@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from cavreg import ConfigurationError, Estimate, ExperimentSpec, run
+from cavreg.cli import _build_parser
+from cavreg.config import SCHEMA, load_config
 from cavreg.harness import (
+    EXPERIMENTS,
     DepumpScalingParams,
     ErrorScalingParams,
     HistogramParams,
@@ -52,6 +55,17 @@ def test_unknown_experiment_rejected():
         run(ExperimentSpec("nonsense"))
     with pytest.raises(ConfigurationError):
         run(ExperimentSpec("histogram", parameters=SearchCostParams()))
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS.values(), ids=lambda e: e.name)
+def test_registry_record_reaches_cli_config_and_run(exp):
+    args = _build_parser().parse_args([exp.command, "--trials", "5"])
+    assert args.experiment is exp
+    assert isinstance(exp.build(load_config()), exp.params)
+    assert ("run", exp.trials_key) in SCHEMA
+    wrong = next(e.params for e in EXPERIMENTS.values() if e.params is not exp.params)
+    with pytest.raises(ConfigurationError, match="expects"):
+        run(ExperimentSpec(exp.name, wrong(), trials=5))
 
 
 def test_search_cost_p_zero_is_exactly_one():
@@ -162,3 +176,17 @@ def test_lifetime_summary_structure():
     )
     d_values = {r["d"] for r in result.rows}
     assert d_values == {0, 1}
+
+
+def test_lifetime_fit_diagnostics_are_kept():
+    fits = []
+    for threads in (1, 4):
+        spec = ExperimentSpec(
+            "lifetime", LifetimeParams(distances=[1, 3], rounds=8), trials=3000,
+            master_seed=8, threads=threads,
+        )
+        fits.append(run(spec).summary["fits"])
+    diagnostics = ("converged", "note", "tau_stderr", "p_inf_stderr")
+    for fit in fits[0].values():
+        assert all(key in fit for key in diagnostics)
+    assert json.dumps(fits[0], sort_keys=True) == json.dumps(fits[1], sort_keys=True)

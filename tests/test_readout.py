@@ -28,8 +28,8 @@ from oracles import compounded_depump_error
 TABLE = MeasurementErrorTable()
 PHOTON = PhotonModel()
 HIDING = HidingModel()
-PROBE_5 = ProbeConfig(0.25, -5.0, -5.0)
-PROBE_17 = ProbeConfig(0.25, -5.0, -17.0)
+PROBE_5 = ProbeConfig(0.25, -5.0)
+PROBE_17 = ProbeConfig(0.25, -17.0)
 
 
 def test_default_table_is_the_calibration_table():
@@ -37,13 +37,13 @@ def test_default_table_is_the_calibration_table():
     assert (rates.infidelity_f1, rates.loss_f1) == (0.0039, 0.021)
     assert (rates.infidelity_f2, rates.loss_f2) == (0.008, 0.030)
     # the table quotes detuning magnitudes; both sign conventions resolve
-    assert TABLE.lookup(ProbeConfig(0.25, -5.0, 17.0)) is TABLE.lookup(PROBE_17)
+    assert TABLE.lookup(ProbeConfig(0.25, 17.0)) is TABLE.lookup(PROBE_17)
     assert len(DEFAULT_ERROR_ROWS) == 4
 
 
 def test_unknown_probe_rejected():
     with pytest.raises(ConfigurationError):
-        TABLE.lookup(ProbeConfig(0.30, -5.0, -5.0))
+        TABLE.lookup(ProbeConfig(0.30, -5.0))
 
 
 def test_hidden_depump_calibration_points():

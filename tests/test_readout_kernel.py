@@ -34,7 +34,7 @@ from cavreg.register import state_codes
 from oracles import sequential_readout_transcript
 
 K = 4.5
-PROBE = ProbeConfig(0.25, -5.0, -5.0)
+PROBE = ProbeConfig(0.25, -5.0)
 PHOTON = PhotonModel()
 # loss and misreads large enough that adaptive_rounds skips sites often
 LOSSY = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.02, 0.08, 0.03, 0.25)})

@@ -18,7 +18,6 @@ from cavreg import (
     combined_idle_lifetime,
     encode,
     fit_error_exponent,
-    logical_error_curve,
     logical_lifetime,
     majority_error_probability,
     run_round,
@@ -26,6 +25,7 @@ from cavreg import (
     simulate_idling_bit,
     uniform_register,
 )
+from cavreg.harness import ErrorScalingParams, ExperimentSpec, run
 from cavreg.register import Register
 
 from oracles import (
@@ -202,30 +202,31 @@ def test_vectorized_curve_matches_exact_dp(rng):
         assert abs(observed - exact[r]) < 4 * se
 
 
-def test_logical_error_curve_post_selection(rng):
-    cells = logical_error_curve(
-        [3], [0.09], 0.037, 10, 40_000,
-        lambda di, pi: np.random.default_rng(123),
-        post_select_survivors="distance",
+def _error_scaling_rows(post_select, flip, loss, rounds, trials, seed):
+    params = ErrorScalingParams(
+        distances=[3], flip_sweep=[flip], per_round_loss=loss, rounds=rounds,
+        post_select=post_select,
     )
-    assert len(cells) == 1
-    cell = cells[0]
+    result = run(ExperimentSpec("error_scaling", params, trials=trials, master_seed=seed))
+    return result.rows, result.summary["flagged_cells"]
+
+
+def test_logical_error_curve_post_selection():
+    rows, flagged = _error_scaling_rows("distance", 0.09, 0.037, 10, 40_000, 123)
+    assert len(rows) == 1
+    cell = rows[0]
     # conditioned on all atoms present, losses drop out: binomial formula
     expected = majority_flip_probability_enumeration(3, 0.09)
-    assert abs(cell.p_logical - expected) < 4 * cell.stderr
-    assert cell.survivors == 3 and not cell.flagged
+    assert abs(cell["p_logical"] - expected) < 4 * cell["stderr"]
+    assert cell["survivors"] == 3 and not flagged
 
 
-def test_logical_error_curve_grouped_cells(rng):
-    cells = logical_error_curve(
-        [3], [0.2], 0.2, 6, 5000,
-        lambda di, pi: np.random.default_rng(5),
-        post_select_survivors=None,
-    )
-    assert {c.survivors for c in cells} == {0, 1, 2, 3}
-    empty = next(c for c in cells if c.survivors == 0)
+def test_logical_error_curve_grouped_cells():
+    rows, _ = _error_scaling_rows("none", 0.2, 0.2, 6, 5000, 5)
+    assert {c["survivors"] for c in rows} == {0, 1, 2, 3}
+    empty = next(c for c in rows if c["survivors"] == 0)
     # empty-register rounds are coin tosses
-    assert abs(empty.p_logical - 0.5) < 4 * empty.stderr
+    assert abs(empty["p_logical"] - 0.5) < 4 * empty["stderr"]
 
 
 def test_fit_error_exponent_exact_power_law():
@@ -274,7 +275,7 @@ def test_physical_mode_round_runs(rng):
     record, out = run_round(
         reg, config, rng, mode="physical",
         idle_model=IdleErrorModel(),
-        probe=ProbeConfig(0.25, -5.0, -5.0),
+        probe=ProbeConfig(0.25, -5.0),
         table=MeasurementErrorTable(),
         photon=PhotonModel(),
         hiding=HidingModel(),
@@ -297,7 +298,7 @@ def test_physical_mode_statistics(rng):
         record, _ = run_round(
             reg, config, rng, mode="physical",
             idle_model=idle_model,
-            probe=ProbeConfig(0.25, -5.0, -5.0),
+            probe=ProbeConfig(0.25, -5.0),
             table=MeasurementErrorTable(),
             photon=PhotonModel(),
             hiding=HidingModel(),

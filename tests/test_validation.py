@@ -7,7 +7,7 @@ import pytest
 from cavreg import ConfigurationError
 from cavreg.cli import main
 from cavreg.config import parse_config_text
-from cavreg.harness import ErrorScalingParams, ExperimentSpec, run
+from cavreg.harness import EXPERIMENTS, ErrorScalingParams, ExperimentSpec, run
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 
@@ -52,7 +52,7 @@ def test_config_rejects_unreachable_post_select(count):
     # the shipped distances are 1, 3, 5: a count above 1 misses d = 1
     config = parse_config_text(_with("post_select = distance", f"post_select = {count}"))
     with pytest.raises(ConfigurationError, match="post_select"):
-        config.error_scaling_params()
+        EXPERIMENTS["error_scaling"].build(config)
 
 
 @pytest.mark.parametrize("count", ["-1", "9"])
@@ -77,3 +77,37 @@ def test_post_select_in_range_runs():
     params = ErrorScalingParams(distances=[3, 5], flip_sweep=[0.1], post_select="3")
     rows = run(ExperimentSpec("error_scaling", params, trials=200, master_seed=1)).rows
     assert {r["survivors"] for r in rows} == {3}
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_threads_below_one(threads, tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    rc = main(["histogram", "--trials", "10", "--threads", threads, "--out", str(out)])
+    assert rc == 2
+    assert "threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_spec_rejects_threads_below_one(threads):
+    with pytest.raises(ConfigurationError, match="threads"):
+        ExperimentSpec("histogram", trials=10, threads=threads)
+
+
+def test_cli_missing_output_directory_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "h.csv"
+    rc = main(["histogram", "--trials", "10", "--out", str(out)])
+    assert rc == 2
+    assert "output directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_sidecar_write_leaves_no_output(tmp_path, monkeypatch):
+    def fail(path, spec, result):
+        open(path, "w").close()
+        raise OSError("disk full")
+
+    monkeypatch.setattr("cavreg.cli.write_metadata", fail)
+    out = tmp_path / "h.csv"
+    assert main(["histogram", "--trials", "10", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
