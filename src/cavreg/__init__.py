@@ -7,12 +7,10 @@ from .errors import ConfigurationError, LoadFailure
 from .register import (
     F1,
     F2,
-    HyperfineState,
+    VACANT,
     IdleErrorModel,
-    Register,
     combined_idle_lifetime,
     idle,
-    prepare,
     uniform_register,
 )
 from .photons import (

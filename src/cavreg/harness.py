@@ -36,7 +36,7 @@ from .readout import (
     ProbeConfig,
     sequential_array_readout,
 )
-from .register import F1_CODE, F2, VACANT_CODE, IdleErrorModel, state_codes, uniform_register
+from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import logical_lifetime, simulate_code_abstract, simulate_idling_bit
 from .search import (
     GroupCheckNoise,
@@ -196,7 +196,8 @@ def run_histogram(
             counts, _ = sample_adaptive_bright_batch(photon, size, rng)
         else:
             counts = rng.poisson(photon.mean_full(cond == "bright_full"), size=size)
-        return Counter(counts.tolist())
+        values, freqs = np.unique(counts, return_counts=True)
+        return Counter(dict(zip(values.tolist(), freqs.tolist())))
 
     hists = _sweep(len(conditions), histogram, trials, master_seed, threads)
     rows = [
@@ -241,9 +242,9 @@ def run_depump_scaling(
 
     def trial_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         n = params.sizes[point]
-        codes = state_codes(uniform_register(n, F2).sites)
+        registers = np.tile(uniform_register(n, F2), (size, 1))
         records, _ = sequential_array_readout(
-            np.tile(codes, (size, 1)), list(range(n)), params.hiding_power_mw, rng,
+            registers, list(range(n)), params.hiding_power_mw, rng,
             probe=params.probe, table=params.table, photon=params.photon, hiding=params.hiding,
             adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive,
             adaptive_loss_factor=params.adaptive_loss_factor, rounds=readout_rounds,
@@ -254,9 +255,9 @@ def run_depump_scaling(
         for rec in records:
             inferred = rec.result.inferred
             # lost atoms / undetected presence are excluded
-            detected = rec.was_occupied & (inferred != VACANT_CODE)
+            detected = rec.was_occupied & (inferred != VACANT)
             acc[rec.site, rec.round_index] += (
-                np.count_nonzero(detected & (inferred == F1_CODE)), np.count_nonzero(detected)
+                np.count_nonzero(detected & (inferred == F1)), np.count_nonzero(detected)
             )
         return acc
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .register import F2_CODE, SiteState, as_codes
 
 
 @dataclass(frozen=True)
@@ -94,18 +93,12 @@ class PhotonModel:
 
 @dataclass(frozen=True)
 class IntervalOutcome:
-    """Counts, probe-on duration and bright call of one interval: scalars
-    for one site, arrays over the trial axis for an array of state codes."""
+    """Counts, probe-on duration and bright call of one interval, as arrays
+    over the trial axis."""
 
-    counts: int
-    duration_us: float
-    bright: bool  # counts >= threshold
-
-    def item(self, trial: int = 0) -> "IntervalOutcome":
-        """The scalar outcome of one trial of an array outcome."""
-        return IntervalOutcome(
-            int(self.counts[trial]), float(self.duration_us[trial]), bool(self.bright[trial])
-        )
+    counts: np.ndarray
+    duration_us: np.ndarray
+    bright: np.ndarray  # counts >= threshold
 
 
 def _mean_full(codes: np.ndarray, model: PhotonModel) -> np.ndarray:
@@ -120,32 +113,24 @@ def _poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     return np.full(lam.shape, rng.poisson(lam[0])) if lam.size == 1 else rng.poisson(lam)
 
 
-def _outcome(state, counts, duration_us, model: PhotonModel) -> IntervalOutcome:
-    out = IntervalOutcome(counts, duration_us, counts >= model.threshold)
-    return out if isinstance(state, np.ndarray) else out.item()
-
-
 def sample_full_interval(
-    state: SiteState | np.ndarray, model: PhotonModel, rng: np.random.Generator
+    codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
 ) -> IntervalOutcome:
-    """Poisson counts over the full interval; vacant sites look dark.
-
-    `state` is one site state, or an array of state codes with one entry per
-    trial; the outcome then holds arrays."""
-    codes = as_codes(state)
+    """Poisson counts over the full interval, one per trial of a 1-D array
+    of state codes; vacant sites look dark."""
     counts = _poisson(rng, _mean_full(codes, model))
-    return _outcome(state, counts, np.full(codes.shape, model.full_interval_us), model)
+    full = np.full(codes.shape, model.full_interval_us)
+    return IntervalOutcome(counts, full, counts >= model.threshold)
 
 
 def sample_adaptive_interval(
-    state: SiteState | np.ndarray, model: PhotonModel, rng: np.random.Generator
+    codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
 ) -> IntervalOutcome:
     """Accumulate Poisson counts sub-interval by sub-interval, stopping at the
     first boundary where the cumulative count reaches the threshold.
 
-    `state` is as for sample_full_interval.  Each sub-interval makes one
-    Poisson draw for the trials still probing."""
-    codes = as_codes(state)
+    `codes` is a 1-D array of state codes, one per trial.  Each sub-interval
+    makes one Poisson draw for the trials still probing."""
     counts = np.zeros(codes.shape, dtype=np.int64)
     probed = np.full(codes.shape, model.n_sub)  # sub-intervals with the probe on
     # the trials still probing: their indices, running counts and means
@@ -160,7 +145,7 @@ def sample_adaptive_interval(
             counts[live[crossed]], probed[live[crossed]] = running[crossed], k
             live, running, lam = live[~crossed], running[~crossed], lam[~crossed]
     counts[live] = running
-    return _outcome(state, counts, probed * model.sub_interval_us, model)
+    return IntervalOutcome(counts, probed * model.sub_interval_us, counts >= model.threshold)
 
 
 def sample_adaptive_bright_batch(

@@ -17,7 +17,7 @@ down to the background floor set by the trapping light.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,9 +28,7 @@ from .photons import (
     sample_adaptive_interval,
     sample_full_interval,
 )
-from .register import (
-    CODE_STATES, F1_CODE, F2_CODE, VACANT_CODE, Register, SiteState, as_codes, state_codes
-)
+from .register import F1, F2, VACANT
 
 
 @dataclass(frozen=True)
@@ -167,24 +165,16 @@ def light_shift_profile(model: HidingModel, power_uw: float, r_um: float) -> flo
 
 @dataclass(frozen=True)
 class SiteMeasurement:
-    """Outcome of one hyperfine + occupation measurement pair: scalars for
-    one site, arrays over the trial axis for an array of state codes."""
+    """Outcome of one hyperfine + occupation measurement pair, as arrays over
+    the trial axis."""
 
     hyperfine: IntervalOutcome
     occupation: IntervalOutcome
-    inferred: SiteState  # None if occupation read dark, else F2/F1 by hyperfine
-
-    def item(self, trial: int = 0) -> "SiteMeasurement":
-        """The scalar measurement of one trial of an array measurement."""
-        return SiteMeasurement(
-            self.hyperfine.item(trial),
-            self.occupation.item(trial),
-            CODE_STATES[self.inferred[trial]],
-        )
+    inferred: np.ndarray  # VACANT if occupation read dark, else F2/F1 by hyperfine
 
 
 def measure_site(
-    site: SiteState | np.ndarray,
+    codes: np.ndarray,
     probe: ProbeConfig,
     table: MeasurementErrorTable,
     photon: PhotonModel,
@@ -192,11 +182,9 @@ def measure_site(
     *,
     adaptive: bool = True,
     adaptive_loss_factor: float = 4.5,
-) -> tuple[SiteMeasurement, SiteState | np.ndarray]:
-    """Measure one site and return (record, post-measurement site state).
-
-    `site` is one site state, or an array of state codes with one entry per
-    trial; the record and the post state then hold arrays of codes.
+) -> tuple[SiteMeasurement, np.ndarray]:
+    """Measure one site in every trial of a 1-D array of state codes and
+    return (record, post-measurement state codes).
 
     The state-appropriate infidelity flips the effective emitter for the
     hyperfine interval (misclassification channel).  Loss is applied once per
@@ -205,7 +193,6 @@ def measure_site(
     adaptive_loss_factor.  Re-preparation is left to the caller.
     """
     sample = sample_adaptive_interval if adaptive else sample_full_interval
-    codes = as_codes(site)
     rates = table.lookup(probe)
     loss_f2 = rates.loss_f2 / adaptive_loss_factor if adaptive else rates.loss_f2
     # probabilities per state code (vacant, F=1, F=2)
@@ -213,44 +200,40 @@ def measure_site(
     loss = np.array([0.0, rates.loss_f1, loss_f2])[codes]
 
     flip = rng.random(codes.shape) < infidelity
-    effective = np.where(flip, F1_CODE + F2_CODE - codes, codes)
+    effective = np.where(flip, F1 + F2 - codes, codes)
     hyperfine = sample(effective, photon, rng)
     # repumper on: any present atom is bright
-    occupation = sample(np.array([VACANT_CODE, F2_CODE, F2_CODE])[codes], photon, rng)
+    occupation = sample(np.array([VACANT, F2, F2])[codes], photon, rng)
     # present: F=2 if the hyperfine interval read bright, else F=1
-    inferred = np.where(occupation.bright, F1_CODE + hyperfine.bright, VACANT_CODE)
-    post = np.where(rng.random(codes.shape) < loss, VACANT_CODE, effective)
-
-    meas = SiteMeasurement(hyperfine, occupation, inferred)
-    if isinstance(site, np.ndarray):
-        return meas, post
-    return meas.item(), CODE_STATES[post[0]]
+    inferred = np.where(occupation.bright, F1 + hyperfine.bright, VACANT)
+    post = np.where(rng.random(codes.shape) < loss, VACANT, effective)
+    return SiteMeasurement(hyperfine, occupation, inferred), post
 
 
 @dataclass(frozen=True)
 class ReadoutRecord:
-    """One (round, target) step.  In an array readout every field but
-    round_index and site is an array over the trials that measured the
-    target: all of them, unless adaptive_rounds skipped some."""
+    """One (round, target) step.  Every field but round_index and site is an
+    array over the trials that measured the target: all of them, unless
+    adaptive_rounds skipped some."""
 
     round_index: int
     site: int
-    was_occupied: bool  # ground truth just before this measurement
-    prepared: SiteState  # ground-truth state just before this measurement
+    was_occupied: np.ndarray  # ground truth just before this measurement
+    prepared: np.ndarray  # ground-truth state codes just before this measurement
     result: SiteMeasurement
 
 
 def _depump(states: np.ndarray, p: float, rng, spare: int | None = None) -> None:
     """In place, each bright atom outside column `spare` depumps to F=1 with
     probability p."""
-    hit = (rng.random(states.shape) < p) & (states == F2_CODE)
+    hit = (rng.random(states.shape) < p) & (states == F2)
     if spare is not None:
         hit[:, spare] = False
-    states[hit] = F1_CODE
+    states[hit] = F1
 
 
 def sequential_array_readout(
-    register: Register | np.ndarray,
+    register: np.ndarray,
     target_order: list[int],
     hiding_power_mw: float,
     rng: np.random.Generator,
@@ -265,13 +248,12 @@ def sequential_array_readout(
     rounds: int = 1,
     idle_intervals: int = 0,
     re_prepare: str = "bright",
-) -> tuple[list[ReadoutRecord], Register | np.ndarray]:
+) -> tuple[list[ReadoutRecord], np.ndarray]:
     """Sequentially measure the target sites, one at a time, for one or more
-    rounds.
+    rounds, and return the records and the final state codes.
 
-    `register` is a Register, or an int8 array of state codes of shape
-    (trials, sites) whose trials are read out together; the records then
-    hold arrays and the final state comes back as a code array.
+    `register` is an int8 array of state codes of shape (trials, sites)
+    whose trials are read out together; it is not modified.
 
     While a target is probed, every other occupied bright atom independently
     depumps with hidden_depump_probability (charged once per target
@@ -283,8 +265,7 @@ def sequential_array_readout(
     measurement (bright-state characterization), "inferred" resets it to the
     inferred state, "none" leaves the post-measurement state.
     """
-    single = isinstance(register, Register)
-    states = state_codes(register.sites)[None, :] if single else register.copy()
+    states = register.copy()
     trials, n = states.shape
     if len(set(target_order)) != len(target_order):
         raise ConfigurationError("duplicate target indices")
@@ -307,14 +288,14 @@ def sequential_array_readout(
                 continue
             meas, post = measure_site(prepared, probe, table, photon, rng, adaptive=adaptive,
                                       adaptive_loss_factor=adaptive_loss_factor)
-            records.append(ReadoutRecord(round_index, target, prepared != VACANT_CODE,
+            records.append(ReadoutRecord(round_index, target, prepared != VACANT,
                                          prepared, meas))
-            believed_present[rows, target] = meas.inferred != VACANT_CODE
-            present = post != VACANT_CODE
+            believed_present[rows, target] = meas.inferred != VACANT
+            present = post != VACANT
             if re_prepare == "bright":
-                post = np.where(present, F2_CODE, post)
+                post = np.where(present, F2, post)
             elif re_prepare == "inferred":
-                post = np.where(present & (meas.inferred != VACANT_CODE), meas.inferred, post)
+                post = np.where(present & (meas.inferred != VACANT), meas.inferred, post)
             states[rows, target] = post
             # hidden bright atoms elsewhere depump during this measurement
             hidden = states[rows]  # a view, or a copy that is written back
@@ -322,9 +303,4 @@ def sequential_array_readout(
             states[rows] = hidden
         for _ in range(idle_intervals):
             _depump(states, hiding.background_floor, rng)
-
-    if not single:
-        return records, states
-    records = [ReadoutRecord(r.round_index, r.site, bool(r.was_occupied[0]),
-                             CODE_STATES[r.prepared[0]], r.result.item()) for r in records]
-    return records, replace(register, sites=[CODE_STATES[c] for c in states[0]])
+    return records, states

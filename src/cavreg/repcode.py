@@ -15,7 +15,7 @@ routes every measurement through the full readout protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,9 +32,8 @@ from .readout import (
 from .register import (
     F1,
     F2,
+    VACANT,
     IdleErrorModel,
-    Register,
-    SiteState,
     flip_probability,
     idle,
     loss_probability,
@@ -72,34 +71,30 @@ class VoteOutcome(Enum):
 @dataclass
 class RoundRecord:
     round_index: int
-    votes: list[SiteState]  # F1 / F2 / None (lost) per code site
+    votes: np.ndarray  # state code per code site: F1, F2 or VACANT (lost)
     survivors: int
     vote_outcome: VoteOutcome
     logical_state_after: int  # the resolved bit, coin included
 
 
-def _bit_state(bit: int) -> SiteState:
-    return F2 if bit else F1
-
-
-def encode(register: Register, bit: int, distance: int) -> Register:
-    """Prepare the first `distance` occupied sites to the bit's hyperfine
-    state; other sites are untouched."""
+def encode(register: np.ndarray, bit: int, distance: int) -> np.ndarray:
+    """A copy of a 1-D register with the first `distance` occupied sites
+    prepared to the bit's hyperfine state (F1 + bit); other sites are
+    untouched."""
     if bit not in (0, 1):
         raise ConfigurationError("logical bit must be 0 or 1")
-    occupied = register.occupied_indices()
+    occupied = np.flatnonzero(register)
     if len(occupied) < distance:
         raise LoadFailure(
             f"{len(occupied)} atoms loaded, {distance} required"
         )
-    sites = list(register.sites)
-    for i in occupied[:distance]:
-        sites[i] = _bit_state(bit)
-    return replace(register, sites=sites)
+    out = register.copy()
+    out[occupied[:distance]] = F1 + bit
+    return out
 
 
 def run_round(
-    register: Register,
+    register: np.ndarray,
     config: CodeConfig,
     rng: np.random.Generator,
     round_index: int = 0,
@@ -113,40 +108,38 @@ def run_round(
     hiding: HidingModel | None = None,
     hiding_power_mw: float = 2.0,
     adaptive_loss_factor: float = 4.5,
-) -> tuple[RoundRecord, Register]:
-    """One cycle: error accumulation, measurement, majority vote, coin-toss
-    tie break, re-initialization of all survivors to the vote outcome."""
+) -> tuple[RoundRecord, np.ndarray]:
+    """One cycle on a 1-D register: error accumulation, measurement, majority
+    vote, coin-toss tie break, re-initialization of all survivors to the
+    vote outcome.  The input register is not modified."""
     if code_sites is None:
-        code_sites = list(range(register.n))
-    sites = list(register.sites)
+        code_sites = list(range(len(register)))
 
-    votes: list[SiteState] = []
     if mode == "abstract":
+        # one flip and one loss draw per occupied code site, in site order
+        states = register.copy()
         for i in code_sites:
-            s = sites[i]
-            if s is not None:
+            if states[i] != VACANT:
                 if rng.random() < config.per_round_flip:
-                    s = F1 if s is F2 else F2
+                    states[i] = F1 + F2 - states[i]
                 if rng.random() < config.per_round_loss:
-                    s = None
-                sites[i] = s
-            votes.append(sites[i])
+                    states[i] = VACANT
+        votes = states[code_sites]
     elif mode == "physical":
         if None in (idle_model, probe, table, photon, hiding):
             raise ConfigurationError("physical mode needs the full readout models")
-        reg = idle(replace(register, sites=sites), config.idle_ms, idle_model, rng)
-        records, reg = sequential_array_readout(
-            reg, code_sites, hiding_power_mw, rng,
-            probe=probe, table=table, photon=photon, hiding=hiding,
+        records, final = sequential_array_readout(
+            idle(register, config.idle_ms, idle_model, rng)[None, :], code_sites,
+            hiding_power_mw, rng, probe=probe, table=table, photon=photon, hiding=hiding,
             adaptive_loss_factor=adaptive_loss_factor, rounds=1, re_prepare="none",
         )
-        sites = list(reg.sites)
-        votes = [rec.result.inferred for rec in records]
+        states = final[0]
+        votes = np.array([rec.result.inferred[0] for rec in records], dtype=np.int8)
     else:
         raise ConfigurationError(f"unknown mode {mode!r}")
 
-    ones = sum(1 for v in votes if v is F2)
-    zeros = sum(1 for v in votes if v is F1)
+    ones = int(np.count_nonzero(votes == F2))
+    zeros = int(np.count_nonzero(votes == F1))
     survivors = ones + zeros
     if ones > zeros:
         outcome, bit = VoteOutcome.ONE, 1
@@ -156,12 +149,8 @@ def run_round(
         outcome = VoteOutcome.COIN_TOSS
         bit = int(rng.random() < 0.5)
 
-    for i in code_sites:
-        if sites[i] is not None:
-            sites[i] = _bit_state(bit)
-
-    record = RoundRecord(round_index, votes, survivors, outcome, bit)
-    return record, replace(register, sites=sites)
+    states[code_sites] = np.where(states[code_sites] == VACANT, VACANT, F1 + bit)
+    return RoundRecord(round_index, votes, survivors, outcome, bit), states
 
 
 @dataclass

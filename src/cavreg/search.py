@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .register import F2, Register
+from .register import F1, F2, uniform_register
 
 
 class Placement(Enum):
@@ -56,26 +56,20 @@ class SearchResult:
     transcript: list[tuple[tuple[int, ...], bool]]
 
 
-def sample_register(
-    problem: SearchProblem, rng: np.random.Generator, spacing_um: float = 17.0
-) -> Register:
-    """Draw a register realization: all dark, with bright atoms placed
-    according to the problem's placement model."""
-    from .register import F1
-
-    sites = [F1] * problem.n
+def sample_register(problem: SearchProblem, rng: np.random.Generator) -> np.ndarray:
+    """Draw a register realization as state codes: all dark, with bright
+    atoms placed according to the problem's placement model."""
+    register = uniform_register(problem.n, F1)
     if problem.placement is Placement.AT_MOST_ONE_BRIGHT:
         if rng.random() < problem.p:
-            sites[int(rng.integers(problem.n))] = F2
+            register[rng.integers(problem.n)] = F2
     else:
-        for i in range(problem.n):
-            if rng.random() < problem.p:
-                sites[i] = F2
-    return Register(sites=sites, spacing_um=spacing_um)
+        register[rng.random(problem.n) < problem.p] = F2
+    return register
 
 
 def group_check(
-    register: Register,
+    register: np.ndarray,
     subset: tuple[int, ...] | list[int] | set[int],
     rng: np.random.Generator | None = None,
     noise: GroupCheckNoise | None = None,
@@ -84,9 +78,9 @@ def group_check(
     subset = tuple(subset)
     if not subset:
         raise ConfigurationError("group check subset must be non-empty")
-    if any(i < 0 or i >= register.n for i in subset):
+    if any(i < 0 or i >= len(register) for i in subset):
         raise ConfigurationError("subset index out of range")
-    truth = any(register.sites[i] is F2 for i in subset)
+    truth = any(register[i] == F2 for i in subset)
     if noise is None:
         return truth
     if rng is None:
@@ -97,7 +91,7 @@ def group_check(
 
 
 def run_search(
-    register: Register,
+    register: np.ndarray,
     strategy: Strategy,
     rng: np.random.Generator | None = None,
     *,
@@ -123,7 +117,7 @@ def run_search(
         transcript.append((subset, outcome))
         return outcome
 
-    all_sites = tuple(range(register.n))
+    all_sites = tuple(range(len(register)))
 
     if strategy is Strategy.DETERMINISTIC_SEQUENTIAL:
         for i in all_sites:
@@ -196,14 +190,12 @@ def enumerate_mean_intervals(problem: SearchProblem, strategy: Strategy) -> floa
     noiseless search on each."""
     if problem.placement is not Placement.AT_MOST_ONE_BRIGHT:
         raise ConfigurationError("enumeration covers the at-most-one placement")
-    from .register import F1
-
-    empty = Register(sites=[F1] * problem.n)
+    empty = uniform_register(problem.n, F1)
     total = (1.0 - problem.p) * run_search(empty, strategy).intervals_used
     for i in range(problem.n):
-        sites = [F1] * problem.n
-        sites[i] = F2
-        cost = run_search(Register(sites=sites), strategy).intervals_used
+        register = empty.copy()
+        register[i] = F2
+        cost = run_search(register, strategy).intervals_used
         total += (problem.p / problem.n) * cost
     return total
 

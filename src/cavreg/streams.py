@@ -9,6 +9,7 @@ are gathered in chunk order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -55,9 +56,11 @@ def map_chunks(
     threads: int = 1,
 ) -> list[T]:
     """Apply fn over chunks, gathering results in chunk order regardless of
-    completion order or thread count."""
+    completion order or thread count.  The pool has no more workers than
+    chunks or CPU cores."""
     chunks = list(chunks)
-    if threads <= 1 or len(chunks) <= 1:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))

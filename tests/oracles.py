@@ -71,6 +71,22 @@ def majority_flip_probability_enumeration(d: int, p: float) -> float:
     return total
 
 
+def repcode_round_hazard(s: int, flip_p: float) -> float:
+    """Exact per-round logical error h(s) of the abstract repetition code
+    given s surviving votes: a majority of flips, half of the ties, and a
+    coin toss when no atom survives."""
+    if s == 0:
+        return 0.5
+    tot = 0.0
+    for k in range(s + 1):
+        pk = comb(s, k) * flip_p**k * (1 - flip_p) ** (s - k)
+        if 2 * k > s:
+            tot += pk
+        elif 2 * k == s:
+            tot += 0.5 * pk
+    return tot
+
+
 def repcode_exact_error_curve(
     d: int, flip_p: float, loss_p: float, rounds: int
 ) -> np.ndarray:
@@ -83,23 +99,11 @@ def repcode_exact_error_curve(
     """
     q = 1.0 - loss_p
 
-    def hazard(s: int) -> float:
-        if s == 0:
-            return 0.5
-        tot = 0.0
-        for k in range(s + 1):
-            pk = comb(s, k) * flip_p**k * (1 - flip_p) ** (s - k)
-            if 2 * k > s:
-                tot += pk
-            elif 2 * k == s:
-                tot += 0.5 * pk
-        return tot
-
     transition = np.zeros((d + 1, d + 1))
     for s in range(d + 1):
         for sp in range(s + 1):
             transition[s, sp] = comb(s, sp) * q**sp * (1 - q) ** (s - sp)
-    damp = np.array([1.0 - 2.0 * hazard(s) for s in range(d + 1)])
+    damp = np.array([1.0 - 2.0 * repcode_round_hazard(s, flip_p) for s in range(d + 1)])
 
     w = np.zeros(d + 1)
     w[d] = 1.0

@@ -2,9 +2,9 @@
 
 A traced benchmark run fails when a name it patches is gone or a layer it
 expects records no calls.  These tests catch that here, in the test suite:
-every (module, attr) in bench/tracer.py's PATCHES must exist, and a tiny
-depump-scaling run must reach every layer the readout-seq workload expects,
-with the per-chunk call counts of the array readout.
+every (module, attr) in bench/tracer.py's PATCHES must exist, and tiny
+depump-scaling and search-cost runs must reach every layer the readout-seq
+and search-scan workloads expect, with the expected call counts.
 """
 
 import importlib
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cavreg.harness import DepumpScalingParams, ExperimentSpec, run
+from cavreg.harness import DepumpScalingParams, ExperimentSpec, SearchCostParams, run
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,25 +38,41 @@ def test_every_patched_name_exists(bench):
     assert not missing
 
 
-def test_depump_scaling_reaches_the_readout_seq_layers(bench, monkeypatch):
+def _traced_calls(bench, monkeypatch, workload, spec):
+    """Calls per layer of a traced run of spec; every layer the workload
+    expects must have been called."""
     tracer, bench_run = bench
     for module, attr, *_ in tracer.PATCHES:
         mod = importlib.import_module(module)
         monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after the test
     traced = tracer.Tracer()
     tracer.install(traced)
-    params = DepumpScalingParams()
-    run(ExperimentSpec("depump_scaling", params, trials=20, master_seed=3))
-    stats = traced.report()["stats"]
+    run(spec)
+    calls = {name: s["calls"] for name, s in traced.report()["stats"].items()}
+    expected = bench_run.WORKLOADS[workload].expect_calls
+    assert all(calls.get(name, 0) > 0 for name in expected)
+    return calls
 
-    expected = bench_run.WORKLOADS["readout-seq"].expect_calls
-    assert all(stats.get(name, {}).get("calls", 0) > 0 for name in expected)
+
+def test_depump_scaling_reaches_the_readout_seq_layers(bench, monkeypatch):
+    params = DepumpScalingParams()
+    spec = ExperimentSpec("depump_scaling", params, trials=20, master_seed=3)
+    calls = _traced_calls(bench, monkeypatch, "readout-seq", spec)
     # one chunk per array size: one stream, one register and one readout
     # per size, one measurement per (round, site), two intervals each
     steps = sum(params.sizes) * params.rounds
-    calls = {name: s["calls"] for name, s in stats.items()}
     assert calls["streams.stream"] == len(params.sizes)
     assert calls["register.uniform_register"] == len(params.sizes)
     assert calls["readout.sequential_array_readout"] == len(params.sizes)
     assert calls["readout.measure_site"] == steps
     assert calls["photons.sample_adaptive_interval"] == 2 * steps
+
+
+def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
+    params = SearchCostParams()
+    spec = ExperimentSpec("search_cost", params, trials=20, master_seed=3)
+    calls = _traced_calls(bench, monkeypatch, "search-scan", spec)
+    # one register draw and one search per trial of every sweep point
+    points = len(params.sizes) * len(params.probabilities) * len(params.strategies)
+    assert calls["search.sample_register"] == 20 * points
+    assert calls["search.run_search"] == 20 * points

@@ -17,7 +17,8 @@ from cavreg.harness import (
     write_metadata,
     write_result_csv,
 )
-from cavreg.streams import chunk_sizes, stream
+import cavreg.streams
+from cavreg.streams import chunk_sizes, map_chunks, stream
 
 
 def test_estimate_from_samples():
@@ -48,6 +49,32 @@ def test_chunk_sizes_cover_total():
     chunks = chunk_sizes(10_000, 4096)
     assert [c[2] for c in chunks] == [4096, 4096, 1808]
     assert chunks[-1][1] + chunks[-1][2] == 10_000
+
+
+@pytest.mark.parametrize("cores, n_chunks, workers", [(4, 10, 4), (4, 3, 3), (64, 10, 10)])
+def test_thread_pool_is_clamped_to_chunks_and_cores(monkeypatch, cores, n_chunks, workers):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cavreg.streams, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: cores)
+    out = map_chunks(lambda c: c[0], chunk_sizes(n_chunks * 10, 10), threads=10**6)
+    assert out == list(range(n_chunks))
+    assert sizes == [workers]
 
 
 def test_unknown_experiment_rejected():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cavreg import (
     F1,
     F2,
+    VACANT,
     CavityParams,
     ConfigurationError,
     DetectorModel,
@@ -16,6 +17,7 @@ from cavreg import (
     cooperativity,
     sample_adaptive_interval,
     sample_full_interval,
+    uniform_register,
 )
 from cavreg.photons import expected_stop_index, sample_adaptive_bright_batch
 
@@ -55,7 +57,7 @@ def test_full_interval_means():
 def test_full_interval_sampling_means(rng):
     model = PhotonModel()
     n = 100_000
-    dark = np.array([sample_full_interval(F1, model, rng).counts for _ in range(2000)])
+    dark = sample_full_interval(uniform_register(2000, F1), model, rng).counts
     assert abs(dark.mean() - 0.024) < 4 * math.sqrt(0.024 / 2000)
     bright = rng.poisson(model.mean_full(True), size=n)
     assert abs(bright.mean() - 15.024) < 4 * math.sqrt(15.024 / n)
@@ -63,21 +65,21 @@ def test_full_interval_sampling_means(rng):
 
 def test_vacant_site_looks_like_dark_atom(rng):
     model = PhotonModel()
-    out = sample_full_interval(None, model, rng)
-    assert out.duration_us == model.full_interval_us
+    out = sample_full_interval(uniform_register(1, VACANT), model, rng)
+    assert out.duration_us.tolist() == [model.full_interval_us]
     # identical Poisson mean as a dark atom by construction
     assert model.mean_full(False) == pytest.approx(0.024)
 
 
 def test_threshold_consistency_full_and_adaptive(rng):
     model = PhotonModel()
-    for state in (F1, F2, None):
-        for _ in range(300):
-            for out in (
-                sample_full_interval(state, model, rng),
-                sample_adaptive_interval(state, model, rng),
-            ):
-                assert out.bright == (out.counts >= model.threshold)
+    for state in (F1, F2, VACANT):
+        codes = uniform_register(300, state)
+        for out in (
+            sample_full_interval(codes, model, rng),
+            sample_adaptive_interval(codes, model, rng),
+        ):
+            assert np.array_equal(out.bright, out.counts >= model.threshold)
 
 
 class _ScriptedRng:
@@ -92,23 +94,25 @@ class _ScriptedRng:
 
 def test_adaptive_stops_at_first_crossing():
     model = PhotonModel(threshold=1)
-    out = sample_adaptive_interval(F2, model, _ScriptedRng([3]))
-    assert (out.counts, out.duration_us, out.bright) == (3, 20.0, True)
+    out = sample_adaptive_interval(uniform_register(1, F2), model, _ScriptedRng([3]))
+    assert (out.counts.tolist(), out.duration_us.tolist(), out.bright.tolist()) == (
+        [3], [20.0], [True]
+    )
 
 
 def test_adaptive_runs_full_interval_when_below_threshold():
     model = PhotonModel()  # threshold 2, 10 sub-intervals
-    out = sample_adaptive_interval(F1, model, _ScriptedRng([0] * 9 + [1]))
-    assert (out.counts, out.duration_us, out.bright) == (1, 200.0, False)
+    out = sample_adaptive_interval(uniform_register(1, F1), model, _ScriptedRng([0] * 9 + [1]))
+    assert (out.counts.tolist(), out.duration_us.tolist(), out.bright.tolist()) == (
+        [1], [200.0], [False]
+    )
 
 
 def test_dark_adaptive_full_duration_probability(rng):
     model = PhotonModel()
     n = 20_000
-    full_and_dark = 0
-    for _ in range(n):
-        out = sample_adaptive_interval(F1, model, rng)
-        full_and_dark += out.duration_us == model.full_interval_us and not out.bright
+    out = sample_adaptive_interval(uniform_register(n, F1), model, rng)
+    full_and_dark = np.count_nonzero((out.duration_us == model.full_interval_us) & ~out.bright)
     expected = 0.9997165667920991  # exp(-0.024) * (1 + 0.024)
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(full_and_dark / n - expected) < 4 * se
@@ -139,12 +143,10 @@ def test_adaptive_matches_enumeration_oracle(rng):
 def test_scalar_and_batch_adaptive_agree(rng):
     model = PhotonModel()
     n = 30_000
-    scalar = np.array(
-        [sample_adaptive_interval(F2, model, rng).counts for _ in range(n)]
-    )
+    interval = sample_adaptive_interval(uniform_register(n, F2), model, rng).counts
     batch, _ = sample_adaptive_bright_batch(model, n, rng)
-    se = math.sqrt(scalar.var(ddof=1) / n + batch.var(ddof=1) / n)
-    assert abs(scalar.mean() - batch.mean()) < 4 * se
+    se = math.sqrt(interval.var(ddof=1) / n + batch.var(ddof=1) / n)
+    assert abs(interval.mean() - batch.mean()) < 4 * se
 
 
 def test_reduction_factors_default(rng):
@@ -193,9 +195,7 @@ def test_full_interval_counts_are_poisson(rng):
 
     model = PhotonModel()
     n = 100_000
-    samples = np.array(
-        [sample_full_interval(F2, model, rng).counts for _ in range(n)]
-    )
+    samples = sample_full_interval(uniform_register(n, F2), model, rng).counts
     kmax = samples.max()
     observed = np.bincount(samples, minlength=kmax + 1).astype(float)
     expected = np.array(
@@ -229,6 +229,6 @@ def test_threshold_consistency_property(mean, threshold, seed):
     rng = np.random.default_rng(seed)
     model = PhotonModel(bright_mean_full=mean, threshold=threshold)
     for state in (F2, F1):
-        out = sample_adaptive_interval(state, model, rng)
-        assert out.bright == (out.counts >= threshold)
-        assert 0 < out.duration_us <= model.full_interval_us
+        out = sample_adaptive_interval(uniform_register(1, state), model, rng)
+        assert np.array_equal(out.bright, out.counts >= threshold)
+        assert 0 < out.duration_us[0] <= model.full_interval_us

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cavreg import (
     F1,
     F2,
+    VACANT,
     ConfigurationError,
     DetectorModel,
     HidingModel,
@@ -30,6 +31,24 @@ PHOTON = PhotonModel()
 HIDING = HidingModel()
 PROBE_5 = ProbeConfig(0.25, -5.0)
 PROBE_17 = ProbeConfig(0.25, -17.0)
+
+
+def _trials(n, sites):
+    """n trials of an all-bright register of `sites` sites."""
+    return np.tile(uniform_register(sites, F2), (n, 1))
+
+
+def _tally(records, n_sites, from_round=0):
+    """Per site: (errors, detections) among atoms present and detected."""
+    errors = np.zeros(n_sites)
+    counts = np.zeros(n_sites)
+    for rec in records:
+        if rec.round_index < from_round:
+            continue
+        detected = rec.was_occupied & (rec.result.inferred != VACANT)
+        counts[rec.site] += np.count_nonzero(detected)
+        errors[rec.site] += np.count_nonzero(detected & (rec.result.inferred == F1))
+    return errors, counts
 
 
 def test_default_table_is_the_calibration_table():
@@ -87,25 +106,20 @@ def test_light_shift_profile_anchors():
 
 
 def test_measure_site_vacant(rng):
-    for _ in range(200):
-        meas, post = measure_site(None, PROBE_5, TABLE, PHOTON, rng)
-        assert post is None
-        assert not meas.occupation.bright or meas.occupation.counts >= 2
+    meas, post = measure_site(uniform_register(200, VACANT), PROBE_5, TABLE, PHOTON, rng)
+    assert np.all(post == VACANT)
+    assert np.all(~meas.occupation.bright | (meas.occupation.counts >= 2))
     # dark counts crossing threshold are ~3e-4 per interval; almost always vacant
     n = 5000
-    inferred_vacant = sum(
-        measure_site(None, PROBE_5, TABLE, PHOTON, rng)[0].inferred is None
-        for _ in range(n)
-    )
+    meas, _ = measure_site(uniform_register(n, VACANT), PROBE_5, TABLE, PHOTON, rng)
+    inferred_vacant = np.count_nonzero(meas.inferred == VACANT)
     assert inferred_vacant / n > 0.995
 
 
 def test_measure_site_misclassification_rate(rng):
     n = 30_000
-    wrong = 0
-    for _ in range(n):
-        meas, _ = measure_site(F2, PROBE_5, TABLE, PHOTON, rng)
-        wrong += meas.inferred is F1
+    meas, _ = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng)
+    wrong = np.count_nonzero(meas.inferred == F1)
     # misreads are dominated by the 0.8% misclassification channel
     p = 0.008
     se = math.sqrt(p * (1 - p) / n)
@@ -115,25 +129,19 @@ def test_measure_site_misclassification_rate(rng):
 def test_measure_site_loss_rates(rng):
     n = 30_000
     # full-interval mode keeps the calibrated bright-state loss
-    lost = sum(
-        measure_site(F2, PROBE_5, TABLE, PHOTON, rng, adaptive=False)[1] is None
-        for _ in range(n)
-    )
+    post = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng, adaptive=False)[1]
+    lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.03 * 0.97 / n)
     assert abs(lost / n - 0.03) < 4 * se
     # adaptive termination divides bright-state loss by the measured factor
-    lost = sum(
-        measure_site(F2, PROBE_5, TABLE, PHOTON, rng, adaptive=True)[1] is None
-        for _ in range(n)
-    )
+    post = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng, adaptive=True)[1]
+    lost = np.count_nonzero(post == VACANT)
     p = 0.03 / 4.5
     se = math.sqrt(p * (1 - p) / n)
     assert abs(lost / n - p) < 4 * se
     # dark-state loss at the 0.25 mK / 17 MHz row is 0.3%, adaptive or not
-    lost = sum(
-        measure_site(F1, PROBE_17, TABLE, PHOTON, rng, adaptive=True)[1] is None
-        for _ in range(n)
-    )
+    post = measure_site(uniform_register(n, F1), PROBE_17, TABLE, PHOTON, rng, adaptive=True)[1]
+    lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.003 * 0.997 / n)
     assert abs(lost / n - 0.003) < 4 * se
 
@@ -146,15 +154,14 @@ def test_measure_site_is_perfect_in_the_ideal_limit(rng):
         bright_mean_full=200.0,
         detector=DetectorModel(dark_rate_hz=0.0),
     )
-    for state in (F2, F1, None):
-        for _ in range(300):
-            meas, post = measure_site(state, PROBE_5, table, photon, rng)
-            assert meas.inferred is state
-            assert post is state
+    for state in (F2, F1, VACANT):
+        meas, post = measure_site(uniform_register(300, state), PROBE_5, table, photon, rng)
+        assert np.all(meas.inferred == state)
+        assert np.all(post == state)
 
 
 def test_sequential_readout_rejects_duplicates(rng):
-    reg = uniform_register(3, F2)
+    reg = uniform_register(3, F2)[None, :]
     with pytest.raises(ConfigurationError):
         sequential_array_readout(
             reg, [0, 0, 1], 2.0, rng,
@@ -165,16 +172,11 @@ def test_sequential_readout_rejects_duplicates(rng):
 def test_single_site_round_error_is_spam_only(rng):
     # one atom: no hiding exposure, per-round bright error is the SPAM error
     n = 20_000
-    errors = detections = 0
-    for t in range(n):
-        records, _ = sequential_array_readout(
-            uniform_register(1, F2), [0], 2.0, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
-        )
-        rec = records[0]
-        if rec.was_occupied and rec.result.inferred is not None:
-            detections += 1
-            errors += rec.result.inferred is F1
+    records, _ = sequential_array_readout(
+        _trials(n, 1), [0], 2.0, rng,
+        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
+    )
+    (errors,), (detections,) = _tally(records, 1)
     p = 0.008
     se = math.sqrt(p * (1 - p) / detections)
     assert abs(errors / detections - p) < 4 * se
@@ -184,17 +186,11 @@ def test_unhidden_depump_matches_compounded_oracle(rng):
     # power 0: 4.4% depump per other-site measurement; round-1 error at
     # position k follows the compounded closed form
     n_sites, trials = 6, 4000
-    errors = np.zeros(n_sites)
-    counts = np.zeros(n_sites)
-    for _ in range(trials):
-        records, _ = sequential_array_readout(
-            uniform_register(n_sites, F2), list(range(n_sites)), 0.0, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
-        )
-        for rec in records:
-            if rec.was_occupied and rec.result.inferred is not None:
-                counts[rec.site] += 1
-                errors[rec.site] += rec.result.inferred is F1
+    records, _ = sequential_array_readout(
+        _trials(trials, n_sites), list(range(n_sites)), 0.0, rng,
+        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
+    )
+    errors, counts = _tally(records, n_sites)
     for k in range(n_sites):
         expected = compounded_depump_error(k, 0.044, 0.008, 0.0039)
         se = math.sqrt(expected * (1 - expected) / counts[k])
@@ -207,17 +203,11 @@ def test_first_round_error_is_affine_in_position(rng):
     power = 0.4
     p_hidden = hidden_depump_probability(HIDING, power)
     n_sites, trials = 8, 6000
-    errors = np.zeros(n_sites)
-    counts = np.zeros(n_sites)
-    for _ in range(trials):
-        records, _ = sequential_array_readout(
-            uniform_register(n_sites, F2), list(range(n_sites)), power, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
-        )
-        for rec in records:
-            if rec.was_occupied and rec.result.inferred is not None:
-                counts[rec.site] += 1
-                errors[rec.site] += rec.result.inferred is F1
+    records, _ = sequential_array_readout(
+        _trials(trials, n_sites), list(range(n_sites)), power, rng,
+        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
+    )
+    errors, counts = _tally(records, n_sites)
     fit = fit_linear(np.arange(1, n_sites + 1), errors / counts)
     assert abs(fit.slope - p_hidden) < 4 * fit.slope_stderr
 
@@ -228,19 +218,11 @@ def test_steady_state_exposure_independent_of_position(rng):
     power = 0.4
     p_hidden = hidden_depump_probability(HIDING, power)
     n_sites, trials, rounds = 5, 4000, 3
-    errors = np.zeros(n_sites)
-    counts = np.zeros(n_sites)
-    for _ in range(trials):
-        records, _ = sequential_array_readout(
-            uniform_register(n_sites, F2), list(range(n_sites)), power, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=rounds,
-        )
-        for rec in records:
-            if rec.round_index == 0:
-                continue
-            if rec.was_occupied and rec.result.inferred is not None:
-                counts[rec.site] += 1
-                errors[rec.site] += rec.result.inferred is F1
+    records, _ = sequential_array_readout(
+        _trials(trials, n_sites), list(range(n_sites)), power, rng,
+        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=rounds,
+    )
+    errors, counts = _tally(records, n_sites, from_round=1)
     rates = errors / counts
     expected = compounded_depump_error(n_sites - 1, p_hidden, 0.008, 0.0039)
     for k in range(n_sites):
@@ -253,11 +235,11 @@ def test_adaptive_rounds_skip_sites_read_vacant(rng):
     # round 1; adaptive rounds must not re-measure them
     table = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.0, 1.0, 0.0, 1.0)})
     records, reg = sequential_array_readout(
-        uniform_register(4, F2), list(range(4)), 2.0, rng,
+        uniform_register(4, F2)[None, :], list(range(4)), 2.0, rng,
         probe=PROBE_5, table=table, photon=PHOTON, hiding=HIDING,
         adaptive=False, adaptive_rounds=True, rounds=3,
     )
-    assert reg.occupied_indices() == []
+    assert np.all(reg == VACANT)
     by_round = {}
     for rec in records:
         by_round.setdefault(rec.round_index, []).append(rec.site)
@@ -265,7 +247,7 @@ def test_adaptive_rounds_skip_sites_read_vacant(rng):
     # round 1 reads everyone vacant, round 2 is skipped entirely
     assert by_round[0] == [0, 1, 2, 3]
     assert by_round[1] == [0, 1, 2, 3]
-    assert all(rec.result.inferred is None for rec in records if rec.round_index == 1)
+    assert all(np.all(rec.result.inferred == VACANT) for rec in records if rec.round_index == 1)
     assert 2 not in by_round
 
 
@@ -273,14 +255,12 @@ def test_loss_accounting_product_of_survival_factors(rng):
     # repeated full-interval measurements of one bright atom: survival after
     # R rounds is (1 - loss_f2)^R
     rounds, trials = 6, 8000
-    survived = 0
-    for _ in range(trials):
-        _, reg = sequential_array_readout(
-            uniform_register(1, F2), [0], 2.0, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
-            adaptive=False, rounds=rounds,
-        )
-        survived += reg.sites[0] is not None
+    _, final = sequential_array_readout(
+        _trials(trials, 1), [0], 2.0, rng,
+        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
+        adaptive=False, rounds=rounds,
+    )
+    survived = np.count_nonzero(final[:, 0] != VACANT)
     expected = (1 - 0.03) ** rounds
     se = math.sqrt(expected * (1 - expected) / trials)
     assert abs(survived / trials - expected) < 4 * se

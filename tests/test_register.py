@@ -9,50 +9,24 @@ from cavreg import (
     F1,
     F2,
     ConfigurationError,
+    VACANT,
     IdleErrorModel,
-    Register,
     combined_idle_lifetime,
     idle,
-    prepare,
     uniform_register,
 )
 from cavreg.register import flip_probability, loss_probability
 
 
-def test_prepare_all_bright():
-    reg = prepare(uniform_register(10, None), [F2] * 10)
-    assert reg.sites == [F2] * 10
-
-
-def test_prepare_all_vacant():
-    reg = prepare(uniform_register(3, F2), [None] * 3)
-    assert reg.sites == [None] * 3
-    assert reg.occupied_indices() == []
-
-
-def test_prepare_mixed_pattern():
-    pattern = [F1, F2, F1]
-    reg = prepare(uniform_register(3, None), pattern)
-    assert reg.sites == pattern
-
-
-def test_prepare_length_mismatch():
-    with pytest.raises(ConfigurationError):
-        prepare(uniform_register(3, None), [F2] * 4)
-
-
 def test_register_invariants():
     with pytest.raises(ConfigurationError):
-        Register(sites=[])
-    with pytest.raises(ConfigurationError):
-        Register(sites=[F2], spacing_um=0.0)
-    assert Register(sites=[F2]).spacing_um == 17.0
+        uniform_register(0, F2)
 
 
 def test_idle_zero_duration_is_identity(rng):
-    reg = prepare(uniform_register(6, None), [F1, F2, None, F2, F1, F2])
+    reg = np.array([F1, F2, VACANT, F2, F1, F2], np.int8)
     out = idle(reg, 0.0, IdleErrorModel(), rng)
-    assert out.sites == reg.sites
+    assert np.array_equal(out, reg)
 
 
 def test_idle_negative_duration_rejected(rng):
@@ -86,7 +60,7 @@ def test_idle_loss_closed_form_and_frequency(rng):
     # independent frequency check through the idle() code path on a big register
     reg = uniform_register(2000, F2)
     survivors = sum(
-        len(idle(reg, 20.0, model, rng).occupied_indices()) for _ in range(50)
+        np.count_nonzero(idle(reg, 20.0, model, rng) != VACANT) for _ in range(50)
     )
     total = 2000 * 50
     observed = 1.0 - survivors / total
@@ -105,10 +79,8 @@ def test_idle_flip_frequency(rng):
     present = 0
     for _ in range(60):
         out = idle(reg, duration, model, rng)
-        for s in out.sites:
-            if s is not None:
-                present += 1
-                flipped += s is F1
+        present += np.count_nonzero(out != VACANT)
+        flipped += np.count_nonzero(out == F1)
     se = math.sqrt(p_flip * (1 - p_flip) / present)
     assert abs(flipped / present - p_flip) < 4 * se
 
@@ -130,7 +102,7 @@ def test_combined_idle_lifetime_values():
 )
 def test_occupancy_only_shrinks_under_idle(duration, seed):
     rng = np.random.default_rng(seed)
-    reg = prepare(uniform_register(8, None), [F2, F1, None, F2, None, F1, F2, F2])
-    before = set(reg.occupied_indices())
-    after = set(idle(reg, duration, IdleErrorModel(), rng).occupied_indices())
+    reg = np.array([F2, F1, VACANT, F2, VACANT, F1, F2, F2], np.int8)
+    before = set(np.flatnonzero(reg != VACANT))
+    after = set(np.flatnonzero(idle(reg, duration, IdleErrorModel(), rng) != VACANT))
     assert after <= before

@@ -6,6 +6,7 @@ import pytest
 from cavreg import (
     F1,
     F2,
+    VACANT,
     CodeConfig,
     ConfigurationError,
     HidingModel,
@@ -25,27 +26,26 @@ from cavreg import (
     simulate_idling_bit,
     uniform_register,
 )
-from cavreg.harness import ErrorScalingParams, ExperimentSpec, run
-from cavreg.register import Register
+from cavreg.harness import ErrorScalingParams, ExperimentSpec, LifetimeParams, run
 
 from oracles import (
     majority_flip_probability_enumeration,
     repcode_exact_error_curve,
+    repcode_round_hazard,
 )
 
 
 def test_encode_patterns():
     reg = encode(uniform_register(5, F2), 0, 3)
-    assert reg.sites[:3] == [F1, F1, F1]
-    assert reg.sites[3:] == [F2, F2]
+    assert reg.tolist() == [F1, F1, F1, F2, F2]
     reg = encode(uniform_register(5, F1), 1, 5)
-    assert reg.sites == [F2] * 5
+    assert reg.tolist() == [F2] * 5
     reg = encode(uniform_register(1, F1), 1, 1)
-    assert reg.sites == [F2]
+    assert reg.tolist() == [F2]
 
 
 def test_encode_needs_enough_atoms():
-    reg = Register(sites=[F2, None, F2])
+    reg = np.array([F2, VACANT, F2], np.int8)
     with pytest.raises(LoadFailure):
         encode(reg, 0, 3)
     with pytest.raises(ConfigurationError):
@@ -75,11 +75,11 @@ def test_run_round_clear_majority():
               0.99, 0.99,  # atom 1: no flip, no loss
               0.00, 0.99]  # atom 2: flip, no loss
     record, out = run_round(reg, CodeConfig(distance=3), _ScriptedRng(script))
-    assert record.votes == [F2, F2, F1]
+    assert record.votes.tolist() == [F2, F2, F1]
     assert record.survivors == 3
     assert record.vote_outcome is VoteOutcome.ONE
     assert record.logical_state_after == 1
-    assert out.sites == [F2, F2, F2]
+    assert out.tolist() == [F2, F2, F2]
 
 
 def test_run_round_tie_resolves_by_coin():
@@ -90,11 +90,11 @@ def test_run_round_tie_resolves_by_coin():
               0.99, 0.99,   # atom 2: stays F2
               0.70]         # coin: -> 0
     record, out = run_round(reg, CodeConfig(distance=3), _ScriptedRng(script))
-    assert record.votes == [None, F1, F2]
+    assert record.votes.tolist() == [VACANT, F1, F2]
     assert record.survivors == 2
     assert record.vote_outcome is VoteOutcome.COIN_TOSS
     assert record.logical_state_after == 0
-    assert out.sites == [None, F1, F1]
+    assert out.tolist() == [VACANT, F1, F1]
 
 
 def test_run_round_empty_register_coins():
@@ -103,7 +103,7 @@ def test_run_round_empty_register_coins():
     record, out = run_round(reg, config, _ScriptedRng([0.99, 0.0, 0.99, 0.0, 0.2]))
     assert record.survivors == 0
     assert record.vote_outcome is VoteOutcome.COIN_TOSS
-    assert out.occupied_indices() == []
+    assert np.all(out == VACANT)
 
 
 def test_majority_formula_matches_enumeration():
@@ -166,7 +166,7 @@ def test_d1_identity_distribution(rng):
 
 
 def test_run_round_agrees_with_vectorized(rng):
-    # dual route: the per-trial object simulation and the vectorized engine
+    # dual route: the per-trial run_round loop and the vectorized engine
     # produce the same per-round statistics
     d, p, loss, rounds, trials = 3, 0.2, 0.1, 5, 4000
     config = CodeConfig(distance=d, per_round_flip=p, per_round_loss=loss)
@@ -229,6 +229,33 @@ def test_logical_error_curve_grouped_cells():
     assert abs(empty["p_logical"] - 0.5) < 4 * empty["stderr"]
 
 
+def test_error_scaling_cells_match_exact_hazard():
+    # every survivor cell of d = 5 against the exact per-round hazard h(s)
+    params = ErrorScalingParams(
+        distances=[5], flip_sweep=[0.05, 0.2], per_round_loss=0.15, rounds=12,
+        post_select="none",
+    )
+    rows = run(ExperimentSpec("error_scaling", params, trials=40_000, master_seed=17)).rows
+    assert len(rows) == 2 * 6
+    for row in rows:
+        assert row["stderr"] > 0, row
+        exact = repcode_round_hazard(row["survivors"], row["p_phys"])
+        assert abs(row["p_logical"] - exact) < 4 * row["stderr"], (row, exact)
+
+
+def test_lifetime_curves_match_exact_chain():
+    params = LifetimeParams(distances=[3, 5])
+    rows = run(ExperimentSpec("lifetime", params, trials=40_000, master_seed=19)).rows
+    for d in params.distances:
+        curve = [row for row in rows if row["d"] == d]
+        exact = repcode_exact_error_curve(
+            d, params.per_round_flip, params.per_round_loss, params.rounds
+        )
+        assert len(curve) == params.rounds
+        for row, p in zip(curve, exact):
+            assert abs(row["p_err"] - p) < 4 * row["stderr"], (row, p)
+
+
 def test_fit_error_exponent_exact_power_law():
     ps = [0.01, 0.03, 0.1, 0.3]
     exponent, se = fit_error_exponent(ps, [p**2 for p in ps])
@@ -282,7 +309,7 @@ def test_physical_mode_round_runs(rng):
     )
     assert record.survivors <= 3
     assert record.vote_outcome in set(VoteOutcome)
-    assert out.n == 3
+    assert out.shape == (3,)
 
 
 def test_physical_mode_statistics(rng):

@@ -11,12 +11,12 @@ from cavreg import (
     ConfigurationError,
     GroupCheckNoise,
     Placement,
-    Register,
     SearchProblem,
     Strategy,
     expected_cost,
     group_check,
     run_search,
+    uniform_register,
 )
 from cavreg.search import (
     _expected_splits,
@@ -25,13 +25,13 @@ from cavreg.search import (
     transcript_supports,
 )
 
-ALL_DARK_8 = Register(sites=[F1] * 8)
+ALL_DARK_8 = uniform_register(8, F1)
 
 
 def _single_bright(n, k):
-    sites = [F1] * n
-    sites[k] = F2
-    return Register(sites=sites)
+    register = uniform_register(n, F1)
+    register[k] = F2
+    return register
 
 
 def test_group_check_basics():
@@ -123,10 +123,19 @@ def test_noiseless_search_is_always_correct(rng):
         n = int(rng.integers(1, 11))
         problem = SearchProblem(n, 0.5)
         reg = sample_register(problem, rng)
-        truth = set(reg.bright_indices())
+        truth = set(np.flatnonzero(reg == F2))
         for strategy in Strategy:
             res = run_search(reg, strategy, rng)
             assert res.bright_sites == truth
+
+
+def test_sample_register_draws_one_uniform_per_site_in_order():
+    # independent placement: site i is bright iff the i-th uniform draw < p
+    problem = SearchProblem(10, 0.4, Placement.INDEPENDENT_PER_SITE)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(20):
+        expected = [F2 if ref.random() < problem.p else F1 for _ in range(problem.n)]
+        assert sample_register(problem, rng).tolist() == expected
 
 
 def test_multi_bright_partitioned_correct_without_assumption(rng):
@@ -134,7 +143,7 @@ def test_multi_bright_partitioned_correct_without_assumption(rng):
         n = int(rng.integers(2, 11))
         problem = SearchProblem(n, 0.4, Placement.INDEPENDENT_PER_SITE)
         reg = sample_register(problem, rng)
-        truth = set(reg.bright_indices())
+        truth = set(np.flatnonzero(reg == F2))
         res = run_search(reg, Strategy.PARTITIONED_BINARY, rng, at_most_one=False)
         assert res.bright_sites == truth
         assert transcript_supports(res, n)
