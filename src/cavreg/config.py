@@ -45,10 +45,6 @@ def _probability(text: str) -> float:
     return v
 
 
-def _int(text: str) -> int:
-    return int(text)
-
-
 def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:

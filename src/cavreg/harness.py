@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
@@ -105,6 +106,10 @@ class SearchCostParams:
     )
     placement: Placement = Placement.AT_MOST_ONE_BRIGHT
     noise: GroupCheckNoise = field(default_factory=GroupCheckNoise)
+
+    def __post_init__(self):
+        for n, p in itertools.product(self.sizes, self.probabilities):
+            SearchProblem(n, p, self.placement)  # range-checks every sweep point
 
 
 @dataclass
@@ -347,30 +352,17 @@ def _search_params(config: Config) -> SearchCostParams:
 def run_search_cost(
     params: SearchCostParams, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
-    noise = (
-        None
-        if params.noise.false_positive == 0.0 and params.noise.false_negative == 0.0
-        else params.noise
-    )
+    noise = None if params.noise == GroupCheckNoise() else params.noise  # noiseless: no draws
     at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
-    points = [
-        (n, p, strat)
-        for n in params.sizes
-        for p in params.probabilities
-        for strat in params.strategies
-    ]
+    points = list(itertools.product(params.sizes, params.probabilities, params.strategies))
 
     def cost_moments(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         n, p, strat = points[point]
-        problem = SearchProblem(n, p, params.placement)
-        s = s2 = 0.0
-        for _ in range(size):
-            reg = sample_register(problem, rng)
-            res = run_search(reg, strat, rng, at_most_one=at_most_one, noise=noise)
-            s += res.intervals_used
-            s2 += res.intervals_used**2
-        return np.array([s, s2])
+        codes = sample_register(SearchProblem(n, p, params.placement), rng, size)
+        used = run_search(codes, strat, rng, at_most_one=at_most_one, noise=noise).intervals_used
+        return np.array([np.sum(used), np.sum(used**2)], dtype=float)
 
+    fieldnames = ["n", "p", "strategy", "mean_intervals", "stderr", "analytic"]
     rows = []
     for (n, p, strat), moments in zip(
         points, _sweep(len(points), cost_moments, trials, master_seed, threads)
@@ -383,17 +375,7 @@ def run_search_cost(
             analytic = expected_cost(SearchProblem(n, p, params.placement), strat)
         except ConfigurationError:
             analytic = math.nan
-        rows.append(
-            {
-                "n": n,
-                "p": p,
-                "strategy": strat.value,
-                "mean_intervals": mean,
-                "stderr": stderr,
-                "analytic": analytic,
-            }
-        )
-    fieldnames = ["n", "p", "strategy", "mean_intervals", "stderr", "analytic"]
+        rows.append(dict(zip(fieldnames, (n, p, strat.value, mean, stderr, analytic))))
     return ExperimentResult(fieldnames, rows, {})
 
 
@@ -709,27 +691,18 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
     return obj
 
 
 def write_result_csv(path: str, result: ExperimentResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=result.fieldnames)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(result.fieldnames)
         for row in result.rows:
-            writer.writerow({k: _format_cell(row[k]) for k in result.fieldnames})
-
-
-def _format_cell(value: Any) -> Any:
-    if isinstance(value, float):
-        return repr(value)
-    return value
+            cells = (row[k] for k in result.fieldnames)
+            writer.writerow(repr(v) if isinstance(v, float) else v for v in cells)
 
 
 def write_metadata(path: str, spec: ExperimentSpec, result: ExperimentResult) -> None:

@@ -266,6 +266,8 @@ def sequential_array_readout(
     inferred state, "none" leaves the post-measurement state.
     """
     states = register.copy()
+    if states.ndim != 2:
+        raise ConfigurationError(f"register must be a (trials, sites) array, not {states.shape}")
     trials, n = states.shape
     if len(set(target_order)) != len(target_order):
         raise ConfigurationError("duplicate target indices")

@@ -5,6 +5,10 @@ sites at once: it reveals whether any bright atom is present in the subset.
 When the register is strongly biased toward dark, checking everything at
 once and only then searching makes the expected readout cost 1 + p*N; a
 bisection search over positive subsets cuts it further to 1 + p*log2(N).
+
+Registers are (..., n) state-code arrays with a leading trial axis.  A
+search turns them once into a bright-site bitmask per register, so a group
+check over a subset is `bits & subset != 0` for every register at once.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .register import F1, F2, uniform_register
+from .register import F1, F2
 
 
 class Placement(Enum):
@@ -37,8 +42,8 @@ class SearchProblem:
     placement: Placement = Placement.AT_MOST_ONE_BRIGHT
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError("register size must be >= 1")
+        if not 1 <= self.n <= 64:
+            raise ConfigurationError("register size must be in [1, 64] (one uint64 bitmask)")
         if not (0.0 <= self.p <= 1.0):
             raise ConfigurationError("bright probability must be in [0, 1]")
 
@@ -51,54 +56,111 @@ class GroupCheckNoise:
 
 @dataclass
 class SearchResult:
-    bright_sites: set[int]
-    intervals_used: int
-    transcript: list[tuple[tuple[int, ...], bool]]
+    found: np.ndarray  # (..., n) bool: the sites reported bright
+    intervals_used: np.ndarray  # (...) int: group checks spent per register
 
 
-def sample_register(problem: SearchProblem, rng: np.random.Generator) -> np.ndarray:
-    """Draw a register realization as state codes: all dark, with bright
-    atoms placed according to the problem's placement model."""
-    register = uniform_register(problem.n, F1)
+@lru_cache(maxsize=None)
+def _placements(n: int) -> np.ndarray:
+    """Row i of the at-most-one placements is bright at site i; row n is all dark."""
+    table = F1 + np.eye(n + 1, n, dtype=np.int8)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+@lru_cache(maxsize=256)
+def _placement_edges(n: int, p: float) -> np.ndarray:
+    """Uniform thresholds k*p/n, k = 1..n, splitting [0, p) into n parts."""
+    return p / n * np.arange(1, n + 1)
+
+
+def sample_register(
+    problem: SearchProblem, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Draw `size` registers as a (size, n) state-code array, or one (n,)
+    register when size is None, bright atoms placed by the placement model.
+
+    The independent placement draws one uniform per site in row-major order.
+    The at-most-one placement draws one uniform u per register: bright iff
+    u < p, at the site whose n-th part of [0, p) holds u."""
+    n, p = problem.n, problem.p
     if problem.placement is Placement.AT_MOST_ONE_BRIGHT:
-        if rng.random() < problem.p:
-            register[rng.integers(problem.n)] = F2
-    else:
-        register[rng.random(problem.n) < problem.p] = F2
-    return register
+        row = _placement_edges(n, p).searchsorted(rng.random(size), side="right")
+        return _placements(n)[row].copy()
+    shape = (n,) if size is None else (size, n)
+    codes = np.full(shape, F1, dtype=np.int8)
+    codes[rng.random(shape) < p] = F2
+    return codes
+
+
+@lru_cache(maxsize=None)
+def _site_bits(n: int) -> np.ndarray:
+    """The one-site bitmasks 1 << i of an n-site register."""
+    if n > 64:
+        raise ConfigurationError("a search register holds at most 64 sites (one uint64)")
+    return np.uint64(1) << np.arange(n, dtype=np.uint64)
+
+
+def bright_bits(codes: np.ndarray) -> np.ndarray:
+    """The bright-site bitmask of each register of a (..., n) state-code
+    array: bit i is set iff site i holds a bright (F=2) atom."""
+    return (codes == F2).dot(_site_bits(codes.shape[-1]))
+
+
+def site_mask(sites: Iterable[int], n: int) -> int:
+    """The bitmask of a non-empty subset of the sites of an n-site register."""
+    sites = set(sites)
+    if not sites or not sites <= set(range(n)):
+        raise ConfigurationError(f"subset {sorted(sites)} is empty or outside 0..{n - 1}")
+    return sum(1 << i for i in sites)
 
 
 def group_check(
-    register: np.ndarray,
-    subset: tuple[int, ...] | list[int] | set[int],
+    bits: np.ndarray,
+    subset: int | np.ndarray,
     rng: np.random.Generator | None = None,
     noise: GroupCheckNoise | None = None,
-) -> bool:
-    """One fluorescence interval over a subset: true iff any bright atom."""
-    subset = tuple(subset)
-    if not subset:
-        raise ConfigurationError("group check subset must be non-empty")
-    if any(i < 0 or i >= len(register) for i in subset):
-        raise ConfigurationError("subset index out of range")
-    truth = any(register[i] == F2 for i in subset)
+) -> np.ndarray:
+    """One fluorescence interval over the sites of the bitmask `subset` for
+    every register of `bits` (see bright_bits): true iff any bright atom.
+    An array of subsets broadcasts against `bits`.  Noisy checks draw one
+    uniform per outcome."""
+    truth = (bits & subset) != 0
     if noise is None:
         return truth
     if rng is None:
         raise ConfigurationError("noisy group checks need a random stream")
-    if truth:
-        return not (rng.random() < noise.false_negative)
-    return rng.random() < noise.false_positive
+    u = rng.random(np.shape(truth))
+    return np.where(truth, u >= noise.false_negative, u < noise.false_positive)
+
+
+@lru_cache(maxsize=None)
+def _bisection_tree(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Pre-order (mask, leaf site or -1, left, right) nodes of the bisection
+    of range(n); a node of m sites gives its left child the first ceil(m/2)."""
+    nodes: list = []
+
+    def add(lo: int, hi: int) -> int:
+        nodes.append(None)
+        index, mid = len(nodes) - 1, lo + (hi - lo + 1) // 2
+        children = (add(lo, mid), add(mid, hi)) if hi - lo > 1 else (-1, -1)
+        nodes[index] = (site_mask(range(lo, hi), n), lo if hi - lo == 1 else -1, *children)
+        return index
+
+    add(0, n)
+    return tuple(nodes)
 
 
 def run_search(
-    register: np.ndarray,
+    codes: np.ndarray,
     strategy: Strategy,
     rng: np.random.Generator | None = None,
     *,
     at_most_one: bool = True,
     noise: GroupCheckNoise | None = None,
 ) -> SearchResult:
-    """Locate the bright atoms.
+    """Locate the bright atoms of every register of a (..., n) state-code
+    array.
 
     sequential: one singleton check per site, N intervals always.
     global_then_sequential: one full-register check; all N singles iff positive.
@@ -108,48 +170,46 @@ def run_search(
     bright atom costs exactly 1 + ceil(log2 N) intervals at most.  With
     at_most_one=False both halves are resolved, which stays correct for any
     number of bright atoms.
+
+    Each group_check call covers every register: the singles are one call,
+    and bisection walks its tree in pre-order, so a search makes at most 2N.
     """
-    transcript: list[tuple[tuple[int, ...], bool]] = []
-    found: set[int] = set()
-
-    def check(subset: tuple[int, ...]) -> bool:
-        outcome = group_check(register, subset, rng, noise)
-        transcript.append((subset, outcome))
-        return outcome
-
-    all_sites = tuple(range(len(register)))
-
-    if strategy is Strategy.DETERMINISTIC_SEQUENTIAL:
-        for i in all_sites:
-            if check((i,)):
-                found.add(i)
-    elif strategy is Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL:
-        if check(all_sites):
-            for i in all_sites:
-                if check((i,)):
-                    found.add(i)
-    elif strategy is Strategy.PARTITIONED_BINARY:
-
-        def locate(subset: tuple[int, ...]) -> None:
-            # subset is known (or inferred) to contain at least one bright atom
-            if len(subset) == 1:
-                found.add(subset[0])
-                return
-            half = (len(subset) + 1) // 2
-            left, right = subset[:half], subset[half:]
-            if check(left):
-                locate(left)
-                if not at_most_one and check(right):
-                    locate(right)
+    codes = np.asarray(codes)
+    n = codes.shape[-1]
+    bits = bright_bits(codes)
+    found = np.zeros(codes.shape, dtype=bool)
+    if strategy is Strategy.PARTITIONED_BINARY:
+        tree = _bisection_tree(n)
+        intervals = np.ones(bits.shape, dtype=np.int64)
+        # per node, the registers whose search reaches it knowing it positive;
+        # pre-order fills each entry before the walk gets to it
+        known = [group_check(bits, tree[0][0], rng, noise)] + [None] * (len(tree) - 1)
+        for reached, (_, site, left, right) in zip(known, tree):
+            if site >= 0:
+                found[..., site] = reached
+                continue
+            left_positive = group_check(bits, tree[left][0], rng, noise)
+            intervals += reached
+            known[left] = reached & left_positive
+            if at_most_one:
+                known[right] = reached & ~left_positive
             else:
-                locate(right)
-
-        if check(all_sites):
-            locate(all_sites)
+                right_positive = group_check(bits, tree[right][0], rng, noise)
+                intervals += known[left]
+                known[right] = reached & (~left_positive | right_positive)
+        return SearchResult(found, intervals)
+    if strategy is Strategy.DETERMINISTIC_SEQUENTIAL:
+        searched = np.ones(bits.shape, dtype=bool)
+        intervals = np.full(bits.shape, n)
+    elif strategy is Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL:
+        searched = group_check(bits, (1 << n) - 1, rng, noise)
+        # np.int64 keeps one-register arithmetic off numpy's slow Python-int path
+        intervals = 1 + np.int64(n) * searched
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-
-    return SearchResult(found, len(transcript), transcript)
+    if np.count_nonzero(searched):  # no singles where no register is searched
+        found = searched[..., None] & group_check(bits[..., None], _site_bits(n), rng, noise)
+    return SearchResult(found, intervals)
 
 
 @lru_cache(maxsize=None)
@@ -187,41 +247,9 @@ def expected_cost(problem: SearchProblem, strategy: Strategy) -> float:
 def enumerate_mean_intervals(problem: SearchProblem, strategy: Strategy) -> float:
     """Exact mean interval count by enumeration of the empty placement and
     all single-bright placements (at-most-one model), running the actual
-    noiseless search on each."""
+    noiseless search on all of them in one call."""
     if problem.placement is not Placement.AT_MOST_ONE_BRIGHT:
         raise ConfigurationError("enumeration covers the at-most-one placement")
-    empty = uniform_register(problem.n, F1)
-    total = (1.0 - problem.p) * run_search(empty, strategy).intervals_used
-    for i in range(problem.n):
-        register = empty.copy()
-        register[i] = F2
-        cost = run_search(register, strategy).intervals_used
-        total += (problem.p / problem.n) * cost
-    return total
-
-
-def transcript_supports(result: SearchResult, n: int) -> bool:
-    """Check that every reported bright site is backed by the transcript:
-    either a positive singleton check, or forced by elimination (a positive
-    parent whose checked half was negative, narrowed down to the site)."""
-    positives = {s for s, out in result.transcript if out}
-    negatives = {s for s, out in result.transcript if not out}
-    for site in result.bright_sites:
-        if (site,) in positives:
-            continue
-        # elimination: some positive superset minus checked-negative parts
-        # reduces to exactly this site
-        supported = False
-        for pos in positives:
-            if site not in pos:
-                continue
-            remaining = set(pos)
-            for neg in negatives:
-                if set(neg) <= remaining:
-                    remaining -= set(neg)
-            if remaining == {site}:
-                supported = True
-                break
-        if not supported:
-            return False
-    return True
+    costs = run_search(_placements(problem.n), strategy).intervals_used
+    weights = np.r_[np.full(problem.n, problem.p / problem.n), 1.0 - problem.p]
+    return float(weights @ costs)

@@ -12,6 +12,8 @@ from math import comb, exp
 
 import numpy as np
 
+from cavreg.search import Strategy
+
 
 def poisson_pmf(k: int, lam: float) -> float:
     return exp(-lam) * lam**k / math.factorial(k)
@@ -225,3 +227,116 @@ def sequential_readout_transcript(
                 if s == 2 and rng.random() < background_floor:
                     sites[j] = 1
     return transcript, sites
+
+
+# --------------------------------------------------------------------------
+# Transcript-level reference for the adaptive search: the recursive
+# per-register search (one Python call per group check) that the bitmask
+# kernel in cavreg.search replaced.  Sites are 1 (F=1) or 2 (F=2); it shares
+# only the Strategy and GroupCheckNoise model objects with the library.
+
+
+def search_transcript(
+    sites: list, strategy, rng=None, *, at_most_one: bool = True, noise=None
+) -> tuple[set[int], list[tuple[tuple[int, ...], bool]]]:
+    """One register's search: the sites reported bright and the transcript,
+    one (subset, outcome) pair per group check in the order made."""
+    transcript: list[tuple[tuple[int, ...], bool]] = []
+    found: set[int] = set()
+
+    def check(subset: tuple[int, ...]) -> bool:
+        outcome = any(sites[i] == 2 for i in subset)
+        if noise is not None:
+            u = rng.random()
+            outcome = u >= noise.false_negative if outcome else u < noise.false_positive
+        transcript.append((subset, outcome))
+        return outcome
+
+    all_sites = tuple(range(len(sites)))
+    if strategy is Strategy.DETERMINISTIC_SEQUENTIAL:
+        found = {i for i in all_sites if check((i,))}
+    elif strategy is Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL:
+        if check(all_sites):
+            found = {i for i in all_sites if check((i,))}
+    else:
+
+        def locate(subset: tuple[int, ...]) -> None:
+            # subset is known (or inferred) to contain at least one bright atom
+            if len(subset) == 1:
+                found.add(subset[0])
+                return
+            half = (len(subset) + 1) // 2
+            left, right = subset[:half], subset[half:]
+            if check(left):
+                locate(left)
+                if not at_most_one and check(right):
+                    locate(right)
+            else:
+                locate(right)
+
+        if check(all_sites):
+            locate(all_sites)
+    return found, transcript
+
+
+def transcript_supports(found: set[int], transcript: list) -> bool:
+    """Check that every reported bright site is backed by the transcript:
+    either a positive singleton check, or forced by elimination (a positive
+    parent whose checked half was negative, narrowed down to the site)."""
+    positives = {s for s, out in transcript if out}
+    negatives = {s for s, out in transcript if not out}
+    for site in found:
+        if (site,) in positives:
+            continue
+        # elimination: some positive superset minus checked-negative parts
+        # reduces to exactly this site
+        supported = False
+        for pos in positives:
+            if site not in pos:
+                continue
+            remaining = set(pos)
+            for neg in negatives:
+                if set(neg) <= remaining:
+                    remaining -= set(neg)
+            if remaining == {site}:
+                supported = True
+                break
+        if not supported:
+            return False
+    return True
+
+
+def search_expected_cost(
+    n: int, p: float, strategy, fp: float, fn: float, *, at_most_one: bool = True
+) -> float:
+    """Exact expected group checks of a search under false-positive rate fp
+    and false-negative rate fn, for the at-most-one placement (all dark with
+    probability 1 - p, else one bright atom uniform over the n sites).
+
+    For each of the n + 1 placements every check outcome is enumerated
+    with its probability (depth at most 1 + ceil(log2 n) for bisection);
+    each check draws independently, so the expected cost of a branch is
+    the outcome-weighted sum of its sub-branches."""
+    def expected(bright: int | None) -> float:
+        def positive(subset: tuple[int, ...]) -> float:
+            return 1.0 - fn if bright in subset else fp
+
+        def locate(subset: tuple[int, ...]) -> float:
+            if len(subset) == 1:
+                return 0.0
+            half = (len(subset) + 1) // 2
+            left, right = subset[:half], subset[half:]
+            q = positive(left)
+            cost = 1.0 + q * locate(left) + (1.0 - q) * locate(right)
+            if not at_most_one:
+                cost += q * (1.0 + positive(right) * locate(right))
+            return cost
+
+        all_sites = tuple(range(n))
+        if strategy is Strategy.DETERMINISTIC_SEQUENTIAL:
+            return float(n)
+        if strategy is Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL:
+            return 1.0 + positive(all_sites) * n
+        return 1.0 + positive(all_sites) * locate(all_sites)
+
+    return (1.0 - p) * expected(None) + p / n * sum(expected(k) for k in range(n))

@@ -72,7 +72,10 @@ def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
     params = SearchCostParams()
     spec = ExperimentSpec("search_cost", params, trials=20, master_seed=3)
     calls = _traced_calls(bench, monkeypatch, "search-scan", spec)
-    # one register draw and one search per trial of every sweep point
-    points = len(params.sizes) * len(params.probabilities) * len(params.strategies)
-    assert calls["search.sample_register"] == 20 * points
-    assert calls["search.run_search"] == 20 * points
+    # one chunk per sweep point: one register draw and one search over all
+    # of its trials, and group checks per search level, at most 2n of them
+    per_size = len(params.probabilities) * len(params.strategies)
+    points = len(params.sizes) * per_size
+    assert calls["search.sample_register"] == points
+    assert calls["search.run_search"] == points
+    assert calls["search.group_check"] <= sum(2 * n * per_size for n in params.sizes)

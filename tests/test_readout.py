@@ -169,6 +169,15 @@ def test_sequential_readout_rejects_duplicates(rng):
         )
 
 
+def test_sequential_readout_names_the_trial_shape(rng):
+    # a 1-D register lacks the leading trial axis
+    with pytest.raises(ConfigurationError, match=r"\(trials, sites\)"):
+        sequential_array_readout(
+            uniform_register(3, F2), [0, 1, 2], 2.0, rng,
+            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
+        )
+
+
 def test_single_site_round_error_is_spam_only(rng):
     # one atom: no hiding exposure, per-round bright error is the SPAM error
     n = 20_000

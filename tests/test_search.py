@@ -20,10 +20,13 @@ from cavreg import (
 )
 from cavreg.search import (
     _expected_splits,
+    bright_bits,
     enumerate_mean_intervals,
     sample_register,
-    transcript_supports,
+    site_mask,
 )
+
+from oracles import search_transcript, transcript_supports
 
 ALL_DARK_8 = uniform_register(8, F1)
 
@@ -34,28 +37,36 @@ def _single_bright(n, k):
     return register
 
 
+def _check(register, subset, rng=None, noise=None):
+    return group_check(bright_bits(register), site_mask(subset, len(register)), rng, noise)
+
+
+def _sites(result):
+    return set(np.flatnonzero(result.found).tolist())
+
+
 def test_group_check_basics():
-    assert group_check(ALL_DARK_8, range(8)) is False
-    assert group_check(_single_bright(8, 3), range(8)) is True
-    assert group_check(_single_bright(8, 3), (3,)) is True
-    assert group_check(_single_bright(8, 3), (2, 4)) is False
+    assert not _check(ALL_DARK_8, range(8))
+    assert _check(_single_bright(8, 3), range(8))
+    assert _check(_single_bright(8, 3), (3,))
+    assert not _check(_single_bright(8, 3), (2, 4))
     # set semantics: order never matters
-    assert group_check(_single_bright(8, 3), (7, 3, 0)) == group_check(
+    assert _check(_single_bright(8, 3), (7, 3, 0)) == _check(
         _single_bright(8, 3), (0, 3, 7)
     )
     with pytest.raises(ConfigurationError):
-        group_check(ALL_DARK_8, ())
+        _check(ALL_DARK_8, ())
     with pytest.raises(ConfigurationError):
-        group_check(ALL_DARK_8, (9,))
+        _check(ALL_DARK_8, (9,))
 
 
 def test_group_check_noise_rates(rng):
     noise = GroupCheckNoise(false_positive=0.3, false_negative=0.2)
     n = 20_000
-    fp = sum(group_check(ALL_DARK_8, (0, 1), rng, noise) for _ in range(n)) / n
+    fp = sum(_check(ALL_DARK_8, (0, 1), rng, noise) for _ in range(n)) / n
     assert abs(fp - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
     fn = sum(
-        not group_check(_single_bright(8, 0), (0, 1), rng, noise) for _ in range(n)
+        not _check(_single_bright(8, 0), (0, 1), rng, noise) for _ in range(n)
     ) / n
     assert abs(fn - 0.2) < 4 * math.sqrt(0.2 * 0.8 / n)
 
@@ -63,13 +74,13 @@ def test_group_check_noise_rates(rng):
 def test_all_dark_global_check_is_one_interval():
     res = run_search(ALL_DARK_8, Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL)
     assert res.intervals_used == 1
-    assert res.bright_sites == set()
+    assert _sites(res) == set()
 
 
 def test_single_bright_global_check_costs_one_plus_n():
     res = run_search(_single_bright(10, 4), Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL)
     assert res.intervals_used == 11
-    assert res.bright_sites == {4}
+    assert _sites(res) == {4}
 
 
 def test_sequential_always_costs_n():
@@ -83,7 +94,7 @@ def test_partitioned_single_bright_n8_costs_four():
     for k in range(8):
         res = run_search(_single_bright(8, k), Strategy.PARTITIONED_BINARY)
         assert res.intervals_used == 4
-        assert res.bright_sites == {k}
+        assert _sites(res) == {k}
 
 
 def test_expected_cost_closed_forms():
@@ -126,7 +137,7 @@ def test_noiseless_search_is_always_correct(rng):
         truth = set(np.flatnonzero(reg == F2))
         for strategy in Strategy:
             res = run_search(reg, strategy, rng)
-            assert res.bright_sites == truth
+            assert _sites(res) == truth
 
 
 def test_sample_register_draws_one_uniform_per_site_in_order():
@@ -145,17 +156,23 @@ def test_multi_bright_partitioned_correct_without_assumption(rng):
         reg = sample_register(problem, rng)
         truth = set(np.flatnonzero(reg == F2))
         res = run_search(reg, Strategy.PARTITIONED_BINARY, rng, at_most_one=False)
-        assert res.bright_sites == truth
-        assert transcript_supports(res, n)
+        assert _sites(res) == truth
+        found, transcript = search_transcript(
+            reg.tolist(), Strategy.PARTITIONED_BINARY, at_most_one=False
+        )
+        assert found == truth
+        assert transcript_supports(found, transcript)
 
 
 def test_transcript_supports_single_bright():
     for n in range(1, 11):
         for k in range(n):
             for strategy in Strategy:
+                found, transcript = search_transcript(_single_bright(n, k).tolist(), strategy)
+                assert transcript_supports(found, transcript)
                 res = run_search(_single_bright(n, k), strategy)
-                assert transcript_supports(res, n)
-                assert res.intervals_used == len(res.transcript)
+                assert _sites(res) == found
+                assert res.intervals_used == len(transcript)
 
 
 @settings(max_examples=60, deadline=None)

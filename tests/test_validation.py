@@ -111,3 +111,22 @@ def test_failed_sidecar_write_leaves_no_output(tmp_path, monkeypatch):
     out = tmp_path / "h.csv"
     assert main(["histogram", "--trials", "10", "--out", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 2, 65", "register size"),
+        ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 0, 3", "register size"),
+        ("bright_probabilities = 0.0, 0.1", "bright_probabilities = 1.5, 0.1", "probability"),
+    ],
+)
+def test_cli_search_sweep_out_of_range_is_exit_2(old, new, key, tmp_path, capsys):
+    # a search register is one uint64 bitmask: 1 to 64 sites
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with(old, new))
+    out = tmp_path / "s.csv"
+    rc = main(["search-cost", "--config", str(cfg), "--trials", "10", "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
