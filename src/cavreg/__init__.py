@@ -52,6 +52,7 @@ from .repcode import (
     fit_error_exponent,
     logical_lifetime,
     majority_error_probability,
+    round_hazard,
     run_round,
     simulate_code_abstract,
     simulate_idling_bit,

@@ -38,7 +38,7 @@ from .readout import (
     sequential_array_readout,
 )
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
-from .repcode import logical_lifetime, simulate_code_abstract, simulate_idling_bit
+from .repcode import CodeConfig, logical_lifetime, simulate_code_abstract, simulate_idling_bit
 from .search import (
     GroupCheckNoise,
     Placement,
@@ -59,13 +59,6 @@ class Estimate:
     mean: float
     stderr: float
     n: int
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "Estimate":
-        samples = np.asarray(samples, dtype=float)
-        n = len(samples)
-        se = float(samples.std(ddof=1) / math.sqrt(n)) if n >= 2 else math.nan
-        return cls(float(samples.mean()), se, n)
 
     @classmethod
     def from_binomial(cls, successes: int, n: int) -> "Estimate":
@@ -122,6 +115,10 @@ class ErrorScalingParams:
     rounds: int = 17
     post_select: str = "distance"  # "distance", "none", or an integer string
 
+    def __post_init__(self):
+        for d, p in itertools.product(self.distances, self.flip_sweep):
+            CodeConfig(d, self.rounds, per_round_flip=p, per_round_loss=self.per_round_loss)
+
 
 @dataclass
 class LifetimeParams:
@@ -133,6 +130,10 @@ class LifetimeParams:
     round_overhead_ms: float = 4.0
     idle_model: IdleErrorModel = field(default_factory=IdleErrorModel)
     definition: str = "fitted_tau"
+
+    def __post_init__(self):
+        for d in self.distances:
+            CodeConfig(d, self.rounds, self.idle_ms, self.per_round_flip, self.per_round_loss)
 
 
 @dataclass
@@ -420,10 +421,10 @@ def _error_scaling_params(config: Config) -> ErrorScalingParams:
 def _post_selected_cells(p_phys: float, counts: np.ndarray, post_select: str) -> list[CurveCell]:
     """Per-round logical error cells of one sweep point.
 
-    counts[s] holds (logical errors, rounds) among rounds with s surviving
-    atoms, s = 0..d.  post_select "distance" keeps s = d, "none" reports
-    every s, and an integer string keeps that s.  A cell with no rounds, no
-    errors or a stderr above a tenth of its estimate is flagged.
+    counts[s] holds (clean, erring) round counts among rounds with s
+    surviving atoms, s = 0..d.  post_select "distance" keeps s = d, "none"
+    reports every s, and an integer string keeps that s.  A cell with no
+    rounds, no errors or a stderr above a tenth of its estimate is flagged.
     """
     d = len(counts) - 1
     if post_select == "none":
@@ -434,7 +435,7 @@ def _post_selected_cells(p_phys: float, counts: np.ndarray, post_select: str) ->
         groups = [int(post_select)]
     cells = []
     for s in groups:
-        k, n = int(counts[s, 0]), int(counts[s, 1])
+        k, n = int(counts[s, 1]), int(counts[s].sum())
         if n == 0:
             cells.append(CurveCell(p_phys, d, s, math.nan, math.nan, 0, True))
             continue
@@ -453,12 +454,10 @@ def run_error_scaling(
     def survivor_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         d, p = points[point]
         trace = simulate_code_abstract(d, p, params.per_round_loss, params.rounds, size, rng)
-        acc = np.zeros((d + 1, 2), dtype=np.int64)
-        for s in range(d + 1):
-            sel = trace.survivors == s
-            acc[s, 0] = int(trace.new_error[sel].sum())
-            acc[s, 1] = int(sel.sum())
-        return acc
+        outcomes = np.bincount(
+            (2 * trace.survivors + trace.new_error).ravel(), minlength=2 * (d + 1)
+        )
+        return outcomes.reshape(d + 1, 2)
 
     totals = _sweep(len(points), survivor_counts, trials, master_seed, threads)
     cells = [

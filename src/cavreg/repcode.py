@@ -51,9 +51,10 @@ class CodeConfig:
 
     def __post_init__(self):
         if self.distance < 1 or self.distance % 2 == 0:
-            raise ConfigurationError("code distance must be odd and >= 1")
-        if not (0.0 <= self.per_round_flip <= 1.0 and 0.0 <= self.per_round_loss <= 1.0):
-            raise ConfigurationError("per-round probabilities must be in [0, 1]")
+            raise ConfigurationError(f"code distance {self.distance} is not odd and >= 1")
+        for name in ("per_round_flip", "per_round_loss"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(f"{name} {getattr(self, name)} is outside [0, 1]")
         if self.rounds < 1:
             raise ConfigurationError("need at least one round")
 
@@ -172,6 +173,17 @@ class CodeTrace:
         return self.new_error.shape[1]
 
 
+def round_hazard(distance: int, p: float) -> np.ndarray:
+    """h[s], s = 0..distance: the probability that a round with s surviving
+    votes, each flipped with probability p, resolves wrong.  A majority of
+    flips errs; a tie, the empty register included, errs half the time."""
+    return np.array([
+        sum(math.comb(s, k) * p**k * (1 - p) ** (s - k) * (1.0 if 2 * k > s else 0.5)
+            for k in range((s + 1) // 2, s + 1))
+        for s in range(distance + 1)
+    ])
+
+
 def simulate_code_abstract(
     distance: int,
     flip_p: float,
@@ -180,36 +192,26 @@ def simulate_code_abstract(
     n_trials: int,
     rng: np.random.Generator,
 ) -> CodeTrace:
-    """Vectorized abstract-mode ensemble; distributionally identical to
-    running run_round trial by trial."""
-    alive = np.ones((n_trials, distance), dtype=bool)
-    new_error = np.empty((n_trials, rounds), dtype=bool)
-    err_vs_initial = np.empty((n_trials, rounds), dtype=bool)
-    survivors = np.empty((n_trials, rounds), dtype=np.int16)
-    wrong = np.zeros(n_trials, dtype=bool)  # logical state vs encoded bit
-    for r in range(rounds):
-        flips = rng.random((n_trials, distance)) < flip_p
-        alive &= rng.random((n_trials, distance)) >= loss_p
-        wrong_votes = (flips & alive).sum(axis=1)
-        s = alive.sum(axis=1)
-        tie = wrong_votes * 2 == s  # covers s == 0
-        flipped = wrong_votes * 2 > s
-        coin = rng.random(n_trials) < 0.5
-        err = flipped | (tie & coin)
-        new_error[:, r] = err
-        wrong ^= err
-        err_vs_initial[:, r] = wrong
-        survivors[:, r] = s
+    """Abstract-mode ensemble, distributionally identical to running
+    run_round trial by trial, with no loop over rounds.  Loss is independent
+    of flips, so atom i is alive in round r iff one uniform u_i <
+    (1 - loss_p)**(r + 1); a round with s survivors errs with probability
+    round_hazard(distance, flip_p)[s], independently of every other round."""
+    alive_below = (1.0 - loss_p) ** np.arange(1, rounds + 1)
+    survivors = np.zeros((n_trials, rounds), dtype=np.intp)  # intp: a fast gather index
+    for u in rng.random((n_trials, distance)).T:
+        survivors += u[:, None] < alive_below
+    hazard = round_hazard(distance, flip_p)[survivors]
+    survivors = survivors.astype(np.int16)
+    new_error = rng.random((n_trials, rounds)) < hazard
+    err_vs_initial = np.logical_xor.accumulate(new_error, axis=1)
     return CodeTrace(distance, new_error, err_vs_initial, survivors)
 
 
 def majority_error_probability(distance: int, p: float) -> float:
-    """Exact no-loss per-round logical error: majority of d flips, ties (even
-    survivor counts cannot occur at full distance) excluded."""
-    return sum(
-        math.comb(distance, k) * p**k * (1 - p) ** (distance - k)
-        for k in range(distance // 2 + 1, distance + 1)
-    )
+    """Exact no-loss per-round logical error: the round hazard with all
+    `distance` atoms voting."""
+    return float(round_hazard(distance, p)[distance])
 
 
 def fit_error_exponent(
@@ -233,18 +235,14 @@ def simulate_idling_bit(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Ensemble error probability of a single unmeasured idling bit, read out
-    destructively at each grid time (a lost atom reads as a coin toss)."""
+    destructively at each grid time (a lost atom reads as a coin toss).  Flips
+    add up step by step; the atom survives to t iff one uniform < 1 - loss(t)."""
     times_ms = np.asarray(times_ms, dtype=float)
-    steps = np.diff(np.concatenate([[0.0], times_ms]))
-    alive = np.ones(n_trials, dtype=bool)
-    flipped = np.zeros(n_trials, dtype=bool)
-    p_err = np.empty(len(times_ms))
-    for k, dt in enumerate(steps):
-        flipped ^= rng.random(n_trials) < flip_probability(dt, idle_model)
-        alive &= rng.random(n_trials) >= loss_probability(dt, idle_model)
-        coin = rng.random(n_trials) < 0.5
-        p_err[k] = np.where(alive, flipped, coin).mean()
-    return p_err
+    flip_p = [flip_probability(dt, idle_model) for dt in np.diff(times_ms, prepend=0.0)]
+    flipped = np.logical_xor.accumulate(rng.random((n_trials, len(times_ms))) < flip_p, axis=1)
+    alive = rng.random((n_trials, 1)) < [1 - loss_probability(t, idle_model) for t in times_ms]
+    coin = rng.random((n_trials, len(times_ms))) < 0.5
+    return np.where(alive, flipped, coin).mean(axis=0)
 
 
 @dataclass

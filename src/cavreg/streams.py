@@ -1,53 +1,54 @@
 """Deterministic, splittable random streams.
 
 Every stream is a counter-based Philox generator keyed by the master seed
-and a path of indices (experiment point, chunk, trial...).  Streams are
-independent of execution order and thread count: work is split into
-fixed-size chunks whose streams depend only on the chunk index, and results
-are gathered in chunk order.
+and the length of a path of indices (experiment point, chunk, trial...),
+whose counter starts at the path itself.  Streams are independent of
+execution order and thread count: work is split into fixed-size chunks
+whose streams depend only on the chunk index, and results are gathered in
+chunk order.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-SEED_LIMIT = 1 << 64  # master seeds lie in [0, SEED_LIMIT)
-_MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier
+from .errors import ConfigurationError
+
+SEED_LIMIT = 1 << 64  # master seeds and path indices lie in [0, SEED_LIMIT)
+MAX_PATH = 3  # path indices fill Philox counter words 1-3
 
 CHUNK_TRIALS = 4096
 
 T = TypeVar("T")
 
 
-def _fold(path: Sequence[int]) -> int:
-    h = 0
-    for p in path:
-        h = ((h ^ (p & _MASK64)) * _MIX + 1) & _MASK64
-    return h
-
-
 def stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for (master_seed, *path)."""
-    key = np.array([master_seed & _MASK64, _fold(path)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent generator for (master_seed, *path), path <= MAX_PATH long.
+
+    Philox is keyed by (master_seed, len(path)) and its counter starts at
+    (0, *path), zero-padded, so distinct (master_seed, path) pairs start from
+    distinct (key, counter) pairs.  Counter word 0 counts the stream's own
+    blocks; a stream would need 2**64 blocks to reach its neighbour."""
+    if len(path) > MAX_PATH or not all(0 <= v < SEED_LIMIT for v in (master_seed, *path)):
+        raise ConfigurationError(
+            f"stream {(master_seed, *path)}: at most {MAX_PATH} path indices, all in [0, 2**64)"
+        )
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[1 : 1 + len(path)] = path
+    key = np.array([master_seed, len(path)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK_TRIALS) -> list[tuple[int, int, int]]:
     """(chunk_index, start, size) triples covering `total` trials."""
-    out = []
-    start = 0
-    index = 0
-    while start < total:
-        size = min(chunk, total - start)
-        out.append((index, start, size))
-        start += size
-        index += 1
-    return out
+    return [
+        (index, start, min(chunk, total - start))
+        for index, start in enumerate(range(0, total, chunk))
+    ]
 
 
 def map_chunks(

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
-Everything here is computed by enumeration or dynamic programming, never by
-the simulation paths under test.
+Everything here is computed by enumeration, dynamic programming or the
+reference loops the array kernels replaced, never by the simulation paths
+under test.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from math import comb, exp
 
 import numpy as np
 
+from cavreg.repcode import CodeTrace
 from cavreg.search import Strategy
 
 
@@ -87,6 +89,37 @@ def repcode_round_hazard(s: int, flip_p: float) -> float:
         elif 2 * k == s:
             tot += 0.5 * pk
     return tot
+
+
+def repcode_reference_trace(
+    distance: int,
+    flip_p: float,
+    loss_p: float,
+    rounds: int,
+    n_trials: int,
+    rng: np.random.Generator,
+) -> CodeTrace:
+    """Reference abstract-mode ensemble: round by round, one flip and one
+    loss draw per atom and a coin per trial, as run_round does per trial."""
+    alive = np.ones((n_trials, distance), dtype=bool)
+    new_error = np.empty((n_trials, rounds), dtype=bool)
+    err_vs_initial = np.empty((n_trials, rounds), dtype=bool)
+    survivors = np.empty((n_trials, rounds), dtype=np.int16)
+    wrong = np.zeros(n_trials, dtype=bool)  # logical state vs encoded bit
+    for r in range(rounds):
+        flips = rng.random((n_trials, distance)) < flip_p
+        alive &= rng.random((n_trials, distance)) >= loss_p
+        wrong_votes = (flips & alive).sum(axis=1)
+        s = alive.sum(axis=1)
+        tie = wrong_votes * 2 == s  # covers s == 0
+        flipped = wrong_votes * 2 > s
+        coin = rng.random(n_trials) < 0.5
+        err = flipped | (tie & coin)
+        new_error[:, r] = err
+        wrong ^= err
+        err_vs_initial[:, r] = wrong
+        survivors[:, r] = s
+    return CodeTrace(distance, new_error, err_vs_initial, survivors)
 
 
 def repcode_exact_error_curve(

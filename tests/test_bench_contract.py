@@ -3,8 +3,9 @@
 A traced benchmark run fails when a name it patches is gone or a layer it
 expects records no calls.  These tests catch that here, in the test suite:
 every (module, attr) in bench/tracer.py's PATCHES must exist, and tiny
-depump-scaling and search-cost runs must reach every layer the readout-seq
-and search-scan workloads expect, with the expected call counts.
+depump-scaling, search-cost and error-scaling/lifetime/histogram runs must
+reach every layer the readout-seq, search-scan and code-sweep workloads
+expect, with the expected call counts.
 """
 
 import importlib
@@ -13,7 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from cavreg.harness import DepumpScalingParams, ExperimentSpec, SearchCostParams, run
+from cavreg.harness import (
+    DepumpScalingParams,
+    ErrorScalingParams,
+    ExperimentSpec,
+    HistogramParams,
+    LifetimeParams,
+    SearchCostParams,
+    run,
+)
+from cavreg.streams import chunk_sizes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,16 +48,17 @@ def test_every_patched_name_exists(bench):
     assert not missing
 
 
-def _traced_calls(bench, monkeypatch, workload, spec):
-    """Calls per layer of a traced run of spec; every layer the workload
-    expects must have been called."""
+def _traced_calls(bench, monkeypatch, workload, *specs):
+    """Calls per layer of a traced run of the specs; every layer the
+    workload expects must have been called."""
     tracer, bench_run = bench
     for module, attr, *_ in tracer.PATCHES:
         mod = importlib.import_module(module)
         monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after the test
     traced = tracer.Tracer()
     tracer.install(traced)
-    run(spec)
+    for spec in specs:
+        run(spec)
     calls = {name: s["calls"] for name, s in traced.report()["stats"].items()}
     expected = bench_run.WORKLOADS[workload].expect_calls
     assert all(calls.get(name, 0) > 0 for name in expected)
@@ -79,3 +90,21 @@ def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
     assert calls["search.sample_register"] == points
     assert calls["search.run_search"] == points
     assert calls["search.group_check"] <= sum(2 * n * per_size for n in params.sizes)
+
+
+def test_code_sweep_runs_reach_the_code_sweep_layers(bench, monkeypatch):
+    scaling, lifetime = ErrorScalingParams(), LifetimeParams()
+    trials = 5000  # two chunks per sweep point; enough errors for the d = 3 fit
+    specs = [
+        ExperimentSpec("error_scaling", scaling, trials=trials, master_seed=3, threads=2),
+        ExperimentSpec("lifetime", lifetime, trials=trials, master_seed=3, threads=2),
+        ExperimentSpec("histogram", HistogramParams(), trials=20, master_seed=3),
+    ]
+    calls = _traced_calls(bench, monkeypatch, "code-sweep", *specs)
+    # one abstract-code call per chunk of every code sweep point
+    chunks = len(chunk_sizes(trials))
+    code_points = len(scaling.distances) * len(scaling.flip_sweep) + len(lifetime.distances)
+    assert calls["repcode.simulate_code_abstract"] == code_points * chunks
+    assert calls["repcode.simulate_idling_bit"] == chunks
+    assert calls["photons.sample_adaptive_bright_batch"] == 1
+    assert calls["streams.stream"] == (code_points + 1) * chunks + 3

@@ -130,3 +130,38 @@ def test_cli_search_sweep_out_of_range_is_exit_2(old, new, key, tmp_path, capsys
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+CODE_SWEEPS = [
+    ("flip_sweep = 0.02, 0.04", "flip_sweep = 1.5, 0.04", "per_round_flip 1.5", ["error-scaling"]),
+    ("flip_sweep = 0.02, 0.04", "flip_sweep = -0.1, 0.04", "per_round_flip -0.1", ["error-scaling"]),
+    ("distances = 1, 3, 5", "distances = 1, 2, 5", "distance 2", ["error-scaling", "lifetime"]),
+    ("distances = 1, 3, 5", "distances = -1, 3, 5", "distance -1", ["error-scaling", "lifetime"]),
+]
+
+
+@pytest.mark.parametrize("old, new, key, commands", CODE_SWEEPS)
+def test_code_sweep_out_of_range_is_exit_2_before_sampling(
+    old, new, key, commands, tmp_path, capsys, monkeypatch
+):
+    # odd distances >= 1 and flip probabilities in [0, 1], as CodeConfig requires
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a code sweep that should have been rejected")
+
+    monkeypatch.setattr("cavreg.harness.simulate_code_abstract", no_sampling)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with(old, new))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    for command in commands:
+        out = tmp_path / "c.csv"
+        rc = main([command, "--config", str(cfg), "--trials", "100", "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_code_sweep_edges_run():
+    params = ErrorScalingParams(distances=[1], flip_sweep=[0.0, 1.0], rounds=2)
+    rows = run(ExperimentSpec("error_scaling", params, trials=100, master_seed=1)).rows
+    assert [r["p_logical"] for r in rows] == [0.0, 1.0]
