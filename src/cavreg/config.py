@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from typing import Any, Callable
 
 from .errors import ConfigurationError
 from .harness import EXPERIMENTS
@@ -20,50 +21,25 @@ from .search import Placement, Strategy
 from .streams import SEED_LIMIT
 
 
-def _float(text: str) -> float:
-    return float(text)
+def _checked(kind: type, rejects: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """A parser that converts text with `kind` and raises ValueError(rule)
+    when rejects(value)."""
+
+    def parse(text: str):
+        v = kind(text)
+        if rejects(v):
+            raise ValueError(rule)
+        return v
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if v <= 0:
-        raise ValueError("must be positive")
-    return v
-
-
-def _nonneg_float(text: str) -> float:
-    v = float(text)
-    if v < 0:
-        raise ValueError("must be non-negative")
-    return v
-
-
-def _probability(text: str) -> float:
-    v = float(text)
-    if not (0.0 <= v <= 1.0):
-        raise ValueError("must be in [0, 1]")
-    return v
-
-
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise ValueError("must be >= 1")
-    return v
-
-
-def _nonneg_int(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise ValueError("must be >= 0")
-    return v
-
-
-def _seed(text: str) -> int:
-    v = int(text)
-    if not 0 <= v < SEED_LIMIT:
-        raise ValueError("must be in [0, 2**64)")
-    return v
+_positive_float = _checked(float, lambda v: v <= 0, "must be positive")
+_nonneg_float = _checked(float, lambda v: v < 0, "must be non-negative")
+_probability = _checked(float, lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]")
+_positive_int = _checked(int, lambda v: v < 1, "must be >= 1")
+_nonneg_int = _checked(int, lambda v: v < 0, "must be >= 0")
+_seed = _checked(int, lambda v: not 0 <= v < SEED_LIMIT, "must be in [0, 2**64)")
 
 
 def _bool(text: str) -> bool:
@@ -165,7 +141,7 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("hiding", "shift_slope_mhz_per_uw"): (_positive_float, "light shift per microwatt at center" + _MODEL_ONLY),
     ("hiding", "residual_at_10um"): (_probability, "residual shift fraction at 10 um" + _MODEL_ONLY),
     ("probe", "tweezer_depth_mk"): (_positive_float, "tweezer depth"),
-    ("probe", "detuning_pc_mhz"): (_float, "probe-cavity detuning"),
+    ("probe", "detuning_pc_mhz"): (float, "probe-cavity detuning"),
     ("error_table", "row_1"): (_table_row, "calibration row: depth detuning infid_f1 loss_f1 infid_f2 loss_f2"),
     ("error_table", "row_2"): (_table_row, "calibration row"),
     ("error_table", "row_3"): (_table_row, "calibration row"),

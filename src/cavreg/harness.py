@@ -61,6 +61,13 @@ class Estimate:
     n: int
 
     @classmethod
+    def from_samples(cls, samples: np.ndarray) -> "Estimate":
+        samples = np.asarray(samples, dtype=float)
+        n = len(samples)
+        se = float(samples.std(ddof=1) / math.sqrt(n)) if n >= 2 else math.nan
+        return cls(float(samples.mean()), se, n)
+
+    @classmethod
     def from_binomial(cls, successes: int, n: int) -> "Estimate":
         p = successes / n
         return cls(p, math.sqrt(max(p * (1 - p), 0.0) / n), n)

@@ -235,14 +235,18 @@ def simulate_idling_bit(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Ensemble error probability of a single unmeasured idling bit, read out
-    destructively at each grid time (a lost atom reads as a coin toss).  Flips
-    add up step by step; the atom survives to t iff one uniform < 1 - loss(t)."""
+    destructively at each grid time (a lost atom reads as a coin toss)."""
     times_ms = np.asarray(times_ms, dtype=float)
-    flip_p = [flip_probability(dt, idle_model) for dt in np.diff(times_ms, prepend=0.0)]
-    flipped = np.logical_xor.accumulate(rng.random((n_trials, len(times_ms))) < flip_p, axis=1)
-    alive = rng.random((n_trials, 1)) < [1 - loss_probability(t, idle_model) for t in times_ms]
-    coin = rng.random((n_trials, len(times_ms))) < 0.5
-    return np.where(alive, flipped, coin).mean(axis=0)
+    steps = np.diff(np.concatenate([[0.0], times_ms]))
+    alive = np.ones(n_trials, dtype=bool)
+    flipped = np.zeros(n_trials, dtype=bool)
+    p_err = np.empty(len(times_ms))
+    for k, dt in enumerate(steps):
+        flipped ^= rng.random(n_trials) < flip_probability(dt, idle_model)
+        alive &= rng.random(n_trials) >= loss_probability(dt, idle_model)
+        coin = rng.random(n_trials) < 0.5
+        p_err[k] = np.where(alive, flipped, coin).mean()
+    return p_err
 
 
 @dataclass

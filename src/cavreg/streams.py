@@ -45,10 +45,15 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
 
 def chunk_sizes(total: int, chunk: int = CHUNK_TRIALS) -> list[tuple[int, int, int]]:
     """(chunk_index, start, size) triples covering `total` trials."""
-    return [
-        (index, start, min(chunk, total - start))
-        for index, start in enumerate(range(0, total, chunk))
-    ]
+    out = []
+    start = 0
+    index = 0
+    while start < total:
+        size = min(chunk, total - start)
+        out.append((index, start, size))
+        start += size
+        index += 1
+    return out
 
 
 def map_chunks(

@@ -21,6 +21,15 @@ import cavreg.streams
 from cavreg.streams import chunk_sizes, map_chunks, stream
 
 
+def test_estimate_from_samples():
+    samples = np.array([1.0, 2.0, 3.0, 4.0])
+    est = Estimate.from_samples(samples)
+    assert est.mean == pytest.approx(2.5)
+    assert est.stderr == pytest.approx(samples.std(ddof=1) / 2.0)
+    assert est.n == 4
+    assert math.isnan(Estimate.from_samples(np.array([1.0])).stderr)
+
+
 def test_estimate_from_binomial():
     est = Estimate.from_binomial(25, 100)
     assert est.mean == 0.25

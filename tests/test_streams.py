@@ -55,22 +55,29 @@ def test_stream_rejects_long_paths_and_out_of_range_indices(seed, path):
         stream(seed, *path)
 
 
+class _Recorded(Exception):
+    pass
+
+
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_default_runs_draw_from_distinct_streams(name, monkeypatch):
-    # a 1-trial run shows the sweep points (one chunk each); at the shipped
-    # trial count every point draws from one stream per chunk
+    # record the streams the sweep requests at the shipped trial count, with
+    # the experiment's kernel replaced by a no-op
     config = load_config()
     exp = EXPERIMENTS[name]
+    trials, seed = config[("run", exp.trials_key)], config[("run", "master_seed")]
     seen = []
 
-    def recording_stream(seed, *path):
-        seen.append(path)
-        return stream(seed, *path)
+    def recording_sweep(n_points, kernel, sweep_trials, master_seed, threads):
+        assert sweep_trials == trials
+        sweep(n_points, lambda point, rng, size: 0, sweep_trials, master_seed, threads)
+        seen.append(n_points)
+        raise _Recorded
 
-    monkeypatch.setattr(harness, "stream", recording_stream)
-    run(ExperimentSpec(name, exp.build(config), trials=1, master_seed=5))
-    assert seen and all(len(path) == 2 and path[1] == 0 for path in seen)
-    chunks = len(chunk_sizes(config[("run", exp.trials_key)]))
-    paths = [(point, chunk) for point, _ in seen for chunk in range(chunks)]
-    seed = config[("run", "master_seed")]
-    assert len({_start(seed, *path) for path in paths}) == len(paths)
+    sweep = harness._sweep
+    monkeypatch.setattr(harness, "_sweep", recording_sweep)
+    monkeypatch.setattr(harness, "stream", lambda *key: seen.append(_start(*key)))
+    with pytest.raises(_Recorded):
+        run(ExperimentSpec(name, exp.build(config), trials=trials, master_seed=seed))
+    *starts, n_points = seen
+    assert len(set(starts)) == len(starts) == n_points * len(chunk_sizes(trials))
