@@ -8,13 +8,14 @@ physical quantities carry their unit in the key name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable
 
 from .errors import ConfigurationError
 from .harness import EXPERIMENTS
-from .photons import CavityParams, DetectorModel, PhotonModel
+from .photons import DetectorModel, PhotonModel
 from .readout import ErrorRates, HidingModel, MeasurementErrorTable, ProbeConfig
 from .register import IdleErrorModel
 from .search import Placement, Strategy
@@ -34,8 +35,9 @@ def _checked(kind: type, rejects: Callable[[Any], bool], rule: str) -> Callable[
     return parse
 
 
-_positive_float = _checked(float, lambda v: v <= 0, "must be positive")
-_nonneg_float = _checked(float, lambda v: v < 0, "must be non-negative")
+_float = _checked(float, lambda v: not math.isfinite(v), "must be a finite number")
+_positive_float = _checked(_float, lambda v: v <= 0, "must be positive")
+_nonneg_float = _checked(_float, lambda v: v < 0, "must be non-negative")
 _probability = _checked(float, lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]")
 _positive_int = _checked(int, lambda v: v < 1, "must be >= 1")
 _nonneg_int = _checked(int, lambda v: v < 0, "must be >= 0")
@@ -51,26 +53,32 @@ def _bool(text: str) -> bool:
     raise ValueError("must be true/false")
 
 
+def _tokens(text: str) -> list[str]:
+    """The comma- or space-separated tokens of a list value; at least one."""
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ValueError("needs at least one value")
+    return tokens
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_float(tok) for tok in _tokens(text)]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    return [int(tok) for tok in _tokens(text)]
 
 
 def _pairs(text: str) -> tuple[tuple[float, float], ...]:
     out = []
-    for tok in text.replace(",", " ").split():
+    for tok in _tokens(text):
         power, factor = tok.split(":")
-        out.append((float(power), float(factor)))
-    if not out:
-        raise ValueError("needs at least one power:factor pair")
+        out.append((_float(power), _float(factor)))
     return tuple(out)
 
 
 def _table_row(text: str) -> tuple:
-    vals = [float(tok) for tok in text.replace(",", " ").split()]
+    vals = [_float(tok) for tok in text.replace(",", " ").split()]
     if len(vals) != 6:
         raise ValueError(
             "expected 6 numbers: depth_mk detuning_mhz infid_f1 loss_f1 infid_f2 loss_f2"
@@ -81,12 +89,10 @@ def _table_row(text: str) -> tuple:
 def _strategies(text: str) -> list[Strategy]:
     names = {s.value: s for s in Strategy}
     out = []
-    for tok in text.replace(",", " ").split():
+    for tok in _tokens(text):
         if tok not in names:
             raise ValueError(f"unknown strategy {tok!r} (choose from {sorted(names)})")
         out.append(names[tok])
-    if not out:
-        raise ValueError("needs at least one strategy")
     return out
 
 
@@ -111,25 +117,13 @@ def _definition(text: str) -> str:
     return text
 
 
-# Model keys that `validate-config` range-checks but no experiment reads carry
-# this mark: the cavity keys feed `cooperativity`, the hiding-beam profile keys
-# feed `light_shift_profile`, and the detection efficiency is a recorded
-# calibration value that enters no formula.
-_MODEL_ONLY = " (model only: range-checked, read by no experiment)"
-
 # (section, key) -> (parser, description); the single source of truth for
 # what a configuration file may and must contain.
 SCHEMA: dict[tuple[str, str], tuple] = {
     ("register", "tau_depump_ms"): (_positive_float, "background depump/repump timescale"),
     ("register", "tau_vacuum_ms"): (_positive_float, "vacuum (background-gas) lifetime"),
-    ("cavity", "two_g0_mhz"): (_positive_float, "single-photon Rabi frequency 2*g0" + _MODEL_ONLY),
-    ("cavity", "kappa_mhz"): (_positive_float, "cavity linewidth" + _MODEL_ONLY),
-    ("cavity", "gamma_mhz"): (_positive_float, "atomic excited-state linewidth" + _MODEL_ONLY),
-    ("cavity", "finesse"): (_positive_float, "cavity finesse" + _MODEL_ONLY),
-    ("cavity", "waist_um"): (_positive_float, "cavity waist" + _MODEL_ONLY),
     ("detector", "dark_rate_hz"): (_nonneg_float, "dark counts per second per detector"),
     ("detector", "n_detectors"): (_positive_int, "number of photon counters"),
-    ("detector", "quantum_efficiency"): (_probability, "total detection efficiency" + _MODEL_ONLY),
     ("photon", "bright_mean_full"): (_positive_float, "mean bright-atom counts per full interval"),
     ("photon", "full_interval_us"): (_positive_float, "full measurement interval"),
     ("photon", "sub_interval_us"): (_positive_float, "adaptive polling period"),
@@ -137,11 +131,8 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("hiding", "depump_per_interval_unhidden"): (_probability, "unhidden depump probability per interval"),
     ("hiding", "suppression_points_mw"): (_pairs, "power_mW:factor calibration pairs"),
     ("hiding", "background_floor_per_interval"): (_probability, "background depump floor per interval"),
-    ("hiding", "beam_waist_um"): (_positive_float, "hiding beam waist" + _MODEL_ONLY),
-    ("hiding", "shift_slope_mhz_per_uw"): (_positive_float, "light shift per microwatt at center" + _MODEL_ONLY),
-    ("hiding", "residual_at_10um"): (_probability, "residual shift fraction at 10 um" + _MODEL_ONLY),
     ("probe", "tweezer_depth_mk"): (_positive_float, "tweezer depth"),
-    ("probe", "detuning_pc_mhz"): (float, "probe-cavity detuning"),
+    ("probe", "detuning_pc_mhz"): (_float, "probe-cavity detuning"),
     ("error_table", "row_1"): (_table_row, "calibration row: depth detuning infid_f1 loss_f1 infid_f2 loss_f2"),
     ("error_table", "row_2"): (_table_row, "calibration row"),
     ("error_table", "row_3"): (_table_row, "calibration row"),
@@ -191,20 +182,10 @@ class Config:
             tau_vacuum_ms=self[("register", "tau_vacuum_ms")],
         )
 
-    def cavity_params(self) -> CavityParams:
-        return CavityParams(
-            g0_mhz=self[("cavity", "two_g0_mhz")] / 2.0,
-            kappa_mhz=self[("cavity", "kappa_mhz")],
-            gamma_mhz=self[("cavity", "gamma_mhz")],
-            finesse=self[("cavity", "finesse")],
-            waist_um=self[("cavity", "waist_um")],
-        )
-
     def detector_model(self) -> DetectorModel:
         return DetectorModel(
             dark_rate_hz=self[("detector", "dark_rate_hz")],
             n_detectors=self[("detector", "n_detectors")],
-            quantum_efficiency=self[("detector", "quantum_efficiency")],
         )
 
     def photon_model(self) -> PhotonModel:
@@ -221,9 +202,6 @@ class Config:
             depump_per_interval_unhidden=self[("hiding", "depump_per_interval_unhidden")],
             suppression_points=self[("hiding", "suppression_points_mw")],
             background_floor=self[("hiding", "background_floor_per_interval")],
-            beam_waist_um=self[("hiding", "beam_waist_um")],
-            shift_slope_mhz_per_uw=self[("hiding", "shift_slope_mhz_per_uw")],
-            residual_at_10um=self[("hiding", "residual_at_10um")],
         )
 
     def probe_config(self) -> ProbeConfig:
@@ -242,7 +220,6 @@ class Config:
     def validate_models(self) -> None:
         """Build every model object and every experiment's params so range
         invariants are checked."""
-        self.cavity_params()
         self.error_table().lookup(self.probe_config())
         for exp in EXPERIMENTS.values():
             exp.build(self)

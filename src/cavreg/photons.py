@@ -20,20 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .register import F2
 
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Atom-cavity parameters; rates in MHz (2*pi-free, consistent units).
-
-    finesse and waist_um are carried as metadata and enter no formula here.
-    """
+    """Atom-cavity parameters; rates in MHz (2*pi-free, consistent units)."""
 
     g0_mhz: float = 0.55  # half of the 1.1 MHz single-photon Rabi frequency
     kappa_mhz: float = 0.10
     gamma_mhz: float = 6.0
-    finesse: float = 34000.0
-    waist_um: float = 45.0
 
     def __post_init__(self):
         if self.g0_mhz <= 0 or self.kappa_mhz <= 0 or self.gamma_mhz <= 0:
@@ -49,11 +45,8 @@ def cooperativity(params: CavityParams) -> float:
 class DetectorModel:
     dark_rate_hz: float = 60.0  # per detector
     n_detectors: int = 2
-    quantum_efficiency: float = 0.27
 
     def __post_init__(self):
-        if not (0.0 < self.quantum_efficiency <= 1.0):
-            raise ConfigurationError("quantum efficiency must be in (0, 1]")
         if self.dark_rate_hz < 0 or self.n_detectors < 1:
             raise ConfigurationError("invalid detector model")
 
@@ -151,21 +144,10 @@ def sample_adaptive_interval(
 def sample_adaptive_bright_batch(
     model: PhotonModel, n_trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized adaptive sampling for bright atoms.
-
-    Returns (counts, durations_us) arrays of length n_trials, distributed
-    identically to repeated sample_adaptive_interval calls.
-    """
-    n_sub = model.n_sub
-    lam_sub = model.mean_full(True) / n_sub
-    draws = rng.poisson(lam_sub, size=(n_trials, n_sub))
-    cum = np.cumsum(draws, axis=1)
-    crossed = cum >= model.threshold
-    # first crossing index, or last sub-interval if never crossed
-    stop = np.where(crossed.any(axis=1), crossed.argmax(axis=1), n_sub - 1)
-    counts = cum[np.arange(n_trials), stop]
-    durations = (stop + 1) * model.sub_interval_us
-    return counts, durations.astype(float)
+    """Adaptive sampling of n_trials bright (F=2) atoms: the (counts,
+    durations_us) arrays of sample_adaptive_interval."""
+    out = sample_adaptive_interval(np.full(n_trials, F2, dtype=np.int8), model, rng)
+    return out.counts, out.duration_us
 
 
 def adaptive_reduction_factors(

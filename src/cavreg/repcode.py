@@ -34,9 +34,7 @@ from .register import (
     F2,
     VACANT,
     IdleErrorModel,
-    flip_probability,
     idle,
-    loss_probability,
 )
 
 
@@ -238,14 +236,12 @@ def simulate_idling_bit(
     destructively at each grid time (a lost atom reads as a coin toss)."""
     times_ms = np.asarray(times_ms, dtype=float)
     steps = np.diff(np.concatenate([[0.0], times_ms]))
-    alive = np.ones(n_trials, dtype=bool)
-    flipped = np.zeros(n_trials, dtype=bool)
+    states = np.full(n_trials, F1, dtype=np.int8)
     p_err = np.empty(len(times_ms))
     for k, dt in enumerate(steps):
-        flipped ^= rng.random(n_trials) < flip_probability(dt, idle_model)
-        alive &= rng.random(n_trials) >= loss_probability(dt, idle_model)
+        states = idle(states, dt, idle_model, rng)
         coin = rng.random(n_trials) < 0.5
-        p_err[k] = np.where(alive, flipped, coin).mean()
+        p_err[k] = np.where(states == VACANT, coin, states != F1).mean()
     return p_err
 
 

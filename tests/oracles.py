@@ -63,6 +63,27 @@ def adaptive_stopping_enumeration(
     }
 
 
+def adaptive_bright_reference(
+    model, n_trials: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference adaptive sampler for bright atoms: draw every sub-interval
+    as a (trials, n_sub) Poisson block, cumulate, and stop at the first
+    column that reaches the threshold.
+
+    Returns (counts, durations_us) arrays of length n_trials.
+    """
+    n_sub = model.n_sub
+    lam_sub = model.mean_full(True) / n_sub
+    draws = rng.poisson(lam_sub, size=(n_trials, n_sub))
+    cum = np.cumsum(draws, axis=1)
+    crossed = cum >= model.threshold
+    # first crossing index, or last sub-interval if never crossed
+    stop = np.where(crossed.any(axis=1), crossed.argmax(axis=1), n_sub - 1)
+    counts = cum[np.arange(n_trials), stop]
+    durations = (stop + 1) * model.sub_interval_us
+    return counts, durations.astype(float)
+
+
 def majority_flip_probability_enumeration(d: int, p: float) -> float:
     """P(majority of d bits flips) by brute-force enumeration of all 2^d
     flip patterns (no loss, odd d: no ties)."""

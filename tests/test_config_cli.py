@@ -5,7 +5,8 @@ import pytest
 
 from cavreg import ConfigurationError, HidingModel, PhotonModel
 from cavreg.cli import main
-from cavreg.config import load_config, parse_config_text, schema_help
+from cavreg.config import SCHEMA, Config, load_config, parse_config_text, schema_help
+from cavreg.harness import EXPERIMENTS
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 
@@ -29,18 +30,34 @@ def test_unknown_key_reports_line_number():
 
 def test_missing_key_reported_by_name():
     text = "\n".join(
-        line for line in DEFAULTS.read_text().splitlines() if "kappa_mhz" not in line
+        line for line in DEFAULTS.read_text().splitlines() if "bright_mean_full" not in line
     )
-    with pytest.raises(ConfigurationError, match="missing keys.*cavity.kappa_mhz"):
+    with pytest.raises(ConfigurationError, match="missing keys.*photon.bright_mean_full"):
         parse_config_text(text)
 
 
 def test_invalid_value_reports_key_and_line():
-    text = DEFAULTS.read_text().replace(
-        "quantum_efficiency = 0.27", "quantum_efficiency = 1.8"
-    )
-    with pytest.raises(ConfigurationError, match="quantum_efficiency"):
+    text = DEFAULTS.read_text().replace("dark_rate_hz = 60.0", "dark_rate_hz = -1")
+    nline = next(i for i, line in enumerate(text.splitlines(), 1) if "dark_rate_hz" in line)
+    with pytest.raises(ConfigurationError, match=f":{nline}:.*dark_rate_hz"):
         parse_config_text(text)
+
+
+def test_every_schema_key_reaches_an_experiment(monkeypatch):
+    config = load_config()
+    read = set()
+    original = Config.__getitem__
+
+    def recording(self, key):
+        read.add(key)
+        return original(self, key)
+
+    monkeypatch.setattr(Config, "__getitem__", recording)
+    for exp in EXPERIMENTS.values():
+        exp.build(config)
+        read.add(("run", exp.trials_key))
+    read |= {("run", "master_seed"), ("run", "threads")}  # read by the CLI
+    assert read == set(SCHEMA)
 
 
 def test_duplicate_key_rejected():
@@ -61,7 +78,7 @@ def test_malformed_line_rejected():
 
 def test_schema_help_covers_sections():
     text = schema_help()
-    for section in ("register", "cavity", "photon", "hiding", "code", "run"):
+    for section in ("register", "photon", "hiding", "code", "run"):
         assert f"[{section}]" in text
 
 

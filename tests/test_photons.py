@@ -11,7 +11,6 @@ from cavreg import (
     VACANT,
     CavityParams,
     ConfigurationError,
-    DetectorModel,
     PhotonModel,
     adaptive_reduction_factors,
     cooperativity,
@@ -21,7 +20,7 @@ from cavreg import (
 )
 from cavreg.photons import expected_stop_index, sample_adaptive_bright_batch
 
-from oracles import adaptive_stopping_enumeration
+from oracles import adaptive_bright_reference, adaptive_stopping_enumeration
 
 
 def test_cooperativity_default_parameters():
@@ -40,8 +39,6 @@ def test_cooperativity_limits_and_scaling():
 def test_invalid_models_rejected():
     with pytest.raises(ConfigurationError):
         CavityParams(kappa_mhz=0.0)
-    with pytest.raises(ConfigurationError):
-        DetectorModel(quantum_efficiency=0.0)
     with pytest.raises(ConfigurationError):
         PhotonModel(threshold=0)
     with pytest.raises(ConfigurationError):
@@ -141,12 +138,14 @@ def test_adaptive_matches_enumeration_oracle(rng):
 
 
 def test_scalar_and_batch_adaptive_agree(rng):
+    # the trial-axis kernel against the draw-every-sub-interval reference
     model = PhotonModel()
     n = 30_000
-    interval = sample_adaptive_interval(uniform_register(n, F2), model, rng).counts
-    batch, _ = sample_adaptive_bright_batch(model, n, rng)
-    se = math.sqrt(interval.var(ddof=1) / n + batch.var(ddof=1) / n)
-    assert abs(interval.mean() - batch.mean()) < 4 * se
+    kernel = sample_adaptive_bright_batch(model, n, rng)
+    reference = adaptive_bright_reference(model, n, rng)
+    for got, want in zip(kernel, reference):
+        se = math.sqrt(got.var(ddof=1) / n + want.var(ddof=1) / n)
+        assert abs(got.mean() - want.mean()) < 4 * se
 
 
 def test_reduction_factors_default(rng):

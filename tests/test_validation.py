@@ -119,6 +119,9 @@ def test_failed_sidecar_write_leaves_no_output(tmp_path, monkeypatch):
         ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 2, 65", "register size"),
         ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 0, 3", "register size"),
         ("bright_probabilities = 0.0, 0.1", "bright_probabilities = 1.5, 0.1", "probability"),
+        ("sizes = 2,3,4,5,6,7,8,9,10", "sizes =", "search.sizes"),
+        ("bright_probabilities = 0.0, 0.1, 0.3, 0.5, 1.0", "bright_probabilities =",
+         "search.bright_probabilities"),
     ],
 )
 def test_cli_search_sweep_out_of_range_is_exit_2(old, new, key, tmp_path, capsys):
@@ -137,6 +140,14 @@ CODE_SWEEPS = [
     ("flip_sweep = 0.02, 0.04", "flip_sweep = -0.1, 0.04", "per_round_flip -0.1", ["error-scaling"]),
     ("distances = 1, 3, 5", "distances = 1, 2, 5", "distance 2", ["error-scaling", "lifetime"]),
     ("distances = 1, 3, 5", "distances = -1, 3, 5", "distance -1", ["error-scaling", "lifetime"]),
+    ("distances = 1, 3, 5", "distances =", "code.distances", ["error-scaling", "lifetime"]),
+    ("flip_sweep = 0.02, 0.04, 0.08, 0.12, 0.2", "flip_sweep =", "code.flip_sweep", ["error-scaling"]),
+    ("flip_sweep = 0.02, 0.04", "flip_sweep = nan, 0.04", "code.flip_sweep", ["error-scaling"]),
+    ("tau_depump_ms = 150.0", "tau_depump_ms = nan", "tau_depump_ms", ["lifetime"]),
+    ("tau_vacuum_ms = 800.0", "tau_vacuum_ms = inf", "tau_vacuum_ms", ["lifetime"]),
+    ("idle_ms = 20.0", "idle_ms = inf", "code.idle_ms", ["lifetime"]),
+    ("0.4:5.2", "0.4:nan", "suppression_points_mw", ["depump-scaling"]),
+    ("sizes = 1,2,3,4,5,6,7,8,9,10", "sizes =", "readout.sizes", ["depump-scaling"]),
 ]
 
 
@@ -144,7 +155,8 @@ CODE_SWEEPS = [
 def test_code_sweep_out_of_range_is_exit_2_before_sampling(
     old, new, key, commands, tmp_path, capsys, monkeypatch
 ):
-    # odd distances >= 1 and flip probabilities in [0, 1], as CodeConfig requires
+    # odd distances >= 1 and flip probabilities in [0, 1], as CodeConfig requires;
+    # finite floats and non-empty sweep lists, as the config parsers require
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a code sweep that should have been rejected")
 
