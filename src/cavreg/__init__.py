@@ -51,7 +51,9 @@ from .repcode import (
     encode,
     fit_error_exponent,
     logical_lifetime,
+    loss_rounds,
     majority_error_probability,
+    round_counts,
     round_hazard,
     run_round,
     simulate_code_abstract,

@@ -38,7 +38,13 @@ from .readout import (
     sequential_array_readout,
 )
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
-from .repcode import CodeConfig, logical_lifetime, simulate_code_abstract, simulate_idling_bit
+from .repcode import (
+    CodeConfig,
+    logical_lifetime,
+    round_counts,
+    simulate_code_abstract,
+    simulate_idling_bit,
+)
 from .search import (
     GroupCheckNoise,
     Placement,
@@ -455,16 +461,19 @@ def _post_selected_cells(p_phys: float, counts: np.ndarray, post_select: str) ->
 def run_error_scaling(
     params: ErrorScalingParams, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
+    """Per-round logical error per (distance, flip) point and survivor count,
+    and the log-log exponent of the full-distance cells.
+
+    Each chunk is reduced to its (clean, erring) round counts per survivor
+    state by repcode.round_counts: the atoms' loss rounds come from the same
+    repcode.loss_rounds as simulate_code_abstract, and the erring rounds in
+    each state are one binomial draw, so no per-trial trace is built."""
     check_post_select(params)
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
 
     def survivor_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         d, p = points[point]
-        trace = simulate_code_abstract(d, p, params.per_round_loss, params.rounds, size, rng)
-        outcomes = np.bincount(
-            (2 * trace.survivors + trace.new_error).ravel(), minlength=2 * (d + 1)
-        )
-        return outcomes.reshape(d + 1, 2)
+        return round_counts(d, p, params.per_round_loss, params.rounds, size, rng)
 
     totals = _sweep(len(points), survivor_counts, trials, master_seed, threads)
     cells = [

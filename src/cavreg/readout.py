@@ -111,6 +111,11 @@ class HidingModel:
         pts = sorted(self.suppression_points)
         if not pts or any(f < 1.0 for _, f in pts):
             raise ConfigurationError("suppression factors must be >= 1")
+        if pts[0][0] < 0.0:
+            raise ConfigurationError(f"suppression power {pts[0][0]} mW is negative")
+        repeated = [p1 for (p1, _), (p2, _) in zip(pts, pts[1:]) if p1 == p2]
+        if repeated:
+            raise ConfigurationError(f"suppression power {repeated[0]} mW is calibrated twice")
         if any(f2 < f1 for (_, f1), (_, f2) in zip(pts, pts[1:])):
             raise ConfigurationError("suppression must be non-decreasing in power")
         if self.background_floor > self.depump_per_interval_unhidden:

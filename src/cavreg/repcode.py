@@ -10,6 +10,13 @@ so the effective distance shrinks over rounds.
 Two modes: "abstract" applies bare per-round flip/loss probabilities (the
 Monte-Carlo convention behind the headline lifetime factors), "physical"
 routes every measurement through the full readout protocol.
+
+The abstract ensemble has one loss model, loss_rounds: one uniform per atom
+fixes how many rounds it stays alive.  simulate_code_abstract turns those
+counts into per-trial, per-round survivors and vote errors (the trace that
+lifetime curves need); round_counts reduces them to the rounds spent with s
+survivors and draws the erring rounds of each s as one binomial (all that
+the error-scaling cells need).
 """
 
 from __future__ import annotations
@@ -182,6 +189,23 @@ def round_hazard(distance: int, p: float) -> np.ndarray:
     ])
 
 
+def loss_rounds(
+    distance: int, loss_p: float, rounds: int, n_trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n_trials, distance) count of the rounds each atom is alive in.
+
+    One uniform u per atom, drawn first: the atom is alive in round r iff
+    u < (1 - loss_p)**(r + 1), so it survives a prefix of the rounds and
+    its count is the number of thresholds above u.  The count's dtype is
+    the smallest unsigned type that holds `rounds`."""
+    alive_below = (1.0 - loss_p) ** np.arange(1, rounds + 1)
+    u = rng.random((n_trials, distance))
+    alive = np.zeros((n_trials, distance), dtype=np.min_scalar_type(rounds))
+    for a in alive_below:
+        alive += u < a
+    return alive
+
+
 def simulate_code_abstract(
     distance: int,
     flip_p: float,
@@ -192,18 +216,48 @@ def simulate_code_abstract(
 ) -> CodeTrace:
     """Abstract-mode ensemble, distributionally identical to running
     run_round trial by trial, with no loop over rounds.  Loss is independent
-    of flips, so atom i is alive in round r iff one uniform u_i <
-    (1 - loss_p)**(r + 1); a round with s survivors errs with probability
-    round_hazard(distance, flip_p)[s], independently of every other round."""
-    alive_below = (1.0 - loss_p) ** np.arange(1, rounds + 1)
+    of flips, so each atom's loss round comes from loss_rounds; a round with
+    s survivors errs with probability round_hazard(distance, flip_p)[s],
+    independently of every other round."""
+    alive = loss_rounds(distance, loss_p, rounds, n_trials, rng)
     survivors = np.zeros((n_trials, rounds), dtype=np.intp)  # intp: a fast gather index
-    for u in rng.random((n_trials, distance)).T:
-        survivors += u[:, None] < alive_below
+    round_index = np.arange(rounds, dtype=alive.dtype)
+    for count in alive.T:
+        survivors += count[:, None] > round_index
     hazard = round_hazard(distance, flip_p)[survivors]
     survivors = survivors.astype(np.int16)
     new_error = rng.random((n_trials, rounds)) < hazard
     err_vs_initial = np.logical_xor.accumulate(new_error, axis=1)
     return CodeTrace(distance, new_error, err_vs_initial, survivors)
+
+
+def round_counts(
+    distance: int,
+    flip_p: float,
+    loss_p: float,
+    rounds: int,
+    n_trials: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """(distance + 1, 2) counts of (clean, erring) rounds with s = 0..distance
+    survivors, summed over n_trials trials of the simulate_code_abstract
+    ensemble, without a per-trial trace.
+
+    A round has at least s survivors iff it comes before the s-th longest
+    atom life, so after sorting each trial's loss_rounds the column sums
+    give the rounds with at least s survivors, and their differences the
+    N_s rounds with exactly s.  Given the survivors, rounds err
+    independently with the round hazard, so the erring rounds with s
+    survivors are Binomial(N_s, round_hazard(distance, flip_p)[s])."""
+    # row j: each trial's j-th shortest atom life; the copy makes each row
+    # sum run over contiguous memory, about 4x faster than a column sum
+    ordered = np.sort(loss_rounds(distance, loss_p, rounds, n_trials, rng), axis=1).T.copy()
+    at_least = np.concatenate(
+        [[rounds * n_trials], ordered.sum(axis=1, dtype=np.int64)[::-1], [0]]
+    )
+    n_rounds = at_least[:-1] - at_least[1:]
+    errors = rng.binomial(n_rounds, round_hazard(distance, flip_p))
+    return np.stack([n_rounds - errors, errors], axis=1)
 
 
 def majority_error_probability(distance: int, p: float) -> float:

@@ -101,10 +101,11 @@ def test_code_sweep_runs_reach_the_code_sweep_layers(bench, monkeypatch):
         ExperimentSpec("histogram", HistogramParams(), trials=20, master_seed=3),
     ]
     calls = _traced_calls(bench, monkeypatch, "code-sweep", *specs)
-    # one abstract-code call per chunk of every code sweep point
+    # one per-trial code trace per lifetime chunk; error-scaling chunks are
+    # reduced to round counts without one, but still open a stream each
     chunks = len(chunk_sizes(trials))
     code_points = len(scaling.distances) * len(scaling.flip_sweep) + len(lifetime.distances)
-    assert calls["repcode.simulate_code_abstract"] == code_points * chunks
+    assert calls["repcode.simulate_code_abstract"] == len(lifetime.distances) * chunks
     assert calls["repcode.simulate_idling_bit"] == chunks
     assert calls["photons.sample_adaptive_bright_batch"] == 1
     assert calls["streams.stream"] == (code_points + 1) * chunks + 3

@@ -1,4 +1,4 @@
-"""The closed-form abstract-code kernel against the per-round reference loop.
+"""The closed-form abstract-code kernels against the per-round reference loop.
 
 simulate_code_abstract draws each atom's loss round once and each round's
 vote error once from the exact round hazard.  tests/oracles.py keeps the
@@ -6,6 +6,11 @@ round-by-round loop it replaced (one flip and one loss draw per atom, one
 coin per trial and round); here both run the same configurations and every
 per-round rate and survivor frequency must agree within K standard errors
 of the difference.
+
+round_counts shares the loss model (loss_rounds) and reduces a chunk to
+(clean, erring) rounds per survivor count: on the same stream its round
+totals equal the per-trial trace's survivor counts exactly, and its error
+rates agree with the trace's within K standard errors.
 """
 
 import itertools
@@ -14,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from cavreg import round_hazard, simulate_code_abstract
+from cavreg import loss_rounds, round_counts, round_hazard, simulate_code_abstract
 from cavreg.streams import stream
 
 from oracles import repcode_reference_trace, repcode_round_hazard
@@ -23,6 +28,7 @@ K = 4.5
 TRIALS = 50_000
 ROUNDS = 8
 FLIP = 0.2  # ties and majorities both common at every survivor count
+CASES = list(itertools.product((1, 3, 5), (0.0, 0.037, 0.3, 1.0)))  # (distance, loss)
 
 
 def _rates_agree(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -33,9 +39,7 @@ def _rates_agree(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.abs(a - b) <= K * se
 
 
-@pytest.mark.parametrize(
-    "distance, loss", list(itertools.product((1, 3, 5), (0.0, 0.037, 0.3, 1.0)))
-)
+@pytest.mark.parametrize("distance, loss", CASES)
 def test_kernel_matches_reference_loop(distance, loss):
     kernel = simulate_code_abstract(distance, FLIP, loss, ROUNDS, TRIALS, stream(31, distance))
     ref = repcode_reference_trace(distance, FLIP, loss, ROUNDS, TRIALS, stream(32, distance))
@@ -70,3 +74,61 @@ def test_round_hazard_matches_oracle(distance):
         assert h.shape == (distance + 1,)
         for s in range(distance + 1):
             assert math.isclose(h[s], repcode_round_hazard(s, p), rel_tol=0, abs_tol=1e-12)
+
+
+
+@pytest.mark.parametrize("distance, loss", CASES)
+def test_kernel_survivors_are_the_loss_rounds_prefix(distance, loss):
+    # the loss model as first written: alive in round r iff u < (1 - loss)**(r + 1)
+    u = stream(34, distance).random((TRIALS, distance))
+    alive = u[:, :, None] < (1.0 - loss) ** np.arange(1, ROUNDS + 1)  # (trial, atom, round)
+    counts = loss_rounds(distance, loss, ROUNDS, TRIALS, stream(34, distance))
+    assert counts.shape == (TRIALS, distance)
+    assert (counts == alive.sum(axis=2)).all()
+    trace = simulate_code_abstract(distance, FLIP, loss, ROUNDS, TRIALS, stream(34, distance))
+    assert (trace.survivors == alive.sum(axis=1)).all()
+
+
+def test_loss_rounds_hold_any_round_count():
+    counts = loss_rounds(3, 0.0, 300, 10, stream(35))
+    assert (counts == 300).all()
+
+
+@pytest.mark.parametrize("distance, loss", CASES)
+def test_round_counts_match_trace_survivors_exactly(distance, loss):
+    counts = round_counts(distance, FLIP, loss, ROUNDS, TRIALS, stream(36, distance))
+    trace = simulate_code_abstract(distance, FLIP, loss, ROUNDS, TRIALS, stream(36, distance))
+    assert counts.shape == (distance + 1, 2)
+    assert (counts >= 0).all()
+    expected = np.bincount(trace.survivors.ravel(), minlength=distance + 1)
+    assert counts.sum(axis=1).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("distance, loss", CASES)
+def test_round_counts_error_rates_match_trace(distance, loss):
+    # independent streams; each survivor count's error rate within K pooled stderr
+    clean, erring = round_counts(distance, FLIP, loss, ROUNDS, TRIALS, stream(37, distance)).T
+    trace = simulate_code_abstract(distance, FLIP, loss, ROUNDS, TRIALS, stream(38, distance))
+    n_trace = np.bincount(trace.survivors.ravel(), minlength=distance + 1)
+    k_trace = np.bincount(trace.survivors.ravel(), weights=trace.new_error.ravel(),
+                          minlength=distance + 1)
+    n_counts = clean + erring
+    for s in range(distance + 1):
+        if min(n_counts[s], n_trace[s]) < 1000:
+            continue
+        a, b = erring[s] / n_counts[s], k_trace[s] / n_trace[s]
+        pooled = (erring[s] + k_trace[s]) / (n_counts[s] + n_trace[s])
+        se = math.sqrt(pooled * (1 - pooled) * (1 / n_counts[s] + 1 / n_trace[s]))
+        assert abs(a - b) <= K * se, (s, a, b, se)
+
+
+@pytest.mark.parametrize("distance", (1, 3, 5))
+def test_round_counts_flip_edges_are_exact(distance):
+    # with no flips no voting round errs, with every vote flipped each one does;
+    # a round with no survivors is a coin toss either way
+    for flip, wrong in ((0.0, 0), (1.0, 1)):
+        clean, erring = round_counts(distance, flip, 0.3, ROUNDS, TRIALS, stream(39, distance)).T
+        n = clean + erring
+        assert erring[1:].tolist() == (wrong * n[1:]).tolist()
+        se = math.sqrt(0.25 / n[0])
+        assert abs(erring[0] / n[0] - 0.5) <= K * se

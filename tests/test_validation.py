@@ -161,6 +161,7 @@ def test_code_sweep_out_of_range_is_exit_2_before_sampling(
         raise AssertionError("sampled a code sweep that should have been rejected")
 
     monkeypatch.setattr("cavreg.harness.simulate_code_abstract", no_sampling)
+    monkeypatch.setattr("cavreg.harness.round_counts", no_sampling)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_with(old, new))
     assert main(["validate-config", "--config", str(cfg)]) == 2
@@ -171,6 +172,30 @@ def test_code_sweep_out_of_range_is_exit_2_before_sampling(
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ("0:1, 0:5.2", "calibrated twice"),
+        ("0:1, 0.4:5.2, 0.4:6", "calibrated twice"),
+        ("-0.4:1, 0.4:5.2", "is negative"),
+    ],
+)
+def test_hiding_calibration_with_repeated_or_negative_power_is_exit_2(
+    points, message, tmp_path, capsys
+):
+    # the log-linear interpolation divides by the gap between two powers
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with("suppression_points_mw = 0:1, 0.4:5.2",
+                         f"suppression_points_mw = {points}"))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "d.csv"
+    rc = main(["depump-scaling", "--config", str(cfg), "--trials", "50", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_code_sweep_edges_run():
