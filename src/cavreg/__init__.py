@@ -29,7 +29,6 @@ from .readout import (
     ProbeConfig,
     SiteMeasurement,
     hidden_depump_probability,
-    light_shift_profile,
     measure_site,
     sequential_array_readout,
 )

@@ -14,6 +14,7 @@ several-fold for bright atoms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,51 +95,87 @@ class IntervalOutcome:
     bright: np.ndarray  # counts >= threshold
 
 
-def _mean_full(codes: np.ndarray, model: PhotonModel) -> np.ndarray:
-    """Full-interval mean counts per state code (vacant and F=1 look dark)."""
-    dark = model.mean_full(False)
-    return np.array([dark, dark, model.mean_full(True)])[codes]
-
-
-def _poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
-    """One Poisson draw per mean.  A single mean draws through numpy's scalar
-    path, whose fixed cost is a tenth of the array path's."""
-    return np.full(lam.shape, rng.poisson(lam[0])) if lam.size == 1 else rng.poisson(lam)
-
-
 def sample_full_interval(
     codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
 ) -> IntervalOutcome:
     """Poisson counts over the full interval, one per trial of a 1-D array
     of state codes; vacant sites look dark."""
-    counts = _poisson(rng, _mean_full(codes, model))
+    counts = rng.poisson(np.where(codes == F2, model.mean_full(True), model.mean_full(False)))
     full = np.full(codes.shape, model.full_interval_us)
     return IntervalOutcome(counts, full, counts >= model.threshold)
+
+
+def _poisson_pmf(mean: float, below: int | None = None) -> np.ndarray:
+    """Poisson(mean) pmf over 0, 1, ..., below - 1, cut where the right tail
+    lies far under 1e-18."""
+    if mean == 0.0:
+        return np.ones(1)
+    k = np.arange(int(mean + 12.0 * math.sqrt(mean) + 50.0))[:below]
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k.size)))))
+    return np.exp(k * math.log(mean) - mean - log_factorial)
+
+
+@dataclass(frozen=True)
+class OutcomeTable:
+    """Cells of the adaptive rule's (stop index, final count) law: the dark
+    emitter's, then the bright emitter's."""
+
+    bright: np.ndarray  # the cell belongs to the bright emitter's law
+    stop: np.ndarray  # sub-intervals probed
+    counts: np.ndarray
+    prob: np.ndarray
+    edges: np.ndarray  # lower cumulative edges, dark cells in [0, 1], bright in [1, 2]
+
+
+@functools.lru_cache(maxsize=32)
+def adaptive_outcome_table(model: PhotonModel) -> OutcomeTable:
+    """Exact joint law of the stop index K and the final count C of adaptive
+    termination for a dark and a bright emitter, built once per model.
+
+    With sub-interval mean lam, threshold t and n sub-intervals, a stop at
+    sub-interval k with j < t counts before it and y in it (j + y >= t) has
+    probability Pois((k-1) lam; j) * Pois(lam; y), and no stop with j < t
+    counts has probability Pois(n lam; j).  Cells below 1e-18, which a
+    53-bit uniform cannot resolve, are dropped, so the table's size does not
+    grow with the threshold."""
+    n, t = model.n_sub, model.threshold
+    blocks = []
+    for bright in (False, True):
+        lam = model.mean_full(bright) / n
+        in_sub = _poisson_pmf(lam)
+        cells = []  # (stop, counts, prob)
+        for k in range(1, n + 1):
+            # P(K = k, C = c) = sum over j < t of Pois((k-1) lam; j) Pois(lam; c - j), c >= t
+            p = np.convolve(_poisson_pmf((k - 1) * lam, t), in_sub)[t:]
+            cells.append((np.full(p.size, k), t + np.arange(p.size), p))
+        never = _poisson_pmf(n * lam, t)
+        cells.append((np.full(never.size, n), np.arange(never.size), never))
+        stop, counts, prob = map(np.concatenate, zip(*cells))
+        keep = prob >= 1e-18
+        stop, counts, prob = stop[keep], counts[keep], prob[keep]
+        lower = np.minimum(np.concatenate(([0.0], np.cumsum(prob)[:-1])), 1.0)
+        blocks.append((np.full(prob.size, bright), stop, counts, prob, bright + lower))
+    table = OutcomeTable(*map(np.concatenate, zip(*blocks)))
+    for array in vars(table).values():
+        array.setflags(write=False)  # shared by every caller of the cache
+    return table
 
 
 def sample_adaptive_interval(
     codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
 ) -> IntervalOutcome:
-    """Accumulate Poisson counts sub-interval by sub-interval, stopping at the
-    first boundary where the cumulative count reaches the threshold.
+    """Counts and probe-on duration of adaptive termination, which stops at
+    the first sub-interval boundary where the cumulative count reaches the
+    threshold.
 
-    `codes` is a 1-D array of state codes, one per trial.  Each sub-interval
-    makes one Poisson draw for the trials still probing."""
-    counts = np.zeros(codes.shape, dtype=np.int64)
-    probed = np.full(codes.shape, model.n_sub)  # sub-intervals with the probe on
-    # the trials still probing: their indices, running counts and means
-    live, running = np.arange(codes.size), counts.copy()
-    lam = _mean_full(codes, model) / model.n_sub
-    for k in range(1, model.n_sub + 1):
-        if live.size == 0:
-            break
-        running = running + _poisson(rng, lam)
-        crossed = running >= model.threshold
-        if crossed.any():
-            counts[live[crossed]], probed[live[crossed]] = running[crossed], k
-            live, running, lam = live[~crossed], running[~crossed], lam[~crossed]
-    counts[live] = running
-    return IntervalOutcome(counts, probed * model.sub_interval_us, counts >= model.threshold)
+    `codes` is a 1-D array of state codes, one per trial.  Each trial draws
+    one uniform, offset into the bright half of the outcome table for F=2,
+    and takes the cell it falls in."""
+    table = adaptive_outcome_table(model)
+    cell = np.searchsorted(table.edges, rng.random(codes.shape) + (codes == F2), "right") - 1
+    counts = table.counts[cell]
+    return IntervalOutcome(counts, table.stop[cell] * model.sub_interval_us,
+                           counts >= model.threshold)
 
 
 def sample_adaptive_bright_batch(
@@ -178,24 +215,3 @@ def adaptive_reduction_factors(
         "mean_duration_us": mean_d,
         "mean_duration_stderr": se_d,
     }
-
-
-def expected_stop_index(model: PhotonModel) -> float:
-    """Exact E[number of sub-intervals probed] for a bright atom.
-
-    Independent enumeration oracle: the cumulative count after n
-    sub-intervals is Poisson(n*lam_sub), and the probe is still on after n
-    checks iff that count is below threshold.
-    """
-    lam_sub = model.mean_full(True) / model.n_sub
-    expect = 1.0
-    for n in range(1, model.n_sub):
-        lam = n * lam_sub
-        # P(Poisson(lam) <= threshold - 1)
-        term = np.exp(-lam)
-        tail = term
-        for k in range(1, model.threshold):
-            term = term * lam / k
-            tail += term
-        expect += tail
-    return float(expect)

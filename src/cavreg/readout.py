@@ -91,8 +91,7 @@ class MeasurementErrorTable:
 
 @dataclass(frozen=True)
 class HidingModel:
-    """Hiding-beam suppression of probe-induced depumping, plus the
-    light-shift beam profile.
+    """Hiding-beam suppression of probe-induced depumping.
 
     suppression_points are (power_mW, factor) calibration pairs; the factor
     is interpolated log-linearly in power and extrapolated beyond the last
@@ -103,9 +102,6 @@ class HidingModel:
     depump_per_interval_unhidden: float = 0.044
     suppression_points: tuple[tuple[float, float], ...] = ((0.0, 1.0), (0.4, 5.2))
     background_floor: float = 0.0008
-    beam_waist_um: float = 4.0
-    shift_slope_mhz_per_uw: float = 1.0
-    residual_at_10um: float = 0.01
 
     def __post_init__(self):
         pts = sorted(self.suppression_points)
@@ -150,22 +146,6 @@ def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
         model.background_floor,
         model.depump_per_interval_unhidden / suppression_factor(model, power_mw),
     )
-
-
-def light_shift_profile(model: HidingModel, power_uw: float, r_um: float) -> float:
-    """Light shift in MHz at distance r from the beam center.
-
-    Gaussian profile plus an aberration pedestal, normalized so the center
-    value is exactly power * slope and the value at 10 um is exactly
-    residual_at_10um times the center value.
-    """
-    if power_uw < 0 or r_um < 0:
-        raise ConfigurationError("power and radius must be non-negative")
-    w = model.beam_waist_um
-    gauss_at_10 = math.exp(-2.0 * 10.0**2 / w**2)
-    pedestal = (model.residual_at_10um - gauss_at_10) / (1.0 - model.residual_at_10um)
-    shape = (math.exp(-2.0 * r_um**2 / w**2) + pedestal) / (1.0 + pedestal)
-    return power_uw * model.shift_slope_mhz_per_uw * shape
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from math import comb, exp
 
 import numpy as np
 
+from cavreg.photons import IntervalOutcome
+from cavreg.register import F2
 from cavreg.repcode import CodeTrace
 from cavreg.search import Strategy
 
@@ -21,67 +23,71 @@ def poisson_pmf(k: int, lam: float) -> float:
     return exp(-lam) * lam**k / math.factorial(k)
 
 
-def adaptive_stopping_enumeration(
+def adaptive_outcome_enumeration(
     mean_full: float, n_sub: int, threshold: int, kmax: int = 80
-) -> dict:
-    """Exact distribution of the cumulative-Poisson stopping rule.
+) -> dict[tuple[int, int], float]:
+    """Exact law of (stop index, final counts) of the cumulative-Poisson
+    stopping rule.
 
     Tracks the probability of every below-threshold cumulative count after
-    each sub-interval and accumulates E[stop index] and E[final counts] by
-    direct enumeration.
+    each sub-interval; a trial that crosses in sub-interval n lands in cell
+    (n, total), one that never crosses in cell (n_sub, total).
     """
     lam = mean_full / n_sub
     below = {c: 0.0 for c in range(threshold)}
     below[0] = 1.0
-    e_stop = 0.0
-    e_counts = 0.0
-    p_stop_total = 0.0
+    cells: dict[tuple[int, int], float] = {}
     for n in range(1, n_sub + 1):
         nxt = {c: 0.0 for c in range(threshold)}
         for c, pr in below.items():
             if pr == 0.0:
                 continue
             for k in range(kmax):
-                pk = poisson_pmf(k, lam)
                 tot = c + k
                 if tot >= threshold:
-                    e_stop += pr * pk * n
-                    e_counts += pr * pk * tot
-                    p_stop_total += pr * pk
+                    cells[n, tot] = cells.get((n, tot), 0.0) + pr * poisson_pmf(k, lam)
                 else:
-                    nxt[tot] += pr * pk
+                    nxt[tot] += pr * poisson_pmf(k, lam)
         below = nxt
     # ran all sub-intervals without crossing
     for c, pr in below.items():
-        e_stop += pr * n_sub
-        e_counts += pr * c
+        cells[n_sub, c] = cells.get((n_sub, c), 0.0) + pr
+    return cells
+
+
+def adaptive_stopping_enumeration(
+    mean_full: float, n_sub: int, threshold: int, kmax: int = 80
+) -> dict:
+    """E[stop index] and E[final counts] of the cumulative-Poisson stopping
+    rule, summed over its enumerated law."""
+    cells = adaptive_outcome_enumeration(mean_full, n_sub, threshold, kmax)
     return {
-        "expected_stop_index": e_stop,
-        "expected_counts": e_counts,
-        "prob_crossed": p_stop_total,
-        "prob_never_crossed": sum(below.values()),
+        "expected_stop_index": sum(p * n for (n, _), p in cells.items()),
+        "expected_counts": sum(p * c for (_, c), p in cells.items()),
     }
 
 
-def adaptive_bright_reference(
-    model, n_trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference adaptive sampler for bright atoms: draw every sub-interval
-    as a (trials, n_sub) Poisson block, cumulate, and stop at the first
-    column that reaches the threshold.
-
-    Returns (counts, durations_us) arrays of length n_trials.
-    """
-    n_sub = model.n_sub
-    lam_sub = model.mean_full(True) / n_sub
-    draws = rng.poisson(lam_sub, size=(n_trials, n_sub))
-    cum = np.cumsum(draws, axis=1)
-    crossed = cum >= model.threshold
-    # first crossing index, or last sub-interval if never crossed
-    stop = np.where(crossed.any(axis=1), crossed.argmax(axis=1), n_sub - 1)
-    counts = cum[np.arange(n_trials), stop]
-    durations = (stop + 1) * model.sub_interval_us
-    return counts, durations.astype(float)
+def adaptive_interval_reference(
+    codes: np.ndarray, model, rng: np.random.Generator
+) -> IntervalOutcome:
+    """Reference adaptive sampler over a trial axis: one Poisson draw per
+    sub-interval for the trials still probing, each stopping at the first
+    boundary where its cumulative count reaches the threshold."""
+    counts = np.zeros(codes.shape, dtype=np.int64)
+    probed = np.full(codes.shape, model.n_sub)  # sub-intervals with the probe on
+    # the trials still probing: their indices, running counts and means
+    live, running = np.arange(codes.size), counts.copy()
+    lam = np.where(codes == F2, model.mean_full(True), model.mean_full(False)) / model.n_sub
+    for k in range(1, model.n_sub + 1):
+        if live.size == 0:
+            break
+        running = running + rng.poisson(lam)
+        crossed = running >= model.threshold
+        if crossed.any():
+            counts[live[crossed]], probed[live[crossed]] = running[crossed], k
+            live, running, lam = live[~crossed], running[~crossed], lam[~crossed]
+    counts[live] = running
+    return IntervalOutcome(counts, probed * model.sub_interval_us, counts >= model.threshold)
 
 
 def majority_flip_probability_enumeration(d: int, p: float) -> float:

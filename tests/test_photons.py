@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cavreg import (
     VACANT,
     CavityParams,
     ConfigurationError,
+    DetectorModel,
     PhotonModel,
     adaptive_reduction_factors,
     cooperativity,
@@ -18,9 +20,13 @@ from cavreg import (
     sample_full_interval,
     uniform_register,
 )
-from cavreg.photons import expected_stop_index, sample_adaptive_bright_batch
+from cavreg.photons import adaptive_outcome_table, sample_adaptive_bright_batch
 
-from oracles import adaptive_bright_reference, adaptive_stopping_enumeration
+from oracles import (
+    adaptive_interval_reference,
+    adaptive_outcome_enumeration,
+    adaptive_stopping_enumeration,
+)
 
 
 def test_cooperativity_default_parameters():
@@ -80,7 +86,8 @@ def test_threshold_consistency_full_and_adaptive(rng):
 
 
 class _ScriptedRng:
-    """Duck-typed stand-in returning a fixed Poisson sequence."""
+    """Duck-typed stand-in returning a fixed Poisson sequence, for the
+    per-sub-interval reference loop."""
 
     def __init__(self, values):
         self._values = list(values)
@@ -91,7 +98,7 @@ class _ScriptedRng:
 
 def test_adaptive_stops_at_first_crossing():
     model = PhotonModel(threshold=1)
-    out = sample_adaptive_interval(uniform_register(1, F2), model, _ScriptedRng([3]))
+    out = adaptive_interval_reference(uniform_register(1, F2), model, _ScriptedRng([3]))
     assert (out.counts.tolist(), out.duration_us.tolist(), out.bright.tolist()) == (
         [3], [20.0], [True]
     )
@@ -99,7 +106,7 @@ def test_adaptive_stops_at_first_crossing():
 
 def test_adaptive_runs_full_interval_when_below_threshold():
     model = PhotonModel()  # threshold 2, 10 sub-intervals
-    out = sample_adaptive_interval(uniform_register(1, F1), model, _ScriptedRng([0] * 9 + [1]))
+    out = adaptive_interval_reference(uniform_register(1, F1), model, _ScriptedRng([0] * 9 + [1]))
     assert (out.counts.tolist(), out.duration_us.tolist(), out.bright.tolist()) == (
         [1], [200.0], [False]
     )
@@ -125,9 +132,13 @@ def test_adaptive_matches_enumeration_oracle(rng):
     assert oracle["expected_counts"] == pytest.approx(
         lam_sub * oracle["expected_stop_index"], rel=1e-9
     )
-    assert expected_stop_index(model) == pytest.approx(
-        oracle["expected_stop_index"], rel=1e-12
-    )
+    # the outcome table's exact moments, bright and dark
+    table = adaptive_outcome_table(model)
+    for bright in (True, False):
+        want = adaptive_stopping_enumeration(model.mean_full(bright), 10, 2)
+        cells = table.bright == bright
+        assert abs(table.prob[cells] @ table.stop[cells] - want["expected_stop_index"]) < 1e-12
+        assert abs(table.prob[cells] @ table.counts[cells] - want["expected_counts"]) < 1e-12
 
     counts, durations = sample_adaptive_bright_batch(model, 100_000, rng)
     se = counts.std(ddof=1) / math.sqrt(len(counts))
@@ -137,15 +148,77 @@ def test_adaptive_matches_enumeration_oracle(rng):
     assert abs(durations.mean() - expected_dur) < 4 * se_d
 
 
-def test_scalar_and_batch_adaptive_agree(rng):
-    # the trial-axis kernel against the draw-every-sub-interval reference
+def test_table_and_reference_loop_agree(rng):
+    # the table kernel against the draw-every-sub-interval reference loop
     model = PhotonModel()
     n = 30_000
     kernel = sample_adaptive_bright_batch(model, n, rng)
-    reference = adaptive_bright_reference(model, n, rng)
+    out = adaptive_interval_reference(uniform_register(n, F2), model, rng)
+    reference = out.counts, out.duration_us
     for got, want in zip(kernel, reference):
         se = math.sqrt(got.var(ddof=1) / n + want.var(ddof=1) / n)
         assert abs(got.mean() - want.mean()) < 4 * se
+
+
+def _chi_square_p(observed: dict, expected: dict, n: int) -> float:
+    """Chi-square p-value of observed cell counts against exact cell
+    probabilities, pooling cells expected below 5 times into one bin."""
+    from scipy import stats
+
+    pairs = [(observed.get(cell, 0), n * p) for cell, p in expected.items()]
+    big = [(o, e) for o, e in pairs if e >= 5]
+    rest = (n - sum(o for o, _ in big), n - sum(e for _, e in big))
+    obs, exp = zip(*(big + [rest] if rest[1] > 0 else big))
+    assert set(observed) <= set(expected)
+    return stats.chisquare(obs, exp).pvalue
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+@pytest.mark.parametrize("sub_interval_us", [200.0, 20.0])
+@pytest.mark.parametrize("mean", [0.5, 15.0])
+def test_outcome_table_cell_frequencies(mean, sub_interval_us, threshold, rng):
+    # dark (F1, vacant) and bright codes share one call; each half of the
+    # table is checked against the enumerated (stop, counts) law
+    model = PhotonModel(bright_mean_full=mean, sub_interval_us=sub_interval_us,
+                        threshold=threshold)
+    n = 100_000
+    codes = rng.permutation(np.repeat(np.array([F2, F1, VACANT], np.int8), [n, n // 2, n // 2]))
+    out = sample_adaptive_interval(codes, model, rng)
+    stops = np.rint(out.duration_us / sub_interval_us).astype(int)
+    for bright in (True, False):
+        rows = (codes == F2) == bright
+        cells, freqs = np.unique(np.stack([stops[rows], out.counts[rows]]), axis=1,
+                                 return_counts=True)
+        observed = dict(zip(map(tuple, cells.T.tolist()), freqs.tolist()))
+        expected = adaptive_outcome_enumeration(model.mean_full(bright), model.n_sub, threshold)
+        assert _chi_square_p(observed, expected, n) > 1e-3
+
+
+def test_outcome_table_without_dark_counts():
+    model = PhotonModel(detector=DetectorModel(dark_rate_hz=0.0))
+    table = adaptive_outcome_table(model)
+    dark = ~table.bright
+    assert (table.stop[dark].tolist(), table.counts[dark].tolist()) == ([10], [0])
+    assert table.prob[dark].tolist() == [1.0]
+    out = sample_adaptive_interval(uniform_register(1000, F1), model, np.random.default_rng(1))
+    assert not out.counts.any() and np.all(out.duration_us == model.full_interval_us)
+
+
+def test_outcome_table_size_does_not_grow_with_threshold():
+    t0 = time.perf_counter()
+    table = adaptive_outcome_table(PhotonModel(threshold=10**6))
+    assert time.perf_counter() - t0 < 0.5
+    assert table.prob.size < 1000
+    # nothing crosses: every cell is a full interval below threshold
+    assert np.all(table.stop == 10) and table.counts.max() < 100
+    assert adaptive_outcome_table(PhotonModel()).prob.size < 1000
+
+
+def test_outcome_table_is_cached_per_model():
+    table = adaptive_outcome_table(PhotonModel(threshold=3))
+    assert adaptive_outcome_table(PhotonModel(threshold=3)) is table
+    assert adaptive_outcome_table(PhotonModel(threshold=2)) is not table
+    assert not table.prob.flags.writeable
 
 
 def test_reduction_factors_default(rng):

@@ -16,7 +16,6 @@ from cavreg import (
     PhotonModel,
     ProbeConfig,
     hidden_depump_probability,
-    light_shift_profile,
     measure_site,
     sequential_array_readout,
     uniform_register,
@@ -93,16 +92,6 @@ def test_hiding_model_invariants():
         HidingModel(suppression_points=((0.0, 2.0), (0.4, 1.5)))
     with pytest.raises(ConfigurationError):
         HidingModel(background_floor=0.1)
-
-
-def test_light_shift_profile_anchors():
-    assert light_shift_profile(HIDING, 100.0, 0.0) == pytest.approx(100.0)
-    center = light_shift_profile(HIDING, 100.0, 0.0)
-    assert light_shift_profile(HIDING, 100.0, 10.0) == pytest.approx(0.01 * center)
-    assert light_shift_profile(HIDING, 0.0, 3.0) == 0.0
-    radii = np.linspace(0, 12, 30)
-    shifts = [light_shift_profile(HIDING, 50.0, r) for r in radii]
-    assert all(b <= a + 1e-12 for a, b in zip(shifts, shifts[1:]))
 
 
 def test_measure_site_vacant(rng):
