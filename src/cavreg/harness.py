@@ -98,6 +98,10 @@ class DepumpScalingParams:
     photon: PhotonModel = field(default_factory=PhotonModel)
     hiding: HidingModel = field(default_factory=HidingModel)
 
+    def __post_init__(self):
+        if min(self.sizes, default=0) < 1:
+            raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
+
 
 @dataclass
 class SearchCostParams:
@@ -257,7 +261,6 @@ def run_depump_scaling(
     are counted among atoms whose presence was detected.  Each chunk of
     trials is read out as one state-code array.
     """
-    readout_rounds = params.rounds
 
     def trial_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         n = params.sizes[point]
@@ -266,46 +269,33 @@ def run_depump_scaling(
             registers, list(range(n)), params.hiding_power_mw, rng,
             probe=params.probe, table=params.table, photon=params.photon, hiding=params.hiding,
             adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive,
-            adaptive_loss_factor=params.adaptive_loss_factor, rounds=readout_rounds,
+            adaptive_loss_factor=params.adaptive_loss_factor, rounds=params.rounds,
             idle_intervals=params.idle_intervals, re_prepare="bright",
         )
         # [site, round, (errors, detections)]
-        acc = np.zeros((n, readout_rounds, 2), dtype=np.int64)
+        acc = np.zeros((n, params.rounds, 2), dtype=np.int64)
         for rec in records:
             inferred = rec.result.inferred
             # lost atoms / undetected presence are excluded
-            detected = rec.was_occupied & (inferred != VACANT)
-            acc[rec.site, rec.round_index] += (
-                np.count_nonzero(detected & (inferred == F1)), np.count_nonzero(detected)
-            )
+            detected = (rec.prepared != VACANT) & (inferred != VACANT)
+            acc[:, rec.round_index, 0] = np.count_nonzero(detected & (inferred == F1), axis=0)
+            acc[:, rec.round_index, 1] = np.count_nonzero(detected, axis=0)
         return acc
 
     totals = _sweep(len(params.sizes), trial_counts, trials, master_seed, threads)
+    fieldnames = ["n_sites", "site_index", "error_rate", "stderr", "hiding_power_mW",
+                  "adaptive_rounds"]
     rows = []
     steady_counts = []  # per size, over rounds 2 and on
-    first_round_by_site: dict[int, Estimate] = {}
     for n, total in zip(params.sizes, totals):
-        steady = total[:, 1:, :] if readout_rounds > 1 else total
-        for site in range(n):
-            err, det = int(steady[site, :, 0].sum()), int(steady[site, :, 1].sum())
+        # [site, (errors, detections)] over rounds 2 and on, or round 1 if it is the only one
+        steady = total[:, min(1, params.rounds - 1):].sum(axis=1)
+        for site, (err, det) in enumerate(steady.tolist()):
             est = Estimate.from_binomial(err, det) if det else Estimate(math.nan, math.nan, 0)
-            rows.append(
-                {
-                    "n_sites": n,
-                    "site_index": site,
-                    "error_rate": est.mean,
-                    "stderr": est.stderr,
-                    "hiding_power_mW": params.hiding_power_mw,
-                    "adaptive_rounds": int(params.adaptive_rounds),
-                }
-            )
-        err, det = int(steady[:, :, 0].sum()), int(steady[:, :, 1].sum())
+            rows.append(dict(zip(fieldnames, (n, site, est.mean, est.stderr,
+                                              params.hiding_power_mw, int(params.adaptive_rounds)))))
+        err, det = steady.sum(axis=0).tolist()
         steady_counts.append({"n_sites": n, "errors": err, "detections": det})
-        if n == max(params.sizes):
-            for site in range(n):
-                e, d = int(total[site, 0, 0]), int(total[site, 0, 1])
-                if d:
-                    first_round_by_site[site] = Estimate.from_binomial(e, d)
 
     summary: dict[str, Any] = {"steady_state_counts": steady_counts}
     steady = [c for c in steady_counts if c["detections"]]
@@ -320,20 +310,16 @@ def run_depump_scaling(
             "intercept_stderr": fit.intercept_stderr,
             "slope_stderr": fit.slope_stderr,
         }
-    if len(first_round_by_site) >= 3:
-        fit = fit_linear(
-            [s + 1 for s in sorted(first_round_by_site)],
-            [first_round_by_site[s].mean for s in sorted(first_round_by_site)],
-        )
+    # [site, (errors, detections)] in round 1 of the largest array
+    first_round = totals[params.sizes.index(max(params.sizes))][:, 0]
+    seen = np.flatnonzero(first_round[:, 1])
+    if seen.size >= 3:
+        fit = fit_linear(seen + 1, first_round[seen, 0] / first_round[seen, 1])
         summary["first_round_error_vs_position"] = {
             "intercept": fit.intercept,
             "slope": fit.slope,
             "slope_stderr": fit.slope_stderr,
         }
-    fieldnames = [
-        "n_sites", "site_index", "error_rate", "stderr",
-        "hiding_power_mW", "adaptive_rounds",
-    ]
     return ExperimentResult(fieldnames, rows, summary)
 
 

@@ -12,10 +12,16 @@ During a sequential array readout all atoms except the probed target are
 hidden by local light shifts.  A hidden bright atom still depumps with a
 small probability per target measurement; hiding power suppresses that rate
 down to the background floor set by the trapping light.
+
+Sites never interact, and hidden depump is absorbing and independent per
+exposure: k hidden exposures and i idle intervals leave a bright atom bright
+with probability (1 - p_hidden)^k (1 - floor)^i, one draw for all of them.
+So a readout round measures every target of every trial in one call.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -122,19 +128,13 @@ class HidingModel:
 def suppression_factor(model: HidingModel, power_mw: float) -> float:
     """Log-linear interpolation of the suppression factor vs hiding power."""
     pts = model.suppression_points
-    powers = [p for p, _ in pts]
-    logs = [math.log(f) for _, f in pts]
     if len(pts) == 1:
-        return math.exp(logs[0])
-    if power_mw <= powers[0]:
-        lo, hi = 0, 1
-    elif power_mw >= powers[-1]:
-        lo, hi = len(pts) - 2, len(pts) - 1
-    else:
-        hi = next(i for i, p in enumerate(powers) if p >= power_mw)
-        lo = hi - 1
-    slope = (logs[hi] - logs[lo]) / (powers[hi] - powers[lo])
-    return math.exp(logs[lo] + slope * (power_mw - powers[lo]))
+        return pts[0][1]
+    # the calibrated segment holding power_mw; the end segments extrapolate
+    hi = min(max(bisect.bisect_left([p for p, _ in pts], power_mw), 1), len(pts) - 1)
+    (p0, f0), (p1, f1) = pts[hi - 1], pts[hi]
+    slope = (math.log(f1) - math.log(f0)) / (p1 - p0)
+    return math.exp(math.log(f0) + slope * (power_mw - p0))
 
 
 def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
@@ -197,24 +197,29 @@ def measure_site(
 
 @dataclass(frozen=True)
 class ReadoutRecord:
-    """One (round, target) step.  Every field but round_index and site is an
-    array over the trials that measured the target: all of them, unless
-    adaptive_rounds skipped some."""
+    """One readout round.  measured, prepared and every array of result are
+    (trials, len(sites)), column j for target sites[j]; a cell that
+    adaptive_rounds skipped reads VACANT with 0 counts and 0 duration."""
 
     round_index: int
-    site: int
-    was_occupied: np.ndarray  # ground truth just before this measurement
-    prepared: np.ndarray  # ground-truth state codes just before this measurement
+    sites: tuple[int, ...]  # the target order
+    measured: np.ndarray  # the trial measured the target in this round
+    prepared: np.ndarray  # ground-truth state codes at the target's step
     result: SiteMeasurement
 
 
-def _depump(states: np.ndarray, p: float, rng, spare: int | None = None) -> None:
-    """In place, each bright atom outside column `spare` depumps to F=1 with
-    probability p."""
-    hit = (rng.random(states.shape) < p) & (states == F2)
-    if spare is not None:
-        hit[:, spare] = False
-    states[hit] = F1
+def _depump_since_update(codes: np.ndarray, keep: np.ndarray, rng) -> np.ndarray:
+    """One uniform per cell: a bright atom stays bright with chance keep, else depumps."""
+    return np.where(rng.random(codes.shape) < keep, codes, np.minimum(codes, F1))
+
+
+def _in_cells(cells: np.ndarray, values: np.ndarray, background=None) -> np.ndarray:
+    """values, one per measured cell in C order, on the grid; background (or 0) elsewhere."""
+    if values.size == cells.size:  # every cell measured
+        return values.reshape(cells.shape)
+    out = np.zeros(cells.shape, values.dtype) if background is None else background.copy()
+    out[cells] = values
+    return out
 
 
 def sequential_array_readout(
@@ -235,7 +240,7 @@ def sequential_array_readout(
     re_prepare: str = "bright",
 ) -> tuple[list[ReadoutRecord], np.ndarray]:
     """Sequentially measure the target sites, one at a time, for one or more
-    rounds, and return the records and the final state codes.
+    rounds, and return one record per round and the final state codes.
 
     `register` is an int8 array of state codes of shape (trials, sites)
     whose trials are read out together; it is not modified.
@@ -249,11 +254,14 @@ def sequential_array_readout(
     re_prepare: "bright" repumps each present target to F=2 right after its
     measurement (bright-state characterization), "inferred" resets it to the
     inferred state, "none" leaves the post-measurement state.
+
+    A round draws one depump uniform per (trial, target) and makes one
+    measure_site call over the measured cells; one uniform per (trial, site)
+    applies the depump left after the last round.
     """
-    states = register.copy()
-    if states.ndim != 2:
-        raise ConfigurationError(f"register must be a (trials, sites) array, not {states.shape}")
-    trials, n = states.shape
+    if register.ndim != 2:
+        raise ConfigurationError(f"register must be a (trials, sites) array, not {register.shape}")
+    trials, n = register.shape
     if len(set(target_order)) != len(target_order):
         raise ConfigurationError("duplicate target indices")
     if any(i < 0 or i >= n for i in target_order):
@@ -261,33 +269,39 @@ def sequential_array_readout(
     if re_prepare not in ("bright", "inferred", "none"):
         raise ConfigurationError(f"unknown re_prepare policy {re_prepare!r}")
 
-    p_hidden = hidden_depump_probability(hiding, hiding_power_mw)
-    believed_present = np.ones((trials, n), dtype=bool)
+    m = len(target_order)
+    # column j holds site order[j]: the targets first, in target order
+    order = list(target_order) + sorted(set(range(n)) - set(target_order))
+    states = register[:, order]
+    decay = (1.0 - hidden_depump_probability(hiding, hiding_power_mw)) ** np.arange(m + 1)
+    idle_keep = (1.0 - hiding.background_floor) ** idle_intervals
+    # chance that a bright atom is still bright, from its last update to now
+    keep = np.ones((trials, n))
+    measured = np.ones((1, m), dtype=bool)  # the same for every trial until adaptive rounds skip
     records: list[ReadoutRecord] = []
 
     for round_index in range(rounds):
-        for target in target_order:
-            rows = slice(None)  # every trial, unless adaptive rounds skip some
-            if adaptive_rounds:
-                rows = np.flatnonzero(believed_present[:, target])
-            prepared = states[rows, target].copy()
-            if prepared.size == 0:
-                continue
-            meas, post = measure_site(prepared, probe, table, photon, rng, adaptive=adaptive,
-                                      adaptive_loss_factor=adaptive_loss_factor)
-            records.append(ReadoutRecord(round_index, target, prepared != VACANT,
-                                         prepared, meas))
-            believed_present[rows, target] = meas.inferred != VACANT
-            present = post != VACANT
-            if re_prepare == "bright":
-                post = np.where(present, F2, post)
-            elif re_prepare == "inferred":
-                post = np.where(present & (meas.inferred != VACANT), meas.inferred, post)
-            states[rows, target] = post
-            # hidden bright atoms elsewhere depump during this measurement
-            hidden = states[rows]  # a view, or a copy that is written back
-            _depump(hidden, p_hidden, rng, spare=target)
-            states[rows] = hidden
-        for _ in range(idle_intervals):
-            _depump(states, hiding.background_floor, rng)
-    return records, states
+        # hidden exposures of each target in this round, before its step and in all
+        before = np.cumsum(measured, axis=1) - measured
+        total = measured.sum(axis=1, keepdims=True)
+        prepared = _depump_since_update(states[:, :m], keep[:, :m] * decay[before], rng)
+        cells = np.broadcast_to(measured, prepared.shape)
+        codes = prepared.ravel() if measured.all() else prepared[cells]  # C order either way
+        meas, post = measure_site(codes, probe, table, photon, rng, adaptive=adaptive,
+                                  adaptive_loss_factor=adaptive_loss_factor)
+        if re_prepare == "bright":
+            post = np.where(post != VACANT, F2, post)
+        elif re_prepare == "inferred":
+            post = np.where((post != VACANT) & (meas.inferred != VACANT), meas.inferred, post)
+        states[:, :m] = _in_cells(cells, post, prepared)
+        result = SiteMeasurement(*(
+            IntervalOutcome(*(_in_cells(cells, a) for a in (o.counts, o.duration_us, o.bright)))
+            for o in (meas.hyperfine, meas.occupation)
+        ), _in_cells(cells, meas.inferred))
+        records.append(ReadoutRecord(round_index, tuple(target_order), cells, prepared, result))
+        keep *= decay[total] * idle_keep  # sites off the target list
+        keep[:, :m] = decay[total - before - measured] * idle_keep
+        if adaptive_rounds:
+            measured = result.inferred != VACANT
+    final = _depump_since_update(states, keep, rng)
+    return records, final[:, np.argsort(order)]

@@ -140,7 +140,7 @@ def run_round(
             adaptive_loss_factor=adaptive_loss_factor, rounds=1, re_prepare="none",
         )
         states = final[0]
-        votes = np.array([rec.result.inferred[0] for rec in records], dtype=np.int8)
+        votes = records[0].result.inferred[0].astype(np.int8)
     else:
         raise ConfigurationError(f"unknown mode {mode!r}")
 

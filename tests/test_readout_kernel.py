@@ -1,10 +1,11 @@
 """The array readout kernel against the per-trial reference loop.
 
-sequential_array_readout runs every trial of a state-code array through
-each (round, target) step at once.  tests/oracles.py keeps the scalar
-per-trial loop it replaced; here both run the same configurations and
-every per-(site, round) rate must agree within K standard errors of the
-difference.
+sequential_array_readout reads every target of every trial of a state-code
+array out in one batched measurement per round.  tests/oracles.py keeps the
+scalar per-trial loop that steps target by target; here both run the same
+configurations and every per-(site, round) rate, and the final occupancy
+and bright occupancy of every site, must agree within K standard errors of
+the difference.
 """
 
 import math
@@ -40,6 +41,9 @@ HIGH_FLOOR = HidingModel(background_floor=0.02)
 
 N_SITES, ROUNDS = 4, 3
 ORACLE_TRIALS, KERNEL_TRIALS = 2500, 20_000
+# a register with a vacant and a dark site, read in a partial, unsorted order:
+# site 1 is never a target, site 4 is a bright atom hidden all the time
+MIXED = dict(register=[F2, VACANT, F1, F2, F2], order=[3, 0, 2])
 
 CONFIGS = {
     "hiding_0mW": dict(hiding_power_mw=0.0),
@@ -50,6 +54,12 @@ CONFIGS = {
     ),
     "idle_intervals": dict(hiding_power_mw=2.0, idle_intervals=1, hiding=HIGH_FLOOR),
     "re_prepare_inferred": dict(hiding_power_mw=0.0, table=LOSSY, re_prepare="inferred"),
+    "mixed_idle_intervals": dict(
+        MIXED, hiding_power_mw=0.0, idle_intervals=1, hiding=HIGH_FLOOR
+    ),
+    "mixed_adaptive_rounds": dict(
+        MIXED, hiding_power_mw=0.4, adaptive_rounds=True, table=LOSSY, re_prepare="inferred"
+    ),
 }
 
 
@@ -58,14 +68,17 @@ def _run_config(kw):
     power = kw.pop("hiding_power_mw")
     table = kw.pop("table", MeasurementErrorTable())
     hiding = kw.pop("hiding", HidingModel())
-    order = list(range(N_SITES))
-    # [site, round, (measured, detected, errors)] and final occupancy per site
-    oracle = np.zeros((N_SITES, ROUNDS, 3), dtype=np.int64)
-    oracle_final = np.zeros(N_SITES, dtype=np.int64)
+    register = kw.pop("register", [F2] * N_SITES)
+    order = kw.pop("order", list(range(N_SITES)))
+    n = len(register)
+    # [site, round, (measured, detected, errors)]; final (occupied, bright) per site
+    oracle = np.zeros((n, ROUNDS, 3), dtype=np.int64)
+    oracle_final = np.zeros((n, 2), dtype=np.int64)
     rng = np.random.default_rng(101)
     for _ in range(ORACLE_TRIALS):
         transcript, sites = sequential_readout_transcript(
-            [2] * N_SITES, order, hidden_depump_probability(hiding, power), rng,
+            [None if c == VACANT else c for c in register], order,
+            hidden_depump_probability(hiding, power), rng,
             rates=table.lookup(PROBE), photon=PHOTON,
             background_floor=hiding.background_floor, rounds=ROUNDS, **kw,
         )
@@ -75,22 +88,24 @@ def _run_config(kw):
             if prepared is not None and inferred is not None:
                 cell[1] += 1
                 cell[2] += inferred == 1
-        oracle_final += [s is not None for s in sites]
+        oracle_final += [(s is not None, s == 2) for s in sites]
 
     kernel = np.zeros_like(oracle)
-    codes = np.tile(uniform_register(N_SITES, F2), (KERNEL_TRIALS, 1))
+    codes = np.tile(np.array(register, dtype=np.int8), (KERNEL_TRIALS, 1))
     records, final = sequential_array_readout(
         codes, order, power, np.random.default_rng(202),
         probe=PROBE, table=table, photon=PHOTON, hiding=hiding, rounds=ROUNDS, **kw,
     )
     for rec in records:
-        detected = rec.was_occupied & (rec.result.inferred != VACANT)
-        kernel[rec.site, rec.round_index] += (
-            rec.prepared.size,
-            np.count_nonzero(detected),
-            np.count_nonzero(detected & (rec.result.inferred == F1)),
+        detected = (rec.prepared != VACANT) & (rec.result.inferred != VACANT)
+        kernel[list(rec.sites), rec.round_index] = np.stack(
+            [np.count_nonzero(c, axis=0)
+             for c in (rec.measured, detected, detected & (rec.result.inferred == F1))],
+            axis=-1,
         )
-    kernel_final = np.count_nonzero(final, axis=0)
+    kernel_final = np.stack(
+        (np.count_nonzero(final, axis=0), np.count_nonzero(final == F2, axis=0)), axis=-1
+    )
     return oracle, oracle_final, kernel, kernel_final
 
 
@@ -107,7 +122,7 @@ def _agree(k1, n1, k2, n2) -> bool:
 def test_kernel_matches_per_trial_oracle(name):
     oracle, oracle_final, kernel, kernel_final = _run_config(CONFIGS[name])
     bad = []
-    for site in range(N_SITES):
+    for site in range(len(oracle)):
         for r in range(ROUNDS):
             (m1, d1, e1), (m2, d2, e2) = oracle[site, r], kernel[site, r]
             checks = {
@@ -118,23 +133,34 @@ def test_kernel_matches_per_trial_oracle(name):
             for what, args in checks.items():
                 if not _agree(*args):
                     bad.append((site, r, what, args))
-        if not _agree(oracle_final[site], ORACLE_TRIALS, kernel_final[site], KERNEL_TRIALS):
-            bad.append((site, "final occupancy"))
+        for what, k1, k2 in zip(("final occupancy", "final bright occupancy"),
+                                oracle_final[site], kernel_final[site]):
+            if not _agree(k1, ORACLE_TRIALS, k2, KERNEL_TRIALS):
+                bad.append((site, what, (k1, k2)))
     assert not bad, bad
 
 
 def test_adaptive_rounds_records_hold_only_measured_trials():
     codes = np.tile(uniform_register(3, F2), (2000, 1))
     records, _ = sequential_array_readout(
-        codes, [0, 1, 2], 0.4, np.random.default_rng(5),
+        codes, [2, 0, 1], 0.4, np.random.default_rng(5),
         probe=PROBE, table=LOSSY, photon=PHOTON, hiding=HidingModel(),
-        adaptive_rounds=True, rounds=2, re_prepare="none",
+        adaptive_rounds=True, rounds=3, re_prepare="none",
     )
-    first = {rec.site: rec for rec in records if rec.round_index == 0}
-    for rec in records:
-        if rec.round_index == 1:
-            assert rec.prepared.size == np.count_nonzero(first[rec.site].result.inferred)
-            assert rec.result.hyperfine.counts.shape == rec.prepared.shape
+    assert [rec.sites for rec in records] == [(2, 0, 1)] * 3
+    assert records[0].measured.all()
+    # each round measures exactly the (trial, target) cells inferred present
+    # in the round before; atoms lost in round 0 read vacant in round 1
+    for prev, rec in zip(records, records[1:]):
+        assert np.array_equal(rec.measured, prev.result.inferred != VACANT)
+    last = records[-1]
+    skipped = ~last.measured
+    assert 0 < np.count_nonzero(skipped) < skipped.size
+    for out in (last.result.hyperfine, last.result.occupation):
+        assert out.counts.shape == out.duration_us.shape == last.measured.shape
+        assert not out.counts[skipped].any() and not out.duration_us[skipped].any()
+        assert not out.bright[skipped].any()
+    assert np.all(last.result.inferred[skipped] == VACANT)
 
 
 def test_array_readout_leaves_its_input_alone():
@@ -147,8 +173,8 @@ def test_array_readout_leaves_its_input_alone():
     )
     assert np.array_equal(codes, before)
     assert final.shape == codes.shape
-    assert len(records) == 6
-    assert all(rec.prepared.shape == (50,) for rec in records)
+    assert [rec.round_index for rec in records] == [0, 1]
+    assert all(rec.prepared.shape == rec.measured.shape == (50, 3) for rec in records)
 
 
 def test_array_interval_shapes(rng):

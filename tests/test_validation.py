@@ -202,3 +202,22 @@ def test_code_sweep_edges_run():
     params = ErrorScalingParams(distances=[1], flip_sweep=[0.0, 1.0], rounds=2)
     rows = run(ExperimentSpec("error_scaling", params, trials=100, master_seed=1)).rows
     assert [r["p_logical"] for r in rows] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("sizes", ["10, 0", "-2, 3"])
+def test_readout_size_below_one_is_exit_2_before_any_readout(sizes, tmp_path, capsys, monkeypatch):
+    # a register needs at least one site; a bad size late in the sweep must
+    # not let the earlier sizes run first
+    def no_readout(*args, **kwargs):
+        raise AssertionError("read out a sweep that should have been rejected")
+
+    monkeypatch.setattr("cavreg.harness.sequential_array_readout", no_readout)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with("sizes = 1,2,3,4,5,6,7,8,9,10", f"sizes = {sizes}"))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert "readout size" in capsys.readouterr().err
+    out = tmp_path / "d.csv"
+    rc = main(["depump-scaling", "--config", str(cfg), "--trials", "50", "--out", str(out)])
+    assert rc == 2
+    assert "readout size" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
