@@ -74,9 +74,12 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = os.path.dirname(out) or "."
         if not os.path.isdir(out_dir):
             raise ConfigurationError(f"output directory {out_dir!r} does not exist")
+        finals = [out, out + ".meta.json"]
+        bad = [path for path in finals if os.path.isdir(path) or not os.path.basename(path)]
+        if bad:
+            raise ConfigurationError(f"output path {bad[0]!r} is a directory, not a file")
         result = run(spec)
         # both files appear together or not at all
-        finals = [out, out + ".meta.json"]
         temps = [f"{path}.{os.getpid()}.tmp" for path in finals]
         try:
             write_result_csv(temps[0], result)

@@ -188,20 +188,20 @@ def _sweep(
 ) -> list:
     """Per sweep point, the sum of kernel(point, rng, size) over the chunks
     of `trials`.  Each chunk draws from stream(master_seed, point, chunk
-    index), and chunk results are summed in chunk order, so the thread count
-    never changes the result."""
+    index).  Every (point, chunk) task of the run goes, point-major, through
+    one `map_chunks` call, so one pool serves the whole run, and each point's
+    results are summed in chunk order: the thread count never changes the
+    result."""
 
-    def chunk_result(point: int, chunk: tuple[int, int, int]):
-        index, _, size = chunk
+    def chunk_result(task: tuple[int, int, int]):
+        point, index, size = task
         return kernel(point, stream(master_seed, point, index), size)
 
-    return [
-        functools.reduce(
-            operator.add,
-            map_chunks(functools.partial(chunk_result, point), chunk_sizes(trials), threads),
-        )
-        for point in range(n_points)
-    ]
+    chunks = chunk_sizes(trials)
+    tasks = [(point, index, size) for point in range(n_points) for index, _, size in chunks]
+    results = map_chunks(chunk_result, tasks, threads)
+    n = len(chunks)
+    return [functools.reduce(operator.add, results[p * n : (p + 1) * n]) for p in range(n_points)]
 
 
 # ----------------------------------------------------------------- histogram
@@ -219,8 +219,9 @@ def run_histogram(
             counts, _ = sample_adaptive_bright_batch(photon, size, rng)
         else:
             counts = rng.poisson(photon.mean_full(cond == "bright_full"), size=size)
-        values, freqs = np.unique(counts, return_counts=True)
-        return Counter(dict(zip(values.tolist(), freqs.tolist())))
+        freqs = np.bincount(counts)
+        values = np.flatnonzero(freqs)
+        return Counter(dict(zip(values.tolist(), freqs[values].tolist())))
 
     hists = _sweep(len(conditions), histogram, trials, master_seed, threads)
     rows = [

@@ -4,8 +4,9 @@ Every stream is a counter-based Philox generator keyed by the master seed
 and the length of a path of indices (experiment point, chunk, trial...),
 whose counter starts at the path itself.  Streams are independent of
 execution order and thread count: work is split into fixed-size chunks
-whose streams depend only on the chunk index, and results are gathered in
-chunk order.
+whose streams depend only on their (point, chunk) path.  `map_chunks` runs
+all of a run's chunks through one pool, each worker walking a fixed strided
+share of them, and hands the results back in item order.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ MAX_PATH = 3  # path indices fill Philox counter words 1-3
 CHUNK_TRIALS = 4096
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -56,17 +58,18 @@ def chunk_sizes(total: int, chunk: int = CHUNK_TRIALS) -> list[tuple[int, int, i
     return out
 
 
-def map_chunks(
-    fn: Callable[[tuple[int, int, int]], T],
-    chunks: Iterable[tuple[int, int, int]],
-    threads: int = 1,
-) -> list[T]:
-    """Apply fn over chunks, gathering results in chunk order regardless of
-    completion order or thread count.  The pool has no more workers than
-    chunks or CPU cores."""
-    chunks = list(chunks)
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+def map_chunks(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> list[R]:
+    """[fn(item) for item in items], whatever the thread count.  With more
+    than one worker (no more than items or CPU cores), one pool runs one task
+    per worker: worker w calls fn on items[w::workers] in order, and each
+    result goes back to its item's index."""
+    items = list(items)
+    workers = min(threads, len(items), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(c) for c in chunks]
+        return [fn(item) for item in items]
+    out: list = [None] * len(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+        shares = pool.map(lambda w: [fn(item) for item in items[w::workers]], range(workers))
+        for w, share in enumerate(shares):
+            out[w::workers] = share
+    return out

@@ -1,5 +1,9 @@
 import json
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +18,12 @@ from cavreg.harness import (
     HistogramParams,
     LifetimeParams,
     SearchCostParams,
+    _sweep,
     write_metadata,
     write_result_csv,
 )
 import cavreg.streams
-from cavreg.streams import chunk_sizes, map_chunks, stream
+from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
 
 
 def test_estimate_from_samples():
@@ -109,6 +114,9 @@ def test_search_cost_p_zero_is_exactly_one():
     assert row["analytic"] == 1.0
 
 
+MULTI_CHUNK = 2 * CHUNK_TRIALS + 1  # three chunks per point, the last one short
+
+
 @pytest.mark.parametrize(
     "experiment,params,trials",
     [
@@ -117,14 +125,74 @@ def test_search_cost_p_zero_is_exactly_one():
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), 3000),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), 3000),
         ("depump_scaling", DepumpScalingParams(sizes=[1, 3], rounds=2), 60),
+        ("histogram", HistogramParams(), MULTI_CHUNK),
+        ("search_cost", SearchCostParams(sizes=[3, 6], probabilities=[0.0, 0.3]), MULTI_CHUNK),
+        ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), MULTI_CHUNK),
+        ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), MULTI_CHUNK),
     ],
 )
-def test_thread_count_never_changes_results(experiment, params, trials):
+def test_thread_count_never_changes_results(experiment, params, trials, tmp_path, monkeypatch):
+    # four cores, so threads 4 and 16 run four workers
+    monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
     outs = []
-    for threads in (1, 4, 16):
+    for threads in (1, 2, 4, 16):
         spec = ExperimentSpec(experiment, params, trials=trials, master_seed=99, threads=threads)
-        outs.append(run(spec).rows)
-    assert outs[0] == outs[1] == outs[2]
+        result = run(spec)
+        path = tmp_path / f"t{threads}.csv"
+        write_result_csv(path, result)
+        write_metadata(f"{path}.meta.json", spec, result)
+        outs.append((path.read_bytes(), Path(f"{path}.meta.json").read_bytes()))
+    assert outs[1:] == outs[:1] * 3
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_sweep_reduces_each_point_in_chunk_order(threads, monkeypatch):
+    # list `+` keeps order: each point must read its own chunks' streams, in chunk order
+    monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
+
+    def kernel(point, rng, size):
+        return [(point, size, int(rng.integers(2**62)))]
+
+    expected = [
+        [(p, size, int(stream(3, p, i).integers(2**62))) for i, _, size in chunk_sizes(MULTI_CHUNK)]
+        for p in range(3)
+    ]
+    assert _sweep(3, kernel, MULTI_CHUNK, 3, threads) == expected
+
+
+@pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (4, 1)])
+def test_one_run_opens_at_most_one_pool(threads, pools, monkeypatch):
+    opened = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cavreg.streams, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
+    params = ErrorScalingParams(flip_sweep=[0.02, 0.05, 0.1, 0.2], distances=[1, 3, 5])
+    run(ExperimentSpec("error_scaling", params, trials=MULTI_CHUNK, master_seed=5, threads=threads))
+    assert opened == [threads] * pools
+
+
+def test_map_chunks_returns_item_order_when_early_items_finish_last(monkeypatch):
+    monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
+    n = 12
+    calls, finished = [], []
+    lock = threading.Lock()
+
+    def slow_early(i):
+        with lock:
+            calls.append(i)
+        time.sleep(0.005 * (n - i))
+        with lock:
+            finished.append(i)
+        return i * i
+
+    assert map_chunks(slow_early, range(n), 4) == [i * i for i in range(n)]
+    assert sorted(calls) == list(range(n))
+    assert finished != sorted(finished)
 
 
 def test_repeat_run_is_bit_identical(tmp_path):

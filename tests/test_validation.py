@@ -1,5 +1,6 @@
 """Bad input is rejected at the edge with exit code 2, before any compute."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,29 @@ def test_cli_missing_output_directory_is_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "output directory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["existing directory", "trailing separator", "meta directory"])
+def test_cli_output_path_naming_a_directory_is_exit_2_before_sampling(
+    case, tmp_path, capsys, monkeypatch
+):
+    # os.replace onto a directory fails only after the whole run
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a run whose output path should have been rejected")
+
+    monkeypatch.setattr("cavreg.harness.round_counts", no_sampling)
+    out = {
+        "existing directory": tmp_path / "x",
+        "trailing separator": f"{tmp_path / 'x'}{os.sep}",
+        "meta directory": tmp_path / "e.csv",
+    }[case]
+    made = tmp_path / ("e.csv.meta.json" if case == "meta directory" else "x")
+    made.mkdir()
+    rc = main(["error-scaling", "--trials", "100", "--out", str(out)])
+    assert rc == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [made]
+    assert list(made.iterdir()) == []
 
 
 def test_failed_sidecar_write_leaves_no_output(tmp_path, monkeypatch):
