@@ -3,7 +3,7 @@ repeated classical error correction for a tweezer atom register."""
 
 __version__ = "0.1.0"
 
-from .errors import ConfigurationError, LoadFailure
+from .errors import ConfigurationError
 from .register import (
     F1,
     F2,
@@ -43,18 +43,13 @@ from .search import (
     run_search,
 )
 from .repcode import (
-    CodeConfig,
     LifetimeResult,
-    RoundRecord,
-    VoteOutcome,
-    encode,
     fit_error_exponent,
     logical_lifetime,
     loss_rounds,
     majority_error_probability,
     round_counts,
     round_hazard,
-    run_round,
     simulate_code_abstract,
     simulate_idling_bit,
 )

@@ -18,6 +18,7 @@ from .harness import EXPERIMENTS
 from .photons import DetectorModel, PhotonModel
 from .readout import ErrorRates, HidingModel, MeasurementErrorTable, ProbeConfig
 from .register import IdleErrorModel
+from .repcode import LIFETIME_DEFINITIONS
 from .search import Placement, Strategy
 from .streams import SEED_LIMIT
 
@@ -111,9 +112,8 @@ def _post_select(text: str) -> str:
 
 
 def _definition(text: str) -> str:
-    allowed = ("fitted_tau", "crossing_1_minus_1_over_e", "crossing_p_inf_over_e")
-    if text not in allowed:
-        raise ValueError(f"must be one of {allowed}")
+    if text not in LIFETIME_DEFINITIONS:
+        raise ValueError(f"must be one of {LIFETIME_DEFINITIONS}")
     return text
 
 

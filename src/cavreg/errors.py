@@ -1,7 +1,3 @@
 class ConfigurationError(ValueError):
     """Invalid parameter, config key, or precondition violation (CLI exit code 2)."""
 
-
-class LoadFailure(RuntimeError):
-    """Register does not hold enough atoms to encode; the trial is aborted,
-    counted as a load failure rather than a logical error."""

@@ -39,7 +39,8 @@ from .readout import (
 )
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import (
-    CodeConfig,
+    LIFETIME_DEFINITIONS,
+    check_code,
     logical_lifetime,
     round_counts,
     simulate_code_abstract,
@@ -75,6 +76,10 @@ class Estimate:
 
     @classmethod
     def from_binomial(cls, successes: int, n: int) -> "Estimate":
+        """The success fraction with its binomial stderr; (nan, nan, 0) for
+        no trials."""
+        if n == 0:
+            return cls(math.nan, math.nan, 0)
         p = successes / n
         return cls(p, math.sqrt(max(p * (1 - p), 0.0) / n), n)
 
@@ -134,7 +139,15 @@ class ErrorScalingParams:
 
     def __post_init__(self):
         for d, p in itertools.product(self.distances, self.flip_sweep):
-            CodeConfig(d, self.rounds, per_round_flip=p, per_round_loss=self.per_round_loss)
+            check_code(d, self.rounds, per_round_flip=p, per_round_loss=self.per_round_loss)
+        if self.post_select not in ("distance", "none"):
+            # a survivor count that some distance cannot reach
+            count, smallest = int(self.post_select), min(self.distances)
+            if not 0 <= count <= smallest:
+                raise ConfigurationError(
+                    f"code.post_select = {count} is outside [0, {smallest}] "
+                    "(0 to the smallest code distance)"
+                )
 
 
 @dataclass
@@ -150,7 +163,10 @@ class LifetimeParams:
 
     def __post_init__(self):
         for d in self.distances:
-            CodeConfig(d, self.rounds, self.idle_ms, self.per_round_flip, self.per_round_loss)
+            check_code(d, self.rounds, per_round_flip=self.per_round_flip,
+                       per_round_loss=self.per_round_loss)
+        if self.definition not in LIFETIME_DEFINITIONS:
+            raise ConfigurationError(f"unknown lifetime definition {self.definition!r}")
 
 
 @dataclass
@@ -292,7 +308,7 @@ def run_depump_scaling(
         # [site, (errors, detections)] over rounds 2 and on, or round 1 if it is the only one
         steady = total[:, min(1, params.rounds - 1):].sum(axis=1)
         for site, (err, det) in enumerate(steady.tolist()):
-            est = Estimate.from_binomial(err, det) if det else Estimate(math.nan, math.nan, 0)
+            est = Estimate.from_binomial(err, det)
             rows.append(dict(zip(fieldnames, (n, site, est.mean, est.stderr,
                                               params.hiding_power_mw, int(params.adaptive_rounds)))))
         err, det = steady.sum(axis=0).tolist()
@@ -394,28 +410,14 @@ class CurveCell:
     flagged: bool
 
 
-def check_post_select(params: ErrorScalingParams) -> None:
-    """Reject a survivor count that some distance cannot reach."""
-    if params.post_select in ("distance", "none"):
-        return
-    count, smallest = int(params.post_select), min(params.distances)
-    if not 0 <= count <= smallest:
-        raise ConfigurationError(
-            f"code.post_select = {count} is outside [0, {smallest}] "
-            "(0 to the smallest code distance)"
-        )
-
-
 def _error_scaling_params(config: Config) -> ErrorScalingParams:
-    params = ErrorScalingParams(
+    return ErrorScalingParams(
         distances=config[("code", "distances")],
         flip_sweep=config[("code", "flip_sweep")],
         per_round_loss=config[("code", "per_round_loss")],
         rounds=config[("code", "rounds")],
         post_select=config[("code", "post_select")],
     )
-    check_post_select(params)
-    return params
 
 
 def _post_selected_cells(p_phys: float, counts: np.ndarray, post_select: str) -> list[CurveCell]:
@@ -436,9 +438,6 @@ def _post_selected_cells(p_phys: float, counts: np.ndarray, post_select: str) ->
     cells = []
     for s in groups:
         k, n = int(counts[s, 1]), int(counts[s].sum())
-        if n == 0:
-            cells.append(CurveCell(p_phys, d, s, math.nan, math.nan, 0, True))
-            continue
         est = Estimate.from_binomial(k, n)
         flagged = k == 0 or est.stderr > 0.1 * est.mean
         cells.append(CurveCell(p_phys, d, s, est.mean, est.stderr, n, flagged))
@@ -455,7 +454,6 @@ def run_error_scaling(
     state by repcode.round_counts: the atoms' loss rounds come from the same
     repcode.loss_rounds as simulate_code_abstract, and the erring rounds in
     each state are one binomial draw, so no per-trial trace is built."""
-    check_post_select(params)
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
 
     def survivor_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:

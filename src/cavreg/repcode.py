@@ -1,162 +1,46 @@
 """Repeated classical repetition-code error correction over the register.
 
-One logical bit is encoded in the hyperfine states of d atoms (bit 0 -> F=1,
+One logical bit is stored in the hyperfine states of d atoms (bit 0 -> F=1,
 bit 1 -> F=2).  Each round the register idles (accumulating flips and loss),
 all code atoms are measured, the surviving outcomes are majority-voted, and
 the survivors are re-initialized to the vote result.  A tied vote, or an
 empty register, resolves by fair coin toss.  Lost atoms are never reloaded,
 so the effective distance shrinks over rounds.
 
-Two modes: "abstract" applies bare per-round flip/loss probabilities (the
-Monte-Carlo convention behind the headline lifetime factors), "physical"
-routes every measurement through the full readout protocol.
-
-The abstract ensemble has one loss model, loss_rounds: one uniform per atom
-fixes how many rounds it stays alive.  simulate_code_abstract turns those
-counts into per-trial, per-round survivors and vote errors (the trace that
-lifetime curves need); round_counts reduces them to the rounds spent with s
-survivors and draws the erring rounds of each s as one binomial (all that
-the error-scaling cells need).
+The code is abstract: each round applies bare per-round flip and loss
+probabilities (the Monte-Carlo convention behind the headline lifetime
+factors); no measurement goes through the readout protocol.  The ensemble
+has one loss model, loss_rounds: one uniform per atom fixes how many rounds
+it stays alive.  simulate_code_abstract turns those counts into per-trial,
+per-round survivors and vote errors (the trace that lifetime curves need);
+round_counts reduces them to the rounds spent with s survivors and draws the
+erring rounds of each s as one binomial (all that the error-scaling cells
+need).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, LoadFailure
+from .errors import ConfigurationError
 from .fitting import SaturatingExpFit, fit_linear, fit_saturating_exponential
-from .photons import PhotonModel
-from .readout import (
-    HidingModel,
-    MeasurementErrorTable,
-    ProbeConfig,
-    sequential_array_readout,
-)
-from .register import (
-    F1,
-    F2,
-    VACANT,
-    IdleErrorModel,
-    idle,
-)
+from .register import F1, VACANT, IdleErrorModel, idle
 
 
-@dataclass(frozen=True)
-class CodeConfig:
-    distance: int = 3
-    rounds: int = 17
-    idle_ms: float = 20.0
-    per_round_flip: float = 0.09
-    per_round_loss: float = 0.037
-    round_overhead_ms: float = 4.0  # wall-clock spent measuring the array
-
-    def __post_init__(self):
-        if self.distance < 1 or self.distance % 2 == 0:
-            raise ConfigurationError(f"code distance {self.distance} is not odd and >= 1")
-        for name in ("per_round_flip", "per_round_loss"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigurationError(f"{name} {getattr(self, name)} is outside [0, 1]")
-        if self.rounds < 1:
-            raise ConfigurationError("need at least one round")
-
-    @property
-    def round_time_ms(self) -> float:
-        return self.idle_ms + self.round_overhead_ms
-
-
-class VoteOutcome(Enum):
-    ZERO = 0
-    ONE = 1
-    COIN_TOSS = 2
-
-
-@dataclass
-class RoundRecord:
-    round_index: int
-    votes: np.ndarray  # state code per code site: F1, F2 or VACANT (lost)
-    survivors: int
-    vote_outcome: VoteOutcome
-    logical_state_after: int  # the resolved bit, coin included
-
-
-def encode(register: np.ndarray, bit: int, distance: int) -> np.ndarray:
-    """A copy of a 1-D register with the first `distance` occupied sites
-    prepared to the bit's hyperfine state (F1 + bit); other sites are
-    untouched."""
-    if bit not in (0, 1):
-        raise ConfigurationError("logical bit must be 0 or 1")
-    occupied = np.flatnonzero(register)
-    if len(occupied) < distance:
-        raise LoadFailure(
-            f"{len(occupied)} atoms loaded, {distance} required"
-        )
-    out = register.copy()
-    out[occupied[:distance]] = F1 + bit
-    return out
-
-
-def run_round(
-    register: np.ndarray,
-    config: CodeConfig,
-    rng: np.random.Generator,
-    round_index: int = 0,
-    *,
-    code_sites: list[int] | None = None,
-    mode: str = "abstract",
-    idle_model: IdleErrorModel | None = None,
-    probe: ProbeConfig | None = None,
-    table: MeasurementErrorTable | None = None,
-    photon: PhotonModel | None = None,
-    hiding: HidingModel | None = None,
-    hiding_power_mw: float = 2.0,
-    adaptive_loss_factor: float = 4.5,
-) -> tuple[RoundRecord, np.ndarray]:
-    """One cycle on a 1-D register: error accumulation, measurement, majority
-    vote, coin-toss tie break, re-initialization of all survivors to the
-    vote outcome.  The input register is not modified."""
-    if code_sites is None:
-        code_sites = list(range(len(register)))
-
-    if mode == "abstract":
-        # one flip and one loss draw per occupied code site, in site order
-        states = register.copy()
-        for i in code_sites:
-            if states[i] != VACANT:
-                if rng.random() < config.per_round_flip:
-                    states[i] = F1 + F2 - states[i]
-                if rng.random() < config.per_round_loss:
-                    states[i] = VACANT
-        votes = states[code_sites]
-    elif mode == "physical":
-        if None in (idle_model, probe, table, photon, hiding):
-            raise ConfigurationError("physical mode needs the full readout models")
-        records, final = sequential_array_readout(
-            idle(register, config.idle_ms, idle_model, rng)[None, :], code_sites,
-            hiding_power_mw, rng, probe=probe, table=table, photon=photon, hiding=hiding,
-            adaptive_loss_factor=adaptive_loss_factor, rounds=1, re_prepare="none",
-        )
-        states = final[0]
-        votes = records[0].result.inferred[0].astype(np.int8)
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-
-    ones = int(np.count_nonzero(votes == F2))
-    zeros = int(np.count_nonzero(votes == F1))
-    survivors = ones + zeros
-    if ones > zeros:
-        outcome, bit = VoteOutcome.ONE, 1
-    elif zeros > ones:
-        outcome, bit = VoteOutcome.ZERO, 0
-    else:  # tie, or no atoms remain
-        outcome = VoteOutcome.COIN_TOSS
-        bit = int(rng.random() < 0.5)
-
-    states[code_sites] = np.where(states[code_sites] == VACANT, VACANT, F1 + bit)
-    return RoundRecord(round_index, votes, survivors, outcome, bit), states
+def check_code(distance: int, rounds: int, **probabilities: float) -> None:
+    """Reject a code run that cannot be simulated: a distance that is not odd
+    and >= 1, a probability (named by its keyword) outside [0, 1], or no
+    rounds."""
+    if distance < 1 or distance % 2 == 0:
+        raise ConfigurationError(f"code distance {distance} is not odd and >= 1")
+    for name, p in probabilities.items():
+        if not 0.0 <= p <= 1.0:
+            raise ConfigurationError(f"{name} {p} is outside [0, 1]")
+    if rounds < 1:
+        raise ConfigurationError("need at least one round")
 
 
 @dataclass
@@ -164,7 +48,7 @@ class CodeTrace:
     """Per-round Monte-Carlo ensemble arrays for one (distance, flip, loss).
 
     new_error[t, r]   vote differs from the state prepared at round start
-    err_vs_initial[t, r]  resolved logical state differs from the encoded bit
+    err_vs_initial[t, r]  resolved logical state differs from the initial bit
     survivors[t, r]   non-lost votes in the round
     """
 
@@ -172,10 +56,6 @@ class CodeTrace:
     new_error: np.ndarray
     err_vs_initial: np.ndarray
     survivors: np.ndarray
-
-    @property
-    def rounds(self) -> int:
-        return self.new_error.shape[1]
 
 
 def round_hazard(distance: int, p: float) -> np.ndarray:
@@ -214,10 +94,10 @@ def simulate_code_abstract(
     n_trials: int,
     rng: np.random.Generator,
 ) -> CodeTrace:
-    """Abstract-mode ensemble, distributionally identical to running
-    run_round trial by trial, with no loop over rounds.  Loss is independent
-    of flips, so each atom's loss round comes from loss_rounds; a round with
-    s survivors errs with probability round_hazard(distance, flip_p)[s],
+    """The code ensemble, distributionally identical to stepping each trial
+    round by round, with no loop over rounds.  Loss is independent of flips,
+    so each atom's loss round comes from loss_rounds; a round with s
+    survivors errs with probability round_hazard(distance, flip_p)[s],
     independently of every other round."""
     alive = loss_rounds(distance, loss_p, rounds, n_trials, rng)
     survivors = np.zeros((n_trials, rounds), dtype=np.intp)  # intp: a fast gather index
@@ -299,6 +179,9 @@ def simulate_idling_bit(
     return p_err
 
 
+LIFETIME_DEFINITIONS = ("fitted_tau", "crossing_1_minus_1_over_e", "crossing_p_inf_over_e")
+
+
 @dataclass
 class LifetimeResult:
     lifetime_ms: float
@@ -326,11 +209,7 @@ def logical_lifetime(
     tau = fit.tau
     cross_1me = tau  # p_inf*(1-1/e) is reached at t = tau exactly
     cross_over_e = -tau * math.log(1.0 - 1.0 / math.e)
-    choices = {
-        "fitted_tau": tau,
-        "crossing_1_minus_1_over_e": cross_1me,
-        "crossing_p_inf_over_e": cross_over_e,
-    }
+    choices = dict(zip(LIFETIME_DEFINITIONS, (tau, cross_1me, cross_over_e)))
     if definition not in choices:
         raise ConfigurationError(f"unknown lifetime definition {definition!r}")
     # plateau not reached within the data -> extrapolated, low confidence

@@ -39,6 +39,8 @@ def test_estimate_from_binomial():
     est = Estimate.from_binomial(25, 100)
     assert est.mean == 0.25
     assert est.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 100))
+    empty = Estimate.from_binomial(0, 0)
+    assert math.isnan(empty.mean) and math.isnan(empty.stderr) and empty.n == 0
 
 
 def test_stream_determinism_and_independence():

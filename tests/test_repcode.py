@@ -7,24 +7,20 @@ from cavreg import (
     F1,
     F2,
     VACANT,
-    CodeConfig,
     ConfigurationError,
     HidingModel,
     IdleErrorModel,
-    LoadFailure,
     MeasurementErrorTable,
     PhotonModel,
     ProbeConfig,
-    VoteOutcome,
     combined_idle_lifetime,
-    encode,
     fit_error_exponent,
+    idle,
     logical_lifetime,
     majority_error_probability,
-    run_round,
+    sequential_array_readout,
     simulate_code_abstract,
     simulate_idling_bit,
-    uniform_register,
 )
 from cavreg.harness import ErrorScalingParams, ExperimentSpec, LifetimeParams, run
 
@@ -35,75 +31,23 @@ from oracles import (
 )
 
 
-def test_encode_patterns():
-    reg = encode(uniform_register(5, F2), 0, 3)
-    assert reg.tolist() == [F1, F1, F1, F2, F2]
-    reg = encode(uniform_register(5, F1), 1, 5)
-    assert reg.tolist() == [F2] * 5
-    reg = encode(uniform_register(1, F1), 1, 1)
-    assert reg.tolist() == [F2]
-
-
-def test_encode_needs_enough_atoms():
-    reg = np.array([F2, VACANT, F2], np.int8)
-    with pytest.raises(LoadFailure):
-        encode(reg, 0, 3)
-    with pytest.raises(ConfigurationError):
-        encode(uniform_register(3, F2), 2, 3)
-
-
 def test_code_config_invariants():
-    with pytest.raises(ConfigurationError):
-        CodeConfig(distance=2)
-    with pytest.raises(ConfigurationError):
-        CodeConfig(per_round_flip=1.5)
-    assert CodeConfig(idle_ms=20.0, round_overhead_ms=4.0).round_time_ms == 24.0
-
-
-class _ScriptedRng:
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self, *args):
-        return self._values.pop(0)
-
-
-def test_run_round_clear_majority():
-    # votes {F2, F2, F1} with encoded 1: majority ONE, all reset to F2
-    reg = encode(uniform_register(3, F2), 1, 3)
-    script = [0.99, 0.99,  # atom 0: no flip, no loss
-              0.99, 0.99,  # atom 1: no flip, no loss
-              0.00, 0.99]  # atom 2: flip, no loss
-    record, out = run_round(reg, CodeConfig(distance=3), _ScriptedRng(script))
-    assert record.votes.tolist() == [F2, F2, F1]
-    assert record.survivors == 3
-    assert record.vote_outcome is VoteOutcome.ONE
-    assert record.logical_state_after == 1
-    assert out.tolist() == [F2, F2, F2]
-
-
-def test_run_round_tie_resolves_by_coin():
-    # two survivors split {F1, F2} -> coin toss
-    reg = encode(uniform_register(3, F2), 1, 3)
-    script = [0.99, 0.00,   # atom 0: lost
-              0.00, 0.99,   # atom 1: flip -> F1
-              0.99, 0.99,   # atom 2: stays F2
-              0.70]         # coin: -> 0
-    record, out = run_round(reg, CodeConfig(distance=3), _ScriptedRng(script))
-    assert record.votes.tolist() == [VACANT, F1, F2]
-    assert record.survivors == 2
-    assert record.vote_outcome is VoteOutcome.COIN_TOSS
-    assert record.logical_state_after == 0
-    assert out.tolist() == [VACANT, F1, F1]
-
-
-def test_run_round_empty_register_coins():
-    reg = encode(uniform_register(2, F2), 1, 1)
-    config = CodeConfig(distance=1, per_round_loss=1.0)
-    record, out = run_round(reg, config, _ScriptedRng([0.99, 0.0, 0.99, 0.0, 0.2]))
-    assert record.survivors == 0
-    assert record.vote_outcome is VoteOutcome.COIN_TOSS
-    assert np.all(out == VACANT)
+    for params in (
+        lambda: ErrorScalingParams(distances=[1, 2]),
+        lambda: LifetimeParams(distances=[3, 2]),
+    ):
+        with pytest.raises(ConfigurationError, match="distance 2"):
+            params()
+    for params in (
+        lambda: ErrorScalingParams(flip_sweep=[0.1, 1.5]),
+        lambda: LifetimeParams(per_round_flip=1.5),
+    ):
+        with pytest.raises(ConfigurationError, match="per_round_flip 1.5"):
+            params()
+    with pytest.raises(ConfigurationError, match="per_round_loss -0.1"):
+        LifetimeParams(per_round_loss=-0.1)
+    with pytest.raises(ConfigurationError, match="at least one round"):
+        ErrorScalingParams(rounds=0)
 
 
 def test_majority_formula_matches_enumeration():
@@ -163,32 +107,6 @@ def test_d1_identity_distribution(rng):
 
     _, pval, _, _ = chi2_contingency(np.vstack([h1, h2]))
     assert pval > 0.01
-
-
-def test_run_round_agrees_with_vectorized(rng):
-    # dual route: the per-trial run_round loop and the vectorized engine
-    # produce the same per-round statistics
-    d, p, loss, rounds, trials = 3, 0.2, 0.1, 5, 4000
-    config = CodeConfig(distance=d, per_round_flip=p, per_round_loss=loss)
-    new_err = np.zeros(rounds)
-    surv = np.zeros(rounds)
-    for t in range(trials):
-        reg = encode(uniform_register(d, F2), 1, d)
-        state_bit = 1
-        for r in range(rounds):
-            record, reg = run_round(reg, config, rng, r)
-            new_err[r] += record.logical_state_after != state_bit
-            state_bit = record.logical_state_after
-            surv[r] += record.survivors
-    new_err /= trials
-    surv /= trials
-    trace = simulate_code_abstract(d, p, loss, rounds, trials, rng)
-    for r in range(rounds):
-        exp = trace.new_error[:, r].mean()
-        se = math.sqrt(max(exp * (1 - exp), 1e-9) / trials) * math.sqrt(2)
-        assert abs(new_err[r] - exp) < 4 * se
-        se_s = trace.survivors[:, r].std(ddof=1) / math.sqrt(trials) * math.sqrt(2)
-        assert abs(surv[r] - trace.survivors[:, r].mean()) < 4 * se_s
 
 
 def test_vectorized_curve_matches_exact_dp(rng):
@@ -296,43 +214,22 @@ def test_lifetime_flags_missing_plateau():
     assert res.low_confidence
 
 
-def test_physical_mode_round_runs(rng):
-    config = CodeConfig(distance=3, idle_ms=20.0)
-    reg = encode(uniform_register(3, F2), 1, 3)
-    record, out = run_round(
-        reg, config, rng, mode="physical",
-        idle_model=IdleErrorModel(),
+def test_physical_mode_statistics(rng):
+    # with 20 ms idling the dominant flip source is background depumping:
+    # a d=1 round read through the full protocol errs at flip + misclassification
+    idle_model = IdleErrorModel()
+    registers = idle(np.full((6000, 1), F2, np.int8), 20.0, idle_model, rng)
+    records, _ = sequential_array_readout(
+        registers, [0], 2.0, rng,
         probe=ProbeConfig(0.25, -5.0),
         table=MeasurementErrorTable(),
         photon=PhotonModel(),
         hiding=HidingModel(),
+        rounds=1, re_prepare="none",
     )
-    assert record.survivors <= 3
-    assert record.vote_outcome in set(VoteOutcome)
-    assert out.shape == (3,)
-
-
-def test_physical_mode_statistics(rng):
-    # with 20 ms idling the dominant flip source is background depumping:
-    # per-round vote errors for d=1 approach flip + misclassification
-    config = CodeConfig(distance=1, idle_ms=20.0)
-    idle_model = IdleErrorModel()
-    trials = 6000
-    errors = 0
-    alive = 0
-    for _ in range(trials):
-        reg = encode(uniform_register(1, F2), 1, 1)
-        record, _ = run_round(
-            reg, config, rng, mode="physical",
-            idle_model=idle_model,
-            probe=ProbeConfig(0.25, -5.0),
-            table=MeasurementErrorTable(),
-            photon=PhotonModel(),
-            hiding=HidingModel(),
-        )
-        if record.survivors == 1:
-            alive += 1
-            errors += record.logical_state_after != 1
+    inferred = records[0].result.inferred[:, 0]
+    alive = np.count_nonzero(inferred != VACANT)
+    errors = np.count_nonzero(inferred == F1)
     from cavreg.register import flip_probability
 
     p_flip = flip_probability(20.0, idle_model)

@@ -8,7 +8,7 @@ import pytest
 from cavreg import ConfigurationError
 from cavreg.cli import main
 from cavreg.config import parse_config_text
-from cavreg.harness import EXPERIMENTS, ErrorScalingParams, ExperimentSpec, run
+from cavreg.harness import EXPERIMENTS, ErrorScalingParams, ExperimentSpec, LifetimeParams, run
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 
@@ -69,9 +69,23 @@ def test_cli_post_select_out_of_range_is_exit_2(count, tmp_path, capsys):
 
 @pytest.mark.parametrize("count", ["-1", "4"])
 def test_run_error_scaling_rejects_unreachable_post_select(count):
-    params = ErrorScalingParams(distances=[3, 5], post_select=count)
     with pytest.raises(ConfigurationError, match="post_select"):
+        params = ErrorScalingParams(distances=[3, 5], post_select=count)
         run(ExperimentSpec("error_scaling", params, trials=100, master_seed=1))
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: ErrorScalingParams(distances=[3, 5], post_select="4"), "post_select"),
+        (lambda: LifetimeParams(definition="x"), "lifetime definition 'x'"),
+    ],
+    ids=["error_scaling_post_select", "lifetime_definition"],
+)
+def test_code_params_reject_bad_input_when_built(build, key):
+    # checked by the params class itself, so no caller can sample first
+    with pytest.raises(ConfigurationError, match=key):
+        build()
 
 
 def test_post_select_in_range_runs():
@@ -179,7 +193,7 @@ CODE_SWEEPS = [
 def test_code_sweep_out_of_range_is_exit_2_before_sampling(
     old, new, key, commands, tmp_path, capsys, monkeypatch
 ):
-    # odd distances >= 1 and flip probabilities in [0, 1], as CodeConfig requires;
+    # odd distances >= 1 and flip probabilities in [0, 1], as repcode.check_code requires;
     # finite floats and non-empty sweep lists, as the config parsers require
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a code sweep that should have been rejected")
