@@ -23,6 +23,7 @@ from cavreg import (
     simulate_idling_bit,
 )
 from cavreg.harness import ErrorScalingParams, ExperimentSpec, LifetimeParams, run
+from cavreg.repcode import check_code, round_hazard
 
 from oracles import (
     majority_flip_probability_enumeration,
@@ -48,6 +49,32 @@ def test_code_config_invariants():
         LifetimeParams(per_round_loss=-0.1)
     with pytest.raises(ConfigurationError, match="at least one round"):
         ErrorScalingParams(rounds=0)
+
+
+
+def test_check_code_accepts_the_range_edges():
+    check_code(1, 1, per_round_flip=0.0, per_round_loss=1.0)
+    check_code(5, 300, per_round_flip=1.0, per_round_loss=0.0)
+    with pytest.raises(ConfigurationError, match="per_round_loss 1.01"):
+        check_code(3, 1, per_round_flip=0.5, per_round_loss=1.01)
+
+
+def test_two_survivor_tie_errs_at_the_flip_rate():
+    # two votes err when both flip, and on the coin half the time when one does:
+    # p**2 + p*(1 - p) = p, so a tie corrects nothing
+    for p in (0.0, 0.05, 0.2, 0.5, 0.9, 1.0):
+        assert round_hazard(3, p)[2] == pytest.approx(p, abs=1e-15)
+        assert round_hazard(3, p)[1] == pytest.approx(p, abs=1e-15)
+
+
+def test_empty_register_rounds_are_coin_tosses(rng):
+    # every atom lost in the first round: each round votes on nothing
+    n, rounds = 40_000, 4
+    trace = simulate_code_abstract(3, 0.0, 1.0, rounds, n, rng)
+    assert (trace.survivors == 0).all()
+    se = math.sqrt(0.25 / n)
+    assert (np.abs(trace.new_error.mean(axis=0) - 0.5) < 4 * se).all()
+    assert (np.abs(trace.err_vs_initial.mean(axis=0) - 0.5) < 4 * se).all()
 
 
 def test_majority_formula_matches_enumeration():

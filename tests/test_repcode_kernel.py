@@ -132,3 +132,15 @@ def test_round_counts_flip_edges_are_exact(distance):
         assert erring[1:].tolist() == (wrong * n[1:]).tolist()
         se = math.sqrt(0.25 / n[0])
         assert abs(erring[0] / n[0] - 0.5) <= K * se
+
+
+@pytest.mark.parametrize("distance", (1, 3, 5))
+def test_trace_flip_edges_are_exact(distance):
+    # per trial: with no flips no voting round errs, with every vote flipped
+    # each one does; the empty rounds are coin tosses either way
+    for flip, wrong in ((0.0, False), (1.0, True)):
+        trace = simulate_code_abstract(distance, flip, 0.3, ROUNDS, TRIALS, stream(40, distance))
+        voting = trace.survivors > 0
+        assert (trace.new_error[voting] == wrong).all()
+        empty = trace.new_error[~voting]
+        assert abs(empty.mean() - 0.5) <= K * math.sqrt(0.25 / empty.size)
