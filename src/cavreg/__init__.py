@@ -27,7 +27,6 @@ from .readout import (
     HidingModel,
     MeasurementErrorTable,
     ProbeConfig,
-    SiteMeasurement,
     hidden_depump_probability,
     measure_site,
     sequential_array_readout,

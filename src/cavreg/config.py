@@ -214,7 +214,7 @@ class Config:
         rows = {}
         for i in (1, 2, 3, 4):
             depth, det, if1, lf1, if2, lf2 = self[("error_table", f"row_{i}")]
-            rows[(round(depth, 6), round(abs(det), 6))] = ErrorRates(if1, lf1, if2, lf2)
+            rows[ProbeConfig(depth, det).key()] = ErrorRates(if1, lf1, if2, lf2)
         return MeasurementErrorTable(rows=rows)
 
     def validate_models(self) -> None:

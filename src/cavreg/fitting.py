@@ -15,6 +15,11 @@ import numpy as np
 from .errors import ConfigurationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section stop: bracket width relative to the decay time, or steps
+_REL_TOL = 1e-9
+_MAX_ITER = 10_000
+# fewest (t, p) points a saturating-exponential fit accepts
+MIN_FIT_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,7 @@ def _amplitude(ts: np.ndarray, ps: np.ndarray, tau: float, p_inf_max: float):
     return p_inf, float((resid**2).sum()), basis
 
 
-def fit_saturating_exponential(
-    ts,
-    ps,
-    *,
-    p_inf_max: float = 1.0,
-    rel_tol: float = 1e-9,
-    max_iter: int = 10_000,
-) -> SaturatingExpFit:
+def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingExpFit:
     """Fit p(t) = p_inf * (1 - exp(-t/tau)) by least squares.
 
     For each candidate tau the amplitude has a closed-form least-squares
@@ -84,8 +82,8 @@ def fit_saturating_exponential(
     """
     ts = np.asarray(ts, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    if len(ts) < 5 or len(ts) != len(ps):
-        raise ConfigurationError("saturating-exponential fit needs >= 5 points")
+    if len(ts) < MIN_FIT_POINTS or len(ts) != len(ps):
+        raise ConfigurationError(f"saturating-exponential fit needs >= {MIN_FIT_POINTS} points")
     if np.any((ps < 0) | (ps > 1)):
         raise ConfigurationError("probabilities must lie in [0, 1]")
     if np.any(ts <= 0):
@@ -110,7 +108,7 @@ def fit_saturating_exponential(
     fc = _amplitude(ts, ps, c, p_inf_max)[1]
     fd = _amplitude(ts, ps, d, p_inf_max)[1]
     iterations = 0
-    while abs(b - a) > rel_tol * (abs(a) + abs(b)) and iterations < max_iter:
+    while abs(b - a) > _REL_TOL * (abs(a) + abs(b)) and iterations < _MAX_ITER:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -138,7 +136,7 @@ def fit_saturating_exponential(
         p_inf_se = tau_se = math.nan
         note = "singular Jacobian: parameter errors unavailable"
 
-    converged = not at_edge and iterations < max_iter
+    converged = not at_edge and iterations < _MAX_ITER
     if at_edge:
         note = (note + "; " if note else "") + (
             f"optimum at tau grid boundary ({tau:.3g} ms): saturation not resolved"

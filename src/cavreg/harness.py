@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError
-from .fitting import fit_linear
+from .fitting import MIN_FIT_POINTS, fit_linear
 from .photons import PhotonModel, sample_adaptive_bright_batch
 from .readout import (
     HidingModel,
@@ -106,6 +106,12 @@ class DepumpScalingParams:
     def __post_init__(self):
         if min(self.sizes, default=0) < 1:
             raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
+        # measure_site divides the bright-state loss under adaptive termination
+        loss = self.table.lookup(self.probe).loss_f2 / self.adaptive_loss_factor
+        if self.adaptive and loss > 1.0:
+            raise ConfigurationError(
+                f"adaptive bright-state loss {loss:.3g} = loss_f2 / adaptive_loss_factor exceeds 1"
+            )
 
 
 @dataclass
@@ -167,6 +173,10 @@ class LifetimeParams:
                        per_round_loss=self.per_round_loss)
         if self.definition not in LIFETIME_DEFINITIONS:
             raise ConfigurationError(f"unknown lifetime definition {self.definition!r}")
+        if self.rounds < MIN_FIT_POINTS:
+            raise ConfigurationError(
+                f"lifetime rounds {self.rounds}: the lifetime fit needs >= {MIN_FIT_POINTS}"
+            )
 
 
 @dataclass
@@ -283,7 +293,7 @@ def run_depump_scaling(
         n = params.sizes[point]
         registers = np.tile(uniform_register(n, F2), (size, 1))
         records, _ = sequential_array_readout(
-            registers, list(range(n)), params.hiding_power_mw, rng,
+            registers, params.hiding_power_mw, rng,
             probe=params.probe, table=params.table, photon=params.photon, hiding=params.hiding,
             adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive,
             adaptive_loss_factor=params.adaptive_loss_factor, rounds=params.rounds,
@@ -292,10 +302,9 @@ def run_depump_scaling(
         # [site, round, (errors, detections)]
         acc = np.zeros((n, params.rounds, 2), dtype=np.int64)
         for rec in records:
-            inferred = rec.result.inferred
             # lost atoms / undetected presence are excluded
-            detected = (rec.prepared != VACANT) & (inferred != VACANT)
-            acc[:, rec.round_index, 0] = np.count_nonzero(detected & (inferred == F1), axis=0)
+            detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
+            acc[:, rec.round_index, 0] = np.count_nonzero(detected & (rec.inferred == F1), axis=0)
             acc[:, rec.round_index, 1] = np.count_nonzero(detected, axis=0)
         return acc
 
@@ -392,6 +401,8 @@ def run_search_cost(
             analytic = expected_cost(SearchProblem(n, p, params.placement), strat)
         except ConfigurationError:
             analytic = math.nan
+        if noise is not None and strat is not Strategy.DETERMINISTIC_SEQUENTIAL:
+            analytic = math.nan  # the closed forms assume noiseless checks
         rows.append(dict(zip(fieldnames, (n, p, strat.value, mean, stderr, analytic))))
     return ExperimentResult(fieldnames, rows, {})
 
@@ -542,8 +553,7 @@ def run_lifetime(
 
     def error_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         if point == 0:
-            p_err = simulate_idling_bit(params.idle_model, times, size, rng)
-            return np.round(p_err * size).astype(np.int64)
+            return simulate_idling_bit(params.idle_model, times, size, rng)
         trace = simulate_code_abstract(
             params.distances[point - 1], params.per_round_flip, params.per_round_loss,
             params.rounds, size, rng,

@@ -16,7 +16,7 @@ down to the background floor set by the trapping light.
 Sites never interact, and hidden depump is absorbing and independent per
 exposure: k hidden exposures and i idle intervals leave a bright atom bright
 with probability (1 - p_hidden)^k (1 - floor)^i, one draw for all of them.
-So a readout round measures every target of every trial in one call.
+So a readout round measures every site of every trial in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .photons import (
-    IntervalOutcome,
     PhotonModel,
     sample_adaptive_interval,
     sample_full_interval,
@@ -148,16 +147,6 @@ def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SiteMeasurement:
-    """Outcome of one hyperfine + occupation measurement pair, as arrays over
-    the trial axis."""
-
-    hyperfine: IntervalOutcome
-    occupation: IntervalOutcome
-    inferred: np.ndarray  # VACANT if occupation read dark, else F2/F1 by hyperfine
-
-
 def measure_site(
     codes: np.ndarray,
     probe: ProbeConfig,
@@ -167,9 +156,11 @@ def measure_site(
     *,
     adaptive: bool = True,
     adaptive_loss_factor: float = 4.5,
-) -> tuple[SiteMeasurement, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Measure one site in every trial of a 1-D array of state codes and
-    return (record, post-measurement state codes).
+    return (inferred, post-measurement state codes).  inferred is VACANT
+    where the occupation interval read dark, else F2 or F1 by the hyperfine
+    interval.
 
     The state-appropriate infidelity flips the effective emitter for the
     hyperfine interval (misclassification channel).  Loss is applied once per
@@ -192,20 +183,18 @@ def measure_site(
     # present: F=2 if the hyperfine interval read bright, else F=1
     inferred = np.where(occupation.bright, F1 + hyperfine.bright, VACANT)
     post = np.where(rng.random(codes.shape) < loss, VACANT, effective)
-    return SiteMeasurement(hyperfine, occupation, inferred), post
+    return inferred, post
 
 
 @dataclass(frozen=True)
 class ReadoutRecord:
-    """One readout round.  measured, prepared and every array of result are
-    (trials, len(sites)), column j for target sites[j]; a cell that
-    adaptive_rounds skipped reads VACANT with 0 counts and 0 duration."""
+    """One readout round as (trials, sites) arrays, column j for site j; a
+    cell that adaptive_rounds skipped reads VACANT in inferred."""
 
     round_index: int
-    sites: tuple[int, ...]  # the target order
-    measured: np.ndarray  # the trial measured the target in this round
-    prepared: np.ndarray  # ground-truth state codes at the target's step
-    result: SiteMeasurement
+    measured: np.ndarray  # the trial measured the site in this round
+    prepared: np.ndarray  # ground-truth state codes at the site's step
+    inferred: np.ndarray  # the state codes read out
 
 
 def _depump_since_update(codes: np.ndarray, keep: np.ndarray, rng) -> np.ndarray:
@@ -213,18 +202,8 @@ def _depump_since_update(codes: np.ndarray, keep: np.ndarray, rng) -> np.ndarray
     return np.where(rng.random(codes.shape) < keep, codes, np.minimum(codes, F1))
 
 
-def _in_cells(cells: np.ndarray, values: np.ndarray, background=None) -> np.ndarray:
-    """values, one per measured cell in C order, on the grid; background (or 0) elsewhere."""
-    if values.size == cells.size:  # every cell measured
-        return values.reshape(cells.shape)
-    out = np.zeros(cells.shape, values.dtype) if background is None else background.copy()
-    out[cells] = values
-    return out
-
-
 def sequential_array_readout(
     register: np.ndarray,
-    target_order: list[int],
     hiding_power_mw: float,
     rng: np.random.Generator,
     *,
@@ -239,69 +218,58 @@ def sequential_array_readout(
     idle_intervals: int = 0,
     re_prepare: str = "bright",
 ) -> tuple[list[ReadoutRecord], np.ndarray]:
-    """Sequentially measure the target sites, one at a time, for one or more
-    rounds, and return one record per round and the final state codes.
+    """Sequentially measure every site, one at a time in index order, for
+    one or more rounds, and return one record per round and the final state
+    codes.
 
     `register` is an int8 array of state codes of shape (trials, sites)
     whose trials are read out together; it is not modified.
 
-    While a target is probed, every other occupied bright atom independently
-    depumps with hidden_depump_probability (charged once per target
+    While a site is probed, every other occupied bright atom independently
+    depumps with hidden_depump_probability (charged once per site
     measurement).  idle_intervals adds probe-free intervals per round during
     which waiting atoms depump at the background floor only.  With
     adaptive_rounds, sites inferred vacant in the previous round are skipped.
 
-    re_prepare: "bright" repumps each present target to F=2 right after its
-    measurement (bright-state characterization), "inferred" resets it to the
-    inferred state, "none" leaves the post-measurement state.
+    re_prepare: "bright" repumps each present atom to F=2 right after its
+    measurement (bright-state characterization), "none" leaves the
+    post-measurement state.
 
-    A round draws one depump uniform per (trial, target) and makes one
+    A round draws one depump uniform per (trial, site) and makes one
     measure_site call over the measured cells; one uniform per (trial, site)
     applies the depump left after the last round.
     """
     if register.ndim != 2:
         raise ConfigurationError(f"register must be a (trials, sites) array, not {register.shape}")
-    trials, n = register.shape
-    if len(set(target_order)) != len(target_order):
-        raise ConfigurationError("duplicate target indices")
-    if any(i < 0 or i >= n for i in target_order):
-        raise ConfigurationError("target index out of range")
-    if re_prepare not in ("bright", "inferred", "none"):
+    if re_prepare not in ("bright", "none"):
         raise ConfigurationError(f"unknown re_prepare policy {re_prepare!r}")
 
-    m = len(target_order)
-    # column j holds site order[j]: the targets first, in target order
-    order = list(target_order) + sorted(set(range(n)) - set(target_order))
-    states = register[:, order]
-    decay = (1.0 - hidden_depump_probability(hiding, hiding_power_mw)) ** np.arange(m + 1)
+    n = register.shape[1]
+    states = register
+    decay = (1.0 - hidden_depump_probability(hiding, hiding_power_mw)) ** np.arange(n + 1)
     idle_keep = (1.0 - hiding.background_floor) ** idle_intervals
     # chance that a bright atom is still bright, from its last update to now
-    keep = np.ones((trials, n))
-    measured = np.ones((1, m), dtype=bool)  # the same for every trial until adaptive rounds skip
+    keep = np.ones((1, n))
+    measured = np.ones((1, n), dtype=bool)  # the same for every trial until adaptive rounds skip
     records: list[ReadoutRecord] = []
 
     for round_index in range(rounds):
-        # hidden exposures of each target in this round, before its step and in all
+        # hidden exposures of each site in this round, before its step and in all
         before = np.cumsum(measured, axis=1) - measured
         total = measured.sum(axis=1, keepdims=True)
-        prepared = _depump_since_update(states[:, :m], keep[:, :m] * decay[before], rng)
+        prepared = _depump_since_update(states, keep * decay[before], rng)
         cells = np.broadcast_to(measured, prepared.shape)
         codes = prepared.ravel() if measured.all() else prepared[cells]  # C order either way
-        meas, post = measure_site(codes, probe, table, photon, rng, adaptive=adaptive,
-                                  adaptive_loss_factor=adaptive_loss_factor)
+        found, post = measure_site(codes, probe, table, photon, rng, adaptive=adaptive,
+                                   adaptive_loss_factor=adaptive_loss_factor)
         if re_prepare == "bright":
             post = np.where(post != VACANT, F2, post)
-        elif re_prepare == "inferred":
-            post = np.where((post != VACANT) & (meas.inferred != VACANT), meas.inferred, post)
-        states[:, :m] = _in_cells(cells, post, prepared)
-        result = SiteMeasurement(*(
-            IntervalOutcome(*(_in_cells(cells, a) for a in (o.counts, o.duration_us, o.bright)))
-            for o in (meas.hyperfine, meas.occupation)
-        ), _in_cells(cells, meas.inferred))
-        records.append(ReadoutRecord(round_index, tuple(target_order), cells, prepared, result))
-        keep *= decay[total] * idle_keep  # sites off the target list
-        keep[:, :m] = decay[total - before - measured] * idle_keep
+        states = prepared.copy()
+        states[cells] = post
+        inferred = np.full(prepared.shape, VACANT, found.dtype)
+        inferred[cells] = found
+        records.append(ReadoutRecord(round_index, cells, prepared, inferred))
+        keep = decay[total - before - measured] * idle_keep
         if adaptive_rounds:
-            measured = result.inferred != VACANT
-    final = _depump_since_update(states, keep, rng)
-    return records, final[:, np.argsort(order)]
+            measured = inferred != VACANT
+    return records, _depump_since_update(states, keep, rng)

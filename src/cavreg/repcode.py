@@ -166,17 +166,17 @@ def simulate_idling_bit(
     n_trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ensemble error probability of a single unmeasured idling bit, read out
-    destructively at each grid time (a lost atom reads as a coin toss)."""
+    """Error counts of n_trials unmeasured idling bits, read out destructively
+    at each grid time (a lost atom reads as a coin toss)."""
     times_ms = np.asarray(times_ms, dtype=float)
     steps = np.diff(np.concatenate([[0.0], times_ms]))
     states = np.full(n_trials, F1, dtype=np.int8)
-    p_err = np.empty(len(times_ms))
+    errors = np.empty(len(times_ms), dtype=np.int64)
     for k, dt in enumerate(steps):
         states = idle(states, dt, idle_model, rng)
         coin = rng.random(n_trials) < 0.5
-        p_err[k] = np.where(states == VACANT, coin, states != F1).mean()
-    return p_err
+        errors[k] = np.count_nonzero(np.where(states == VACANT, coin, states != F1))
+    return errors
 
 
 LIFETIME_DEFINITIONS = ("fitted_tau", "crossing_1_minus_1_over_e", "crossing_p_inf_over_e")

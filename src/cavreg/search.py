@@ -2,8 +2,8 @@
 
 A group check is a single fluorescence interval interrogating a subset of
 sites at once: it reveals whether any bright atom is present in the subset.
-When the register is strongly biased toward dark, checking everything at
-once and only then searching makes the expected readout cost 1 + p*N; a
+When at most one site is bright (with probability p), checking everything
+at once and only then searching makes the expected readout cost 1 + p*N; a
 bisection search over positive subsets cuts it further to 1 + p*log2(N).
 
 Registers are (..., n) state-code arrays with a leading trial axis.  A
@@ -225,22 +225,27 @@ def _expected_splits(m: int) -> float:
 
 
 def expected_cost(problem: SearchProblem, strategy: Strategy) -> float:
-    """Closed-form expected number of readout intervals.
+    """Closed-form expected number of readout intervals of a noiseless search.
 
-    sequential: N.  global_then_sequential: 1 + p*N.  partitioned (under the
-    at-most-one placement): 1 + p*E[splits], where E[splits] is the exact
-    split recursion (= log2 N for power-of-two N).
+    sequential: N.  global_then_sequential: 1 + N * P(any site bright), which
+    is 1 + p*N under the at-most-one placement and 1 + N*(1 - (1 - p)^N) under
+    the independent one.  partitioned (under the at-most-one placement):
+    1 + p*E[splits], where E[splits] is the exact split recursion (= log2 N
+    for power-of-two N).
     """
+    n, p = problem.n, problem.p
     if strategy is Strategy.DETERMINISTIC_SEQUENTIAL:
-        return float(problem.n)
+        return float(n)
     if strategy is Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL:
-        return 1.0 + problem.p * problem.n
+        if problem.placement is Placement.AT_MOST_ONE_BRIGHT:
+            return 1.0 + p * n
+        return 1.0 + n * (1.0 - (1.0 - p) ** n)
     if strategy is Strategy.PARTITIONED_BINARY:
         if problem.placement is not Placement.AT_MOST_ONE_BRIGHT:
             raise ConfigurationError(
                 "closed-form partitioned cost is defined for the at-most-one placement"
             )
-        return 1.0 + problem.p * _expected_splits(problem.n)
+        return 1.0 + p * _expected_splits(n)
     raise ConfigurationError(f"unknown strategy {strategy!r}")
 
 

@@ -274,11 +274,8 @@ def sequential_readout_transcript(
             sites[target] = post
             transcript.append((round_index, target, prepared, inferred))
             believed_present[target] = inferred is not None
-            if post is not None:
-                if re_prepare == "bright":
-                    sites[target] = 2
-                elif re_prepare == "inferred" and inferred is not None:
-                    sites[target] = inferred
+            if post is not None and re_prepare == "bright":
+                sites[target] = 2
             for j, s in enumerate(sites):
                 if j != target and s == 2 and rng.random() < p_hidden:
                     sites[j] = 1

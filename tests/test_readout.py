@@ -44,9 +44,9 @@ def _tally(records, n_sites, from_round=0):
     for rec in records:
         if rec.round_index < from_round:
             continue
-        detected = (rec.prepared != VACANT) & (rec.result.inferred != VACANT)
-        counts[list(rec.sites)] += np.count_nonzero(detected, axis=0)
-        errors[list(rec.sites)] += np.count_nonzero(detected & (rec.result.inferred == F1), axis=0)
+        detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
+        counts += np.count_nonzero(detected, axis=0)
+        errors += np.count_nonzero(detected & (rec.inferred == F1), axis=0)
     return errors, counts
 
 
@@ -95,20 +95,19 @@ def test_hiding_model_invariants():
 
 
 def test_measure_site_vacant(rng):
-    meas, post = measure_site(uniform_register(200, VACANT), PROBE_5, TABLE, PHOTON, rng)
+    _, post = measure_site(uniform_register(200, VACANT), PROBE_5, TABLE, PHOTON, rng)
     assert np.all(post == VACANT)
-    assert np.all(~meas.occupation.bright | (meas.occupation.counts >= 2))
     # dark counts crossing threshold are ~3e-4 per interval; almost always vacant
     n = 5000
-    meas, _ = measure_site(uniform_register(n, VACANT), PROBE_5, TABLE, PHOTON, rng)
-    inferred_vacant = np.count_nonzero(meas.inferred == VACANT)
+    inferred, _ = measure_site(uniform_register(n, VACANT), PROBE_5, TABLE, PHOTON, rng)
+    inferred_vacant = np.count_nonzero(inferred == VACANT)
     assert inferred_vacant / n > 0.995
 
 
 def test_measure_site_misclassification_rate(rng):
     n = 30_000
-    meas, _ = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng)
-    wrong = np.count_nonzero(meas.inferred == F1)
+    inferred, _ = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng)
+    wrong = np.count_nonzero(inferred == F1)
     # misreads are dominated by the 0.8% misclassification channel
     p = 0.008
     se = math.sqrt(p * (1 - p) / n)
@@ -144,26 +143,26 @@ def test_measure_site_is_perfect_in_the_ideal_limit(rng):
         detector=DetectorModel(dark_rate_hz=0.0),
     )
     for state in (F2, F1, VACANT):
-        meas, post = measure_site(uniform_register(300, state), PROBE_5, table, photon, rng)
-        assert np.all(meas.inferred == state)
+        inferred, post = measure_site(uniform_register(300, state), PROBE_5, table, photon, rng)
+        assert np.all(inferred == state)
         assert np.all(post == state)
-
-
-def test_sequential_readout_rejects_duplicates(rng):
-    reg = uniform_register(3, F2)[None, :]
-    with pytest.raises(ConfigurationError):
-        sequential_array_readout(
-            reg, [0, 0, 1], 2.0, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
-        )
 
 
 def test_sequential_readout_names_the_trial_shape(rng):
     # a 1-D register lacks the leading trial axis
     with pytest.raises(ConfigurationError, match=r"\(trials, sites\)"):
         sequential_array_readout(
-            uniform_register(3, F2), [0, 1, 2], 2.0, rng,
+            uniform_register(3, F2), 2.0, rng,
             probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
+        )
+
+
+@pytest.mark.parametrize("policy", ["inferred", "dark"])
+def test_sequential_readout_rejects_unknown_re_prepare(policy, rng):
+    with pytest.raises(ConfigurationError, match="re_prepare"):
+        sequential_array_readout(
+            _trials(2, 3), 2.0, rng,
+            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, re_prepare=policy,
         )
 
 
@@ -171,7 +170,7 @@ def test_single_site_round_error_is_spam_only(rng):
     # one atom: no hiding exposure, per-round bright error is the SPAM error
     n = 20_000
     records, _ = sequential_array_readout(
-        _trials(n, 1), [0], 2.0, rng,
+        _trials(n, 1), 2.0, rng,
         probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
     )
     (errors,), (detections,) = _tally(records, 1)
@@ -185,7 +184,7 @@ def test_unhidden_depump_matches_compounded_oracle(rng):
     # position k follows the compounded closed form
     n_sites, trials = 6, 4000
     records, _ = sequential_array_readout(
-        _trials(trials, n_sites), list(range(n_sites)), 0.0, rng,
+        _trials(trials, n_sites), 0.0, rng,
         probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
     )
     errors, counts = _tally(records, n_sites)
@@ -202,7 +201,7 @@ def test_first_round_error_is_affine_in_position(rng):
     p_hidden = hidden_depump_probability(HIDING, power)
     n_sites, trials = 8, 6000
     records, _ = sequential_array_readout(
-        _trials(trials, n_sites), list(range(n_sites)), power, rng,
+        _trials(trials, n_sites), power, rng,
         probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
     )
     errors, counts = _tally(records, n_sites)
@@ -217,7 +216,7 @@ def test_steady_state_exposure_independent_of_position(rng):
     p_hidden = hidden_depump_probability(HIDING, power)
     n_sites, trials, rounds = 5, 4000, 3
     records, _ = sequential_array_readout(
-        _trials(trials, n_sites), list(range(n_sites)), power, rng,
+        _trials(trials, n_sites), power, rng,
         probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=rounds,
     )
     errors, counts = _tally(records, n_sites, from_round=1)
@@ -231,18 +230,17 @@ def test_steady_state_exposure_independent_of_position(rng):
 def test_exposure_law_matches_closed_form(rng):
     # an ideal readout reads every prepared state back exactly, so the F1
     # fraction at a target is the exact chance that its bright atom depumped
-    # since it was last re-prepared: 1 - (1 - p)^q at position q of round 0,
-    # 1 - (1 - p)^(m-1) (1 - floor)^idle in later rounds
+    # since it was last re-prepared: 1 - (1 - p)^q at site q in round 0,
+    # 1 - (1 - p)^(n-1) (1 - floor)^idle in later rounds
     table = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.0, 0.0, 0.0, 0.0)})
     photon = PhotonModel(
         bright_mean_full=1e3, threshold=1, detector=DetectorModel(dark_rate_hz=0.0)
     )
     hiding = HidingModel(background_floor=0.02)
     p, floor = hidden_depump_probability(hiding, 0.0), hiding.background_floor
-    order, n_sites, rounds, trials = [4, 1, 3, 0], 6, 3, 20_000
-    m = len(order)
+    n_sites, rounds, trials = 6, 3, 20_000
     records, final = sequential_array_readout(
-        _trials(trials, n_sites), order, 0.0, rng,
+        _trials(trials, n_sites), 0.0, rng,
         probe=PROBE_5, table=table, photon=photon, hiding=hiding,
         rounds=rounds, idle_intervals=1, re_prepare="bright",
     )
@@ -252,16 +250,15 @@ def test_exposure_law_matches_closed_form(rng):
         return abs(np.count_nonzero(dark) / dark.size - expected) <= 4 * se
 
     for rec in records:
-        assert np.array_equal(rec.result.inferred, rec.prepared)
-        for q in range(m):
-            kept = (1 - p) ** q if rec.round_index == 0 else (1 - p) ** (m - 1) * (1 - floor)
+        assert np.array_equal(rec.inferred, rec.prepared)
+        for q in range(n_sites):
+            kept = ((1 - p) ** q if rec.round_index == 0
+                    else (1 - p) ** (n_sites - 1) * (1 - floor))
             assert close(rec.prepared[:, q] == F1, 1 - kept), (rec.round_index, q)
-    # after the last round a target keeps the exposure after its own step and
-    # the idle interval; a site off the list was exposed in every step
-    for q, site in enumerate(order):
-        assert close(final[:, site] == F1, 1 - (1 - p) ** (m - 1 - q) * (1 - floor)), site
-    for site in sorted(set(range(n_sites)) - set(order)):
-        assert close(final[:, site] == F1, 1 - ((1 - p) ** m * (1 - floor)) ** rounds), site
+    # after the last round a site keeps the exposure after its own step and
+    # the idle interval
+    for q in range(n_sites):
+        assert close(final[:, q] == F1, 1 - (1 - p) ** (n_sites - 1 - q) * (1 - floor)), q
 
 
 def test_adaptive_rounds_skip_sites_read_vacant(rng):
@@ -269,7 +266,7 @@ def test_adaptive_rounds_skip_sites_read_vacant(rng):
     # round 1; adaptive rounds must not re-measure them
     table = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.0, 1.0, 0.0, 1.0)})
     records, reg = sequential_array_readout(
-        uniform_register(4, F2)[None, :], list(range(4)), 2.0, rng,
+        uniform_register(4, F2)[None, :], 2.0, rng,
         probe=PROBE_5, table=table, photon=PHOTON, hiding=HIDING,
         adaptive=False, adaptive_rounds=True, rounds=3,
     )
@@ -277,9 +274,8 @@ def test_adaptive_rounds_skip_sites_read_vacant(rng):
     # atom loss lands after its measurement: round 0 reads everyone present,
     # round 1 reads everyone vacant, round 2 is skipped entirely
     assert [rec.round_index for rec in records] == [0, 1, 2]
-    assert all(rec.sites == (0, 1, 2, 3) for rec in records)
     assert records[0].measured.all() and records[1].measured.all()
-    assert np.all(records[1].result.inferred == VACANT)
+    assert np.all(records[1].inferred == VACANT)
     assert not records[2].measured.any()
 
 
@@ -288,7 +284,7 @@ def test_loss_accounting_product_of_survival_factors(rng):
     # R rounds is (1 - loss_f2)^R
     rounds, trials = 6, 8000
     _, final = sequential_array_readout(
-        _trials(trials, 1), [0], 2.0, rng,
+        _trials(trials, 1), 2.0, rng,
         probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
         adaptive=False, rounds=rounds,
     )

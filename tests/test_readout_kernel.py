@@ -1,8 +1,8 @@
 """The array readout kernel against the per-trial reference loop.
 
-sequential_array_readout reads every target of every trial of a state-code
+sequential_array_readout reads every site of every trial of a state-code
 array out in one batched measurement per round.  tests/oracles.py keeps the
-scalar per-trial loop that steps target by target; here both run the same
+scalar per-trial loop that steps site by site; here both run the same
 configurations and every per-(site, round) rate, and the final occupancy
 and bright occupancy of every site, must agree within K standard errors of
 the difference.
@@ -41,9 +41,8 @@ HIGH_FLOOR = HidingModel(background_floor=0.02)
 
 N_SITES, ROUNDS = 4, 3
 ORACLE_TRIALS, KERNEL_TRIALS = 2500, 20_000
-# a register with a vacant and a dark site, read in a partial, unsorted order:
-# site 1 is never a target, site 4 is a bright atom hidden all the time
-MIXED = dict(register=[F2, VACANT, F1, F2, F2], order=[3, 0, 2])
+# a register with a vacant and a dark site among bright atoms
+MIXED = dict(register=[F2, VACANT, F1, F2, F2])
 
 CONFIGS = {
     "hiding_0mW": dict(hiding_power_mw=0.0),
@@ -53,12 +52,11 @@ CONFIGS = {
         hiding_power_mw=0.4, adaptive_rounds=True, table=LOSSY, re_prepare="none"
     ),
     "idle_intervals": dict(hiding_power_mw=2.0, idle_intervals=1, hiding=HIGH_FLOOR),
-    "re_prepare_inferred": dict(hiding_power_mw=0.0, table=LOSSY, re_prepare="inferred"),
     "mixed_idle_intervals": dict(
         MIXED, hiding_power_mw=0.0, idle_intervals=1, hiding=HIGH_FLOOR
     ),
     "mixed_adaptive_rounds": dict(
-        MIXED, hiding_power_mw=0.4, adaptive_rounds=True, table=LOSSY, re_prepare="inferred"
+        MIXED, hiding_power_mw=0.4, adaptive_rounds=True, table=LOSSY, re_prepare="bright"
     ),
 }
 
@@ -69,7 +67,6 @@ def _run_config(kw):
     table = kw.pop("table", MeasurementErrorTable())
     hiding = kw.pop("hiding", HidingModel())
     register = kw.pop("register", [F2] * N_SITES)
-    order = kw.pop("order", list(range(N_SITES)))
     n = len(register)
     # [site, round, (measured, detected, errors)]; final (occupied, bright) per site
     oracle = np.zeros((n, ROUNDS, 3), dtype=np.int64)
@@ -77,7 +74,7 @@ def _run_config(kw):
     rng = np.random.default_rng(101)
     for _ in range(ORACLE_TRIALS):
         transcript, sites = sequential_readout_transcript(
-            [None if c == VACANT else c for c in register], order,
+            [None if c == VACANT else c for c in register], list(range(n)),
             hidden_depump_probability(hiding, power), rng,
             rates=table.lookup(PROBE), photon=PHOTON,
             background_floor=hiding.background_floor, rounds=ROUNDS, **kw,
@@ -93,14 +90,14 @@ def _run_config(kw):
     kernel = np.zeros_like(oracle)
     codes = np.tile(np.array(register, dtype=np.int8), (KERNEL_TRIALS, 1))
     records, final = sequential_array_readout(
-        codes, order, power, np.random.default_rng(202),
+        codes, power, np.random.default_rng(202),
         probe=PROBE, table=table, photon=PHOTON, hiding=hiding, rounds=ROUNDS, **kw,
     )
     for rec in records:
-        detected = (rec.prepared != VACANT) & (rec.result.inferred != VACANT)
-        kernel[list(rec.sites), rec.round_index] = np.stack(
+        detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
+        kernel[:, rec.round_index] = np.stack(
             [np.count_nonzero(c, axis=0)
-             for c in (rec.measured, detected, detected & (rec.result.inferred == F1))],
+             for c in (rec.measured, detected, detected & (rec.inferred == F1))],
             axis=-1,
         )
     kernel_final = np.stack(
@@ -143,31 +140,27 @@ def test_kernel_matches_per_trial_oracle(name):
 def test_adaptive_rounds_records_hold_only_measured_trials():
     codes = np.tile(uniform_register(3, F2), (2000, 1))
     records, _ = sequential_array_readout(
-        codes, [2, 0, 1], 0.4, np.random.default_rng(5),
+        codes, 0.4, np.random.default_rng(5),
         probe=PROBE, table=LOSSY, photon=PHOTON, hiding=HidingModel(),
         adaptive_rounds=True, rounds=3, re_prepare="none",
     )
-    assert [rec.sites for rec in records] == [(2, 0, 1)] * 3
     assert records[0].measured.all()
-    # each round measures exactly the (trial, target) cells inferred present
+    # each round measures exactly the (trial, site) cells inferred present
     # in the round before; atoms lost in round 0 read vacant in round 1
     for prev, rec in zip(records, records[1:]):
-        assert np.array_equal(rec.measured, prev.result.inferred != VACANT)
+        assert np.array_equal(rec.measured, prev.inferred != VACANT)
     last = records[-1]
     skipped = ~last.measured
     assert 0 < np.count_nonzero(skipped) < skipped.size
-    for out in (last.result.hyperfine, last.result.occupation):
-        assert out.counts.shape == out.duration_us.shape == last.measured.shape
-        assert not out.counts[skipped].any() and not out.duration_us[skipped].any()
-        assert not out.bright[skipped].any()
-    assert np.all(last.result.inferred[skipped] == VACANT)
+    assert last.inferred.shape == last.measured.shape
+    assert np.all(last.inferred[skipped] == VACANT)
 
 
 def test_array_readout_leaves_its_input_alone():
     codes = np.tile(np.array([F2, VACANT, F1], np.int8), (50, 1))
     before = codes.copy()
     records, final = sequential_array_readout(
-        codes, [0, 1, 2], 0.0, np.random.default_rng(6),
+        codes, 0.0, np.random.default_rng(6),
         probe=PROBE, table=MeasurementErrorTable(), photon=PHOTON, hiding=HidingModel(),
         rounds=2,
     )

@@ -220,7 +220,7 @@ def test_fit_error_exponent_validation():
 def test_idling_bit_curve_and_lifetime(rng):
     model = IdleErrorModel()
     times = 24.0 * np.arange(1, 18)
-    p_err = simulate_idling_bit(model, times, 100_000, rng)
+    p_err = simulate_idling_bit(model, times, 100_000, rng) / 100_000
     tau_expected = combined_idle_lifetime(model)
     expected = 0.5 * (1 - np.exp(-times / tau_expected))
     se = np.sqrt(expected * (1 - expected) / 100_000)
@@ -247,14 +247,14 @@ def test_physical_mode_statistics(rng):
     idle_model = IdleErrorModel()
     registers = idle(np.full((6000, 1), F2, np.int8), 20.0, idle_model, rng)
     records, _ = sequential_array_readout(
-        registers, [0], 2.0, rng,
+        registers, 2.0, rng,
         probe=ProbeConfig(0.25, -5.0),
         table=MeasurementErrorTable(),
         photon=PhotonModel(),
         hiding=HidingModel(),
         rounds=1, re_prepare="none",
     )
-    inferred = records[0].result.inferred[:, 0]
+    inferred = records[0].inferred[:, 0]
     alive = np.count_nonzero(inferred != VACANT)
     errors = np.count_nonzero(inferred == F1)
     from cavreg.register import flip_probability

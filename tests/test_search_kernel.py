@@ -128,6 +128,22 @@ def test_exact_noisy_oracle_reduces_to_the_closed_forms():
                 )
 
 
+@pytest.mark.parametrize(
+    "strategy", [Strategy.DETERMINISTIC_SEQUENTIAL, Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL]
+)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_independent_closed_form_is_the_mean_over_all_registers(n, strategy):
+    # all 2^n registers of the independent placement, register r with k
+    # bright sites weighted p^k (1 - p)^(n - k), under the noiseless search
+    registers = _all_registers(n)
+    k = np.count_nonzero(registers == F2, axis=1)
+    costs = run_search(registers, strategy).intervals_used
+    for p in (0.0, 0.1, 0.3, 0.5, 1.0):
+        problem = SearchProblem(n, p, Placement.INDEPENDENT_PER_SITE)
+        weights = p**k * (1 - p) ** (n - k)
+        assert expected_cost(problem, strategy) == pytest.approx(weights @ costs, abs=1e-12)
+
+
 def test_noisy_search_cost_rows_match_the_exact_oracle():
     params = SearchCostParams(noise=NOISE)
     result = run(ExperimentSpec("search_cost", params, trials=6000, master_seed=5))
@@ -141,3 +157,8 @@ def test_noisy_search_cost_rows_match_the_exact_oracle():
             assert row["mean_intervals"] == pytest.approx(exact, abs=1e-12)
         else:
             assert abs(row["mean_intervals"] - exact) < 4 * row["stderr"], row
+        # the closed forms assume noiseless checks; only sequential costs N regardless
+        if row["strategy"] == Strategy.DETERMINISTIC_SEQUENTIAL.value:
+            assert row["analytic"] == row["n"]
+        else:
+            assert math.isnan(row["analytic"]), row

@@ -236,6 +236,44 @@ def test_hiding_calibration_with_repeated_or_negative_power_is_exit_2(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "old, new, command, sampler, message",
+    [
+        ("rounds = 17", "rounds = 2", "lifetime", "simulate_code_abstract", "lifetime rounds 2"),
+        ("adaptive_loss_factor = 4.5", "adaptive_loss_factor = 0.001", "depump-scaling",
+         "sequential_array_readout", "adaptive bright-state loss 30"),
+    ],
+    ids=["lifetime_rounds_below_fit_points", "adaptive_bright_loss_above_one"],
+)
+def test_params_no_run_can_use_are_exit_2_before_sampling(
+    old, new, command, sampler, message, tmp_path, capsys, monkeypatch
+):
+    # a lifetime fit needs MIN_FIT_POINTS grid times, and a loss is a
+    # probability: both used to pass validate-config and fail or mislead later
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a run that should have been rejected")
+
+    monkeypatch.setattr(f"cavreg.harness.{sampler}", no_sampling)
+    monkeypatch.setattr("cavreg.harness.simulate_idling_bit", no_sampling)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with(old, new))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--trials", "50", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("depth", ["0", "-0.25"])
+def test_calibration_row_without_positive_depth_is_exit_2(depth, tmp_path, capsys):
+    # a probe needs a positive depth, so such a row could never be selected
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with("row_4 = 0.25  17", f"row_4 = {depth}  17"))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert "tweezer depth must be positive" in capsys.readouterr().err
+
+
 def test_code_sweep_edges_run():
     params = ErrorScalingParams(distances=[1], flip_sweep=[0.0, 1.0], rounds=2)
     rows = run(ExperimentSpec("error_scaling", params, trials=100, master_seed=1)).rows
