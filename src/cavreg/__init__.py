@@ -29,6 +29,7 @@ from .readout import (
     ProbeConfig,
     hidden_depump_probability,
     measure_site,
+    measurement_rates,
     sequential_array_readout,
 )
 from .search import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from importlib import resources
 from typing import Any, Callable
 
@@ -18,7 +19,6 @@ from .harness import EXPERIMENTS
 from .photons import DetectorModel, PhotonModel
 from .readout import ErrorRates, HidingModel, MeasurementErrorTable, ProbeConfig
 from .register import IdleErrorModel
-from .repcode import LIFETIME_DEFINITIONS
 from .search import Placement, Strategy
 from .streams import SEED_LIMIT
 
@@ -62,12 +62,33 @@ def _tokens(text: str) -> list[str]:
     return tokens
 
 
-def _float_list(text: str) -> list[float]:
-    return [_float(tok) for tok in _tokens(text)]
+def _list_of(kind: Callable[[str], Any]) -> Callable[[str], list]:
+    """A parser of a sweep list whose tokens each convert with `kind`; no
+    value may repeat, since each is one sweep point (one curve, one fit
+    point)."""
+
+    def parse(text: str) -> list:
+        out = []
+        for tok in _tokens(text):
+            v = kind(tok)
+            if v in out:
+                raise ValueError(f"repeats the value {tok}")
+            out.append(v)
+        return out
+
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in _tokens(text)]
+def _member(enum: type[Enum], what: str) -> Callable[[str], Any]:
+    """A parser of one `enum` member by its value."""
+    names = {m.value: m for m in enum}
+
+    def parse(text: str):
+        if text not in names:
+            raise ValueError(f"unknown {what} {text!r} (choose from {sorted(names)})")
+        return names[text]
+
+    return parse
 
 
 def _pairs(text: str) -> tuple[tuple[float, float], ...]:
@@ -87,33 +108,10 @@ def _table_row(text: str) -> tuple:
     return tuple(vals)
 
 
-def _strategies(text: str) -> list[Strategy]:
-    names = {s.value: s for s in Strategy}
-    out = []
-    for tok in _tokens(text):
-        if tok not in names:
-            raise ValueError(f"unknown strategy {tok!r} (choose from {sorted(names)})")
-        out.append(names[tok])
-    return out
-
-
-def _placement(text: str) -> Placement:
-    names = {p.value: p for p in Placement}
-    if text not in names:
-        raise ValueError(f"unknown placement {text!r} (choose from {sorted(names)})")
-    return names[text]
-
-
 def _post_select(text: str) -> str:
     if text in ("distance", "none"):
         return text
     int(text)  # raises if not an integer survivor count
-    return text
-
-
-def _definition(text: str) -> str:
-    if text not in LIFETIME_DEFINITIONS:
-        raise ValueError(f"must be one of {LIFETIME_DEFINITIONS}")
     return text
 
 
@@ -142,23 +140,23 @@ SCHEMA: dict[tuple[str, str], tuple] = {
     ("readout", "hiding_power_mw"): (_nonneg_float, "hiding power per atom"),
     ("readout", "adaptive_rounds"): (_bool, "skip sites read vacant in the previous round"),
     ("readout", "readout_rounds"): (_positive_int, "sequential-readout rounds per trial"),
-    ("readout", "sizes"): (_int_list, "array sizes for the depump scaling sweep"),
+    ("readout", "sizes"): (_list_of(int), "array sizes for the depump scaling sweep"),
     ("readout", "idle_intervals"): (_nonneg_int, "probe-free intervals per round (background depumping only)"),
-    ("search", "sizes"): (_int_list, "register sizes for the search-cost sweep"),
-    ("search", "bright_probabilities"): (_float_list, "bright-atom probabilities p"),
-    ("search", "strategies"): (_strategies, "sequential, global_then_sequential, partitioned"),
-    ("search", "placement"): (_placement, "at_most_one or independent"),
+    ("search", "sizes"): (_list_of(int), "register sizes for the search-cost sweep"),
+    ("search", "bright_probabilities"): (_list_of(_float), "bright-atom probabilities p"),
+    ("search", "strategies"): (_list_of(_member(Strategy, "strategy")),
+                               "sequential, global_then_sequential, partitioned"),
+    ("search", "placement"): (_member(Placement, "placement"), "at_most_one or independent"),
     ("search", "false_positive"): (_probability, "group-check false-positive rate"),
     ("search", "false_negative"): (_probability, "group-check false-negative rate"),
-    ("code", "distances"): (_int_list, "repetition-code distances"),
+    ("code", "distances"): (_list_of(int), "repetition-code distances"),
     ("code", "rounds"): (_positive_int, "error-correction rounds per trial"),
     ("code", "idle_ms"): (_nonneg_float, "idling time per round"),
     ("code", "per_round_flip"): (_probability, "per-atom flip probability per round"),
     ("code", "per_round_loss"): (_probability, "per-atom loss probability per round"),
     ("code", "round_overhead_ms"): (_nonneg_float, "measurement wall-clock added per round"),
-    ("code", "flip_sweep"): (_float_list, "physical error sweep for the scaling experiment"),
+    ("code", "flip_sweep"): (_list_of(_float), "physical error sweep for the scaling experiment"),
     ("code", "post_select"): (_post_select, "survivor post-selection: distance, none, or a count"),
-    ("code", "lifetime_definition"): (_definition, "which lifetime number is the headline"),
     ("run", "trials"): (_positive_int, "default Monte-Carlo trials"),
     ("run", "error_scaling_trials"): (_positive_int, "trials per sweep point for error-scaling"),
     ("run", "lifetime_trials"): (_positive_int, "trials for the lifetime experiment"),
@@ -220,7 +218,6 @@ class Config:
     def validate_models(self) -> None:
         """Build every model object and every experiment's params so range
         invariants are checked."""
-        self.error_table().lookup(self.probe_config())
         for exp in EXPERIMENTS.values():
             exp.build(self)
 

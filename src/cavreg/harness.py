@@ -35,11 +35,11 @@ from .readout import (
     HidingModel,
     MeasurementErrorTable,
     ProbeConfig,
+    measurement_rates,
     sequential_array_readout,
 )
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import (
-    LIFETIME_DEFINITIONS,
     check_code,
     logical_lifetime,
     round_counts,
@@ -66,13 +66,6 @@ class Estimate:
     mean: float
     stderr: float
     n: int
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "Estimate":
-        samples = np.asarray(samples, dtype=float)
-        n = len(samples)
-        se = float(samples.std(ddof=1) / math.sqrt(n)) if n >= 2 else math.nan
-        return cls(float(samples.mean()), se, n)
 
     @classmethod
     def from_binomial(cls, successes: int, n: int) -> "Estimate":
@@ -106,12 +99,7 @@ class DepumpScalingParams:
     def __post_init__(self):
         if min(self.sizes, default=0) < 1:
             raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
-        # measure_site divides the bright-state loss under adaptive termination
-        loss = self.table.lookup(self.probe).loss_f2 / self.adaptive_loss_factor
-        if self.adaptive and loss > 1.0:
-            raise ConfigurationError(
-                f"adaptive bright-state loss {loss:.3g} = loss_f2 / adaptive_loss_factor exceeds 1"
-            )
+        measurement_rates(self.table, self.probe, self.adaptive, self.adaptive_loss_factor)
 
 
 @dataclass
@@ -165,14 +153,16 @@ class LifetimeParams:
     idle_ms: float = 20.0
     round_overhead_ms: float = 4.0
     idle_model: IdleErrorModel = field(default_factory=IdleErrorModel)
-    definition: str = "fitted_tau"
 
     def __post_init__(self):
         for d in self.distances:
             check_code(d, self.rounds, per_round_flip=self.per_round_flip,
                        per_round_loss=self.per_round_loss)
-        if self.definition not in LIFETIME_DEFINITIONS:
-            raise ConfigurationError(f"unknown lifetime definition {self.definition!r}")
+        round_time = self.idle_ms + self.round_overhead_ms
+        if round_time <= 0:
+            raise ConfigurationError(
+                f"lifetime round time {round_time} ms (idle_ms + round_overhead_ms) must be positive"
+            )
         if self.rounds < MIN_FIT_POINTS:
             raise ConfigurationError(
                 f"lifetime rounds {self.rounds}: the lifetime fit needs >= {MIN_FIT_POINTS}"
@@ -288,16 +278,17 @@ def run_depump_scaling(
     are counted among atoms whose presence was detected.  Each chunk of
     trials is read out as one state-code array.
     """
+    rates = measurement_rates(params.table, params.probe, params.adaptive,
+                              params.adaptive_loss_factor)
 
     def trial_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         n = params.sizes[point]
         registers = np.tile(uniform_register(n, F2), (size, 1))
         records, _ = sequential_array_readout(
             registers, params.hiding_power_mw, rng,
-            probe=params.probe, table=params.table, photon=params.photon, hiding=params.hiding,
+            rates=rates, photon=params.photon, hiding=params.hiding,
             adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive,
-            adaptive_loss_factor=params.adaptive_loss_factor, rounds=params.rounds,
-            idle_intervals=params.idle_intervals, re_prepare="bright",
+            rounds=params.rounds, idle_intervals=params.idle_intervals, re_prepare="bright",
         )
         # [site, round, (errors, detections)]
         acc = np.zeros((n, params.rounds, 2), dtype=np.int64)
@@ -539,7 +530,6 @@ def _lifetime_params(config: Config) -> LifetimeParams:
         idle_ms=config[("code", "idle_ms")],
         round_overhead_ms=config[("code", "round_overhead_ms")],
         idle_model=config.idle_model(),
-        definition=config[("code", "lifetime_definition")],
     )
 
 
@@ -566,15 +556,13 @@ def run_lifetime(
     phys_counts, *code_counts = _sweep(
         1 + len(params.distances), error_counts, trials, master_seed, threads
     )
-    phys = logical_lifetime(times, phys_counts / trials, params.definition)
+    phys = logical_lifetime(times, phys_counts / trials)
     fits: dict[str, Any] = {"physical": _lifetime_jsonable(phys)}
     curves = [(0, phys_counts, None)]
     for d, acc in zip(params.distances, code_counts):
-        res = logical_lifetime(times, acc[0] / trials, params.definition)
+        res = logical_lifetime(times, acc[0] / trials)
         fits[str(d)] = _lifetime_jsonable(res)
-        fits[str(d)]["extension_factor"] = (
-            res.lifetime_ms / phys.lifetime_ms if phys.lifetime_ms else math.nan
-        )
+        fits[str(d)]["extension_factor"] = res.tau_ms / phys.tau_ms if phys.tau_ms else math.nan
         curves.append((d, acc[0], acc[1] / trials))
 
     rows = []
@@ -591,7 +579,7 @@ def run_lifetime(
                 }
             )
 
-    summary = {"fits": fits, "round_time_ms": round_time, "definition": params.definition}
+    summary = {"fits": fits, "round_time_ms": round_time}
     return ExperimentResult(
         ["t_ms", "d", "p_err", "stderr", "survivor_mean"], rows, summary
     )
@@ -599,10 +587,8 @@ def run_lifetime(
 
 def _lifetime_jsonable(res) -> dict:
     return {
-        "lifetime_ms": res.lifetime_ms,
         "tau_ms": res.tau_ms,
         "p_inf": res.p_inf,
-        "crossing_1_minus_1_over_e_ms": res.crossing_1_minus_1_over_e_ms,
         "crossing_p_inf_over_e_ms": res.crossing_p_inf_over_e_ms,
         "low_confidence": res.low_confidence,
         "converged": res.fit.converged,

@@ -22,6 +22,7 @@ So a readout round measures every site of every trial in one call.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -94,14 +95,30 @@ class MeasurementErrorTable:
             ) from None
 
 
+def measurement_rates(
+    table: MeasurementErrorTable, probe: ProbeConfig, adaptive: bool, adaptive_loss_factor: float
+) -> ErrorRates:
+    """The probe's calibration row as measure_site applies it: adaptive
+    termination divides the bright-state loss by adaptive_loss_factor."""
+    rates = table.lookup(probe)
+    loss = rates.loss_f2 / adaptive_loss_factor
+    if adaptive and loss > 1.0:
+        raise ConfigurationError(
+            f"adaptive bright-state loss {loss:.3g} = loss_f2 / adaptive_loss_factor exceeds 1"
+        )
+    return dataclasses.replace(rates, loss_f2=loss) if adaptive else rates
+
+
 @dataclass(frozen=True)
 class HidingModel:
     """Hiding-beam suppression of probe-induced depumping.
 
     suppression_points are (power_mW, factor) calibration pairs; the factor
-    is interpolated log-linearly in power and extrapolated beyond the last
-    point.  The hidden depump probability never drops below the background
-    floor from the trapping light.
+    is interpolated log-linearly in power and extrapolated beyond the end
+    points, but never below 1: hiding light does not raise the depump rate,
+    so the unhidden rate bounds the hidden one even below the first
+    calibrated power.  The hidden depump probability never drops below the
+    background floor from the trapping light.
     """
 
     depump_per_interval_unhidden: float = 0.044
@@ -125,7 +142,8 @@ class HidingModel:
 
 
 def suppression_factor(model: HidingModel, power_mw: float) -> float:
-    """Log-linear interpolation of the suppression factor vs hiding power."""
+    """Log-linear interpolation of the suppression factor vs hiding power,
+    clamped at 1 from below."""
     pts = model.suppression_points
     if len(pts) == 1:
         return pts[0][1]
@@ -133,7 +151,7 @@ def suppression_factor(model: HidingModel, power_mw: float) -> float:
     hi = min(max(bisect.bisect_left([p for p, _ in pts], power_mw), 1), len(pts) - 1)
     (p0, f0), (p1, f1) = pts[hi - 1], pts[hi]
     slope = (math.log(f1) - math.log(f0)) / (p1 - p0)
-    return math.exp(math.log(f0) + slope * (power_mw - p0))
+    return max(1.0, math.exp(math.log(f0) + slope * (power_mw - p0)))
 
 
 def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
@@ -149,13 +167,11 @@ def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
 
 def measure_site(
     codes: np.ndarray,
-    probe: ProbeConfig,
-    table: MeasurementErrorTable,
+    rates: ErrorRates,
     photon: PhotonModel,
     rng: np.random.Generator,
     *,
-    adaptive: bool = True,
-    adaptive_loss_factor: float = 4.5,
+    adaptive: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure one site in every trial of a 1-D array of state codes and
     return (inferred, post-measurement state codes).  inferred is VACANT
@@ -165,15 +181,14 @@ def measure_site(
     The state-appropriate infidelity flips the effective emitter for the
     hyperfine interval (misclassification channel).  Loss is applied once per
     measurement as a lump probability keyed by the pre-measurement state;
-    adaptive termination divides the bright-state loss by
-    adaptive_loss_factor.  Re-preparation is left to the caller.
+    `rates` comes from measurement_rates with the same `adaptive`, so its
+    bright-state loss already reflects adaptive termination.  Re-preparation
+    is left to the caller.
     """
     sample = sample_adaptive_interval if adaptive else sample_full_interval
-    rates = table.lookup(probe)
-    loss_f2 = rates.loss_f2 / adaptive_loss_factor if adaptive else rates.loss_f2
     # probabilities per state code (vacant, F=1, F=2)
     infidelity = np.array([0.0, rates.infidelity_f1, rates.infidelity_f2])[codes]
-    loss = np.array([0.0, rates.loss_f1, loss_f2])[codes]
+    loss = np.array([0.0, rates.loss_f1, rates.loss_f2])[codes]
 
     flip = rng.random(codes.shape) < infidelity
     effective = np.where(flip, F1 + F2 - codes, codes)
@@ -207,13 +222,11 @@ def sequential_array_readout(
     hiding_power_mw: float,
     rng: np.random.Generator,
     *,
-    probe: ProbeConfig,
-    table: MeasurementErrorTable,
+    rates: ErrorRates,
     photon: PhotonModel,
     hiding: HidingModel,
     adaptive_rounds: bool = False,
     adaptive: bool = True,
-    adaptive_loss_factor: float = 4.5,
     rounds: int = 1,
     idle_intervals: int = 0,
     re_prepare: str = "bright",
@@ -223,7 +236,9 @@ def sequential_array_readout(
     codes.
 
     `register` is an int8 array of state codes of shape (trials, sites)
-    whose trials are read out together; it is not modified.
+    whose trials are read out together; it is not modified.  `rates` is
+    the calibration row that measurement_rates returns for the same
+    `adaptive`.
 
     While a site is probed, every other occupied bright atom independently
     depumps with hidden_depump_probability (charged once per site
@@ -260,8 +275,7 @@ def sequential_array_readout(
         prepared = _depump_since_update(states, keep * decay[before], rng)
         cells = np.broadcast_to(measured, prepared.shape)
         codes = prepared.ravel() if measured.all() else prepared[cells]  # C order either way
-        found, post = measure_site(codes, probe, table, photon, rng, adaptive=adaptive,
-                                   adaptive_loss_factor=adaptive_loss_factor)
+        found, post = measure_site(codes, rates, photon, rng, adaptive=adaptive)
         if re_prepare == "bright":
             post = np.where(post != VACANT, F2, post)
         states = prepared.copy()

@@ -179,44 +179,30 @@ def simulate_idling_bit(
     return errors
 
 
-LIFETIME_DEFINITIONS = ("fitted_tau", "crossing_1_minus_1_over_e", "crossing_p_inf_over_e")
-
-
 @dataclass
 class LifetimeResult:
-    lifetime_ms: float
-    tau_ms: float
+    tau_ms: float  # the fitted curve reaches p_inf*(1-1/e) at t = tau
     p_inf: float
-    crossing_1_minus_1_over_e_ms: float  # fitted curve reaches p_inf*(1-1/e)
     crossing_p_inf_over_e_ms: float  # fitted curve reaches p_inf/e
     fit: SaturatingExpFit
     low_confidence: bool
 
 
-def logical_lifetime(
-    times_ms: np.ndarray,
-    p_err: np.ndarray,
-    definition: str = "fitted_tau",
-) -> LifetimeResult:
+def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> LifetimeResult:
     """Fit p_err(t) = p_inf*(1 - exp(-t/tau)) and report the lifetime.
 
     The asymptote is constrained to p_inf <= 1/2: a binary state read out
     forever equilibrates to a fair coin, so larger values are unphysical.
-    Both readings of the 1/e-crossing convention are reported; the headline
-    lifetime uses the fitted tau unless another definition is selected.
+    The lifetime is the fitted tau, where the curve reaches p_inf*(1-1/e);
+    the other reading of the 1/e-crossing convention, where it reaches
+    p_inf/e, is reported alongside.
     """
     fit = fit_saturating_exponential(times_ms, p_err, p_inf_max=0.5)
     tau = fit.tau
-    cross_1me = tau  # p_inf*(1-1/e) is reached at t = tau exactly
-    cross_over_e = -tau * math.log(1.0 - 1.0 / math.e)
-    choices = dict(zip(LIFETIME_DEFINITIONS, (tau, cross_1me, cross_over_e)))
-    if definition not in choices:
-        raise ConfigurationError(f"unknown lifetime definition {definition!r}")
     # plateau not reached within the data -> extrapolated, low confidence
     low_confidence = bool(
         (not fit.converged) or p_err[-1] < (1.0 - 1.0 / math.e) * fit.p_inf
     )
     return LifetimeResult(
-        choices[definition], tau, fit.p_inf, cross_1me, cross_over_e, fit,
-        low_confidence,
+        tau, fit.p_inf, -tau * math.log(1.0 - 1.0 / math.e), fit, low_confidence
     )

@@ -48,6 +48,30 @@ def test_invalid_value_reports_key_and_line():
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "key, old, new",
+    [
+        ("readout.sizes", "sizes = 1,2,3,4,5,6,7,8,9,10", "sizes = 1,2,3,3"),
+        ("search.sizes", "sizes = 2,3,4,5,6,7,8,9,10", "sizes = 2,3,2"),
+        ("search.bright_probabilities", "bright_probabilities = 0.0, 0.1, 0.3, 0.5, 1.0",
+         "bright_probabilities = 0.1, 0.10"),
+        ("search.strategies", "strategies = sequential, global_then_sequential, partitioned",
+         "strategies = partitioned, sequential, partitioned"),
+        ("code.distances", "distances = 1, 3, 5", "distances = 3, 3, 5"),
+        ("code.flip_sweep", "flip_sweep = 0.02, 0.04, 0.08, 0.12, 0.2",
+         "flip_sweep = 0.02, 0.04, 0.08, 0.12, 0.2, 0.04"),
+    ],
+)
+def test_repeated_sweep_value_reports_key_and_line(key, old, new):
+    # a repeated sweep point would be written as two curves and fitted twice
+    text = DEFAULTS.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    nline = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(new))
+    with pytest.raises(ConfigurationError, match=f":{nline}:.*'{key}': repeats"):
+        parse_config_text(text)
+
+
 def test_every_schema_key_reaches_an_experiment(monkeypatch):
     config = load_config()
     read = set()

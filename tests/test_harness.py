@@ -26,15 +26,6 @@ import cavreg.streams
 from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
 
 
-def test_estimate_from_samples():
-    samples = np.array([1.0, 2.0, 3.0, 4.0])
-    est = Estimate.from_samples(samples)
-    assert est.mean == pytest.approx(2.5)
-    assert est.stderr == pytest.approx(samples.std(ddof=1) / 2.0)
-    assert est.n == 4
-    assert math.isnan(Estimate.from_samples(np.array([1.0])).stderr)
-
-
 def test_estimate_from_binomial():
     est = Estimate.from_binomial(25, 100)
     assert est.mean == 0.25
@@ -96,6 +87,8 @@ def test_registry_record_reaches_cli_config_and_run(exp):
     args = _build_parser().parse_args([exp.command, "--trials", "5"])
     assert args.experiment is exp
     assert isinstance(exp.build(load_config()), exp.params)
+    # the shipped config and the params class defaults are one set of values
+    assert exp.build(load_config()) == exp.params()
     assert ("run", exp.trials_key) in SCHEMA
     wrong = next(e.params for e in EXPERIMENTS.values() if e.params is not exp.params)
     with pytest.raises(ConfigurationError, match="expects"):

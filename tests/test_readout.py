@@ -17,6 +17,7 @@ from cavreg import (
     ProbeConfig,
     hidden_depump_probability,
     measure_site,
+    measurement_rates,
     sequential_array_readout,
     uniform_register,
 )
@@ -30,6 +31,14 @@ PHOTON = PhotonModel()
 HIDING = HidingModel()
 PROBE_5 = ProbeConfig(0.25, -5.0)
 PROBE_17 = ProbeConfig(0.25, -17.0)
+
+
+def _rates(table, adaptive=True):
+    """The 0.25 mK / 5 MHz row of `table` as a readout applies it."""
+    return measurement_rates(table, PROBE_5, adaptive, 4.5)
+
+
+RATES_5 = _rates(TABLE)
 
 
 def _trials(n, sites):
@@ -64,6 +73,18 @@ def test_unknown_probe_rejected():
         TABLE.lookup(ProbeConfig(0.30, -5.0))
 
 
+def test_measurement_rates_divide_bright_loss_only_under_adaptive_termination():
+    full = measurement_rates(TABLE, PROBE_5, False, 4.5)
+    assert full is TABLE.lookup(PROBE_5)
+    assert RATES_5.loss_f2 == 0.030 / 4.5
+    assert (RATES_5.infidelity_f1, RATES_5.loss_f1, RATES_5.infidelity_f2) == (0.0039, 0.021, 0.008)
+    with pytest.raises(ConfigurationError, match="adaptive bright-state loss 30 "):
+        measurement_rates(TABLE, PROBE_5, True, 0.001)
+    assert measurement_rates(TABLE, PROBE_5, False, 0.001) is full
+    with pytest.raises(ConfigurationError, match="no calibration row"):
+        measurement_rates(TABLE, ProbeConfig(0.30, -5.0), False, 4.5)
+
+
 def test_hidden_depump_calibration_points():
     assert hidden_depump_probability(HIDING, 0.0) == pytest.approx(0.044)
     assert hidden_depump_probability(HIDING, 0.4) == pytest.approx(0.044 / 5.2)
@@ -85,6 +106,14 @@ def test_hiding_monotone_and_floored(p1, p2):
     assert b >= HIDING.background_floor
 
 
+def test_hidden_depump_below_first_calibrated_power_is_the_unhidden_rate():
+    # below its first calibration point the factor would extrapolate under 1
+    # and push the hidden rate above the unhidden one, here to 44
+    hiding = HidingModel(suppression_points=((1.0, 1.0), (2.0, 1000.0)))
+    assert hidden_depump_probability(hiding, 0.0) == hiding.depump_per_interval_unhidden
+    assert hidden_depump_probability(hiding, 1.5) < hiding.depump_per_interval_unhidden
+
+
 def test_hiding_model_invariants():
     with pytest.raises(ConfigurationError):
         HidingModel(suppression_points=((0.0, 1.0), (0.4, 0.5)))
@@ -95,18 +124,18 @@ def test_hiding_model_invariants():
 
 
 def test_measure_site_vacant(rng):
-    _, post = measure_site(uniform_register(200, VACANT), PROBE_5, TABLE, PHOTON, rng)
+    _, post = measure_site(uniform_register(200, VACANT), RATES_5, PHOTON, rng, adaptive=True)
     assert np.all(post == VACANT)
     # dark counts crossing threshold are ~3e-4 per interval; almost always vacant
     n = 5000
-    inferred, _ = measure_site(uniform_register(n, VACANT), PROBE_5, TABLE, PHOTON, rng)
+    inferred, _ = measure_site(uniform_register(n, VACANT), RATES_5, PHOTON, rng, adaptive=True)
     inferred_vacant = np.count_nonzero(inferred == VACANT)
     assert inferred_vacant / n > 0.995
 
 
 def test_measure_site_misclassification_rate(rng):
     n = 30_000
-    inferred, _ = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng)
+    inferred, _ = measure_site(uniform_register(n, F2), RATES_5, PHOTON, rng, adaptive=True)
     wrong = np.count_nonzero(inferred == F1)
     # misreads are dominated by the 0.8% misclassification channel
     p = 0.008
@@ -117,18 +146,20 @@ def test_measure_site_misclassification_rate(rng):
 def test_measure_site_loss_rates(rng):
     n = 30_000
     # full-interval mode keeps the calibrated bright-state loss
-    post = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng, adaptive=False)[1]
+    rates = _rates(TABLE, adaptive=False)
+    post = measure_site(uniform_register(n, F2), rates, PHOTON, rng, adaptive=False)[1]
     lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.03 * 0.97 / n)
     assert abs(lost / n - 0.03) < 4 * se
     # adaptive termination divides bright-state loss by the measured factor
-    post = measure_site(uniform_register(n, F2), PROBE_5, TABLE, PHOTON, rng, adaptive=True)[1]
+    post = measure_site(uniform_register(n, F2), RATES_5, PHOTON, rng, adaptive=True)[1]
     lost = np.count_nonzero(post == VACANT)
     p = 0.03 / 4.5
     se = math.sqrt(p * (1 - p) / n)
     assert abs(lost / n - p) < 4 * se
     # dark-state loss at the 0.25 mK / 17 MHz row is 0.3%, adaptive or not
-    post = measure_site(uniform_register(n, F1), PROBE_17, TABLE, PHOTON, rng, adaptive=True)[1]
+    rates = measurement_rates(TABLE, PROBE_17, True, 4.5)
+    post = measure_site(uniform_register(n, F1), rates, PHOTON, rng, adaptive=True)[1]
     lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.003 * 0.997 / n)
     assert abs(lost / n - 0.003) < 4 * se
@@ -143,7 +174,8 @@ def test_measure_site_is_perfect_in_the_ideal_limit(rng):
         detector=DetectorModel(dark_rate_hz=0.0),
     )
     for state in (F2, F1, VACANT):
-        inferred, post = measure_site(uniform_register(300, state), PROBE_5, table, photon, rng)
+        inferred, post = measure_site(uniform_register(300, state), _rates(table), photon, rng,
+                                      adaptive=True)
         assert np.all(inferred == state)
         assert np.all(post == state)
 
@@ -153,7 +185,7 @@ def test_sequential_readout_names_the_trial_shape(rng):
     with pytest.raises(ConfigurationError, match=r"\(trials, sites\)"):
         sequential_array_readout(
             uniform_register(3, F2), 2.0, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
+            rates=RATES_5, photon=PHOTON, hiding=HIDING,
         )
 
 
@@ -162,7 +194,7 @@ def test_sequential_readout_rejects_unknown_re_prepare(policy, rng):
     with pytest.raises(ConfigurationError, match="re_prepare"):
         sequential_array_readout(
             _trials(2, 3), 2.0, rng,
-            probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, re_prepare=policy,
+            rates=RATES_5, photon=PHOTON, hiding=HIDING, re_prepare=policy,
         )
 
 
@@ -171,7 +203,7 @@ def test_single_site_round_error_is_spam_only(rng):
     n = 20_000
     records, _ = sequential_array_readout(
         _trials(n, 1), 2.0, rng,
-        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
+        rates=RATES_5, photon=PHOTON, hiding=HIDING,
     )
     (errors,), (detections,) = _tally(records, 1)
     p = 0.008
@@ -185,7 +217,7 @@ def test_unhidden_depump_matches_compounded_oracle(rng):
     n_sites, trials = 6, 4000
     records, _ = sequential_array_readout(
         _trials(trials, n_sites), 0.0, rng,
-        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
+        rates=RATES_5, photon=PHOTON, hiding=HIDING, rounds=1,
     )
     errors, counts = _tally(records, n_sites)
     for k in range(n_sites):
@@ -202,7 +234,7 @@ def test_first_round_error_is_affine_in_position(rng):
     n_sites, trials = 8, 6000
     records, _ = sequential_array_readout(
         _trials(trials, n_sites), power, rng,
-        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=1,
+        rates=RATES_5, photon=PHOTON, hiding=HIDING, rounds=1,
     )
     errors, counts = _tally(records, n_sites)
     fit = fit_linear(np.arange(1, n_sites + 1), errors / counts)
@@ -217,7 +249,7 @@ def test_steady_state_exposure_independent_of_position(rng):
     n_sites, trials, rounds = 5, 4000, 3
     records, _ = sequential_array_readout(
         _trials(trials, n_sites), power, rng,
-        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING, rounds=rounds,
+        rates=RATES_5, photon=PHOTON, hiding=HIDING, rounds=rounds,
     )
     errors, counts = _tally(records, n_sites, from_round=1)
     rates = errors / counts
@@ -241,7 +273,7 @@ def test_exposure_law_matches_closed_form(rng):
     n_sites, rounds, trials = 6, 3, 20_000
     records, final = sequential_array_readout(
         _trials(trials, n_sites), 0.0, rng,
-        probe=PROBE_5, table=table, photon=photon, hiding=hiding,
+        rates=_rates(table), photon=photon, hiding=hiding,
         rounds=rounds, idle_intervals=1, re_prepare="bright",
     )
 
@@ -267,7 +299,7 @@ def test_adaptive_rounds_skip_sites_read_vacant(rng):
     table = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.0, 1.0, 0.0, 1.0)})
     records, reg = sequential_array_readout(
         uniform_register(4, F2)[None, :], 2.0, rng,
-        probe=PROBE_5, table=table, photon=PHOTON, hiding=HIDING,
+        rates=_rates(table, adaptive=False), photon=PHOTON, hiding=HIDING,
         adaptive=False, adaptive_rounds=True, rounds=3,
     )
     assert np.all(reg == VACANT)
@@ -285,7 +317,7 @@ def test_loss_accounting_product_of_survival_factors(rng):
     rounds, trials = 6, 8000
     _, final = sequential_array_readout(
         _trials(trials, 1), 2.0, rng,
-        probe=PROBE_5, table=TABLE, photon=PHOTON, hiding=HIDING,
+        rates=_rates(TABLE, adaptive=False), photon=PHOTON, hiding=HIDING,
         adaptive=False, rounds=rounds,
     )
     survived = np.count_nonzero(final[:, 0] != VACANT)

@@ -22,6 +22,7 @@ from cavreg import (
     PhotonModel,
     ProbeConfig,
     hidden_depump_probability,
+    measurement_rates,
     sample_adaptive_interval,
     sequential_array_readout,
     uniform_register,
@@ -89,9 +90,10 @@ def _run_config(kw):
 
     kernel = np.zeros_like(oracle)
     codes = np.tile(np.array(register, dtype=np.int8), (KERNEL_TRIALS, 1))
+    rates = measurement_rates(table, PROBE, kw.get("adaptive", True), 4.5)
     records, final = sequential_array_readout(
         codes, power, np.random.default_rng(202),
-        probe=PROBE, table=table, photon=PHOTON, hiding=hiding, rounds=ROUNDS, **kw,
+        rates=rates, photon=PHOTON, hiding=hiding, rounds=ROUNDS, **kw,
     )
     for rec in records:
         detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
@@ -141,7 +143,7 @@ def test_adaptive_rounds_records_hold_only_measured_trials():
     codes = np.tile(uniform_register(3, F2), (2000, 1))
     records, _ = sequential_array_readout(
         codes, 0.4, np.random.default_rng(5),
-        probe=PROBE, table=LOSSY, photon=PHOTON, hiding=HidingModel(),
+        rates=measurement_rates(LOSSY, PROBE, True, 4.5), photon=PHOTON, hiding=HidingModel(),
         adaptive_rounds=True, rounds=3, re_prepare="none",
     )
     assert records[0].measured.all()
@@ -161,7 +163,8 @@ def test_array_readout_leaves_its_input_alone():
     before = codes.copy()
     records, final = sequential_array_readout(
         codes, 0.0, np.random.default_rng(6),
-        probe=PROBE, table=MeasurementErrorTable(), photon=PHOTON, hiding=HidingModel(),
+        rates=measurement_rates(MeasurementErrorTable(), PROBE, True, 4.5), photon=PHOTON,
+        hiding=HidingModel(),
         rounds=2,
     )
     assert np.array_equal(codes, before)

@@ -18,6 +18,7 @@ from cavreg import (
     idle,
     logical_lifetime,
     majority_error_probability,
+    measurement_rates,
     sequential_array_readout,
     simulate_code_abstract,
     simulate_idling_bit,
@@ -228,7 +229,6 @@ def test_idling_bit_curve_and_lifetime(rng):
     res = logical_lifetime(times, p_err)
     assert abs(res.tau_ms - tau_expected) / tau_expected < 0.10
     assert not res.low_confidence
-    assert res.crossing_1_minus_1_over_e_ms == pytest.approx(res.tau_ms)
     assert res.crossing_p_inf_over_e_ms == pytest.approx(
         -res.tau_ms * math.log(1 - 1 / math.e)
     )
@@ -248,8 +248,7 @@ def test_physical_mode_statistics(rng):
     registers = idle(np.full((6000, 1), F2, np.int8), 20.0, idle_model, rng)
     records, _ = sequential_array_readout(
         registers, 2.0, rng,
-        probe=ProbeConfig(0.25, -5.0),
-        table=MeasurementErrorTable(),
+        rates=measurement_rates(MeasurementErrorTable(), ProbeConfig(0.25, -5.0), True, 4.5),
         photon=PhotonModel(),
         hiding=HidingModel(),
         rounds=1, re_prepare="none",

@@ -78,9 +78,9 @@ def test_run_error_scaling_rejects_unreachable_post_select(count):
     "build, key",
     [
         (lambda: ErrorScalingParams(distances=[3, 5], post_select="4"), "post_select"),
-        (lambda: LifetimeParams(definition="x"), "lifetime definition 'x'"),
+        (lambda: LifetimeParams(idle_ms=0.0, round_overhead_ms=0.0), "lifetime round time"),
     ],
-    ids=["error_scaling_post_select", "lifetime_definition"],
+    ids=["error_scaling_post_select", "lifetime_zero_round_time"],
 )
 def test_code_params_reject_bad_input_when_built(build, key):
     # checked by the params class itself, so no caller can sample first
@@ -262,6 +262,26 @@ def test_params_no_run_can_use_are_exit_2_before_sampling(
     out = tmp_path / "x.csv"
     assert main([command, "--config", str(cfg), "--trials", "50", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_zero_length_lifetime_grid_is_exit_2_before_sampling(tmp_path, capsys, monkeypatch):
+    # with no idling and no overhead every grid time is 0 ms, which the
+    # lifetime fit used to reject only after sampling every chunk
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a run that should have been rejected")
+
+    monkeypatch.setattr("cavreg.harness.simulate_code_abstract", no_sampling)
+    monkeypatch.setattr("cavreg.harness.simulate_idling_bit", no_sampling)
+    cfg = tmp_path / "bad.cfg"
+    text = _with("idle_ms = 20.0", "idle_ms = 0").replace(
+        "round_overhead_ms = 4.0", "round_overhead_ms = 0")
+    cfg.write_text(text)
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert "lifetime round time" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert main(["lifetime", "--config", str(cfg), "--trials", "50", "--out", str(out)]) == 2
+    assert "lifetime round time" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
