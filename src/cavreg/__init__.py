@@ -25,8 +25,6 @@ from .photons import (
 )
 from .readout import (
     HidingModel,
-    MeasurementErrorTable,
-    ProbeConfig,
     hidden_depump_probability,
     measure_site,
     measurement_rates,

@@ -17,7 +17,7 @@ from typing import Any, Callable
 from .errors import ConfigurationError
 from .harness import EXPERIMENTS
 from .photons import DetectorModel, PhotonModel
-from .readout import ErrorRates, HidingModel, MeasurementErrorTable, ProbeConfig
+from .readout import ErrorRates, HidingModel
 from .register import IdleErrorModel
 from .search import Placement, Strategy
 from .streams import SEED_LIMIT
@@ -99,13 +99,22 @@ def _pairs(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _table_row(text: str) -> tuple:
+def _row_key(depth_mk: float, detuning_mhz: float) -> tuple[float, float]:
+    # calibration rows are quoted by depth and |detuning|; sign conventions
+    # vary between the table header and the running text
+    return (round(depth_mk, 6), round(abs(detuning_mhz), 6))
+
+
+def _table_row(text: str) -> tuple[tuple[float, float], ErrorRates]:
+    """A calibration row as (its probe key, its error rates)."""
     vals = [_float(tok) for tok in text.replace(",", " ").split()]
     if len(vals) != 6:
         raise ValueError(
             "expected 6 numbers: depth_mk detuning_mhz infid_f1 loss_f1 infid_f2 loss_f2"
         )
-    return tuple(vals)
+    if vals[0] <= 0:
+        raise ValueError("tweezer depth must be positive")
+    return _row_key(vals[0], vals[1]), ErrorRates(*vals[2:])
 
 
 def _post_select(text: str) -> str:
@@ -202,18 +211,21 @@ class Config:
             background_floor=self[("hiding", "background_floor_per_interval")],
         )
 
-    def probe_config(self) -> ProbeConfig:
-        return ProbeConfig(
-            tweezer_depth_mk=self[("probe", "tweezer_depth_mk")],
-            detuning_pc_mhz=self[("probe", "detuning_pc_mhz")],
-        )
-
-    def error_table(self) -> MeasurementErrorTable:
-        rows = {}
-        for i in (1, 2, 3, 4):
-            depth, det, if1, lf1, if2, lf2 = self[("error_table", f"row_{i}")]
-            rows[ProbeConfig(depth, det).key()] = ErrorRates(if1, lf1, if2, lf2)
-        return MeasurementErrorTable(rows=rows)
+    def error_rates(self) -> ErrorRates:
+        """The [error_table] row at the [probe] depth and |detuning|."""
+        rows: dict[tuple[float, float], tuple[str, ErrorRates]] = {}
+        for name in (k for s, k in SCHEMA if s == "error_table"):
+            key, rates = self[("error_table", name)]
+            if key in rows:
+                raise ConfigurationError(
+                    f"error_table.{rows[key][0]} and error_table.{name} both calibrate "
+                    f"depth {key[0]} mK / detuning {key[1]} MHz"
+                )
+            rows[key] = (name, rates)
+        depth, det = self[("probe", "tweezer_depth_mk")], self[("probe", "detuning_pc_mhz")]
+        if _row_key(depth, det) not in rows:
+            raise ConfigurationError(f"no calibration row for depth {depth} mK / detuning {det} MHz")
+        return rows[_row_key(depth, det)][1]
 
     def validate_models(self) -> None:
         """Build every model object and every experiment's params so range

@@ -31,13 +31,7 @@ from . import __version__
 from .errors import ConfigurationError
 from .fitting import MIN_FIT_POINTS, fit_linear
 from .photons import PhotonModel, sample_adaptive_bright_batch
-from .readout import (
-    HidingModel,
-    MeasurementErrorTable,
-    ProbeConfig,
-    measurement_rates,
-    sequential_array_readout,
-)
+from .readout import ErrorRates, HidingModel, measurement_rates, sequential_array_readout
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import (
     check_code,
@@ -91,15 +85,14 @@ class DepumpScalingParams:
     adaptive: bool = True
     adaptive_loss_factor: float = 4.5
     idle_intervals: int = 0
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
-    table: MeasurementErrorTable = field(default_factory=MeasurementErrorTable)
+    rates: ErrorRates = ErrorRates(0.0039, 0.021, 0.008, 0.030)  # the 0.25 mK / 5 MHz row
     photon: PhotonModel = field(default_factory=PhotonModel)
     hiding: HidingModel = field(default_factory=HidingModel)
 
     def __post_init__(self):
         if min(self.sizes, default=0) < 1:
             raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
-        measurement_rates(self.table, self.probe, self.adaptive, self.adaptive_loss_factor)
+        measurement_rates(self.rates, self.adaptive, self.adaptive_loss_factor)
 
 
 @dataclass
@@ -260,8 +253,7 @@ def _depump_params(config: Config) -> DepumpScalingParams:
         adaptive=config[("readout", "adaptive_termination")],
         adaptive_loss_factor=config[("readout", "adaptive_loss_factor")],
         idle_intervals=config[("readout", "idle_intervals")],
-        probe=config.probe_config(),
-        table=config.error_table(),
+        rates=config.error_rates(),
         photon=config.photon_model(),
         hiding=config.hiding_model(),
     )
@@ -278,8 +270,7 @@ def run_depump_scaling(
     are counted among atoms whose presence was detected.  Each chunk of
     trials is read out as one state-code array.
     """
-    rates = measurement_rates(params.table, params.probe, params.adaptive,
-                              params.adaptive_loss_factor)
+    rates = measurement_rates(params.rates, params.adaptive, params.adaptive_loss_factor)
 
     def trial_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         n = params.sizes[point]

@@ -23,6 +23,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .register import F2
 
+# Most sub-intervals a full interval may poll: adaptive_outcome_table builds one
+# convolution each, about 0.06 s and 9k cells for 1000, and 0.5 s and 64k for 10000.
+MAX_SUB_INTERVALS = 1000
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -74,6 +78,8 @@ class PhotonModel:
             raise ConfigurationError(
                 "full interval must be an integer multiple of the sub-interval"
             )
+        if round(n) > MAX_SUB_INTERVALS:
+            raise ConfigurationError(f"{round(n)} sub-intervals exceed {MAX_SUB_INTERVALS}")
 
     @property
     def n_sub(self) -> int:

@@ -22,9 +22,8 @@ So a readout round measures every site of every trial in one call.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,23 +34,6 @@ from .photons import (
     sample_full_interval,
 )
 from .register import F1, F2, VACANT
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Tweezer depth and probe-cavity detuning selecting a calibration row."""
-
-    tweezer_depth_mk: float = 0.25
-    detuning_pc_mhz: float = -5.0
-
-    def __post_init__(self):
-        if self.tweezer_depth_mk <= 0:
-            raise ConfigurationError("tweezer depth must be positive")
-
-    def key(self) -> tuple[float, float]:
-        # calibration rows are quoted by depth and |detuning|; sign conventions
-        # vary between the table header and the running text
-        return (round(self.tweezer_depth_mk, 6), round(abs(self.detuning_pc_mhz), 6))
 
 
 @dataclass(frozen=True)
@@ -69,44 +51,15 @@ class ErrorRates:
                 raise ConfigurationError("error rates must be probabilities")
 
 
-# Single-atom calibration: depth (mK), |probe-cavity detuning| (MHz) ->
-# (F1 infidelity, F1 loss, F2 infidelity, F2 loss).
-DEFAULT_ERROR_ROWS: dict[tuple[float, float], ErrorRates] = {
-    (0.20, 3.0): ErrorRates(0.0017, 0.030, 0.003, 0.038),
-    (0.25, 5.0): ErrorRates(0.0039, 0.021, 0.008, 0.030),
-    (0.25, 11.0): ErrorRates(0.0030, 0.007, 0.026, 0.011),
-    (0.25, 17.0): ErrorRates(0.0036, 0.003, 0.039, 0.006),
-}
-
-
-@dataclass
-class MeasurementErrorTable:
-    rows: dict[tuple[float, float], ErrorRates] = field(
-        default_factory=lambda: dict(DEFAULT_ERROR_ROWS)
-    )
-
-    def lookup(self, probe: ProbeConfig) -> ErrorRates:
-        try:
-            return self.rows[probe.key()]
-        except KeyError:
-            raise ConfigurationError(
-                f"no calibration row for depth {probe.tweezer_depth_mk} mK / "
-                f"detuning {probe.detuning_pc_mhz} MHz"
-            ) from None
-
-
-def measurement_rates(
-    table: MeasurementErrorTable, probe: ProbeConfig, adaptive: bool, adaptive_loss_factor: float
-) -> ErrorRates:
-    """The probe's calibration row as measure_site applies it: adaptive
-    termination divides the bright-state loss by adaptive_loss_factor."""
-    rates = table.lookup(probe)
+def measurement_rates(rates: ErrorRates, adaptive: bool, adaptive_loss_factor: float) -> ErrorRates:
+    """A calibration row as measure_site applies it: adaptive termination
+    divides the bright-state loss by adaptive_loss_factor."""
     loss = rates.loss_f2 / adaptive_loss_factor
     if adaptive and loss > 1.0:
         raise ConfigurationError(
             f"adaptive bright-state loss {loss:.3g} = loss_f2 / adaptive_loss_factor exceeds 1"
         )
-    return dataclasses.replace(rates, loss_f2=loss) if adaptive else rates
+    return replace(rates, loss_f2=loss) if adaptive else rates
 
 
 @dataclass(frozen=True)
@@ -143,7 +96,7 @@ class HidingModel:
 
 def suppression_factor(model: HidingModel, power_mw: float) -> float:
     """Log-linear interpolation of the suppression factor vs hiding power,
-    clamped at 1 from below."""
+    clamped at 1 from below and infinite past the float range."""
     pts = model.suppression_points
     if len(pts) == 1:
         return pts[0][1]
@@ -151,7 +104,10 @@ def suppression_factor(model: HidingModel, power_mw: float) -> float:
     hi = min(max(bisect.bisect_left([p for p, _ in pts], power_mw), 1), len(pts) - 1)
     (p0, f0), (p1, f1) = pts[hi - 1], pts[hi]
     slope = (math.log(f1) - math.log(f0)) / (p1 - p0)
-    return max(1.0, math.exp(math.log(f0) + slope * (power_mw - p0)))
+    try:
+        return max(1.0, math.exp(math.log(f0) + slope * (power_mw - p0)))
+    except OverflowError:  # the hidden rate is the floor long before this
+        return math.inf
 
 
 def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:

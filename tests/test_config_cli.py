@@ -12,6 +12,7 @@ from cavreg import ConfigurationError, HidingModel, PhotonModel
 from cavreg.cli import main
 from cavreg.config import SCHEMA, Config, load_config, parse_config_text, schema_help
 from cavreg.harness import EXPERIMENTS
+from cavreg.readout import ErrorRates
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 
@@ -21,9 +22,16 @@ def test_defaults_load_and_match_module_defaults():
     assert config.photon_model() == PhotonModel()
     assert config.hiding_model() == HidingModel()
     assert config.idle_model().tau_depump_ms == 150.0
-    rates = config.error_table().lookup(config.probe_config())
-    assert rates.infidelity_f2 == 0.008
+    # the shipped probe, 0.25 mK at -5 MHz, selects row_2
+    assert config.error_rates() == ErrorRates(0.0039, 0.021, 0.008, 0.030)
     config.validate_models()
+
+
+@pytest.mark.parametrize("detuning", ["17", "-17"])
+def test_probe_detuning_sign_selects_the_same_row(detuning):
+    # the table quotes detuning magnitudes; both sign conventions resolve
+    text = DEFAULTS.read_text().replace("detuning_pc_mhz = -5.0", f"detuning_pc_mhz = {detuning}")
+    assert parse_config_text(text).error_rates() == ErrorRates(0.0036, 0.003, 0.039, 0.006)
 
 
 def test_unknown_key_reports_line_number():
@@ -46,6 +54,13 @@ def test_invalid_value_reports_key_and_line():
     nline = next(i for i, line in enumerate(text.splitlines(), 1) if "dark_rate_hz" in line)
     with pytest.raises(ConfigurationError, match=f":{nline}:.*dark_rate_hz"):
         parse_config_text(text)
+
+
+def test_calibration_row_out_of_range_reports_key_and_line():
+    text = DEFAULTS.read_text().replace("row_3 = 0.25  11  0.0030 0.007", "row_3 = 0.25  11  0.0030 1.7")
+    nline = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("row_3"))
+    with pytest.raises(ConfigurationError, match=f"bad.cfg:{nline}:.*'error_table.row_3'"):
+        parse_config_text(text, source="bad.cfg")
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,9 @@ def test_invalid_models_rejected():
         PhotonModel(threshold=0)
     with pytest.raises(ConfigurationError):
         PhotonModel(full_interval_us=200.0, sub_interval_us=30.0)
+    # an outcome table of 2e11 sub-intervals would never finish building
+    with pytest.raises(ConfigurationError, match="exceed 1000"):
+        PhotonModel(sub_interval_us=1e-9)
 
 
 def test_full_interval_means():

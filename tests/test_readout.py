@@ -12,33 +12,32 @@ from cavreg import (
     ConfigurationError,
     DetectorModel,
     HidingModel,
-    MeasurementErrorTable,
     PhotonModel,
-    ProbeConfig,
     hidden_depump_probability,
     measure_site,
     measurement_rates,
     sequential_array_readout,
     uniform_register,
 )
-from cavreg.readout import DEFAULT_ERROR_ROWS, ErrorRates
+from cavreg.readout import ErrorRates, suppression_factor
 from cavreg.fitting import fit_linear
 
 from oracles import compounded_depump_error
 
-TABLE = MeasurementErrorTable()
 PHOTON = PhotonModel()
 HIDING = HidingModel()
-PROBE_5 = ProbeConfig(0.25, -5.0)
-PROBE_17 = ProbeConfig(0.25, -17.0)
+# the calibration rows at 0.25 mK and 5 MHz, and at 0.25 mK and 17 MHz
+ROW_5 = ErrorRates(0.0039, 0.021, 0.008, 0.030)
+ROW_17 = ErrorRates(0.0036, 0.003, 0.039, 0.006)
 
 
-def _rates(table, adaptive=True):
-    """The 0.25 mK / 5 MHz row of `table` as a readout applies it."""
-    return measurement_rates(table, PROBE_5, adaptive, 4.5)
+def _rates(row, adaptive=True):
+    """A calibration row as a readout applies it."""
+    return measurement_rates(row, adaptive, 4.5)
 
 
-RATES_5 = _rates(TABLE)
+RATES_5 = _rates(ROW_5)
+IDEAL = ErrorRates(0.0, 0.0, 0.0, 0.0)  # no misreads and no loss, adaptive or not
 
 
 def _trials(n, sites):
@@ -59,30 +58,13 @@ def _tally(records, n_sites, from_round=0):
     return errors, counts
 
 
-def test_default_table_is_the_calibration_table():
-    rates = TABLE.lookup(PROBE_5)
-    assert (rates.infidelity_f1, rates.loss_f1) == (0.0039, 0.021)
-    assert (rates.infidelity_f2, rates.loss_f2) == (0.008, 0.030)
-    # the table quotes detuning magnitudes; both sign conventions resolve
-    assert TABLE.lookup(ProbeConfig(0.25, 17.0)) is TABLE.lookup(PROBE_17)
-    assert len(DEFAULT_ERROR_ROWS) == 4
-
-
-def test_unknown_probe_rejected():
-    with pytest.raises(ConfigurationError):
-        TABLE.lookup(ProbeConfig(0.30, -5.0))
-
-
 def test_measurement_rates_divide_bright_loss_only_under_adaptive_termination():
-    full = measurement_rates(TABLE, PROBE_5, False, 4.5)
-    assert full is TABLE.lookup(PROBE_5)
+    assert measurement_rates(ROW_5, False, 4.5) is ROW_5
     assert RATES_5.loss_f2 == 0.030 / 4.5
     assert (RATES_5.infidelity_f1, RATES_5.loss_f1, RATES_5.infidelity_f2) == (0.0039, 0.021, 0.008)
     with pytest.raises(ConfigurationError, match="adaptive bright-state loss 30 "):
-        measurement_rates(TABLE, PROBE_5, True, 0.001)
-    assert measurement_rates(TABLE, PROBE_5, False, 0.001) is full
-    with pytest.raises(ConfigurationError, match="no calibration row"):
-        measurement_rates(TABLE, ProbeConfig(0.30, -5.0), False, 4.5)
+        measurement_rates(ROW_5, True, 0.001)
+    assert measurement_rates(ROW_5, False, 0.001) is ROW_5
 
 
 def test_hidden_depump_calibration_points():
@@ -112,6 +94,15 @@ def test_hidden_depump_below_first_calibrated_power_is_the_unhidden_rate():
     hiding = HidingModel(suppression_points=((1.0, 1.0), (2.0, 1000.0)))
     assert hidden_depump_probability(hiding, 0.0) == hiding.depump_per_interval_unhidden
     assert hidden_depump_probability(hiding, 1.5) < hiding.depump_per_interval_unhidden
+
+
+def test_hidden_depump_past_float_range_is_the_floor():
+    # the shipped calibration extrapolates past the float range above about
+    # 172 mW, where math.exp used to raise; below it the factor is unchanged
+    slope = math.log(5.2) / 0.4
+    assert suppression_factor(HIDING, 172.0) == math.exp(slope * 172.0)
+    assert suppression_factor(HIDING, 173.0) == math.inf
+    assert hidden_depump_probability(HIDING, 250.0) == HIDING.background_floor
 
 
 def test_hiding_model_invariants():
@@ -146,7 +137,7 @@ def test_measure_site_misclassification_rate(rng):
 def test_measure_site_loss_rates(rng):
     n = 30_000
     # full-interval mode keeps the calibrated bright-state loss
-    rates = _rates(TABLE, adaptive=False)
+    rates = _rates(ROW_5, adaptive=False)
     post = measure_site(uniform_register(n, F2), rates, PHOTON, rng, adaptive=False)[1]
     lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.03 * 0.97 / n)
@@ -158,7 +149,7 @@ def test_measure_site_loss_rates(rng):
     se = math.sqrt(p * (1 - p) / n)
     assert abs(lost / n - p) < 4 * se
     # dark-state loss at the 0.25 mK / 17 MHz row is 0.3%, adaptive or not
-    rates = measurement_rates(TABLE, PROBE_17, True, 4.5)
+    rates = _rates(ROW_17)
     post = measure_site(uniform_register(n, F1), rates, PHOTON, rng, adaptive=True)[1]
     lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.003 * 0.997 / n)
@@ -166,15 +157,12 @@ def test_measure_site_loss_rates(rng):
 
 
 def test_measure_site_is_perfect_in_the_ideal_limit(rng):
-    table = MeasurementErrorTable(
-        rows={(0.25, 5.0): ErrorRates(0.0, 0.0, 0.0, 0.0)}
-    )
     photon = PhotonModel(
         bright_mean_full=200.0,
         detector=DetectorModel(dark_rate_hz=0.0),
     )
     for state in (F2, F1, VACANT):
-        inferred, post = measure_site(uniform_register(300, state), _rates(table), photon, rng,
+        inferred, post = measure_site(uniform_register(300, state), IDEAL, photon, rng,
                                       adaptive=True)
         assert np.all(inferred == state)
         assert np.all(post == state)
@@ -264,7 +252,6 @@ def test_exposure_law_matches_closed_form(rng):
     # fraction at a target is the exact chance that its bright atom depumped
     # since it was last re-prepared: 1 - (1 - p)^q at site q in round 0,
     # 1 - (1 - p)^(n-1) (1 - floor)^idle in later rounds
-    table = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.0, 0.0, 0.0, 0.0)})
     photon = PhotonModel(
         bright_mean_full=1e3, threshold=1, detector=DetectorModel(dark_rate_hz=0.0)
     )
@@ -273,7 +260,7 @@ def test_exposure_law_matches_closed_form(rng):
     n_sites, rounds, trials = 6, 3, 20_000
     records, final = sequential_array_readout(
         _trials(trials, n_sites), 0.0, rng,
-        rates=_rates(table), photon=photon, hiding=hiding,
+        rates=IDEAL, photon=photon, hiding=hiding,
         rounds=rounds, idle_intervals=1, re_prepare="bright",
     )
 
@@ -296,10 +283,9 @@ def test_exposure_law_matches_closed_form(rng):
 def test_adaptive_rounds_skip_sites_read_vacant(rng):
     # with loss forced to 1 in full-interval mode every atom is gone after
     # round 1; adaptive rounds must not re-measure them
-    table = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.0, 1.0, 0.0, 1.0)})
     records, reg = sequential_array_readout(
         uniform_register(4, F2)[None, :], 2.0, rng,
-        rates=_rates(table, adaptive=False), photon=PHOTON, hiding=HIDING,
+        rates=ErrorRates(0.0, 1.0, 0.0, 1.0), photon=PHOTON, hiding=HIDING,
         adaptive=False, adaptive_rounds=True, rounds=3,
     )
     assert np.all(reg == VACANT)
@@ -317,7 +303,7 @@ def test_loss_accounting_product_of_survival_factors(rng):
     rounds, trials = 6, 8000
     _, final = sequential_array_readout(
         _trials(trials, 1), 2.0, rng,
-        rates=_rates(TABLE, adaptive=False), photon=PHOTON, hiding=HIDING,
+        rates=_rates(ROW_5, adaptive=False), photon=PHOTON, hiding=HIDING,
         adaptive=False, rounds=rounds,
     )
     survived = np.count_nonzero(final[:, 0] != VACANT)

@@ -18,9 +18,7 @@ from cavreg import (
     F2,
     VACANT,
     HidingModel,
-    MeasurementErrorTable,
     PhotonModel,
-    ProbeConfig,
     hidden_depump_probability,
     measurement_rates,
     sample_adaptive_interval,
@@ -33,10 +31,11 @@ from cavreg.readout import ErrorRates
 from oracles import sequential_readout_transcript
 
 K = 4.5
-PROBE = ProbeConfig(0.25, -5.0)
 PHOTON = PhotonModel()
+# the 0.25 mK / 5 MHz calibration row
+ROW_5 = ErrorRates(0.0039, 0.021, 0.008, 0.030)
 # loss and misreads large enough that adaptive_rounds skips sites often
-LOSSY = MeasurementErrorTable(rows={(0.25, 5.0): ErrorRates(0.02, 0.08, 0.03, 0.25)})
+LOSSY = ErrorRates(0.02, 0.08, 0.03, 0.25)
 # a background floor large enough that one idle interval per round shows
 HIGH_FLOOR = HidingModel(background_floor=0.02)
 
@@ -50,14 +49,14 @@ CONFIGS = {
     "hiding_2mW": dict(hiding_power_mw=2.0),
     "full_interval": dict(hiding_power_mw=0.4, adaptive=False),
     "adaptive_rounds": dict(
-        hiding_power_mw=0.4, adaptive_rounds=True, table=LOSSY, re_prepare="none"
+        hiding_power_mw=0.4, adaptive_rounds=True, row=LOSSY, re_prepare="none"
     ),
     "idle_intervals": dict(hiding_power_mw=2.0, idle_intervals=1, hiding=HIGH_FLOOR),
     "mixed_idle_intervals": dict(
         MIXED, hiding_power_mw=0.0, idle_intervals=1, hiding=HIGH_FLOOR
     ),
     "mixed_adaptive_rounds": dict(
-        MIXED, hiding_power_mw=0.4, adaptive_rounds=True, table=LOSSY, re_prepare="bright"
+        MIXED, hiding_power_mw=0.4, adaptive_rounds=True, row=LOSSY, re_prepare="bright"
     ),
 }
 
@@ -65,7 +64,7 @@ CONFIGS = {
 def _run_config(kw):
     kw = dict(kw)
     power = kw.pop("hiding_power_mw")
-    table = kw.pop("table", MeasurementErrorTable())
+    row = kw.pop("row", ROW_5)
     hiding = kw.pop("hiding", HidingModel())
     register = kw.pop("register", [F2] * N_SITES)
     n = len(register)
@@ -77,7 +76,7 @@ def _run_config(kw):
         transcript, sites = sequential_readout_transcript(
             [None if c == VACANT else c for c in register], list(range(n)),
             hidden_depump_probability(hiding, power), rng,
-            rates=table.lookup(PROBE), photon=PHOTON,
+            rates=row, photon=PHOTON,
             background_floor=hiding.background_floor, rounds=ROUNDS, **kw,
         )
         for round_index, site, prepared, inferred in transcript:
@@ -90,7 +89,7 @@ def _run_config(kw):
 
     kernel = np.zeros_like(oracle)
     codes = np.tile(np.array(register, dtype=np.int8), (KERNEL_TRIALS, 1))
-    rates = measurement_rates(table, PROBE, kw.get("adaptive", True), 4.5)
+    rates = measurement_rates(row, kw.get("adaptive", True), 4.5)
     records, final = sequential_array_readout(
         codes, power, np.random.default_rng(202),
         rates=rates, photon=PHOTON, hiding=hiding, rounds=ROUNDS, **kw,
@@ -143,7 +142,7 @@ def test_adaptive_rounds_records_hold_only_measured_trials():
     codes = np.tile(uniform_register(3, F2), (2000, 1))
     records, _ = sequential_array_readout(
         codes, 0.4, np.random.default_rng(5),
-        rates=measurement_rates(LOSSY, PROBE, True, 4.5), photon=PHOTON, hiding=HidingModel(),
+        rates=measurement_rates(LOSSY, True, 4.5), photon=PHOTON, hiding=HidingModel(),
         adaptive_rounds=True, rounds=3, re_prepare="none",
     )
     assert records[0].measured.all()
@@ -163,7 +162,7 @@ def test_array_readout_leaves_its_input_alone():
     before = codes.copy()
     records, final = sequential_array_readout(
         codes, 0.0, np.random.default_rng(6),
-        rates=measurement_rates(MeasurementErrorTable(), PROBE, True, 4.5), photon=PHOTON,
+        rates=measurement_rates(ROW_5, True, 4.5), photon=PHOTON,
         hiding=HidingModel(),
         rounds=2,
     )

@@ -10,9 +10,7 @@ from cavreg import (
     ConfigurationError,
     HidingModel,
     IdleErrorModel,
-    MeasurementErrorTable,
     PhotonModel,
-    ProbeConfig,
     combined_idle_lifetime,
     fit_error_exponent,
     idle,
@@ -24,6 +22,7 @@ from cavreg import (
     simulate_idling_bit,
 )
 from cavreg.harness import ErrorScalingParams, ExperimentSpec, LifetimeParams, run
+from cavreg.readout import ErrorRates
 from cavreg.repcode import check_code, round_hazard
 
 from oracles import (
@@ -248,7 +247,7 @@ def test_physical_mode_statistics(rng):
     registers = idle(np.full((6000, 1), F2, np.int8), 20.0, idle_model, rng)
     records, _ = sequential_array_readout(
         registers, 2.0, rng,
-        rates=measurement_rates(MeasurementErrorTable(), ProbeConfig(0.25, -5.0), True, 4.5),
+        rates=measurement_rates(ErrorRates(0.0039, 0.021, 0.008, 0.030), True, 4.5),
         photon=PhotonModel(),
         hiding=HidingModel(),
         rounds=1, re_prepare="none",

@@ -1,13 +1,17 @@
 """Bad input is rejected at the edge with exit code 2, before any compute."""
 
+import functools
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavreg import ConfigurationError
 from cavreg.cli import main
-from cavreg.config import parse_config_text
+from cavreg.config import SCHEMA, Config, load_config, parse_config_text
 from cavreg.harness import EXPERIMENTS, ErrorScalingParams, ExperimentSpec, LifetimeParams, run
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
@@ -294,6 +298,34 @@ def test_calibration_row_without_positive_depth_is_exit_2(depth, tmp_path, capsy
     assert "tweezer depth must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("tweezer_depth_mk = 0.25", "tweezer_depth_mk = 0.30", "no calibration row for depth 0.3"),
+        # the key ignores the detuning's sign, so row_4 calibrates row_2's probe
+        ("row_4 = 0.25  17", "row_4 = 0.25  -5",
+         "error_table.row_2 and error_table.row_4 both calibrate depth 0.25 mK / detuning 5.0"),
+    ],
+    ids=["probe_without_row", "two_rows_at_one_probe"],
+)
+def test_calibration_row_selection_is_exit_2_before_sampling(
+    old, new, message, tmp_path, capsys, monkeypatch
+):
+    def no_readout(*args, **kwargs):
+        raise AssertionError("read out with a calibration row that should have been rejected")
+
+    monkeypatch.setattr("cavreg.harness.sequential_array_readout", no_readout)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with(old, new))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "d.csv"
+    rc = main(["depump-scaling", "--config", str(cfg), "--trials", "50", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_code_sweep_edges_run():
     params = ErrorScalingParams(distances=[1], flip_sweep=[0.0, 1.0], rounds=2)
     rows = run(ExperimentSpec("error_scaling", params, trials=100, master_seed=1)).rows
@@ -317,3 +349,85 @@ def test_readout_size_below_one_is_exit_2_before_any_readout(sizes, tmp_path, ca
     assert rc == 2
     assert "readout size" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+# Values tried for one key: numbers at the edges of the schema's ranges, and
+# short hand-written variants for list, enum, bool and calibration-row keys.
+EDGES = ["0", "-1", "1e-9", "0.5", "1", "2", "64", "65", "250"]
+ROWS = ["0.25 -5 0.0036 0.003 0.039 0.006", "0 5 0 0 0 0", "0.25 5 0 0 0 1.7",
+        "0.25 5 1 1 1 1", "0.3 5 0 0 0 0"]
+VARIANTS = {
+    ("hiding", "suppression_points_mw"): ["0:1", "0:1, 0.4:0.5", "0:1, 1e-9:5.2", "0.4:5.2, 0.8:250"],
+    ("readout", "adaptive_termination"): ["false", "maybe"],
+    ("readout", "adaptive_rounds"): ["true", "maybe"],
+    ("readout", "sizes"): ["1", "64", "10, 0", "3, 3"],
+    ("search", "sizes"): ["2", "64", "65", "1, 2"],
+    ("search", "bright_probabilities"): ["0", "1", "0.5, 2", "-1"],
+    ("search", "strategies"): ["sequential", "partitioned, partitioned", "binary"],
+    ("search", "placement"): ["independent", "anywhere"],
+    ("code", "distances"): ["1", "2", "3, 1", "65"],
+    ("code", "flip_sweep"): ["0", "1", "2", ""],
+    ("code", "post_select"): ["none", "0", "5", "-1"],
+    **{key: ROWS for key in SCHEMA if key[0] == "error_table"},
+}
+EDITS = st.sampled_from([key for key in SCHEMA if key[0] != "run"]).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(VARIANTS.get(key, EDGES)))
+)
+
+
+@functools.cache
+def _readers() -> dict[tuple[str, str], list[str]]:
+    """The commands whose params builder reads each config key."""
+    config, readers, original = load_config(), {}, Config.__getitem__
+    for exp in EXPERIMENTS.values():
+        def recording(self, key, command=exp.command):
+            readers.setdefault(key, []).append(command)
+            return original(self, key)
+
+        Config.__getitem__ = recording
+        try:
+            exp.build(config)
+        finally:
+            Config.__getitem__ = original
+    return {key: sorted(set(commands)) for key, commands in readers.items()}
+
+
+def _set(key: tuple[str, str], value: str) -> str:
+    """defaults.cfg with one key set to `value`."""
+    lines, section = [], None
+    for line in DEFAULTS.read_text().splitlines():
+        text = line.split("#", 1)[0].strip()
+        if text.startswith("["):
+            section = text[1:-1]
+        elif (section, text.partition("=")[0].strip()) == key:
+            line = f"{key[1]} = {value}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(edit=EDITS)
+@example(edit=(("error_table", "row_4"), "0.25 -5 0.0036 0.003 0.039 0.006"))
+@example(edit=(("readout", "hiding_power_mw"), "250"))
+@example(edit=(("photon", "sub_interval_us"), "1e-9"))
+def test_validate_config_agrees_with_every_reader_of_one_key(edit):
+    # a config validate-config accepts runs in every experiment reading the
+    # edited key; one it rejects is rejected, before writing, by one of them
+    # (not every one: error-scaling runs the code.rounds lifetime rejects)
+    key, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "edit.cfg"
+        cfg.write_text(_set(key, value))
+        valid = main(["validate-config", "--config", str(cfg)])
+        assert valid in (0, 2)
+        codes = {}
+        for command in _readers()[key]:
+            out = Path(tmp) / f"{command}.csv"
+            codes[command] = main([command, "--config", str(cfg), "--trials", "64",
+                                   "--threads", "1", "--out", str(out)])
+            written = {out.exists(), Path(f"{out}.meta.json").exists()}
+            assert written == {codes[command] == 0}, (command, codes[command])
+        if valid == 0:
+            assert set(codes.values()) == {0}, codes
+        else:
+            assert 2 in codes.values() and 1 not in codes.values(), codes
