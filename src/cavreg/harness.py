@@ -72,11 +72,6 @@ class Estimate:
 
 
 @dataclass
-class HistogramParams:
-    photon: PhotonModel = field(default_factory=PhotonModel)
-
-
-@dataclass
 class DepumpScalingParams:
     sizes: list[int] = field(default_factory=lambda: list(range(1, 11)))
     rounds: int = 4
@@ -217,9 +212,8 @@ def _sweep(
 
 
 def run_histogram(
-    params: HistogramParams, trials: int, master_seed: int, threads: int
+    photon: PhotonModel, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
-    photon = params.photon
     conditions = ["bright_full", "bright_adaptive", "dark_full"]
 
     def histogram(point: int, rng: np.random.Generator, size: int) -> Counter:
@@ -308,26 +302,17 @@ def run_depump_scaling(
     summary: dict[str, Any] = {"steady_state_counts": steady_counts}
     steady = [c for c in steady_counts if c["detections"]]
     if len(steady) >= 3:
-        fit = fit_linear(
+        summary["error_vs_size"] = dataclasses.asdict(fit_linear(
             [float(c["n_sites"]) for c in steady],
             [c["errors"] / c["detections"] for c in steady],
-        )
-        summary["error_vs_size"] = {
-            "intercept": fit.intercept,
-            "slope": fit.slope,
-            "intercept_stderr": fit.intercept_stderr,
-            "slope_stderr": fit.slope_stderr,
-        }
+        ))
     # [site, (errors, detections)] in round 1 of the largest array
     first_round = totals[params.sizes.index(max(params.sizes))][:, 0]
     seen = np.flatnonzero(first_round[:, 1])
     if seen.size >= 3:
-        fit = fit_linear(seen + 1, first_round[seen, 0] / first_round[seen, 1])
-        summary["first_round_error_vs_position"] = {
-            "intercept": fit.intercept,
-            "slope": fit.slope,
-            "slope_stderr": fit.slope_stderr,
-        }
+        summary["first_round_error_vs_position"] = dataclasses.asdict(
+            fit_linear(seen + 1, first_round[seen, 0] / first_round[seen, 1])
+        )
     return ExperimentResult(fieldnames, rows, summary)
 
 
@@ -392,17 +377,6 @@ def run_search_cost(
 # ------------------------------------------------------------- error scaling
 
 
-@dataclass
-class CurveCell:
-    p_phys: float
-    distance: int
-    survivors: int
-    p_logical: float
-    stderr: float
-    n_rounds: int
-    flagged: bool
-
-
 def _error_scaling_params(config: Config) -> ErrorScalingParams:
     return ErrorScalingParams(
         distances=config[("code", "distances")],
@@ -413,40 +387,27 @@ def _error_scaling_params(config: Config) -> ErrorScalingParams:
     )
 
 
-def _post_selected_cells(p_phys: float, counts: np.ndarray, post_select: str) -> list[CurveCell]:
-    """Per-round logical error cells of one sweep point.
-
-    counts[s] holds (clean, erring) round counts among rounds with s
-    surviving atoms, s = 0..d.  post_select "distance" keeps s = d, "none"
-    reports every s, and an integer string keeps that s.  A cell with no
-    rounds, no errors or a stderr above a tenth of its estimate is flagged.
-    """
-    d = len(counts) - 1
+def _kept_survivors(post_select: str, d: int) -> range:
+    """The survivor counts whose rounds code.post_select keeps at distance d:
+    "none" keeps 0..d, "distance" keeps d, and an integer keeps itself."""
     if post_select == "none":
-        groups = range(d + 1)
-    elif post_select == "distance":
-        groups = [d]
-    else:
-        groups = [int(post_select)]
-    cells = []
-    for s in groups:
-        k, n = int(counts[s, 1]), int(counts[s].sum())
-        est = Estimate.from_binomial(k, n)
-        flagged = k == 0 or est.stderr > 0.1 * est.mean
-        cells.append(CurveCell(p_phys, d, s, est.mean, est.stderr, n, flagged))
-    return cells
+        return range(d + 1)
+    s = d if post_select == "distance" else int(post_select)
+    return range(s, s + 1)
 
 
 def run_error_scaling(
     params: ErrorScalingParams, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
-    """Per-round logical error per (distance, flip) point and survivor count,
-    and the log-log exponent of the full-distance cells.
+    """Per-round logical error per (distance, flip) point and kept survivor
+    count, and the log-log exponent of the full-distance cells.
 
     Each chunk is reduced to its (clean, erring) round counts per survivor
     state by repcode.round_counts: the atoms' loss rounds come from the same
     repcode.loss_rounds as simulate_code_abstract, and the erring rounds in
-    each state are one binomial draw, so no per-trial trace is built."""
+    each state are one binomial draw, so no per-trial trace is built.  A cell
+    with no rounds, no errors or a stderr above a tenth of its estimate is
+    flagged."""
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
 
     def survivor_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -454,47 +415,32 @@ def run_error_scaling(
         return round_counts(d, p, params.per_round_loss, params.rounds, size, rng)
 
     totals = _sweep(len(points), survivor_counts, trials, master_seed, threads)
-    cells = [
-        cell
-        for (_, p), counts in zip(points, totals)
-        for cell in _post_selected_cells(p, counts, params.post_select)
-    ]
-    rows = [
-        {
-            "p_phys": c.p_phys,
-            "d": c.distance,
-            "survivors": c.survivors,
-            "p_logical": c.p_logical,
-            "stderr": c.stderr,
-        }
-        for c in cells
-    ]
-    summary: dict[str, Any] = {"flagged_cells": [
-        {"p_phys": c.p_phys, "d": c.distance, "survivors": c.survivors, "n_rounds": c.n_rounds}
-        for c in cells if c.flagged
-    ]}
+    fieldnames = ["p_phys", "d", "survivors", "p_logical", "stderr"]
+    rows, flagged = [], []
+    curves: dict[int, list[tuple[float, float]]] = {d: [] for d in params.distances}
+    for (d, p), counts in zip(points, totals):
+        for s in _kept_survivors(params.post_select, d):
+            # counts[s]: (clean, erring) rounds with s survivors
+            k, n = int(counts[s, 1]), int(counts[s].sum())
+            est = Estimate.from_binomial(k, n)
+            rows.append(dict(zip(fieldnames, (p, d, s, est.mean, est.stderr))))
+            if k == 0 or est.stderr > 0.1 * est.mean:
+                flagged.append({"p_phys": p, "d": d, "survivors": s, "n_rounds": n})
+            if s == d and k > 0:
+                curves[d].append((p, est.mean))
     # looked up at call time, so a wrapper installed on cavreg.repcode is seen
     from .repcode import fit_error_exponent
 
     exponents = {}
-    for d in params.distances:
-        if d == 1:
-            continue
-        sel = [c for c in cells if c.distance == d and c.survivors == d and c.p_logical > 0]
-        if len(sel) >= 4:
+    for d, curve in curves.items():
+        if d != 1 and len(curve) >= 4:
             try:
-                exp, se = fit_error_exponent(
-                    [c.p_phys for c in sel], [c.p_logical for c in sel]
-                )
-                exponents[str(d)] = {
-                    "exponent": exp, "stderr": se, "theory": (d + 1) / 2
-                }
+                exp, se = fit_error_exponent(*map(list, zip(*curve)))
+                exponents[str(d)] = {"exponent": exp, "stderr": se, "theory": (d + 1) / 2}
             except ConfigurationError as err:
                 exponents[str(d)] = {"error": str(err)}
-    summary["exponents"] = exponents
-    return ExperimentResult(
-        ["p_phys", "d", "survivors", "p_logical", "stderr"], rows, summary
-    )
+    summary = {"flagged_cells": flagged, "exponents": exponents}
+    return ExperimentResult(fieldnames, rows, summary)
 
 
 def _error_scaling_lines(summary: dict) -> list[str]:
@@ -548,12 +494,14 @@ def run_lifetime(
         1 + len(params.distances), error_counts, trials, master_seed, threads
     )
     phys = logical_lifetime(times, phys_counts / trials)
-    fits: dict[str, Any] = {"physical": _lifetime_jsonable(phys)}
+    fits: dict[str, Any] = {"physical": dataclasses.asdict(phys)}
     curves = [(0, phys_counts, None)]
     for d, acc in zip(params.distances, code_counts):
         res = logical_lifetime(times, acc[0] / trials)
-        fits[str(d)] = _lifetime_jsonable(res)
-        fits[str(d)]["extension_factor"] = res.tau_ms / phys.tau_ms if phys.tau_ms else math.nan
+        fits[str(d)] = {
+            **dataclasses.asdict(res),
+            "extension_factor": res.tau_ms / phys.tau_ms if phys.tau_ms else math.nan,
+        }
         curves.append((d, acc[0], acc[1] / trials))
 
     rows = []
@@ -574,19 +522,6 @@ def run_lifetime(
     return ExperimentResult(
         ["t_ms", "d", "p_err", "stderr", "survivor_mean"], rows, summary
     )
-
-
-def _lifetime_jsonable(res) -> dict:
-    return {
-        "tau_ms": res.tau_ms,
-        "p_inf": res.p_inf,
-        "crossing_p_inf_over_e_ms": res.crossing_p_inf_over_e_ms,
-        "low_confidence": res.low_confidence,
-        "converged": res.fit.converged,
-        "note": res.fit.note,
-        "tau_stderr": res.fit.tau_stderr,
-        "p_inf_stderr": res.fit.p_inf_stderr,
-    }
 
 
 def _lifetime_lines(summary: dict) -> list[str]:
@@ -627,8 +562,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     for e in (
         Experiment(
             "histogram", "photon-count histograms for bright/dark/adaptive conditions",
-            HistogramParams, lambda config: HistogramParams(photon=config.photon_model()),
-            "trials", run_histogram,
+            PhotonModel, lambda config: config.photon_model(), "trials", run_histogram,
         ),
         Experiment(
             "depump_scaling", "bright-state error vs array size for a sequential hidden readout",

@@ -26,6 +26,10 @@ from .register import F2
 # Most sub-intervals a full interval may poll: adaptive_outcome_table builds one
 # convolution each, about 0.06 s and 9k cells for 1000, and 0.5 s and 64k for 10000.
 MAX_SUB_INTERVALS = 1000
+# Largest mean count of a full interval, bright plus dark: the table's Poisson
+# pmfs span the mean, so at 1e6 it takes about 0.1 s and 100 MB, and at 1e7 0.8 s
+# and 500 MB.
+MAX_MEAN_COUNTS = 1e6
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,11 @@ class PhotonModel:
             )
         if round(n) > MAX_SUB_INTERVALS:
             raise ConfigurationError(f"{round(n)} sub-intervals exceed {MAX_SUB_INTERVALS}")
+        if not self.mean_full(True) <= MAX_MEAN_COUNTS:  # NaN fails too
+            raise ConfigurationError(
+                f"mean count {self.mean_full(True):g} per full interval (bright plus dark) "
+                f"exceeds {MAX_MEAN_COUNTS:g}"
+            )
 
     @property
     def n_sub(self) -> int:
@@ -116,7 +125,8 @@ def _poisson_pmf(mean: float, below: int | None = None) -> np.ndarray:
     lies far under 1e-18."""
     if mean == 0.0:
         return np.ones(1)
-    k = np.arange(int(mean + 12.0 * math.sqrt(mean) + 50.0))[:below]
+    size = int(mean + 12.0 * math.sqrt(mean) + 50.0)
+    k = np.arange(size if below is None else min(size, below))
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k.size)))))
     return np.exp(k * math.log(mean) - mean - log_factorial)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fitting import SaturatingExpFit, fit_linear, fit_saturating_exponential
+from .fitting import fit_linear, fit_saturating_exponential
 from .register import F1, VACANT, IdleErrorModel, idle
 
 
@@ -181,11 +181,16 @@ def simulate_idling_bit(
 
 @dataclass
 class LifetimeResult:
+    """A lifetime fit as `.meta.json` records it."""
+
     tau_ms: float  # the fitted curve reaches p_inf*(1-1/e) at t = tau
     p_inf: float
     crossing_p_inf_over_e_ms: float  # fitted curve reaches p_inf/e
-    fit: SaturatingExpFit
     low_confidence: bool
+    converged: bool
+    note: str
+    tau_stderr: float
+    p_inf_stderr: float
 
 
 def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> LifetimeResult:
@@ -198,11 +203,11 @@ def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> LifetimeResult:
     p_inf/e, is reported alongside.
     """
     fit = fit_saturating_exponential(times_ms, p_err, p_inf_max=0.5)
-    tau = fit.tau
     # plateau not reached within the data -> extrapolated, low confidence
     low_confidence = bool(
         (not fit.converged) or p_err[-1] < (1.0 - 1.0 / math.e) * fit.p_inf
     )
     return LifetimeResult(
-        tau, fit.p_inf, -tau * math.log(1.0 - 1.0 / math.e), fit, low_confidence
+        fit.tau, fit.p_inf, -fit.tau * math.log(1.0 - 1.0 / math.e), low_confidence,
+        fit.converged, fit.note, fit.tau_stderr, fit.p_inf_stderr,
     )

@@ -18,11 +18,11 @@ from cavreg.harness import (
     DepumpScalingParams,
     ErrorScalingParams,
     ExperimentSpec,
-    HistogramParams,
     LifetimeParams,
     SearchCostParams,
     run,
 )
+from cavreg.photons import PhotonModel
 from cavreg.streams import chunk_sizes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -98,7 +98,7 @@ def test_code_sweep_runs_reach_the_code_sweep_layers(bench, monkeypatch):
     specs = [
         ExperimentSpec("error_scaling", scaling, trials=trials, master_seed=3, threads=2),
         ExperimentSpec("lifetime", lifetime, trials=trials, master_seed=3, threads=2),
-        ExperimentSpec("histogram", HistogramParams(), trials=20, master_seed=3),
+        ExperimentSpec("histogram", PhotonModel(), trials=20, master_seed=3),
     ]
     calls = _traced_calls(bench, monkeypatch, "code-sweep", *specs)
     # one per-trial code trace per lifetime chunk; error-scaling chunks are

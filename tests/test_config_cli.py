@@ -25,6 +25,9 @@ def test_defaults_load_and_match_module_defaults():
     # the shipped probe, 0.25 mK at -5 MHz, selects row_2
     assert config.error_rates() == ErrorRates(0.0039, 0.021, 0.008, 0.030)
     config.validate_models()
+    # the params defaults are the shipped run
+    for exp in EXPERIMENTS.values():
+        assert exp.build(config) == exp.params(), exp.name
 
 
 @pytest.mark.parametrize("detuning", ["17", "-17"])

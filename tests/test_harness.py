@@ -15,7 +15,6 @@ from cavreg.harness import (
     EXPERIMENTS,
     DepumpScalingParams,
     ErrorScalingParams,
-    HistogramParams,
     LifetimeParams,
     SearchCostParams,
     _sweep,
@@ -23,6 +22,7 @@ from cavreg.harness import (
     write_result_csv,
 )
 import cavreg.streams
+from cavreg.photons import PhotonModel
 from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
 
 
@@ -115,12 +115,12 @@ MULTI_CHUNK = 2 * CHUNK_TRIALS + 1  # three chunks per point, the last one short
 @pytest.mark.parametrize(
     "experiment,params,trials",
     [
-        ("histogram", HistogramParams(), 3000),
+        ("histogram", PhotonModel(), 3000),
         ("search_cost", SearchCostParams(sizes=[3, 6], probabilities=[0.0, 0.3]), 400),
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), 3000),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), 3000),
         ("depump_scaling", DepumpScalingParams(sizes=[1, 3], rounds=2), 60),
-        ("histogram", HistogramParams(), MULTI_CHUNK),
+        ("histogram", PhotonModel(), MULTI_CHUNK),
         ("search_cost", SearchCostParams(sizes=[3, 6], probabilities=[0.0, 0.3]), MULTI_CHUNK),
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), MULTI_CHUNK),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), MULTI_CHUNK),
@@ -192,7 +192,7 @@ def test_map_chunks_returns_item_order_when_early_items_finish_last(monkeypatch)
 
 def test_repeat_run_is_bit_identical(tmp_path):
     spec = ExperimentSpec(
-        "histogram", HistogramParams(), trials=2000, master_seed=11, threads=2
+        "histogram", PhotonModel(), trials=2000, master_seed=11, threads=2
     )
     paths = []
     for i in (0, 1):
@@ -261,6 +261,10 @@ def test_lifetime_summary_structure():
     result = run(spec)
     fits = result.summary["fits"]
     assert set(fits) == {"physical", "1"}
+    fit_keys = {"tau_ms", "p_inf", "crossing_p_inf_over_e_ms", "low_confidence", "converged",
+                "note", "tau_stderr", "p_inf_stderr"}
+    assert set(fits["physical"]) == fit_keys
+    assert set(fits["1"]) == fit_keys | {"extension_factor"}
     assert fits["1"]["extension_factor"] == pytest.approx(
         fits["1"]["tau_ms"] / fits["physical"]["tau_ms"]
     )

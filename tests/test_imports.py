@@ -1,5 +1,6 @@
 """Every module of src/cavreg other than the package's export list uses each
-name it imports."""
+name it imports, and every private module-level function or class is used
+somewhere in src/cavreg."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,44 @@ def test_unused_import_is_found():
 )
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+
+def unused_private_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level `_name` functions and classes of `sources` (module
+    name to source text) that no top-level statement but their own
+    definition reads, as `module._name`."""
+    statements = []  # (module, top-level statement, the names it reads)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):  # imported by another module
+                    names.add(node.name)
+            statements.append((module, stmt, names))
+    return sorted(
+        f"{module}.{stmt.name}"
+        for module, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    )
+
+
+def test_unused_private_helper_is_found():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n\n"
+             "class _Dead:\n    pass\n\ndef public():\n    return _used()\n",
+        "b": "from .a import _imported\nfrom . import a\nx = a._by_attribute\n",
+        "c": "def _imported():\n    pass\n\ndef _by_attribute():\n    pass\n",
+    }
+    # a helper read only by itself, or by nothing, is dead
+    assert unused_private_helpers(sources) == ["a._Dead", "a._dead"]
+
+
+def test_every_private_helper_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unused_private_helpers(sources) == []

@@ -20,7 +20,7 @@ from cavreg import (
     sample_full_interval,
     uniform_register,
 )
-from cavreg.photons import adaptive_outcome_table, sample_adaptive_bright_batch
+from cavreg.photons import MAX_MEAN_COUNTS, adaptive_outcome_table, sample_adaptive_bright_batch
 
 from oracles import (
     adaptive_interval_reference,
@@ -52,6 +52,15 @@ def test_invalid_models_rejected():
     # an outcome table of 2e11 sub-intervals would never finish building
     with pytest.raises(ConfigurationError, match="exceed 1000"):
         PhotonModel(sub_interval_us=1e-9)
+    # the outcome table of a 1e8-count mean would need gigabytes
+    for model in (
+        lambda: PhotonModel(bright_mean_full=1e8),
+        lambda: PhotonModel(detector=DetectorModel(dark_rate_hz=1e12)),  # 4e8 dark counts
+        lambda: PhotonModel(bright_mean_full=math.nan),
+    ):
+        with pytest.raises(ConfigurationError, match="exceeds 1e\\+06"):
+            model()
+    PhotonModel(bright_mean_full=MAX_MEAN_COUNTS, detector=DetectorModel(dark_rate_hz=0.0))
 
 
 def test_full_interval_means():

@@ -194,3 +194,7 @@ def test_depump_summary_keeps_steady_state_counts():
         # rounds 2-4 of every site of every trial, less the lost atoms
         assert 0.95 * 3 * c["n_sites"] * 5000 < c["detections"] <= 3 * c["n_sites"] * 5000
         assert 0 < c["errors"] < c["detections"]
+    # both fit blocks are the whole LinearFit, standard errors included
+    fit_keys = {"intercept", "slope", "intercept_stderr", "slope_stderr"}
+    assert set(summaries[0]["error_vs_size"]) == fit_keys
+    assert set(summaries[0]["first_round_error_vs_position"]) == fit_keys

@@ -166,12 +166,33 @@ def test_logical_error_curve_post_selection():
     assert cell["survivors"] == 3 and not flagged
 
 
+def _loose_cells(rows):
+    """The (p_phys, d, survivors) of rows with no rounds, no errors or a
+    stderr above a tenth of the estimate."""
+    return {
+        (r["p_phys"], r["d"], r["survivors"])
+        for r in rows
+        if not r["p_logical"] > 0 or r["stderr"] > r["p_logical"] / 10
+    }
+
+
 def test_logical_error_curve_grouped_cells():
-    rows, _ = _error_scaling_rows("none", 0.2, 0.2, 6, 5000, 5)
+    rows, flagged = _error_scaling_rows("none", 0.2, 0.2, 6, 5000, 5)
     assert {c["survivors"] for c in rows} == {0, 1, 2, 3}
     empty = next(c for c in rows if c["survivors"] == 0)
     # empty-register rounds are coin tosses
     assert abs(empty["p_logical"] - 0.5) < 4 * empty["stderr"]
+    assert flagged == [] and _loose_cells(rows) == set()
+    # few trials: errors in every cell, but a loose estimate in all but the empty one
+    rows, flagged = _error_scaling_rows("none", 0.05, 0.2, 6, 300, 5)
+    assert all(r["p_logical"] > 0 for r in rows)
+    cells = [(c["p_phys"], c["d"], c["survivors"]) for c in flagged]
+    assert cells == sorted(_loose_cells(rows)) == [(0.05, 3, s) for s in (1, 2, 3)]
+    # no loss: only full-register rounds; no flips: no errors but the empty register's
+    rows, flagged = _error_scaling_rows("none", 0.0, 0.0, 6, 500, 5)
+    cells = [(c["p_phys"], c["d"], c["survivors"]) for c in flagged]
+    assert cells == sorted(_loose_cells(rows)) == [(0.0, 3, s) for s in range(4)]
+    assert [c["n_rounds"] for c in flagged] == [0, 0, 0, 6 * 500]
 
 
 def test_error_scaling_cells_match_exact_hazard():

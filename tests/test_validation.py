@@ -410,6 +410,7 @@ def _set(key: tuple[str, str], value: str) -> str:
 @example(edit=(("error_table", "row_4"), "0.25 -5 0.0036 0.003 0.039 0.006"))
 @example(edit=(("readout", "hiding_power_mw"), "250"))
 @example(edit=(("photon", "sub_interval_us"), "1e-9"))
+@example(edit=(("detector", "dark_rate_hz"), "1e12"))
 def test_validate_config_agrees_with_every_reader_of_one_key(edit):
     # a config validate-config accepts runs in every experiment reading the
     # edited key; one it rejects is rejected, before writing, by one of them
