@@ -97,7 +97,13 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
     t_lo = float(ts.min()) / 100.0
     t_hi = float(ts.max()) * 100.0
     grid = np.logspace(math.log10(t_lo), math.log10(t_hi), 200)
-    rss_grid = [_amplitude(ts, ps, tau, p_inf_max)[1] for tau in grid]
+    # _amplitude's rss for every grid tau at once, one row per tau
+    basis = 1.0 - np.exp(-ts / grid[:, None])
+    denom = (basis * basis).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_inf = np.clip((ps * basis).sum(axis=1) / denom, 0.0, p_inf_max)
+    rss = ((ps - p_inf[:, None] * basis) ** 2).sum(axis=1)
+    rss_grid = np.where(denom == 0.0, (ps**2).sum(), rss)
     best = int(np.argmin(rss_grid))
     at_edge = best in (0, len(grid) - 1)
 

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable
@@ -30,7 +29,12 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from .fitting import MIN_FIT_POINTS, fit_linear
-from .photons import PhotonModel, sample_adaptive_bright_batch
+from .photons import (
+    PhotonModel,
+    adaptive_outcome_table,
+    full_interval_law,
+    sample_adaptive_bright_batch,
+)
 from .readout import ErrorRates, HidingModel, measurement_rates, sequential_array_readout
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import (
@@ -49,7 +53,7 @@ from .search import (
     run_search,
     sample_register,
 )
-from .streams import SEED_LIMIT, chunk_sizes, map_chunks, stream
+from .streams import CHUNK_TRIALS, SEED_LIMIT, chunk_sizes, map_chunks, stream
 
 if TYPE_CHECKING:
     from .config import Config
@@ -189,19 +193,20 @@ def _sweep(
     trials: int,
     master_seed: int,
     threads: int,
+    chunk: int = CHUNK_TRIALS,
 ) -> list:
     """Per sweep point, the sum of kernel(point, rng, size) over the chunks
-    of `trials`.  Each chunk draws from stream(master_seed, point, chunk
-    index).  Every (point, chunk) task of the run goes, point-major, through
-    one `map_chunks` call, so one pool serves the whole run, and each point's
-    results are summed in chunk order: the thread count never changes the
-    result."""
+    of `trials`, `chunk` trials each and the last one shorter.  Each chunk
+    draws from stream(master_seed, point, chunk index).  Every (point,
+    chunk) task of the run goes, point-major, through one `map_chunks` call,
+    so one pool serves the whole run, and each point's results are summed in
+    chunk order: the thread count never changes the result."""
 
     def chunk_result(task: tuple[int, int, int]):
         point, index, size = task
         return kernel(point, stream(master_seed, point, index), size)
 
-    chunks = chunk_sizes(trials)
+    chunks = chunk_sizes(trials, chunk)
     tasks = [(point, index, size) for point in range(n_points) for index, _, size in chunks]
     results = map_chunks(chunk_result, tasks, threads)
     n = len(chunks)
@@ -214,23 +219,33 @@ def _sweep(
 def run_histogram(
     photon: PhotonModel, trials: int, master_seed: int, threads: int
 ) -> ExperimentResult:
-    conditions = ["bright_full", "bright_adaptive", "dark_full"]
+    """Photon-count histograms of a bright and a dark emitter over the full
+    interval and of a bright one under adaptive termination.
 
-    def histogram(point: int, rng: np.random.Generator, size: int) -> Counter:
+    Each chunk is a count vector over its condition's support, from its
+    first count on.  The full-interval counts of a chunk are one
+    multinomial draw of the chunk size over full_interval_law; the adaptive
+    counts are sampled per trial and binned over the bright cells of the
+    outcome table."""
+    conditions = ["bright_full", "bright_adaptive", "dark_full"]
+    full = {c: full_interval_law(photon, c == "bright_full") for c in ("bright_full", "dark_full")}
+    table = adaptive_outcome_table(photon)
+    adaptive = table.counts[table.bright]
+    first = {c: law[0] for c, law in full.items()} | {"bright_adaptive": int(adaptive.min())}
+    n_adaptive = int(adaptive.max()) + 1 - first["bright_adaptive"]
+
+    def histogram(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         cond = conditions[point]
         if cond == "bright_adaptive":
             counts, _ = sample_adaptive_bright_batch(photon, size, rng)
-        else:
-            counts = rng.poisson(photon.mean_full(cond == "bright_full"), size=size)
-        freqs = np.bincount(counts)
-        values = np.flatnonzero(freqs)
-        return Counter(dict(zip(values.tolist(), freqs[values].tolist())))
+            return np.bincount(counts - first[cond], minlength=n_adaptive)
+        return rng.multinomial(size, full[cond][1])
 
     hists = _sweep(len(conditions), histogram, trials, master_seed, threads)
     rows = [
-        {"counts": value, "frequency": hist[value], "condition": cond}
+        {"counts": first[cond] + i, "frequency": int(hist[i]), "condition": cond}
         for cond, hist in zip(conditions, hists)
-        for value in sorted(hist)
+        for i in np.flatnonzero(hist).tolist()
     ]
     return ExperimentResult(["counts", "frequency", "condition"], rows, {})
 
@@ -402,19 +417,20 @@ def run_error_scaling(
     """Per-round logical error per (distance, flip) point and kept survivor
     count, and the log-log exponent of the full-distance cells.
 
-    Each chunk is reduced to its (clean, erring) round counts per survivor
-    state by repcode.round_counts: the atoms' loss rounds come from the same
-    repcode.loss_rounds as simulate_code_abstract, and the erring rounds in
-    each state are one binomial draw, so no per-trial trace is built.  A cell
-    with no rounds, no errors or a stderr above a tenth of its estimate is
-    flagged."""
+    Each point's (clean, erring) round counts per survivor count come from
+    repcode.round_counts, which samples the simulate_code_abstract ensemble's
+    law without a per-trial trace: one multinomial draw per round moves the
+    trials between survivor counts, and the erring rounds of each count are
+    one binomial draw.  Its cost does not grow with the trials, so each
+    point is drawn as one chunk.  A cell with no rounds, no errors or a
+    stderr above a tenth of its estimate is flagged."""
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
 
     def survivor_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         d, p = points[point]
         return round_counts(d, p, params.per_round_loss, params.rounds, size, rng)
 
-    totals = _sweep(len(points), survivor_counts, trials, master_seed, threads)
+    totals = _sweep(len(points), survivor_counts, trials, master_seed, threads, chunk=trials)
     fieldnames = ["p_phys", "d", "survivors", "p_logical", "stderr"]
     rows, flagged = [], []
     curves: dict[int, list[tuple[float, float]]] = {d: [] for d in params.distances}

@@ -30,6 +30,8 @@ MAX_SUB_INTERVALS = 1000
 # pmfs span the mean, so at 1e6 it takes about 0.1 s and 100 MB, and at 1e7 0.8 s
 # and 500 MB.
 MAX_MEAN_COUNTS = 1e6
+# Smallest probability a count law keeps: a 53-bit uniform cannot resolve less.
+MIN_CELL_PROB = 1e-18
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,23 @@ def sample_full_interval(
 
 def _poisson_pmf(mean: float, below: int | None = None) -> np.ndarray:
     """Poisson(mean) pmf over 0, 1, ..., below - 1, cut where the right tail
-    lies far under 1e-18."""
+    lies far under MIN_CELL_PROB."""
     if mean == 0.0:
         return np.ones(1)
     size = int(mean + 12.0 * math.sqrt(mean) + 50.0)
     k = np.arange(size if below is None else min(size, below))
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k.size)))))
     return np.exp(k * math.log(mean) - mean - log_factorial)
+
+
+def full_interval_law(model: PhotonModel, bright: bool) -> tuple[int, np.ndarray]:
+    """(first, law): a full interval of a bright or dark emitter counts
+    first + i with probability law[i].  The Poisson pmf is trimmed to its
+    cells >= MIN_CELL_PROB on both tails and renormalized."""
+    pmf = _poisson_pmf(model.mean_full(bright))
+    kept = np.flatnonzero(pmf >= MIN_CELL_PROB)
+    law = pmf[kept[0] : kept[-1] + 1]
+    return int(kept[0]), law / law.sum()
 
 
 @dataclass(frozen=True)
@@ -151,9 +163,8 @@ def adaptive_outcome_table(model: PhotonModel) -> OutcomeTable:
     With sub-interval mean lam, threshold t and n sub-intervals, a stop at
     sub-interval k with j < t counts before it and y in it (j + y >= t) has
     probability Pois((k-1) lam; j) * Pois(lam; y), and no stop with j < t
-    counts has probability Pois(n lam; j).  Cells below 1e-18, which a
-    53-bit uniform cannot resolve, are dropped, so the table's size does not
-    grow with the threshold."""
+    counts has probability Pois(n lam; j).  Cells below MIN_CELL_PROB are
+    dropped, so the table's size does not grow with the threshold."""
     n, t = model.n_sub, model.threshold
     blocks = []
     for bright in (False, True):
@@ -167,7 +178,7 @@ def adaptive_outcome_table(model: PhotonModel) -> OutcomeTable:
         never = _poisson_pmf(n * lam, t)
         cells.append((np.full(never.size, n), np.arange(never.size), never))
         stop, counts, prob = map(np.concatenate, zip(*cells))
-        keep = prob >= 1e-18
+        keep = prob >= MIN_CELL_PROB
         stop, counts, prob = stop[keep], counts[keep], prob[keep]
         lower = np.minimum(np.concatenate(([0.0], np.cumsum(prob)[:-1])), 1.0)
         blocks.append((np.full(prob.size, bright), stop, counts, prob, bright + lower))

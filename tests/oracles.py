@@ -23,6 +23,13 @@ def poisson_pmf(k: int, lam: float) -> float:
     return exp(-lam) * lam**k / math.factorial(k)
 
 
+def poisson_log_pmf(k: int, lam: float) -> float:
+    """log Poisson(lam; k) from the log-gamma function, for any mean."""
+    if lam == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    return k * math.log(lam) - lam - math.lgamma(k + 1)
+
+
 def adaptive_outcome_enumeration(
     mean_full: float, n_sub: int, threshold: int, kmax: int = 80
 ) -> dict[tuple[int, int], float]:
@@ -116,6 +123,22 @@ def repcode_round_hazard(s: int, flip_p: float) -> float:
         elif 2 * k == s:
             tot += 0.5 * pk
     return tot
+
+
+def repcode_expected_survivor_rounds(
+    d: int, loss_p: float, rounds: int, n_trials: int
+) -> list[float]:
+    """E[N_s], s = 0..d: the expected rounds with s survivors over n_trials
+    trials.  Each atom is alive in round r with probability q**(r + 1),
+    q = 1 - loss_p, independently of the others."""
+    q = 1.0 - loss_p
+    return [
+        n_trials * sum(
+            comb(d, s) * q ** ((r + 1) * s) * (1 - q ** (r + 1)) ** (d - s)
+            for r in range(rounds)
+        )
+        for s in range(d + 1)
+    ]
 
 
 def repcode_reference_trace(

@@ -94,18 +94,19 @@ def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
 
 def test_code_sweep_runs_reach_the_code_sweep_layers(bench, monkeypatch):
     scaling, lifetime = ErrorScalingParams(), LifetimeParams()
-    trials = 5000  # two chunks per sweep point; enough errors for the d = 3 fit
+    trials = 5000  # two chunks per lifetime point; enough errors for the d = 3 fit
     specs = [
         ExperimentSpec("error_scaling", scaling, trials=trials, master_seed=3, threads=2),
         ExperimentSpec("lifetime", lifetime, trials=trials, master_seed=3, threads=2),
         ExperimentSpec("histogram", PhotonModel(), trials=20, master_seed=3),
     ]
     calls = _traced_calls(bench, monkeypatch, "code-sweep", *specs)
-    # one per-trial code trace per lifetime chunk; error-scaling chunks are
-    # reduced to round counts without one, but still open a stream each
+    # one per-trial code trace per lifetime chunk; each error-scaling point is
+    # one chunk of round counts without one, which opens one stream
     chunks = len(chunk_sizes(trials))
-    code_points = len(scaling.distances) * len(scaling.flip_sweep) + len(lifetime.distances)
+    lifetime_points = 1 + len(lifetime.distances)  # the idling bit and each distance
+    scaling_points = len(scaling.distances) * len(scaling.flip_sweep)
     assert calls["repcode.simulate_code_abstract"] == len(lifetime.distances) * chunks
     assert calls["repcode.simulate_idling_bit"] == chunks
     assert calls["photons.sample_adaptive_bright_batch"] == 1
-    assert calls["streams.stream"] == (code_points + 1) * chunks + 3
+    assert calls["streams.stream"] == lifetime_points * chunks + scaling_points + 3

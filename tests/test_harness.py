@@ -2,6 +2,8 @@ import json
 import math
 import threading
 import time
+import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,8 +24,10 @@ from cavreg.harness import (
     write_result_csv,
 )
 import cavreg.streams
-from cavreg.photons import PhotonModel
+from cavreg.photons import MAX_MEAN_COUNTS, PhotonModel, adaptive_outcome_table
 from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
+
+from oracles import poisson_pmf
 
 
 def test_estimate_from_binomial():
@@ -239,6 +243,53 @@ def test_histogram_has_three_conditions():
     assert max(dark, key=lambda r: r["frequency"])["counts"] == 0
     adaptive = [r for r in result.rows if r["condition"] == "bright_adaptive"]
     assert max(adaptive, key=lambda r: r["frequency"])["counts"] == 2
+
+
+@pytest.mark.parametrize("cond", ["bright_full", "dark_full"])
+def test_histogram_full_interval_frequencies_follow_poisson(cond):
+    # 25 chunks; each count within K sqrt(n p (1 - p)) of trials * the pmf,
+    # the counts expected fewer than 5 times pooled into one cell
+    K, trials = 4.5, 100_000
+    model = PhotonModel()
+    rows = run(ExperimentSpec("histogram", model, trials=trials, master_seed=12)).rows
+    observed = {r["counts"]: r["frequency"] for r in rows if r["condition"] == cond}
+    mean = model.mean_full(cond == "bright_full")
+    pmf = {k: poisson_pmf(k, mean) for k in range(int(mean + 12 * math.sqrt(mean) + 50))}
+    assert set(observed) <= set(pmf) and sum(observed.values()) == trials
+    cells = [({k}, p) for k, p in pmf.items() if trials * p >= 5]
+    cells.append((set(pmf) - set().union(*(ks for ks, _ in cells)),
+                  1.0 - sum(p for _, p in cells)))
+    for ks, p in cells:
+        got = sum(observed.get(k, 0) for k in ks)
+        assert abs(got - trials * p) <= K * math.sqrt(trials * p * (1 - p)), (sorted(ks)[:3], got)
+
+
+def test_histogram_at_the_largest_mean_stays_small_and_fast():
+    # the bright full-interval law keeps its 16 400 cells of at least 1e-18
+    # around the mean.  The bounds are those of per-trial Poisson draws: 0.54 s
+    # and 57 MB of peak traced memory at 1 thread on a 2-core host; a law over
+    # every count from 0 took about 1.4 s and 400 MB there
+    model = PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1)
+    spec = ExperimentSpec("histogram", model, trials=200_000, master_seed=5)
+    elapsed = []
+    for _ in range(2):
+        adaptive_outcome_table.cache_clear()  # the outcome table is part of the run
+        t0 = time.perf_counter()
+        run(spec)
+        elapsed.append(time.perf_counter() - t0)
+    adaptive_outcome_table.cache_clear()
+    tracemalloc.start()
+    try:
+        result = run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(elapsed) < 0.54
+    assert peak < 57 * 2**20
+    totals = Counter()
+    for r in result.rows:
+        totals[r["condition"]] += r["frequency"]
+    assert set(totals.values()) == {200_000}
 
 
 def test_error_scaling_reports_exponents():

@@ -20,12 +20,19 @@ from cavreg import (
     sample_full_interval,
     uniform_register,
 )
-from cavreg.photons import MAX_MEAN_COUNTS, adaptive_outcome_table, sample_adaptive_bright_batch
+from cavreg.photons import (
+    MAX_MEAN_COUNTS,
+    MIN_CELL_PROB,
+    adaptive_outcome_table,
+    full_interval_law,
+    sample_adaptive_bright_batch,
+)
 
 from oracles import (
     adaptive_interval_reference,
     adaptive_outcome_enumeration,
     adaptive_stopping_enumeration,
+    poisson_log_pmf,
 )
 
 
@@ -272,6 +279,32 @@ def test_adaptive_mode_at_threshold_and_gap_below(rng):
     # stopped trials carry no mass below threshold
     stopped = durations < model.full_interval_us
     assert not np.any(counts[stopped] < model.threshold)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PhotonModel(),
+        PhotonModel(bright_mean_full=0.3, detector=DetectorModel(dark_rate_hz=1e4)),
+        PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1),
+    ],
+)
+def test_full_interval_law_is_the_trimmed_poisson_pmf(model):
+    for bright in (True, False):
+        mean = model.mean_full(bright)
+        first, law = full_interval_law(model, bright)
+        exact = np.exp([poisson_log_pmf(k, mean) for k in range(first, first + law.size)])
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(law, exact, rtol=1e-6, atol=0.0)
+        # every kept cell reaches MIN_CELL_PROB, and the first dropped ones do not
+        assert exact.min() >= MIN_CELL_PROB * (1 - 1e-6)
+        for k in (first - 1, first + law.size):
+            assert k < 0 or math.exp(poisson_log_pmf(k, mean)) < MIN_CELL_PROB * (1 + 1e-6)
+
+
+def test_full_interval_law_without_dark_counts():
+    first, law = full_interval_law(PhotonModel(detector=DetectorModel(dark_rate_hz=0.0)), False)
+    assert first == 0 and law.tolist() == [1.0]
 
 
 def test_full_interval_counts_are_poisson(rng):

@@ -1,4 +1,5 @@
-"""The closed-form abstract-code kernels against the per-round reference loop.
+"""The abstract-code kernels against the per-round reference loop and the
+exact survivor law.
 
 simulate_code_abstract draws each atom's loss round once and each round's
 vote error once from the exact round hazard.  tests/oracles.py keeps the
@@ -7,10 +8,12 @@ coin per trial and round); here both run the same configurations and every
 per-round rate and survivor frequency must agree within K standard errors
 of the difference.
 
-round_counts shares the loss model (loss_rounds) and reduces a chunk to
-(clean, erring) rounds per survivor count: on the same stream its round
-totals equal the per-trial trace's survivor counts exactly, and its error
-rates agree with the trace's within K standard errors.
+round_counts samples the same ensemble as a survivor-count chain (one
+multinomial draw per round over all trials) and reduces it to (clean,
+erring) rounds per survivor count.  Its round totals N_s match the exact
+mean from tests/oracles.py and the trace's survivor counts on independent
+streams within K standard errors, and are exact where loss is 0 or 1; its
+error rates agree with the trace's within K standard errors.
 """
 
 import itertools
@@ -20,9 +23,14 @@ import numpy as np
 import pytest
 
 from cavreg import loss_rounds, round_counts, round_hazard, simulate_code_abstract
+from cavreg.repcode import _survivor_law
 from cavreg.streams import stream
 
-from oracles import repcode_reference_trace, repcode_round_hazard
+from oracles import (
+    repcode_expected_survivor_rounds,
+    repcode_reference_trace,
+    repcode_round_hazard,
+)
 
 K = 4.5
 TRIALS = 50_000
@@ -94,14 +102,54 @@ def test_loss_rounds_hold_any_round_count():
     assert (counts == 300).all()
 
 
+@pytest.mark.parametrize("distance, loss", itertools.product((1, 3, 5), (0.037, 0.3)))
+def test_round_counts_survivor_rounds_match_exact_mean(distance, loss):
+    # the mean N_s over independent draws against the closed form
+    n, draws = 1000, 200
+    n_rounds = np.array([
+        round_counts(distance, FLIP, loss, ROUNDS, n, stream(41, distance, i)).sum(axis=1)
+        for i in range(draws)
+    ])
+    exact = repcode_expected_survivor_rounds(distance, loss, ROUNDS, n)
+    se = n_rounds.std(axis=0, ddof=1) / math.sqrt(draws)
+    assert (np.abs(n_rounds.mean(axis=0) - exact) <= K * se).all(), (n_rounds.mean(axis=0), exact)
+
+
 @pytest.mark.parametrize("distance, loss", CASES)
-def test_round_counts_match_trace_survivors_exactly(distance, loss):
-    counts = round_counts(distance, FLIP, loss, ROUNDS, TRIALS, stream(36, distance))
-    trace = simulate_code_abstract(distance, FLIP, loss, ROUNDS, TRIALS, stream(36, distance))
-    assert counts.shape == (distance + 1, 2)
-    assert (counts >= 0).all()
-    expected = np.bincount(trace.survivors.ravel(), minlength=distance + 1)
-    assert counts.sum(axis=1).tolist() == expected.tolist()
+def test_round_counts_survivor_rounds_match_trace(distance, loss):
+    # independent streams; the per-trial rounds with s survivors set the spread
+    counts = round_counts(distance, FLIP, loss, ROUNDS, TRIALS, stream(42, distance))
+    assert counts.shape == (distance + 1, 2) and (counts >= 0).all()
+    n_counts = counts.sum(axis=1)
+    trace = simulate_code_abstract(distance, FLIP, loss, ROUNDS, TRIALS, stream(43, distance))
+    per_trial = np.stack([(trace.survivors == s).sum(axis=1) for s in range(distance + 1)])
+    se = np.sqrt(2 * TRIALS * per_trial.var(axis=1))
+    assert n_counts.sum() == ROUNDS * TRIALS
+    assert (np.abs(n_counts - per_trial.sum(axis=1)) <= K * se).all()
+
+
+@pytest.mark.parametrize("distance", (1, 3, 5))
+def test_round_counts_loss_edges_are_exact(distance):
+    # no loss keeps every atom in every round; certain loss empties the first
+    for loss, survivors in ((0.0, distance), (1.0, 0)):
+        counts = round_counts(distance, FLIP, loss, ROUNDS, TRIALS, stream(44, distance))
+        expected = np.zeros(distance + 1, dtype=int)
+        expected[survivors] = ROUNDS * TRIALS
+        assert counts.sum(axis=1).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("distance, loss", CASES)
+def test_survivor_law_rows_are_binomial_with_a_reachable_last_column(distance, loss):
+    # column c is survivor count distance - c; numpy's multinomial gives the
+    # last column a row's rounding remainder, so every row must reach it
+    law = _survivor_law(distance, loss)
+    q = 1.0 - loss
+    for s in range(distance + 1):
+        for j in range(distance + 1):
+            exact = math.comb(s, j) * q**j * (1 - q) ** (s - j) if j <= s else 0.0
+            assert math.isclose(law[s, distance - j], exact, rel_tol=1e-12, abs_tol=0.0)
+    if 0.0 < loss < 1.0:
+        assert (law[:, -1] > 0).all()
 
 
 @pytest.mark.parametrize("distance, loss", CASES)

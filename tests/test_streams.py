@@ -15,7 +15,7 @@ import cavreg.harness as harness
 from cavreg import ConfigurationError, ExperimentSpec, run
 from cavreg.config import load_config
 from cavreg.harness import EXPERIMENTS
-from cavreg.streams import MAX_PATH, chunk_sizes, stream
+from cavreg.streams import CHUNK_TRIALS, MAX_PATH, chunk_sizes, stream
 
 
 def _start(seed: int, *path: int) -> tuple:
@@ -68,10 +68,11 @@ def test_default_runs_draw_from_distinct_streams(name, monkeypatch):
     trials, seed = config[("run", exp.trials_key)], config[("run", "master_seed")]
     seen = []
 
-    def recording_sweep(n_points, kernel, sweep_trials, master_seed, threads):
+    def recording_sweep(n_points, kernel, sweep_trials, master_seed, threads,
+                        chunk=CHUNK_TRIALS):
         assert sweep_trials == trials
-        sweep(n_points, lambda point, rng, size: 0, sweep_trials, master_seed, threads)
-        seen.append(n_points)
+        sweep(n_points, lambda point, rng, size: 0, sweep_trials, master_seed, threads, chunk)
+        seen.append((n_points, chunk))
         raise _Recorded
 
     sweep = harness._sweep
@@ -79,5 +80,5 @@ def test_default_runs_draw_from_distinct_streams(name, monkeypatch):
     monkeypatch.setattr(harness, "stream", lambda *key: seen.append(_start(*key)))
     with pytest.raises(_Recorded):
         run(ExperimentSpec(name, exp.build(config), trials=trials, master_seed=seed))
-    *starts, n_points = seen
-    assert len(set(starts)) == len(starts) == n_points * len(chunk_sizes(trials))
+    *starts, (n_points, chunk) = seen
+    assert len(set(starts)) == len(starts) == n_points * len(chunk_sizes(trials, chunk))
