@@ -32,6 +32,9 @@ MAX_SUB_INTERVALS = 1000
 MAX_MEAN_COUNTS = 1e6
 # Smallest probability a count law keeps: a 53-bit uniform cannot resolve less.
 MIN_CELL_PROB = 1e-18
+# Guide buckets per unit of the outcome table's [0, 2] edge range; a power of
+# two, so the bucket v * GUIDE_BUCKETS of a draw v is exact.
+GUIDE_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,19 @@ class OutcomeTable:
     counts: np.ndarray
     prob: np.ndarray
     edges: np.ndarray  # lower cumulative edges, dark cells in [0, 1], bright in [1, 2]
+    # per bucket [b, b + 1) / GUIDE_BUCKETS, b = 0..2 GUIDE_BUCKETS, the one
+    # cell covering all of it, or -1 where an edge splits the bucket
+    guide: np.ndarray
+
+    def cells(self, v: np.ndarray) -> np.ndarray:
+        """The cell holding each point of v in [0, 2], searchsorted(edges, v,
+        "right") - 1: the guide's cell of its bucket, or a binary search of
+        the edges where an edge splits the bucket."""
+        cell = self.guide[(v * GUIDE_BUCKETS).astype(np.intp)]
+        split = cell < 0
+        if split.any():
+            cell[split] = np.searchsorted(self.edges, v[split], "right") - 1
+        return cell
 
 
 @functools.lru_cache(maxsize=32)
@@ -182,7 +198,12 @@ def adaptive_outcome_table(model: PhotonModel) -> OutcomeTable:
         stop, counts, prob = stop[keep], counts[keep], prob[keep]
         lower = np.minimum(np.concatenate(([0.0], np.cumsum(prob)[:-1])), 1.0)
         blocks.append((np.full(prob.size, bright), stop, counts, prob, bright + lower))
-    table = OutcomeTable(*map(np.concatenate, zip(*blocks)))
+    *columns, edges = map(np.concatenate, zip(*blocks))
+    # 2 GUIDE_BUCKETS + 1 buckets: u + 1 rounds to exactly 2.0 for u = 1 - 2**-53
+    bucket = np.arange(2 * GUIDE_BUCKETS + 1)
+    first = np.searchsorted(edges, bucket / GUIDE_BUCKETS, "right") - 1
+    last = np.searchsorted(edges, (bucket + 1) / GUIDE_BUCKETS, "left") - 1
+    table = OutcomeTable(*columns, edges, np.where(first == last, first, -1))
     for array in vars(table).values():
         array.setflags(write=False)  # shared by every caller of the cache
     return table
@@ -197,9 +218,10 @@ def sample_adaptive_interval(
 
     `codes` is a 1-D array of state codes, one per trial.  Each trial draws
     one uniform, offset into the bright half of the outcome table for F=2,
-    and takes the cell it falls in."""
+    and takes the cell it falls in, found in O(1) through the table's guide
+    for all but the draws near an edge."""
     table = adaptive_outcome_table(model)
-    cell = np.searchsorted(table.edges, rng.random(codes.shape) + (codes == F2), "right") - 1
+    cell = table.cells(rng.random(codes.shape) + (codes == F2))
     counts = table.counts[cell]
     return IntervalOutcome(counts, table.stop[cell] * model.sub_interval_us,
                            counts >= model.threshold)

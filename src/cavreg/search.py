@@ -13,6 +13,7 @@ check over a subset is `bits & subset != 0` for every register at once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -69,9 +70,9 @@ def _placements(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _placement_edges(n: int, p: float) -> np.ndarray:
+def _placement_edges(n: int, p: float) -> tuple[float, ...]:
     """Uniform thresholds k*p/n, k = 1..n, splitting [0, p) into n parts."""
-    return p / n * np.arange(1, n + 1)
+    return tuple((p / n * np.arange(1, n + 1)).tolist())
 
 
 def sample_register(
@@ -85,8 +86,10 @@ def sample_register(
     u < p, at the site whose n-th part of [0, p) holds u."""
     n, p = problem.n, problem.p
     if problem.placement is Placement.AT_MOST_ONE_BRIGHT:
-        row = _placement_edges(n, p).searchsorted(rng.random(size), side="right")
-        return _placements(n)[row].copy()
+        edges = _placement_edges(n, p)
+        if size is None:  # bisect skips numpy's per-call cost on one uniform
+            return _placements(n)[bisect_right(edges, rng.random())].copy()
+        return _placements(n)[np.searchsorted(edges, rng.random(size), side="right")]
     shape = (n,) if size is None else (size, n)
     codes = np.full(shape, F1, dtype=np.int8)
     codes[rng.random(shape) < p] = F2
@@ -173,8 +176,25 @@ def run_search(
 
     Each group_check call covers every register: the singles are one call,
     and bisection walks its tree in pre-order, so a search makes at most 2N.
+    A noiseless search draws nothing, so the result of one (n,) register is
+    cached and returned as a copy.
     """
     codes = np.asarray(codes)
+    if codes.ndim == 1 and noise is None:
+        found, intervals = _search_one(codes.tobytes(), codes.dtype, codes.size, strategy,
+                                       at_most_one)
+        return SearchResult(found.copy(), intervals.copy())
+    return _search(codes, strategy, rng, at_most_one, noise)
+
+
+@lru_cache(maxsize=4096)
+def _search_one(key: bytes, dtype: np.dtype, n: int, strategy: Strategy, at_most_one: bool):
+    """(found, intervals_used) of the noiseless search of one register."""
+    result = _search(np.frombuffer(key, dtype), strategy, None, at_most_one, None)
+    return result.found, result.intervals_used
+
+
+def _search(codes, strategy, rng, at_most_one, noise) -> SearchResult:
     n = codes.shape[-1]
     bits = bright_bits(codes)
     found = np.zeros(codes.shape, dtype=bool)
@@ -203,8 +223,7 @@ def run_search(
         intervals = np.full(bits.shape, n)
     elif strategy is Strategy.GLOBAL_CHECK_THEN_SEQUENTIAL:
         searched = group_check(bits, (1 << n) - 1, rng, noise)
-        # np.int64 keeps one-register arithmetic off numpy's slow Python-int path
-        intervals = 1 + np.int64(n) * searched
+        intervals = 1 + n * searched
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     if np.count_nonzero(searched):  # no singles where no register is searched

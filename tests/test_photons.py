@@ -21,6 +21,7 @@ from cavreg import (
     uniform_register,
 )
 from cavreg.photons import (
+    GUIDE_BUCKETS,
     MAX_MEAN_COUNTS,
     MIN_CELL_PROB,
     adaptive_outcome_table,
@@ -238,6 +239,50 @@ def test_outcome_table_is_cached_per_model():
     assert adaptive_outcome_table(PhotonModel(threshold=3)) is table
     assert adaptive_outcome_table(PhotonModel(threshold=2)) is not table
     assert not table.prob.flags.writeable
+    assert not table.guide.flags.writeable
+    assert table.guide.size == 2 * GUIDE_BUCKETS + 1
+
+
+GUIDE_MODELS = {
+    "shipped": PhotonModel(),
+    "threshold 1": PhotonModel(threshold=1),
+    "threshold 3": PhotonModel(threshold=3),
+    "mean 0.5": PhotonModel(bright_mean_full=0.5),
+    "1000 sub-intervals": PhotonModel(sub_interval_us=0.2),  # more cells than 2 G
+    "largest mean": PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1),
+    "no dark counts": PhotonModel(detector=DetectorModel(dark_rate_hz=0.0)),
+    "threshold 1e6": PhotonModel(threshold=10**6),
+}
+
+
+@pytest.mark.parametrize("name", GUIDE_MODELS)
+def test_guide_lookup_equals_binary_search(name, rng):
+    table = adaptive_outcome_table(GUIDE_MODELS[name])
+    bounds = np.arange(2 * GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    points = np.concatenate((table.edges, bounds, [0.0, 1.0, 2.0], 2.0 * rng.random(200_000)))
+    probes = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)))
+    probes = probes[(probes >= 0.0) & (probes <= 2.0)]
+    assert np.array_equal(table.cells(probes), np.searchsorted(table.edges, probes, "right") - 1)
+    # each probe's bucket is the one the guide was built for: v * G is exact
+    bucket = (probes * GUIDE_BUCKETS).astype(np.intp)
+    assert np.all((bucket / GUIDE_BUCKETS <= probes) & (probes < (bucket + 1) / GUIDE_BUCKETS))
+    # a bucket names its cell iff its first point and its last float share one
+    lo = np.searchsorted(table.edges, bounds, "right") - 1
+    hi = np.searchsorted(table.edges, np.nextafter(bounds + 1.0 / GUIDE_BUCKETS, 0.0), "right") - 1
+    assert np.array_equal(table.guide, np.where(lo == hi, lo, -1))
+
+
+def test_adaptive_sampling_draws_one_uniform_per_code(rng):
+    # some draws land in split buckets; their binary search draws nothing
+    codes = rng.permutation(np.repeat(np.array([F2, F1, VACANT], np.int8), [5000, 3000, 2000]))
+    sampled, reference = np.random.default_rng(5), np.random.default_rng(5)
+    table = adaptive_outcome_table(PhotonModel())
+    v = reference.random(codes.size) + (codes == F2)
+    assert (table.guide[(v * GUIDE_BUCKETS).astype(np.intp)] < 0).any()
+    out = sample_adaptive_interval(codes, PhotonModel(), sampled)
+    assert sampled.bit_generator.state == reference.bit_generator.state
+    cell = np.searchsorted(table.edges, v, "right") - 1
+    assert np.array_equal(out.counts, table.counts[cell])
 
 
 def test_reduction_factors_default(rng):

@@ -20,6 +20,7 @@ from cavreg import (
 )
 from cavreg.search import (
     _expected_splits,
+    _placements,
     bright_bits,
     enumerate_mean_intervals,
     sample_register,
@@ -147,6 +148,37 @@ def test_sample_register_draws_one_uniform_per_site_in_order():
     for _ in range(20):
         expected = [F2 if ref.random() < problem.p else F1 for _ in range(problem.n)]
         assert sample_register(problem, rng).tolist() == expected
+
+
+def test_sample_register_one_at_a_time_matches_batch():
+    # one register bisects the cached edges, a batch searchsorts them; both
+    # take one uniform per register
+    for n in (1, 3, 10):
+        for p in (0.0, 0.3, 1.0):
+            problem = SearchProblem(n, p)
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            one = np.array([sample_register(problem, rng) for _ in range(500)])
+            assert np.array_equal(one, sample_register(problem, ref, 500))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_cached_one_register_search_matches_batch(rng):
+    # a single (n,) register is served from a cache; a batch always runs
+    registers = [_placements(n) for n in range(1, 11)]
+    registers += [np.where(rng.random((50, n)) < 0.4, F2, F1).astype(np.int8) for n in (2, 5, 10)]
+    for batch in registers:
+        for strategy in Strategy:
+            for at_most_one in (True, False):
+                full = run_search(batch, strategy, at_most_one=at_most_one)
+                for _ in range(2):  # the second pass is served from the cache
+                    for reg, found, used in zip(batch, full.found, full.intervals_used):
+                        one = run_search(reg, strategy, at_most_one=at_most_one)
+                        assert np.array_equal(one.found, found)
+                        assert one.intervals_used == used
+                        # the caller owns what it gets back
+                        one.found[...] = ~one.found
+                        if isinstance(one.intervals_used, np.ndarray):
+                            one.intervals_used += 100
 
 
 def test_multi_bright_partitioned_correct_without_assumption(rng):
