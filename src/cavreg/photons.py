@@ -125,25 +125,31 @@ def sample_full_interval(
     return IntervalOutcome(counts, full, counts >= model.threshold)
 
 
-def _poisson_pmf(mean: float, below: int | None = None) -> np.ndarray:
-    """Poisson(mean) pmf over 0, 1, ..., below - 1, cut where the right tail
-    lies far under MIN_CELL_PROB."""
+def _poisson_pmf(mean: float, below: int | None = None, start: int = 0) -> np.ndarray:
+    """Poisson(mean) pmf over start, start + 1, ..., below - 1, cut where the
+    right tail lies far under MIN_CELL_PROB."""
     if mean == 0.0:
         return np.ones(1)
     size = int(mean + 12.0 * math.sqrt(mean) + 50.0)
-    k = np.arange(size if below is None else min(size, below))
-    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k.size)))))
+    k = np.arange(start, size if below is None else min(size, below))
+    log_factorial = math.lgamma(start + 1) + np.concatenate(
+        ([0.0], np.cumsum(np.log(np.arange(start + 1, start + k.size))))
+    )
     return np.exp(k * math.log(mean) - mean - log_factorial)
 
 
 def full_interval_law(model: PhotonModel, bright: bool) -> tuple[int, np.ndarray]:
     """(first, law): a full interval of a bright or dark emitter counts
     first + i with probability law[i].  The Poisson pmf is trimmed to its
-    cells >= MIN_CELL_PROB on both tails and renormalized."""
-    pmf = _poisson_pmf(model.mean_full(bright))
+    cells >= MIN_CELL_PROB on both tails and renormalized.  The pmf is
+    evaluated only from 12 standard deviations under the mean, where the
+    Chernoff bound puts every cell below exp(-72), far under MIN_CELL_PROB."""
+    mean = model.mean_full(bright)
+    start = max(0, int(mean - 12.0 * math.sqrt(mean) - 50.0))
+    pmf = _poisson_pmf(mean, start=start)
     kept = np.flatnonzero(pmf >= MIN_CELL_PROB)
     law = pmf[kept[0] : kept[-1] + 1]
-    return int(kept[0]), law / law.sum()
+    return start + int(kept[0]), law / law.sum()
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ per atom that fixes how many rounds it stays alive.  round_counts gives
 the error-scaling cells only the rounds spent with s survivors: it steps
 the number of trials at each survivor count through the rounds, one
 multinomial draw per round, and draws the erring rounds of each s as one
-binomial.
+binomial.  simulate_idling_bit steps the unprotected bit the same way: the
+number of trials in F1, F2 and vacant moves through the time grid with one
+multinomial draw per grid step.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fitting import fit_linear, fit_saturating_exponential
-from .register import F1, VACANT, IdleErrorModel, idle
+from .register import IdleErrorModel, flip_probability, loss_probability
 
 
 def check_code(distance: int, rounds: int, **probabilities: float) -> None:
@@ -180,6 +182,19 @@ def fit_error_exponent(
     return fit.slope, fit.slope_stderr
 
 
+def _idle_law(dt: float, model: IdleErrorModel) -> np.ndarray:
+    """(3, 3) one-step law of an idling bit over (F1, F2, vacant): row c is
+    the next state's law from state c.  An occupied atom flips with f and is
+    lost with l, independently; vacant stays vacant.  Vacant is the last
+    column, so numpy's multinomial gives it a row's rounding remainder, and
+    every row can reach it."""
+    if dt < 0:
+        raise ConfigurationError("idle duration must be non-negative")
+    f, l = flip_probability(dt, model), loss_probability(dt, model)
+    stay, flip = (1 - f) * (1 - l), f * (1 - l)
+    return np.array([[stay, flip, l], [flip, stay, l], [0.0, 0.0, 1.0]])
+
+
 def simulate_idling_bit(
     idle_model: IdleErrorModel,
     times_ms: np.ndarray,
@@ -187,15 +202,21 @@ def simulate_idling_bit(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Error counts of n_trials unmeasured idling bits, read out destructively
-    at each grid time (a lost atom reads as a coin toss)."""
+    at each grid time (a lost atom reads as a coin toss).
+
+    The trials are independent Markov chains on (F1, F2, vacant), so the
+    numbers of trials in each state move on together: each grid step splits
+    them over the next states in one multinomial draw by _idle_law, and the
+    step's errors are the F2 trials plus a fresh Binomial(vacant, 1/2) coin
+    count.  The cost grows with the grid, not with n_trials.  A decreasing
+    grid is rejected before any draw."""
     times_ms = np.asarray(times_ms, dtype=float)
-    steps = np.diff(np.concatenate([[0.0], times_ms]))
-    states = np.full(n_trials, F1, dtype=np.int8)
+    laws = [_idle_law(dt, idle_model) for dt in np.diff(times_ms, prepend=0.0)]
+    at = np.array([n_trials, 0, 0], dtype=np.int64)  # trials in F1, F2, vacant
     errors = np.empty(len(times_ms), dtype=np.int64)
-    for k, dt in enumerate(steps):
-        states = idle(states, dt, idle_model, rng)
-        coin = rng.random(n_trials) < 0.5
-        errors[k] = np.count_nonzero(np.where(states == VACANT, coin, states != F1))
+    for k, law in enumerate(laws):
+        at = rng.multinomial(at, law).sum(axis=0)
+        errors[k] = at[1] + rng.binomial(at[2], 0.5)
     return errors
 
 

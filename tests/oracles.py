@@ -14,7 +14,7 @@ from math import comb, exp
 import numpy as np
 
 from cavreg.photons import IntervalOutcome
-from cavreg.register import F2
+from cavreg.register import F1, F2, VACANT, idle
 from cavreg.repcode import CodeTrace
 from cavreg.search import Strategy
 
@@ -203,6 +203,28 @@ def repcode_exact_new_error_full_distance(d: int, flip_p: float) -> float:
     """Per-round logical error conditioned on all d atoms present: losses are
     independent of flips, so the conditional law is the no-loss majority."""
     return majority_flip_probability_enumeration(d, flip_p)
+
+
+def idling_bit_error_mean(t_ms: float, tau_depump_ms: float, tau_vacuum_ms: float) -> float:
+    """Exact error probability of an idling bit read out at t_ms: a survivor
+    has relaxed toward the equal mixture, (1 - exp(-t/tau_depump))/2, and a
+    lost atom, with probability 1 - exp(-t/tau_vacuum), reads as a coin."""
+    flip = 0.5 * (1.0 - exp(-t_ms / tau_depump_ms))
+    lost = 1.0 - exp(-t_ms / tau_vacuum_ms)
+    return (1.0 - lost) * flip + 0.5 * lost
+
+
+def idling_bit_reference(model, times_ms, n_trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_trials, len(times_ms)) per-trial errors of idling bits stepped one
+    trial at a time through register.idle, with a fresh coin for a lost atom
+    at every read-out: the loop the idling-bit count chain replaced."""
+    states = np.full(n_trials, F1, dtype=np.int8)
+    errors = np.empty((n_trials, len(times_ms)), dtype=bool)
+    for k, dt in enumerate(np.diff(np.asarray(times_ms, dtype=float), prepend=0.0)):
+        states = idle(states, dt, model, rng)
+        coin = rng.random(n_trials) < 0.5
+        errors[:, k] = np.where(states == VACANT, coin, states != F1)
+    return errors
 
 
 def compounded_depump_error(

@@ -115,6 +115,8 @@ EXPORTS_OUTSIDE_EXPERIMENTS = {
     "adaptive_reduction_factors": "criterion 3",
     "majority_error_probability": "criterion 5 and the exponent check of bench/run.py",
     "sample_full_interval": "read only with readout.adaptive_termination = false",
+    "idle": "the per-trial idle step: the independent reference for the idling-bit "
+            "count chain, and the round step of a full-physics code run",
 }
 
 

@@ -17,6 +17,7 @@ from cavreg.harness import (
     EXPERIMENTS,
     DepumpScalingParams,
     ErrorScalingParams,
+    HISTOGRAM_CHUNK,
     LifetimeParams,
     SearchCostParams,
     _sweep,
@@ -125,6 +126,7 @@ MULTI_CHUNK = 2 * CHUNK_TRIALS + 1  # three chunks per point, the last one short
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), 3000),
         ("depump_scaling", DepumpScalingParams(sizes=[1, 3], rounds=2), 60),
         ("histogram", PhotonModel(), MULTI_CHUNK),
+        ("histogram", PhotonModel(), 2 * HISTOGRAM_CHUNK + 1),  # three histogram chunks
         ("search_cost", SearchCostParams(sizes=[3, 6], probabilities=[0.0, 0.3]), MULTI_CHUNK),
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), MULTI_CHUNK),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), MULTI_CHUNK),

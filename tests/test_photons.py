@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,20 @@ def test_full_interval_law_is_the_trimmed_poisson_pmf(model):
         assert exact.min() >= MIN_CELL_PROB * (1 - 1e-6)
         for k in (first - 1, first + law.size):
             assert k < 0 or math.exp(poisson_log_pmf(k, mean)) < MIN_CELL_PROB * (1 + 1e-6)
+
+
+def test_full_interval_law_evaluates_only_a_window_around_the_mean():
+    # at the largest mean the law keeps 16 400 cells; a pmf over every count
+    # from 0 evaluated a million and peaked at about 31 MB of traced memory
+    model = PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1)
+    tracemalloc.start()
+    try:
+        first, law = full_interval_law(model, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first > 0 and law.size == 16_400
+    assert peak < 3 * 2**20
 
 
 def test_full_interval_law_without_dark_counts():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from cavreg import (
 )
 from cavreg.harness import ErrorScalingParams, ExperimentSpec, LifetimeParams, run
 from cavreg.readout import ErrorRates
-from cavreg.repcode import check_code, round_hazard
+from cavreg.repcode import _idle_law, check_code, round_hazard
 
 from oracles import (
+    idling_bit_error_mean,
+    idling_bit_reference,
     majority_flip_probability_enumeration,
     repcode_exact_error_curve,
     repcode_round_hazard,
@@ -252,6 +255,76 @@ def test_idling_bit_curve_and_lifetime(rng):
     assert res.crossing_p_inf_over_e_ms == pytest.approx(
         -res.tau_ms * math.log(1 - 1 / math.e)
     )
+
+
+SHIPPED_GRID = 24.0 * np.arange(1, 18)  # idle_ms + round_overhead_ms, 17 rounds
+
+
+def test_idle_law_rows_keep_vacant_last():
+    model = IdleErrorModel()
+    f, lost = 0.5 * (1 - math.exp(-24.0 / 150.0)), 1 - math.exp(-24.0 / 800.0)
+    law = _idle_law(24.0, model)
+    np.testing.assert_allclose(law, [
+        [(1 - f) * (1 - lost), f * (1 - lost), lost],
+        [f * (1 - lost), (1 - f) * (1 - lost), lost],
+        [0.0, 0.0, 1.0],
+    ], rtol=1e-12)
+    # numpy's multinomial gives a row's rounding remainder to the last
+    # column: vacant, which every row reaches
+    assert (law[:, -1] > 0).all()
+    np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=1e-15)
+    assert (_idle_law(0.0, model) == np.eye(3)).all()
+
+
+def test_idling_bit_matches_exact_mean(rng):
+    model = IdleErrorModel()
+    n = 409_600
+    p_err = simulate_idling_bit(model, SHIPPED_GRID, n, rng) / n
+    exact = np.array([
+        idling_bit_error_mean(t, model.tau_depump_ms, model.tau_vacuum_ms) for t in SHIPPED_GRID
+    ])
+    z = (p_err - exact) / np.sqrt(exact * (1 - exact) / n)
+    assert np.abs(z).max() < 4.5, z
+
+
+def test_idling_bit_paths_match_per_trial_idle():
+    # one trial per call gives per-trial error paths, so the joint law of a
+    # path (fresh coins for lost atoms included) is compared, not just means
+    model = IdleErrorModel(tau_depump_ms=150.0, tau_vacuum_ms=100.0)
+    times = np.array([40.0, 80.0, 120.0])
+    n = 10_000
+    rng = np.random.default_rng(71)
+    chain = np.array([simulate_idling_bit(model, times, 1, rng) for _ in range(n)], dtype=bool)
+    reference = idling_bit_reference(model, times, n, np.random.default_rng(72))
+    weights = 1 << np.arange(len(times))
+    for pattern in range(2 ** len(times)):
+        p1 = np.mean(chain @ weights == pattern)
+        p2 = np.mean(reference @ weights == pattern)
+        se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n)
+        assert abs(p1 - p2) < 4.5 * se + 1e-12, (pattern, p1, p2)
+
+
+def test_idling_bit_cost_does_not_grow_with_trials(rng):
+    n = 10**12
+    t0 = time.perf_counter()
+    errors = simulate_idling_bit(IdleErrorModel(), SHIPPED_GRID, n, rng)
+    assert time.perf_counter() - t0 < 0.5
+    assert errors.dtype == np.int64 and (0 <= errors).all() and (errors <= n).all()
+
+
+def test_idling_bit_zero_length_step_changes_nothing(rng):
+    assert simulate_idling_bit(IdleErrorModel(), np.zeros(3), 1000, rng).tolist() == [0, 0, 0]
+    # with no loss there are no coins, so a repeated grid time repeats its count
+    no_loss = IdleErrorModel(tau_vacuum_ms=1e300)
+    errors = simulate_idling_bit(no_loss, [10.0, 10.0, 30.0, 30.0], 100_000, rng)
+    assert errors[0] == errors[1] > 0 and errors[2] == errors[3]
+
+
+def test_idling_bit_rejects_a_decreasing_grid_before_sampling(rng):
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        simulate_idling_bit(IdleErrorModel(), [10.0, 20.0, 15.0], 100, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_lifetime_flags_missing_plateau():
