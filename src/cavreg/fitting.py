@@ -60,15 +60,16 @@ class SaturatingExpFit:
     note: str = ""
 
 
-def _amplitude(ts: np.ndarray, ps: np.ndarray, tau: float, p_inf_max: float):
-    basis = 1.0 - np.exp(-ts / tau)
-    denom = float((basis * basis).sum())
-    if denom == 0.0:
-        return 0.0, float((ps**2).sum()), basis
-    p_inf = float((ps * basis).sum() / denom)
-    p_inf = min(max(p_inf, 0.0), p_inf_max)
-    resid = ps - p_inf * basis
-    return p_inf, float((resid**2).sum()), basis
+def _amplitudes(ts: np.ndarray, ps: np.ndarray, taus: np.ndarray, p_inf_max: float):
+    """(p_inf, rss, basis) for each decay time of taus, one row per tau: the
+    least-squares amplitude clamped to [0, p_inf_max], 0 where the basis
+    vanishes, its residual sum of squares and its basis 1 - exp(-t/tau)."""
+    basis = 1.0 - np.exp(-ts / taus[:, None])
+    denom = (basis * basis).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_inf = np.clip((ps * basis).sum(axis=1) / denom, 0.0, p_inf_max)
+    p_inf = np.where(denom == 0.0, 0.0, p_inf)
+    return p_inf, ((ps - p_inf[:, None] * basis) ** 2).sum(axis=1), basis
 
 
 def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingExpFit:
@@ -97,35 +98,32 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
     t_lo = float(ts.min()) / 100.0
     t_hi = float(ts.max()) * 100.0
     grid = np.logspace(math.log10(t_lo), math.log10(t_hi), 200)
-    # _amplitude's rss for every grid tau at once, one row per tau
-    basis = 1.0 - np.exp(-ts / grid[:, None])
-    denom = (basis * basis).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_inf = np.clip((ps * basis).sum(axis=1) / denom, 0.0, p_inf_max)
-    rss = ((ps - p_inf[:, None] * basis) ** 2).sum(axis=1)
-    rss_grid = np.where(denom == 0.0, (ps**2).sum(), rss)
+    rss_grid = _amplitudes(ts, ps, grid, p_inf_max)[1]
     best = int(np.argmin(rss_grid))
     at_edge = best in (0, len(grid) - 1)
+
+    def rss_at(tau):
+        return _amplitudes(ts, ps, np.array([tau]), p_inf_max)[1][0]
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _amplitude(ts, ps, c, p_inf_max)[1]
-    fd = _amplitude(ts, ps, d, p_inf_max)[1]
+    fc, fd = rss_at(c), rss_at(d)
     iterations = 0
     while abs(b - a) > _REL_TOL * (abs(a) + abs(b)) and iterations < _MAX_ITER:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _amplitude(ts, ps, c, p_inf_max)[1]
+            fc = rss_at(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _amplitude(ts, ps, d, p_inf_max)[1]
+            fd = rss_at(d)
         iterations += 1
     tau = 0.5 * (a + b)
-    p_inf, rss, basis = _amplitude(ts, ps, tau, p_inf_max)
+    p_inf, rss, basis = _amplitudes(ts, ps, np.array([tau]), p_inf_max)
+    p_inf, rss, basis = float(p_inf[0]), float(rss[0]), basis[0]
 
     # linearized standard errors at the optimum
     d_pinf = basis

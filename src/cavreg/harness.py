@@ -29,12 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from .fitting import MIN_FIT_POINTS, fit_linear
-from .photons import (
-    PhotonModel,
-    adaptive_outcome_table,
-    full_interval_law,
-    sample_adaptive_bright_batch,
-)
+from .photons import PhotonModel, outcome_table, sample_adaptive_bright_batch
 from .readout import ErrorRates, HidingModel, measurement_rates, sequential_array_readout
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import (
@@ -228,23 +223,26 @@ def run_histogram(
     interval and of a bright one under adaptive termination.
 
     Each chunk of HISTOGRAM_CHUNK trials is a count vector over its
-    condition's support, from its first count on.  The full-interval counts
-    of a chunk are one multinomial draw of the chunk size over
-    full_interval_law; the adaptive counts are sampled per trial and binned
-    over the bright cells of the outcome table."""
+    condition's support, from its first count on, the counts of that
+    condition's half of its outcome table.  The full-interval counts of a
+    chunk are one multinomial draw of the chunk size over the full table's
+    half, one cell per count; the adaptive counts are sampled per trial and
+    binned over the adaptive table's bright half."""
     conditions = ["bright_full", "bright_adaptive", "dark_full"]
-    full = {c: full_interval_law(photon, c == "bright_full") for c in ("bright_full", "dark_full")}
-    table = adaptive_outcome_table(photon)
-    adaptive = table.counts[table.bright]
-    first = {c: law[0] for c, law in full.items()} | {"bright_adaptive": int(adaptive.min())}
-    n_adaptive = int(adaptive.max()) + 1 - first["bright_adaptive"]
+    full, adaptive = outcome_table(photon, False), outcome_table(photon, True)
+    halves = {"bright_full": (full, full.bright), "bright_adaptive": (adaptive, adaptive.bright),
+              "dark_full": (full, ~full.bright)}
+    law = {c: table.prob[half] for c, (table, half) in halves.items()}
+    support = {c: table.counts[half] for c, (table, half) in halves.items()}
+    first = {c: int(counts.min()) for c, counts in support.items()}
+    n_adaptive = int(support["bright_adaptive"].max()) + 1 - first["bright_adaptive"]
 
     def histogram(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
         cond = conditions[point]
         if cond == "bright_adaptive":
             counts, _ = sample_adaptive_bright_batch(photon, size, rng)
             return np.bincount(counts - first[cond], minlength=n_adaptive)
-        return rng.multinomial(size, full[cond][1])
+        return rng.multinomial(size, law[cond])
 
     hists = _sweep(len(conditions), histogram, trials, master_seed, threads, chunk=HISTOGRAM_CHUNK)
     rows = [

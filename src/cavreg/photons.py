@@ -23,12 +23,12 @@ import numpy as np
 from .errors import ConfigurationError
 from .register import F2
 
-# Most sub-intervals a full interval may poll: adaptive_outcome_table builds one
+# Most sub-intervals a full interval may poll: the adaptive table builds one
 # convolution each, about 0.06 s and 9k cells for 1000, and 0.5 s and 64k for 10000.
 MAX_SUB_INTERVALS = 1000
-# Largest mean count of a full interval, bright plus dark: the table's Poisson
-# pmfs span the mean, so at 1e6 it takes about 0.1 s and 100 MB, and at 1e7 0.8 s
-# and 500 MB.
+# Largest mean count of a full interval, bright plus dark: the adaptive table's
+# Poisson pmfs span 0 to the mean, so at 1e6 it takes about 0.1 s and 100 MB, and
+# at 1e7 0.8 s and 500 MB; the full table evaluates only 12 sigma each side (2 MB).
 MAX_MEAN_COUNTS = 1e6
 # Smallest probability a count law keeps: a 53-bit uniform cannot resolve less.
 MIN_CELL_PROB = 1e-18
@@ -115,16 +115,6 @@ class IntervalOutcome:
     bright: np.ndarray  # counts >= threshold
 
 
-def sample_full_interval(
-    codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
-) -> IntervalOutcome:
-    """Poisson counts over the full interval, one per trial of a 1-D array
-    of state codes; vacant sites look dark."""
-    counts = rng.poisson(np.where(codes == F2, model.mean_full(True), model.mean_full(False)))
-    full = np.full(codes.shape, model.full_interval_us)
-    return IntervalOutcome(counts, full, counts >= model.threshold)
-
-
 def _poisson_pmf(mean: float, below: int | None = None, start: int = 0) -> np.ndarray:
     """Poisson(mean) pmf over start, start + 1, ..., below - 1, cut where the
     right tail lies far under MIN_CELL_PROB."""
@@ -138,28 +128,15 @@ def _poisson_pmf(mean: float, below: int | None = None, start: int = 0) -> np.nd
     return np.exp(k * math.log(mean) - mean - log_factorial)
 
 
-def full_interval_law(model: PhotonModel, bright: bool) -> tuple[int, np.ndarray]:
-    """(first, law): a full interval of a bright or dark emitter counts
-    first + i with probability law[i].  The Poisson pmf is trimmed to its
-    cells >= MIN_CELL_PROB on both tails and renormalized.  The pmf is
-    evaluated only from 12 standard deviations under the mean, where the
-    Chernoff bound puts every cell below exp(-72), far under MIN_CELL_PROB."""
-    mean = model.mean_full(bright)
-    start = max(0, int(mean - 12.0 * math.sqrt(mean) - 50.0))
-    pmf = _poisson_pmf(mean, start=start)
-    kept = np.flatnonzero(pmf >= MIN_CELL_PROB)
-    law = pmf[kept[0] : kept[-1] + 1]
-    return start + int(kept[0]), law / law.sum()
-
-
 @dataclass(frozen=True)
 class OutcomeTable:
-    """Cells of the adaptive rule's (stop index, final count) law: the dark
-    emitter's, then the bright emitter's."""
+    """Cells of a full or an adaptive interval's (stop index, final count)
+    law: the dark emitter's, then the bright emitter's."""
 
     bright: np.ndarray  # the cell belongs to the bright emitter's law
     stop: np.ndarray  # sub-intervals probed
     counts: np.ndarray
+    duration_us: np.ndarray  # probe-on time; full_interval_us exactly at stop n
     prob: np.ndarray
     edges: np.ndarray  # lower cumulative edges, dark cells in [0, 1], bright in [1, 2]
     # per bucket [b, b + 1) / GUIDE_BUCKETS, b = 0..2 GUIDE_BUCKETS, the one
@@ -178,32 +155,46 @@ class OutcomeTable:
 
 
 @functools.lru_cache(maxsize=32)
-def adaptive_outcome_table(model: PhotonModel) -> OutcomeTable:
-    """Exact joint law of the stop index K and the final count C of adaptive
-    termination for a dark and a bright emitter, built once per model.
+def outcome_table(model: PhotonModel, adaptive: bool) -> OutcomeTable:
+    """Exact joint law of the stop index K and the final count C of one
+    interval for a dark and a bright emitter, built once per (model,
+    adaptive).
 
-    With sub-interval mean lam, threshold t and n sub-intervals, a stop at
-    sub-interval k with j < t counts before it and y in it (j + y >= t) has
-    probability Pois((k-1) lam; j) * Pois(lam; y), and no stop with j < t
-    counts has probability Pois(n lam; j).  Cells below MIN_CELL_PROB are
-    dropped, so the table's size does not grow with the threshold."""
+    A full interval never stops early: one cell per count, all at K = n, of
+    the Poisson pmf, renormalized after its trim.  Under adaptive termination
+    with sub-interval mean lam and threshold t, a stop at sub-interval k with
+    j < t counts before it and y in it (j + y >= t) has probability
+    Pois((k-1) lam; j) * Pois(lam; y), and no stop with j < t counts has
+    probability Pois(n lam; j).  Cells below MIN_CELL_PROB are dropped, so
+    the table's size does not grow with the threshold."""
     n, t = model.n_sub, model.threshold
     blocks = []
     for bright in (False, True):
-        lam = model.mean_full(bright) / n
-        in_sub = _poisson_pmf(lam)
+        mean = model.mean_full(bright)
         cells = []  # (stop, counts, prob)
-        for k in range(1, n + 1):
-            # P(K = k, C = c) = sum over j < t of Pois((k-1) lam; j) Pois(lam; c - j), c >= t
-            p = np.convolve(_poisson_pmf((k - 1) * lam, t), in_sub)[t:]
-            cells.append((np.full(p.size, k), t + np.arange(p.size), p))
-        never = _poisson_pmf(n * lam, t)
-        cells.append((np.full(never.size, n), np.arange(never.size), never))
+        if adaptive:
+            lam = mean / n
+            in_sub = _poisson_pmf(lam)
+            for k in range(1, n + 1):
+                # P(K = k, C = c) = sum over j < t of Pois((k-1) lam; j) Pois(lam; c - j), c >= t
+                p = np.convolve(_poisson_pmf((k - 1) * lam, t), in_sub)[t:]
+                cells.append((np.full(p.size, k), t + np.arange(p.size), p))
+            start, never = 0, _poisson_pmf(n * lam, t)
+        else:
+            # the pmf from 12 standard deviations under the mean on, where the
+            # Chernoff bound puts every cell below exp(-72), far under MIN_CELL_PROB
+            start = max(0, int(mean - 12.0 * math.sqrt(mean) - 50.0))
+            never = _poisson_pmf(mean, start=start)
+        # no early stop: the counts below t, or every count of a full interval
+        cells.append((np.full(never.size, n), start + np.arange(never.size), never))
         stop, counts, prob = map(np.concatenate, zip(*cells))
         keep = prob >= MIN_CELL_PROB
         stop, counts, prob = stop[keep], counts[keep], prob[keep]
+        if not adaptive:
+            prob = prob / prob.sum()
         lower = np.minimum(np.concatenate(([0.0], np.cumsum(prob)[:-1])), 1.0)
-        blocks.append((np.full(prob.size, bright), stop, counts, prob, bright + lower))
+        duration = np.where(stop == n, model.full_interval_us, stop * model.sub_interval_us)
+        blocks.append((np.full(prob.size, bright), stop, counts, duration, prob, bright + lower))
     *columns, edges = map(np.concatenate, zip(*blocks))
     # 2 GUIDE_BUCKETS + 1 buckets: u + 1 rounds to exactly 2.0 for u = 1 - 2**-53
     bucket = np.arange(2 * GUIDE_BUCKETS + 1)
@@ -215,22 +206,33 @@ def adaptive_outcome_table(model: PhotonModel) -> OutcomeTable:
     return table
 
 
+def _sample_interval(
+    codes: np.ndarray, model: PhotonModel, rng: np.random.Generator, adaptive: bool
+) -> IntervalOutcome:
+    """One interval per trial of a 1-D array of state codes: each trial
+    draws one uniform, offset into the bright half of the outcome table for
+    F=2, and takes the cell it falls in, found in O(1) through the table's
+    guide for all but the draws near an edge.  Vacant sites look dark."""
+    table = outcome_table(model, adaptive)
+    cell = table.cells(rng.random(codes.shape) + (codes == F2))
+    counts = table.counts[cell]
+    return IntervalOutcome(counts, table.duration_us[cell], counts >= model.threshold)
+
+
+def sample_full_interval(
+    codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
+) -> IntervalOutcome:
+    """Poisson counts over the full interval, one per trial of `codes`."""
+    return _sample_interval(codes, model, rng, False)
+
+
 def sample_adaptive_interval(
     codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
 ) -> IntervalOutcome:
     """Counts and probe-on duration of adaptive termination, which stops at
     the first sub-interval boundary where the cumulative count reaches the
-    threshold.
-
-    `codes` is a 1-D array of state codes, one per trial.  Each trial draws
-    one uniform, offset into the bright half of the outcome table for F=2,
-    and takes the cell it falls in, found in O(1) through the table's guide
-    for all but the draws near an edge."""
-    table = adaptive_outcome_table(model)
-    cell = table.cells(rng.random(codes.shape) + (codes == F2))
-    counts = table.counts[cell]
-    return IntervalOutcome(counts, table.stop[cell] * model.sub_interval_us,
-                           counts >= model.threshold)
+    threshold, one per trial of `codes`."""
+    return _sample_interval(codes, model, rng, True)
 
 
 def sample_adaptive_bright_batch(

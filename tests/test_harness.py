@@ -25,7 +25,7 @@ from cavreg.harness import (
     write_result_csv,
 )
 import cavreg.streams
-from cavreg.photons import MAX_MEAN_COUNTS, PhotonModel, adaptive_outcome_table
+from cavreg.photons import MAX_MEAN_COUNTS, PhotonModel, outcome_table
 from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
 
 from oracles import poisson_pmf
@@ -275,11 +275,11 @@ def test_histogram_at_the_largest_mean_stays_small_and_fast():
     spec = ExperimentSpec("histogram", model, trials=200_000, master_seed=5)
     elapsed = []
     for _ in range(2):
-        adaptive_outcome_table.cache_clear()  # the outcome table is part of the run
+        outcome_table.cache_clear()  # the outcome tables are part of the run
         t0 = time.perf_counter()
         run(spec)
         elapsed.append(time.perf_counter() - t0)
-    adaptive_outcome_table.cache_clear()
+    outcome_table.cache_clear()
     tracemalloc.start()
     try:
         result = run(spec)

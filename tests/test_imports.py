@@ -1,6 +1,6 @@
 """Every module of src/cavreg other than the package's export list uses each
-name it imports, and every private module-level function or class is used
-somewhere in src/cavreg."""
+name it imports, and every private module-level function, class or constant
+is used somewhere in src/cavreg."""
 
 import ast
 from pathlib import Path
@@ -41,9 +41,9 @@ def test_module_uses_every_import(module):
 
 
 def unused_private_helpers(sources: dict[str, str]) -> list[str]:
-    """The module-level `_name` functions and classes of `sources` (module
-    name to source text) that no top-level statement but their own
-    definition reads, as `module._name`."""
+    """The module-level `_name` functions, classes and assigned names of
+    `sources` (module name to source text) that no top-level statement but
+    their own definition reads, as `module._name`."""
     statements = []  # (module, top-level statement, the names it reads)
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
@@ -57,22 +57,37 @@ def unused_private_helpers(sources: dict[str, str]) -> list[str]:
                     names.add(node.name)
             statements.append((module, stmt, names))
     return sorted(
-        f"{module}.{stmt.name}"
+        f"{module}.{name}"
         for module, stmt, _ in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        for name in _defined_names(stmt)
+        if name.startswith("_")
+        and not any(name in names for _, other, names in statements if other is not stmt)
     )
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level def, class or plain assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
 
 
 def test_unused_private_helper_is_found():
     sources = {
         "a": "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n\n"
-             "class _Dead:\n    pass\n\ndef public():\n    return _used()\n",
+             "class _Dead:\n    pass\n\ndef public():\n    return _used()\n\n"
+             "_ORPHAN = 0.5\n_READ: float = 2.0\n_SELF = _SELF_TOO = 1\nx = _READ\n",
         "b": "from .a import _imported\nfrom . import a\nx = a._by_attribute\n",
         "c": "def _imported():\n    pass\n\ndef _by_attribute():\n    pass\n",
     }
-    # a helper read only by itself, or by nothing, is dead
-    assert unused_private_helpers(sources) == ["a._Dead", "a._dead"]
+    # a helper or constant read only by itself, or by nothing, is dead
+    assert unused_private_helpers(sources) == [
+        "a._Dead", "a._ORPHAN", "a._SELF", "a._SELF_TOO", "a._dead"
+    ]
 
 
 def test_every_private_helper_is_used():

@@ -25,8 +25,7 @@ from cavreg.photons import (
     GUIDE_BUCKETS,
     MAX_MEAN_COUNTS,
     MIN_CELL_PROB,
-    adaptive_outcome_table,
-    full_interval_law,
+    outcome_table,
     sample_adaptive_bright_batch,
 )
 
@@ -95,15 +94,20 @@ def test_vacant_site_looks_like_dark_atom(rng):
     assert model.mean_full(False) == pytest.approx(0.024)
 
 
-def test_threshold_consistency_full_and_adaptive(rng):
-    model = PhotonModel()
+@pytest.mark.parametrize(
+    "model", [PhotonModel(), PhotonModel(full_interval_us=0.3, sub_interval_us=0.1)]
+)
+def test_threshold_consistency_full_and_adaptive(model, rng):
     for state in (F1, F2, VACANT):
         codes = uniform_register(300, state)
-        for out in (
-            sample_full_interval(codes, model, rng),
-            sample_adaptive_interval(codes, model, rng),
-        ):
+        full = sample_full_interval(codes, model, rng)
+        for out in (full, sample_adaptive_interval(codes, model, rng)):
             assert np.array_equal(out.bright, out.counts >= model.threshold)
+            assert np.all(out.duration_us <= model.full_interval_us)
+            # a trial read dark never crossed, so it ran the full interval
+            # exactly, not the 3 * 0.1 = 0.30000000000000004 of its stop index
+            assert np.all(out.duration_us[~out.bright] == model.full_interval_us)
+        assert np.all(full.duration_us == model.full_interval_us)
 
 
 class _ScriptedRng:
@@ -154,7 +158,7 @@ def test_adaptive_matches_enumeration_oracle(rng):
         lam_sub * oracle["expected_stop_index"], rel=1e-9
     )
     # the outcome table's exact moments, bright and dark
-    table = adaptive_outcome_table(model)
+    table = outcome_table(model, True)
     for bright in (True, False):
         want = adaptive_stopping_enumeration(model.mean_full(bright), 10, 2)
         cells = table.bright == bright
@@ -217,7 +221,7 @@ def test_outcome_table_cell_frequencies(mean, sub_interval_us, threshold, rng):
 
 def test_outcome_table_without_dark_counts():
     model = PhotonModel(detector=DetectorModel(dark_rate_hz=0.0))
-    table = adaptive_outcome_table(model)
+    table = outcome_table(model, True)
     dark = ~table.bright
     assert (table.stop[dark].tolist(), table.counts[dark].tolist()) == ([10], [0])
     assert table.prob[dark].tolist() == [1.0]
@@ -227,18 +231,20 @@ def test_outcome_table_without_dark_counts():
 
 def test_outcome_table_size_does_not_grow_with_threshold():
     t0 = time.perf_counter()
-    table = adaptive_outcome_table(PhotonModel(threshold=10**6))
+    table = outcome_table(PhotonModel(threshold=10**6), True)
     assert time.perf_counter() - t0 < 0.5
     assert table.prob.size < 1000
     # nothing crosses: every cell is a full interval below threshold
     assert np.all(table.stop == 10) and table.counts.max() < 100
-    assert adaptive_outcome_table(PhotonModel()).prob.size < 1000
+    assert outcome_table(PhotonModel(), True).prob.size < 1000
 
 
-def test_outcome_table_is_cached_per_model():
-    table = adaptive_outcome_table(PhotonModel(threshold=3))
-    assert adaptive_outcome_table(PhotonModel(threshold=3)) is table
-    assert adaptive_outcome_table(PhotonModel(threshold=2)) is not table
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_outcome_table_is_cached_per_model(adaptive):
+    table = outcome_table(PhotonModel(threshold=3), adaptive)
+    assert outcome_table(PhotonModel(threshold=3), adaptive) is table
+    assert outcome_table(PhotonModel(threshold=2), adaptive) is not table
+    assert outcome_table(PhotonModel(threshold=3), not adaptive) is not table
     assert not table.prob.flags.writeable
     assert not table.guide.flags.writeable
     assert table.guide.size == 2 * GUIDE_BUCKETS + 1
@@ -256,9 +262,10 @@ GUIDE_MODELS = {
 }
 
 
+@pytest.mark.parametrize("adaptive", [True, False])
 @pytest.mark.parametrize("name", GUIDE_MODELS)
-def test_guide_lookup_equals_binary_search(name, rng):
-    table = adaptive_outcome_table(GUIDE_MODELS[name])
+def test_guide_lookup_equals_binary_search(name, adaptive, rng):
+    table = outcome_table(GUIDE_MODELS[name], adaptive)
     bounds = np.arange(2 * GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
     points = np.concatenate((table.edges, bounds, [0.0, 1.0, 2.0], 2.0 * rng.random(200_000)))
     probes = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)))
@@ -277,7 +284,7 @@ def test_adaptive_sampling_draws_one_uniform_per_code(rng):
     # some draws land in split buckets; their binary search draws nothing
     codes = rng.permutation(np.repeat(np.array([F2, F1, VACANT], np.int8), [5000, 3000, 2000]))
     sampled, reference = np.random.default_rng(5), np.random.default_rng(5)
-    table = adaptive_outcome_table(PhotonModel())
+    table = outcome_table(PhotonModel(), True)
     v = reference.random(codes.size) + (codes == F2)
     assert (table.guide[(v * GUIDE_BUCKETS).astype(np.intp)] < 0).any()
     out = sample_adaptive_interval(codes, PhotonModel(), sampled)
@@ -327,6 +334,19 @@ def test_adaptive_mode_at_threshold_and_gap_below(rng):
     assert not np.any(counts[stopped] < model.threshold)
 
 
+def _full_half(model: PhotonModel, bright: bool, table=None) -> tuple[int, np.ndarray]:
+    """(first count, law) of one half of the full-interval outcome table (the
+    model's cached one unless `table` is given), checking that it holds one
+    cell per count, all at the last sub-interval."""
+    if table is None:
+        table = outcome_table(model, False)
+    half = table.bright == bright
+    counts, law = table.counts[half], table.prob[half]
+    assert np.array_equal(counts, counts[0] + np.arange(counts.size))
+    assert np.all(table.stop[half] == model.n_sub)
+    return int(counts[0]), law
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -335,10 +355,10 @@ def test_adaptive_mode_at_threshold_and_gap_below(rng):
         PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1),
     ],
 )
-def test_full_interval_law_is_the_trimmed_poisson_pmf(model):
+def test_full_table_is_the_trimmed_poisson_pmf(model):
     for bright in (True, False):
         mean = model.mean_full(bright)
-        first, law = full_interval_law(model, bright)
+        first, law = _full_half(model, bright)
         exact = np.exp([poisson_log_pmf(k, mean) for k in range(first, first + law.size)])
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(law, exact, rtol=1e-6, atol=0.0)
@@ -348,22 +368,23 @@ def test_full_interval_law_is_the_trimmed_poisson_pmf(model):
             assert k < 0 or math.exp(poisson_log_pmf(k, mean)) < MIN_CELL_PROB * (1 + 1e-6)
 
 
-def test_full_interval_law_evaluates_only_a_window_around_the_mean():
-    # at the largest mean the law keeps 16 400 cells; a pmf over every count
-    # from 0 evaluated a million and peaked at about 31 MB of traced memory
+def test_full_table_evaluates_only_a_window_around_the_mean():
+    # at the largest mean the bright half keeps 16 400 cells; a pmf over every
+    # count from 0 evaluated a million and peaked at about 31 MB of traced memory
     model = PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1)
     tracemalloc.start()
     try:
-        first, law = full_interval_law(model, True)
+        table = outcome_table.__wrapped__(model, False)  # built here, not read from the cache
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    first, law = _full_half(model, True, table)
     assert first > 0 and law.size == 16_400
     assert peak < 3 * 2**20
 
 
-def test_full_interval_law_without_dark_counts():
-    first, law = full_interval_law(PhotonModel(detector=DetectorModel(dark_rate_hz=0.0)), False)
+def test_full_table_without_dark_counts():
+    first, law = _full_half(PhotonModel(detector=DetectorModel(dark_rate_hz=0.0)), False)
     assert first == 0 and law.tolist() == [1.0]
 
 
