@@ -2,7 +2,8 @@
 
 Both fitters are dependency-free: ordinary least squares in closed form, and
 a saturating-exponential fit that solves the amplitude linearly for each
-trial decay time and refines the decay time by golden-section search.
+trial decay time, locates the decay time on a log grid and refines it by
+re-gridding the bracket around the best point until it is narrow.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section stop: bracket width relative to the decay time, or steps
+# zoom stop: bracket width relative to the decay time
 _REL_TOL = 1e-9
-_MAX_ITER = 10_000
 # fewest (t, p) points a saturating-exponential fit accepts
 MIN_FIT_POINTS = 5
 
@@ -77,9 +76,9 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
 
     For each candidate tau the amplitude has a closed-form least-squares
     solution (clamped to [0, p_inf_max]); tau is located on a log-spaced grid
-    and refined by golden-section search.  A fit whose optimum sticks to the
-    grid boundary, or data with no rise at all, is returned flagged rather
-    than raising.
+    and refined by re-gridding the bracket around the best point.  A fit
+    whose optimum sticks to the grid boundary, or data with no rise at all,
+    is returned flagged rather than raising.
     """
     ts = np.asarray(ts, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -98,30 +97,17 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
     t_lo = float(ts.min()) / 100.0
     t_hi = float(ts.max()) * 100.0
     grid = np.logspace(math.log10(t_lo), math.log10(t_hi), 200)
-    rss_grid = _amplitudes(ts, ps, grid, p_inf_max)[1]
-    best = int(np.argmin(rss_grid))
-    at_edge = best in (0, len(grid) - 1)
-
-    def rss_at(tau):
-        return _amplitudes(ts, ps, np.array([tau]), p_inf_max)[1][0]
-
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = rss_at(c), rss_at(d)
-    iterations = 0
-    while abs(b - a) > _REL_TOL * (abs(a) + abs(b)) and iterations < _MAX_ITER:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = rss_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = rss_at(d)
-        iterations += 1
-    tau = 0.5 * (a + b)
+    best = int(np.argmin(_amplitudes(ts, ps, grid, p_inf_max)[1]))
+    at_edge = best in (0, grid.size - 1)
+    # zoom: each pass re-grids the bracket around the best point with as many
+    # points, which shrinks it about 100-fold, until it is narrow
+    while True:
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        if b - a <= _REL_TOL * (a + b):
+            break
+        grid = np.linspace(a, b, grid.size)
+        best = int(np.argmin(_amplitudes(ts, ps, grid, p_inf_max)[1]))
+    tau = float(grid[best])
     p_inf, rss, basis = _amplitudes(ts, ps, np.array([tau]), p_inf_max)
     p_inf, rss, basis = float(p_inf[0]), float(rss[0]), basis[0]
 
@@ -140,7 +126,7 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
         p_inf_se = tau_se = math.nan
         note = "singular Jacobian: parameter errors unavailable"
 
-    converged = not at_edge and iterations < _MAX_ITER
+    converged = not at_edge
     if at_edge:
         note = (note + "; " if note else "") + (
             f"optimum at tau grid boundary ({tau:.3g} ms): saturation not resolved"

@@ -622,18 +622,15 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
 # ----------------------------------------------------------------- csv / io
 
 
-def _jsonable(obj: Any) -> Any:
+def _json_default(obj: Any) -> Any:
+    """What json.dump writes for a dataclass, an enum or a numpy scalar."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_result_csv(path: str, result: ExperimentResult) -> None:
@@ -648,12 +645,12 @@ def write_result_csv(path: str, result: ExperimentResult) -> None:
 def write_metadata(path: str, spec: ExperimentSpec, result: ExperimentResult) -> None:
     meta = {
         "experiment": spec.experiment,
-        "parameters": _jsonable(spec.parameters),
+        "parameters": spec.parameters,
         "trials": spec.trials,
         "master_seed": spec.master_seed,
-        "summary": _jsonable(result.summary),
+        "summary": result.summary,
         "version": f"cavreg-{__version__}",
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")

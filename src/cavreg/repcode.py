@@ -226,7 +226,6 @@ class LifetimeResult:
 
     tau_ms: float  # the fitted curve reaches p_inf*(1-1/e) at t = tau
     p_inf: float
-    crossing_p_inf_over_e_ms: float  # fitted curve reaches p_inf/e
     low_confidence: bool
     converged: bool
     note: str
@@ -239,9 +238,7 @@ def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> LifetimeResult:
 
     The asymptote is constrained to p_inf <= 1/2: a binary state read out
     forever equilibrates to a fair coin, so larger values are unphysical.
-    The lifetime is the fitted tau, where the curve reaches p_inf*(1-1/e);
-    the other reading of the 1/e-crossing convention, where it reaches
-    p_inf/e, is reported alongside.
+    The lifetime is the fitted tau, where the curve reaches p_inf*(1-1/e).
     """
     fit = fit_saturating_exponential(times_ms, p_err, p_inf_max=0.5)
     # plateau not reached within the data -> extrapolated, low confidence
@@ -249,6 +246,6 @@ def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> LifetimeResult:
         (not fit.converged) or p_err[-1] < (1.0 - 1.0 / math.e) * fit.p_inf
     )
     return LifetimeResult(
-        fit.tau, fit.p_inf, -fit.tau * math.log(1.0 - 1.0 / math.e), low_confidence,
-        fit.converged, fit.note, fit.tau_stderr, fit.p_inf_stderr,
+        fit.tau, fit.p_inf, low_confidence, fit.converged, fit.note, fit.tau_stderr,
+        fit.p_inf_stderr,
     )

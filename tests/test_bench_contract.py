@@ -61,7 +61,11 @@ def _traced_calls(bench, monkeypatch, workload, *specs):
         run(spec)
     calls = {name: s["calls"] for name, s in traced.report()["stats"].items()}
     expected = bench_run.WORKLOADS[workload].expect_calls
-    assert all(calls.get(name, 0) > 0 for name in expected)
+    missing = [name for name in expected if not calls.get(name, 0) > 0]
+    assert not missing, (
+        f"{workload} expect_calls layers never called: {', '.join(missing)}; a kernel "
+        "change that stops one updates bench/run.py's expect_calls (ROADMAP item 1)"
+    )
     return calls
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavreg import ConfigurationError, fit_linear, fit_saturating_exponential
+from cavreg.fitting import _REL_TOL, _amplitudes
 
 
 def test_fit_linear_exact():
@@ -81,3 +82,47 @@ def test_satexp_linear_data_pins_the_amplitude_cap():
     fit = fit_saturating_exponential(ts, ps)
     assert fit.p_inf == 1.0
     assert "upper bound" in fit.note
+
+
+def _dense_argmin_tau(ts, ps, p_inf_max, points=10_001):
+    """Brute force: the least-RSS tau of a dense log grid over the fit's
+    range, then of two dense linear grids over the bracket around it, which
+    resolve tau to about 5e-11 of itself."""
+    grid = np.logspace(math.log10(ts.min() / 100.0), math.log10(ts.max() * 100.0), points)
+    for _ in range(2):
+        best = int(np.argmin(_amplitudes(ts, ps, grid, p_inf_max)[1]))
+        grid = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], points)
+    return float(grid[np.argmin(_amplitudes(ts, ps, grid, p_inf_max)[1])])
+
+
+def test_satexp_tau_is_the_dense_argmin(rng):
+    ts = 24.0 * np.arange(1, 18)
+    first_grid = np.logspace(math.log10(ts.min() / 100.0), math.log10(ts.max() * 100.0), 200)
+    edges = sharp = 0
+    for i in range(48):
+        # taus from below the grid's lower end to above its upper end; every
+        # noise level with and without an amplitude under the curve's
+        tau = math.exp(rng.uniform(math.log(0.05), math.log(3e5)))
+        amp = rng.uniform(0.05, 0.5)
+        p_inf_max = amp * rng.uniform(0.5, 0.95) if i % 4 == 3 else 0.5
+        noise = (0.0, 1e-3, 5e-3)[i % 3]
+        ps = np.clip(amp * (1 - np.exp(-ts / tau)) + rng.normal(0, noise, ts.size), 0, 1)
+        fit = fit_saturating_exponential(ts, ps, p_inf_max=p_inf_max)
+        dense = _dense_argmin_tau(ts, ps, p_inf_max)
+        rss_fit, rss_dense = _amplitudes(ts, ps, np.array([fit.tau, dense]), p_inf_max)[1]
+        # within the zoom's final bracket, unless the RSS cannot tell the two
+        # apart: a noisy or capped valley is flat to rounding over ~1e-7 of
+        # tau, and a curve already saturated at its first point fits equally
+        # well over a decade of tau
+        assert abs(fit.tau - dense) <= 2 * _REL_TOL * dense or (
+            rss_fit <= rss_dense * (1 + 1e-12) + 1e-30
+        )
+        if noise == 0.0 and p_inf_max == 0.5 and ts.min() / 10 < tau < 10 * ts.max():
+            # the exact model rising within the data: a sharp valley
+            assert abs(fit.tau - dense) <= 2 * _REL_TOL * dense
+            sharp += 1
+        best = int(np.argmin(_amplitudes(ts, ps, first_grid, p_inf_max)[1]))
+        at_edge = best in (0, first_grid.size - 1)
+        assert fit.converged == (not at_edge)
+        edges += at_edge
+    assert 0 < edges < 48 and sharp > 0

@@ -314,8 +314,8 @@ def test_lifetime_summary_structure():
     result = run(spec)
     fits = result.summary["fits"]
     assert set(fits) == {"physical", "1"}
-    fit_keys = {"tau_ms", "p_inf", "crossing_p_inf_over_e_ms", "low_confidence", "converged",
-                "note", "tau_stderr", "p_inf_stderr"}
+    fit_keys = {"tau_ms", "p_inf", "low_confidence", "converged", "note", "tau_stderr",
+                "p_inf_stderr"}
     assert set(fits["physical"]) == fit_keys
     assert set(fits["1"]) == fit_keys | {"extension_factor"}
     assert fits["1"]["extension_factor"] == pytest.approx(

@@ -368,18 +368,23 @@ def test_full_table_is_the_trimmed_poisson_pmf(model):
             assert k < 0 or math.exp(poisson_log_pmf(k, mean)) < MIN_CELL_PROB * (1 + 1e-6)
 
 
-def test_full_table_evaluates_only_a_window_around_the_mean():
-    # at the largest mean the bright half keeps 16 400 cells; a pmf over every
-    # count from 0 evaluated a million and peaked at about 31 MB of traced memory
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_full_table_evaluates_only_a_window_around_the_mean(adaptive):
+    # at the largest mean the bright half keeps 16 400 full or 5 275 adaptive
+    # cells; pmfs over every count from 0 peaked at about 31 and 49 MB of
+    # traced memory
     model = PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1)
     tracemalloc.start()
     try:
-        table = outcome_table.__wrapped__(model, False)  # built here, not read from the cache
+        table = outcome_table.__wrapped__(model, adaptive)  # built here, not read from the cache
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    first, law = _full_half(model, True, table)
-    assert first > 0 and law.size == 16_400
+    if adaptive:
+        assert table.bright.sum() == 5_275
+    else:
+        first, law = _full_half(model, True, table)
+        assert first > 0 and law.size == 16_400
     assert peak < 3 * 2**20
 
 
