@@ -44,7 +44,6 @@ from .repcode import (
     LifetimeResult,
     fit_error_exponent,
     logical_lifetime,
-    loss_rounds,
     majority_error_probability,
     round_counts,
     round_hazard,

@@ -173,6 +173,16 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"master seed {self.master_seed} is outside [0, 2**64)"
             )
+        try:
+            exp = EXPERIMENTS[self.experiment]
+        except KeyError:
+            raise ConfigurationError(f"unknown experiment {self.experiment!r}") from None
+        if self.parameters is None:
+            self.parameters = exp.params()
+        if not isinstance(self.parameters, exp.params):
+            raise ConfigurationError(
+                f"experiment {self.experiment!r} expects {exp.params.__name__}"
+            )
 
 
 @dataclass
@@ -607,16 +617,8 @@ EXPERIMENTS: dict[str, Experiment] = {
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Run an experiment; deterministic in (spec, master_seed) regardless of
     the thread count."""
-    try:
-        exp = EXPERIMENTS[spec.experiment]
-    except KeyError:
-        raise ConfigurationError(f"unknown experiment {spec.experiment!r}") from None
-    params = spec.parameters if spec.parameters is not None else exp.params()
-    if not isinstance(params, exp.params):
-        raise ConfigurationError(
-            f"experiment {spec.experiment!r} expects {exp.params.__name__}"
-        )
-    return exp.runner(params, spec.trials, spec.master_seed, spec.threads)
+    runner = EXPERIMENTS[spec.experiment].runner
+    return runner(spec.parameters, spec.trials, spec.master_seed, spec.threads)
 
 
 # ----------------------------------------------------------------- csv / io

@@ -14,12 +14,12 @@ lost independently with the per-round loss before each round's vote, so
 its alive rounds are a prefix, and a round with s survivors errs with the
 round hazard h_s, independently of every other round.  Two kernels sample
 that law.  simulate_code_abstract builds the per-trial, per-round survivors
-and vote errors that lifetime curves need: loss_rounds draws one uniform
-per atom that fixes how many rounds it stays alive.  round_counts gives
-the error-scaling cells only the rounds spent with s survivors: it steps
-the number of trials at each survivor count through the rounds, one
-multinomial draw per round, and draws the erring rounds of each s as one
-binomial.  simulate_idling_bit steps the unprotected bit the same way: the
+and vote errors that lifetime curves need: one uniform per atom fixes how
+many rounds it stays alive, and each round's survivors are counted from
+those uniforms.  round_counts gives the error-scaling cells only the
+rounds spent with s survivors: it steps the number of trials at each
+survivor count through the rounds, one multinomial draw per round, and
+draws the erring rounds of each s as one binomial.  simulate_idling_bit steps the unprotected bit the same way: the
 number of trials in F1, F2 and vacant moves through the time grid with one
 multinomial draw per grid step.
 """
@@ -58,7 +58,6 @@ class CodeTrace:
     survivors[t, r]   non-lost votes in the round
     """
 
-    distance: int
     new_error: np.ndarray
     err_vs_initial: np.ndarray
     survivors: np.ndarray
@@ -75,23 +74,6 @@ def round_hazard(distance: int, p: float) -> np.ndarray:
     ])
 
 
-def loss_rounds(
-    distance: int, loss_p: float, rounds: int, n_trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(n_trials, distance) count of the rounds each atom is alive in.
-
-    One uniform u per atom, drawn first: the atom is alive in round r iff
-    u < (1 - loss_p)**(r + 1), so it survives a prefix of the rounds and
-    its count is the number of thresholds above u.  The count's dtype is
-    the smallest unsigned type that holds `rounds`."""
-    alive_below = (1.0 - loss_p) ** np.arange(1, rounds + 1)
-    u = rng.random((n_trials, distance))
-    alive = np.zeros((n_trials, distance), dtype=np.min_scalar_type(rounds))
-    for a in alive_below:
-        alive += u < a
-    return alive
-
-
 def simulate_code_abstract(
     distance: int,
     flip_p: float,
@@ -102,19 +84,20 @@ def simulate_code_abstract(
 ) -> CodeTrace:
     """The code ensemble, distributionally identical to stepping each trial
     round by round, with no loop over rounds.  Loss is independent of flips,
-    so each atom's loss round comes from loss_rounds; a round with s
-    survivors errs with probability round_hazard(distance, flip_p)[s],
-    independently of every other round."""
-    alive = loss_rounds(distance, loss_p, rounds, n_trials, rng)
+    so one uniform u per atom, drawn first, fixes its loss round: the atom
+    is alive in round r iff u < (1 - loss_p)**(r + 1), a prefix of the
+    rounds.  A round with s survivors errs with probability
+    round_hazard(distance, flip_p)[s], independently of every other round."""
+    alive_below = (1.0 - loss_p) ** np.arange(1, rounds + 1)
+    u = rng.random((n_trials, distance))
     survivors = np.zeros((n_trials, rounds), dtype=np.intp)  # intp: a fast gather index
-    round_index = np.arange(rounds, dtype=alive.dtype)
-    for count in alive.T:
-        survivors += count[:, None] > round_index
+    for atom in u.T:
+        survivors += atom[:, None] < alive_below
     hazard = round_hazard(distance, flip_p)[survivors]
     survivors = survivors.astype(np.int16)
     new_error = rng.random((n_trials, rounds)) < hazard
     err_vs_initial = np.logical_xor.accumulate(new_error, axis=1)
-    return CodeTrace(distance, new_error, err_vs_initial, survivors)
+    return CodeTrace(new_error, err_vs_initial, survivors)
 
 
 def _survivor_law(distance: int, loss_p: float) -> np.ndarray:

@@ -169,7 +169,7 @@ def repcode_reference_trace(
         wrong ^= err
         err_vs_initial[:, r] = wrong
         survivors[:, r] = s
-    return CodeTrace(distance, new_error, err_vs_initial, survivors)
+    return CodeTrace(new_error, err_vs_initial, survivors)
 
 
 def repcode_exact_error_curve(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -215,6 +216,22 @@ def test_repeat_run_is_bit_identical(tmp_path):
     meta = json.loads((tmp_path / "h0.csv.meta.json").read_text())
     assert meta["master_seed"] == 11
     assert meta["version"].startswith("cavreg-")
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS.values(), ids=lambda e: e.name)
+def test_spec_without_parameters_records_the_defaults(exp, tmp_path):
+    # the run and its .meta.json both see the params class defaults
+    bare = ExperimentSpec(exp.name, trials=10, master_seed=5)
+    explicit = ExperimentSpec(exp.name, exp.params(), trials=10, master_seed=5)
+    assert bare.parameters == exp.params()
+    metas = []
+    for name, spec in (("bare", bare), ("explicit", explicit)):
+        path = tmp_path / f"{name}.meta.json"
+        write_metadata(str(path), spec, run(spec))
+        metas.append(path.read_bytes())
+    assert metas[0] == metas[1]
+    fields = json.loads(metas[0])["parameters"]
+    assert set(fields) == {f.name for f in dataclasses.fields(exp.params)}
 
 
 def test_stderr_scales_as_inverse_sqrt_trials():

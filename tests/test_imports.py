@@ -1,13 +1,16 @@
 """Every module of src/cavreg other than the package's export list uses each
-name it imports, and every private module-level function, class or constant
-is used somewhere in src/cavreg."""
+name it imports, every private module-level function, class or constant is
+used somewhere in src/cavreg, and every code name README.md quotes still
+exists in src/cavreg or tests/."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "cavreg"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "cavreg"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -93,3 +96,52 @@ def test_unused_private_helper_is_found():
 def test_every_private_helper_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unused_private_helpers(sources) == []
+
+
+def code_names(source: str) -> set[str]:
+    """The names a module defines or reads: names, attributes, functions,
+    classes and identifier-shaped string constants (config keys, CSV
+    condition names)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def quoted_code_names(markdown: str) -> set[str]:
+    """The parts of backticked (dotted) identifiers that hold an underscore
+    or mix upper and lower case."""
+    quoted = set()
+    for span in re.findall(r"`([^`\n]+)`", markdown):
+        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span):
+            quoted |= {
+                part for part in span.split(".")
+                if "_" in part or (part.lower() != part and part.upper() != part)
+            }
+    return quoted
+
+
+def test_quoted_code_names_are_found():
+    markdown = (
+        "`loss_rounds` and `cavreg.repcode` and `readout.measurement_rates` and "
+        "`LifetimeResult` and `F1` and `VACANT` and `round_hazard(d, p)` and "
+        "`bits & subset` and `--out`"
+    )
+    assert quoted_code_names(markdown) == {"loss_rounds", "measurement_rates", "LifetimeResult"}
+
+
+def test_readme_names_only_existing_code():
+    names = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        if path.name != Path(__file__).name:  # its own examples name deleted code
+            names |= code_names(path.read_text(encoding="utf-8"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert sorted(quoted_code_names(readme) - names) == []

@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from cavreg import loss_rounds, round_counts, round_hazard, simulate_code_abstract
+from cavreg import round_counts, round_hazard, simulate_code_abstract
 from cavreg.repcode import _survivor_law
 from cavreg.streams import stream
 
@@ -86,20 +86,18 @@ def test_round_hazard_matches_oracle(distance):
 
 
 @pytest.mark.parametrize("distance, loss", CASES)
-def test_kernel_survivors_are_the_loss_rounds_prefix(distance, loss):
+def test_kernel_survivors_are_the_loss_prefix(distance, loss):
     # the loss model as first written: alive in round r iff u < (1 - loss)**(r + 1)
     u = stream(34, distance).random((TRIALS, distance))
     alive = u[:, :, None] < (1.0 - loss) ** np.arange(1, ROUNDS + 1)  # (trial, atom, round)
-    counts = loss_rounds(distance, loss, ROUNDS, TRIALS, stream(34, distance))
-    assert counts.shape == (TRIALS, distance)
-    assert (counts == alive.sum(axis=2)).all()
     trace = simulate_code_abstract(distance, FLIP, loss, ROUNDS, TRIALS, stream(34, distance))
     assert (trace.survivors == alive.sum(axis=1)).all()
 
 
-def test_loss_rounds_hold_any_round_count():
-    counts = loss_rounds(3, 0.0, 300, 10, stream(35))
-    assert (counts == 300).all()
+def test_lossless_trace_keeps_every_atom_for_any_round_count():
+    trace = simulate_code_abstract(3, FLIP, 0.0, 300, 10, stream(35))
+    assert trace.survivors.shape == (10, 300)
+    assert (trace.survivors == 3).all()
 
 
 @pytest.mark.parametrize("distance, loss", itertools.product((1, 3, 5), (0.037, 0.3)))
