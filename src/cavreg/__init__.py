@@ -41,7 +41,6 @@ from .search import (
     run_search,
 )
 from .repcode import (
-    LifetimeResult,
     fit_error_exponent,
     logical_lifetime,
     majority_error_probability,

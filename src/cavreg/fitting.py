@@ -50,13 +50,15 @@ def fit_linear(xs, ys) -> LinearFit:
 
 @dataclass(frozen=True)
 class SaturatingExpFit:
+    """A saturating-exponential fit as `.meta.json` records it."""
+
+    tau_ms: float  # the fitted curve reaches p_inf*(1-1/e) at t = tau_ms
     p_inf: float
-    tau: float
-    p_inf_stderr: float
-    tau_stderr: float
-    rss: float
+    low_confidence: bool  # not converged, or the last point below p_inf*(1-1/e)
     converged: bool
-    note: str = ""
+    note: str
+    tau_stderr: float
+    p_inf_stderr: float
 
 
 def _amplitudes(ts: np.ndarray, ps: np.ndarray, taus: np.ndarray, p_inf_max: float):
@@ -91,7 +93,7 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
 
     if float(ps.max()) == 0.0:
         return SaturatingExpFit(
-            0.0, math.nan, 0.0, math.nan, 0.0, False, "no rise: tau unidentifiable"
+            math.nan, 0.0, True, False, "no rise: tau unidentifiable", math.nan, 0.0
         )
 
     t_lo = float(ts.min()) / 100.0
@@ -133,4 +135,6 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
         )
     if p_inf == p_inf_max:
         note = (note + "; " if note else "") + "amplitude at its upper bound"
-    return SaturatingExpFit(p_inf, tau, p_inf_se, tau_se, rss, converged, note)
+    # plateau not reached within the data -> extrapolated, low confidence
+    low_confidence = bool(not converged or ps[-1] < (1.0 - 1.0 / math.e) * p_inf)
+    return SaturatingExpFit(tau, p_inf, low_confidence, converged, note, tau_se, p_inf_se)

@@ -30,7 +30,13 @@ from . import __version__
 from .errors import ConfigurationError
 from .fitting import MIN_FIT_POINTS, fit_linear
 from .photons import PhotonModel, outcome_table, sample_adaptive_bright_batch
-from .readout import ErrorRates, HidingModel, measurement_rates, sequential_array_readout
+from .readout import (
+    ErrorRates,
+    HidingModel,
+    hidden_depump_probability,
+    measurement_rates,
+    sequential_array_readout,
+)
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import (
     check_code,
@@ -86,7 +92,10 @@ class DepumpScalingParams:
     def __post_init__(self):
         if min(self.sizes, default=0) < 1:
             raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
+        if self.rounds < 1 or self.idle_intervals < 0:
+            raise ConfigurationError("readout needs rounds >= 1 and idle intervals >= 0")
         measurement_rates(self.rates, self.adaptive, self.adaptive_loss_factor)
+        hidden_depump_probability(self.hiding, self.hiding_power_mw)
 
 
 @dataclass
@@ -146,9 +155,10 @@ class LifetimeParams:
             check_code(d, self.rounds, per_round_flip=self.per_round_flip,
                        per_round_loss=self.per_round_loss)
         round_time = self.idle_ms + self.round_overhead_ms
-        if round_time <= 0:
+        if min(self.idle_ms, self.round_overhead_ms) < 0 or round_time <= 0:
             raise ConfigurationError(
-                f"lifetime round time {round_time} ms (idle_ms + round_overhead_ms) must be positive"
+                f"lifetime round time {round_time} ms (idle_ms + round_overhead_ms) must be "
+                "positive, with neither term negative"
             )
         if self.rounds < MIN_FIT_POINTS:
             raise ConfigurationError(

@@ -82,6 +82,8 @@ class PhotonModel:
             raise ConfigurationError("bright mean must be positive")
         if self.threshold < 1:
             raise ConfigurationError("threshold must be >= 1")
+        if not (self.full_interval_us > 0 and self.sub_interval_us > 0):
+            raise ConfigurationError("measurement intervals must be positive")
         n = self.full_interval_us / self.sub_interval_us
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ConfigurationError(

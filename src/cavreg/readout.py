@@ -54,6 +54,8 @@ class ErrorRates:
 def measurement_rates(rates: ErrorRates, adaptive: bool, adaptive_loss_factor: float) -> ErrorRates:
     """A calibration row as measure_site applies it: adaptive termination
     divides the bright-state loss by adaptive_loss_factor."""
+    if not adaptive_loss_factor > 0:
+        raise ConfigurationError(f"adaptive loss factor {adaptive_loss_factor} must be positive")
     loss = rates.loss_f2 / adaptive_loss_factor
     if adaptive and loss > 1.0:
         raise ConfigurationError(
@@ -89,8 +91,8 @@ class HidingModel:
             raise ConfigurationError(f"suppression power {repeated[0]} mW is calibrated twice")
         if any(f2 < f1 for (_, f1), (_, f2) in zip(pts, pts[1:])):
             raise ConfigurationError("suppression must be non-decreasing in power")
-        if self.background_floor > self.depump_per_interval_unhidden:
-            raise ConfigurationError("background floor exceeds the unhidden rate")
+        if not 0.0 <= self.background_floor <= self.depump_per_interval_unhidden <= 1.0:
+            raise ConfigurationError("need 0 <= background floor <= unhidden depump rate <= 1")
         object.__setattr__(self, "suppression_points", tuple(pts))
 
 

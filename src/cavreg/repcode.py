@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fitting import fit_linear, fit_saturating_exponential
+from .fitting import SaturatingExpFit, fit_linear, fit_saturating_exponential
 from .register import IdleErrorModel, flip_probability, loss_probability
 
 
@@ -203,32 +203,11 @@ def simulate_idling_bit(
     return errors
 
 
-@dataclass
-class LifetimeResult:
-    """A lifetime fit as `.meta.json` records it."""
-
-    tau_ms: float  # the fitted curve reaches p_inf*(1-1/e) at t = tau
-    p_inf: float
-    low_confidence: bool
-    converged: bool
-    note: str
-    tau_stderr: float
-    p_inf_stderr: float
-
-
-def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> LifetimeResult:
+def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> SaturatingExpFit:
     """Fit p_err(t) = p_inf*(1 - exp(-t/tau)) and report the lifetime.
 
     The asymptote is constrained to p_inf <= 1/2: a binary state read out
     forever equilibrates to a fair coin, so larger values are unphysical.
     The lifetime is the fitted tau, where the curve reaches p_inf*(1-1/e).
     """
-    fit = fit_saturating_exponential(times_ms, p_err, p_inf_max=0.5)
-    # plateau not reached within the data -> extrapolated, low confidence
-    low_confidence = bool(
-        (not fit.converged) or p_err[-1] < (1.0 - 1.0 / math.e) * fit.p_inf
-    )
-    return LifetimeResult(
-        fit.tau, fit.p_inf, low_confidence, fit.converged, fit.note, fit.tau_stderr,
-        fit.p_inf_stderr,
-    )
+    return fit_saturating_exponential(times_ms, p_err, p_inf_max=0.5)

@@ -54,6 +54,10 @@ class GroupCheckNoise:
     false_positive: float = 0.0
     false_negative: float = 0.0
 
+    def __post_init__(self):
+        if not (0.0 <= self.false_positive <= 1.0 and 0.0 <= self.false_negative <= 1.0):
+            raise ConfigurationError("group-check error rates must be in [0, 1]")
+
 
 @dataclass
 class SearchResult:

@@ -36,7 +36,7 @@ def test_satexp_exact_recovery():
     fit = fit_saturating_exponential(ts, ps)
     assert fit.converged
     assert fit.p_inf == pytest.approx(0.5, rel=1e-6)
-    assert fit.tau == pytest.approx(125.0, rel=1e-6)
+    assert fit.tau_ms == pytest.approx(125.0, rel=1e-6)
 
 
 def test_satexp_recovery_with_cap():
@@ -44,7 +44,7 @@ def test_satexp_recovery_with_cap():
     ps = 0.4 * (1 - np.exp(-ts / 80.0))
     fit = fit_saturating_exponential(ts, ps, p_inf_max=0.5)
     assert fit.p_inf == pytest.approx(0.4, rel=1e-6)
-    assert fit.tau == pytest.approx(80.0, rel=1e-6)
+    assert fit.tau_ms == pytest.approx(80.0, rel=1e-6)
 
 
 def test_satexp_constant_zero_flagged():
@@ -52,7 +52,7 @@ def test_satexp_constant_zero_flagged():
     fit = fit_saturating_exponential(ts, np.zeros(8))
     assert not fit.converged
     assert fit.p_inf == 0.0
-    assert math.isnan(fit.tau)
+    assert math.isnan(fit.tau_ms)
     assert "unidentifiable" in fit.note
 
 
@@ -70,7 +70,7 @@ def test_satexp_noise_recovery(rng):
     truth = 0.5 * (1 - np.exp(-ts / 150.0))
     ps = np.clip(truth + rng.normal(0, 0.005, size=30), 0, 1)
     fit = fit_saturating_exponential(ts, ps, p_inf_max=0.5)
-    assert abs(fit.tau - 150.0) / 150.0 < 0.1
+    assert abs(fit.tau_ms - 150.0) / 150.0 < 0.1
     assert fit.converged
 
 
@@ -109,17 +109,17 @@ def test_satexp_tau_is_the_dense_argmin(rng):
         ps = np.clip(amp * (1 - np.exp(-ts / tau)) + rng.normal(0, noise, ts.size), 0, 1)
         fit = fit_saturating_exponential(ts, ps, p_inf_max=p_inf_max)
         dense = _dense_argmin_tau(ts, ps, p_inf_max)
-        rss_fit, rss_dense = _amplitudes(ts, ps, np.array([fit.tau, dense]), p_inf_max)[1]
+        rss_fit, rss_dense = _amplitudes(ts, ps, np.array([fit.tau_ms, dense]), p_inf_max)[1]
         # within the zoom's final bracket, unless the RSS cannot tell the two
         # apart: a noisy or capped valley is flat to rounding over ~1e-7 of
         # tau, and a curve already saturated at its first point fits equally
         # well over a decade of tau
-        assert abs(fit.tau - dense) <= 2 * _REL_TOL * dense or (
+        assert abs(fit.tau_ms - dense) <= 2 * _REL_TOL * dense or (
             rss_fit <= rss_dense * (1 + 1e-12) + 1e-30
         )
         if noise == 0.0 and p_inf_max == 0.5 and ts.min() / 10 < tau < 10 * ts.max():
             # the exact model rising within the data: a sharp valley
-            assert abs(fit.tau - dense) <= 2 * _REL_TOL * dense
+            assert abs(fit.tau_ms - dense) <= 2 * _REL_TOL * dense
             sharp += 1
         best = int(np.argmin(_amplitudes(ts, ps, first_grid, p_inf_max)[1]))
         at_edge = best in (0, first_grid.size - 1)

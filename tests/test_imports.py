@@ -1,7 +1,8 @@
 """Every module of src/cavreg other than the package's export list uses each
 name it imports, every private module-level function, class or constant is
-used somewhere in src/cavreg, and every code name README.md quotes still
-exists in src/cavreg or tests/."""
+used somewhere in src/cavreg, every dataclass field of src/cavreg is read
+somewhere in src/cavreg, tests/ or bench/, and every code name README.md
+quotes still exists in src/cavreg or tests/."""
 
 import ast
 import re
@@ -96,6 +97,61 @@ def test_unused_private_helper_is_found():
 def test_every_private_helper_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unused_private_helpers(sources) == []
+
+
+def unread_dataclass_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The fields of the @dataclass classes of `sources` (module name to
+    source text) that no source of `readers` reads as an attribute or quotes
+    as an identifier-shaped string, as `module.Class.field`."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    read.add(node.value)
+    unread = []
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+                unread += [
+                    f"{module}.{cls.name}.{stmt.target.id}" for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in read
+                ]
+    return sorted(unread)
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    """Whether a class decorator is `dataclass` or `dataclasses.dataclass`,
+    called or bare."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def test_unread_dataclass_field_is_found():
+    sources = {
+        "a": "import dataclasses\nfrom dataclasses import dataclass\n\n"
+             "@dataclass(frozen=True)\nclass A:\n    read: int\n    quoted: str\n"
+             "    written: int\n    unread: int = 0\n\n"
+             "@dataclasses.dataclass\nclass B:\n    lost: float\n\n"
+             "class Plain:\n    skipped: int\n",
+        "b": "def f(a):\n    a.written = 1\n    return a.read, getattr(a, 'quoted')\n",
+    }
+    # a field only written, or only declared, is never read
+    assert unread_dataclass_fields(sources, list(sources.values())) == [
+        "a.A.unread", "a.A.written", "a.B.lost"
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    readers = [
+        p.read_text(encoding="utf-8")
+        for folder in (SRC, ROOT / "tests", ROOT / "bench") for p in folder.glob("*.py")
+    ]
+    assert unread_dataclass_fields(sources, readers) == []
 
 
 def code_names(source: str) -> set[str]:

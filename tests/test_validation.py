@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from cavreg import ConfigurationError
 from cavreg.cli import main
-from cavreg.config import SCHEMA, Config, load_config, parse_config_text
-from cavreg.harness import EXPERIMENTS, ErrorScalingParams, ExperimentSpec, LifetimeParams, run
+from cavreg.config import (SCHEMA, Config, _nonneg_float, _nonneg_int, _positive_float,
+                           _positive_int, _probability, load_config, parse_config_text)
+from cavreg.harness import (EXPERIMENTS, DepumpScalingParams, ErrorScalingParams, ExperimentSpec,
+                            LifetimeParams, run)
+from cavreg.photons import PhotonModel
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 
@@ -81,8 +84,12 @@ def test_run_error_scaling_rejects_unreachable_post_select(count):
     [
         (lambda: ErrorScalingParams(distances=[3, 5], post_select="4"), "post_select"),
         (lambda: LifetimeParams(idle_ms=0.0, round_overhead_ms=0.0), "lifetime round time"),
+        # combinations no one-key config edit reaches
+        (lambda: PhotonModel(full_interval_us=-200.0, sub_interval_us=-20.0), "intervals"),
+        (lambda: DepumpScalingParams(adaptive=False, adaptive_loss_factor=0.0), "loss factor"),
     ],
-    ids=["error_scaling_post_select", "lifetime_zero_round_time"],
+    ids=["error_scaling_post_select", "lifetime_zero_round_time", "both_intervals_negative",
+         "zero_loss_factor_unused"],
 )
 def test_code_params_reject_bad_input_when_built(build, key):
     # checked by the params class itself, so no caller can sample first
@@ -430,3 +437,24 @@ def test_validate_config_agrees_with_every_reader_of_one_key(edit):
             assert set(codes.values()) == {0}, codes
         else:
             assert 2 in codes.values() and 1 not in codes.values(), codes
+
+
+# Values outside the range of each ranged parser.
+OUT_OF_RANGE = {
+    _positive_float: [0.0, -1.0], _nonneg_float: [-1.0], _probability: [-0.1, 1.1],
+    _positive_int: [0, -1], _nonneg_int: [-1],
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key[0]}.{key[1]}={value}")
+    for key, (parser, _) in SCHEMA.items() if key[0] != "run"
+    for value in OUT_OF_RANGE.get(parser, [])
+])
+def test_params_built_past_the_parser_reject_what_it_rejects(key, value):
+    # the models and params enforce each key's range themselves, so a value
+    # that never went through the parser is rejected all the same
+    config = load_config()
+    config.values[key] = value
+    with pytest.raises(ConfigurationError):
+        config.validate_models()
