@@ -1,10 +1,11 @@
 """Experiment orchestration: seeded Monte-Carlo ensembles, estimation, CSV.
 
-Every experiment is a deterministic function of (spec, master_seed): trials
-are partitioned into fixed-size chunks, each chunk draws from a counter-based
-stream keyed by (master_seed, point index, chunk index), and results are
-reduced in chunk order.  Thread count changes wall-clock time only, never
-output bytes.
+Every experiment is a deterministic function of (spec, master_seed): each
+runner takes its spec and hands `_sweep` its list of sweep-point values and
+a kernel.  Trials are partitioned into fixed-size chunks, each chunk draws
+from a counter-based stream keyed by (master_seed, point index, chunk
+index), the kernel gets the point's value, and results are reduced in chunk
+order.  Thread count changes wall-clock time only, never output bytes.
 
 EXPERIMENTS is the one list of experiments: each record names its params
 class, how to build the params from a config, its [run] trial-count key, its
@@ -76,6 +77,13 @@ class Estimate:
         return cls(p, math.sqrt(max(p * (1 - p), 0.0) / n), n)
 
 
+def _sweep_list(key: str, values: list) -> None:
+    """Reject an empty sweep list or one that repeats a value, as the config
+    parser does: each value is one sweep point (one curve, one fit point)."""
+    if not values or len(set(values)) < len(values):
+        raise ConfigurationError(f"{key} {values}: a sweep needs values, none repeated")
+
+
 @dataclass
 class DepumpScalingParams:
     sizes: list[int] = field(default_factory=lambda: list(range(1, 11)))
@@ -90,7 +98,8 @@ class DepumpScalingParams:
     hiding: HidingModel = field(default_factory=HidingModel)
 
     def __post_init__(self):
-        if min(self.sizes, default=0) < 1:
+        _sweep_list("readout.sizes", self.sizes)
+        if min(self.sizes) < 1:
             raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
         if self.rounds < 1 or self.idle_intervals < 0:
             raise ConfigurationError("readout needs rounds >= 1 and idle intervals >= 0")
@@ -113,6 +122,9 @@ class SearchCostParams:
     noise: GroupCheckNoise = field(default_factory=GroupCheckNoise)
 
     def __post_init__(self):
+        _sweep_list("search.sizes", self.sizes)
+        _sweep_list("search.bright_probabilities", self.probabilities)
+        _sweep_list("search.strategies", self.strategies)
         for n, p in itertools.product(self.sizes, self.probabilities):
             SearchProblem(n, p, self.placement)  # range-checks every sweep point
 
@@ -128,12 +140,18 @@ class ErrorScalingParams:
     post_select: str = "distance"  # "distance", "none", or an integer string
 
     def __post_init__(self):
+        _sweep_list("code.distances", self.distances)
+        _sweep_list("code.flip_sweep", self.flip_sweep)
         for d, p in itertools.product(self.distances, self.flip_sweep):
             check_code(d, self.rounds, per_round_flip=p, per_round_loss=self.per_round_loss)
         if self.post_select not in ("distance", "none"):
-            # a survivor count that some distance cannot reach
-            count, smallest = int(self.post_select), min(self.distances)
-            if not 0 <= count <= smallest:
+            try:
+                count, smallest = int(self.post_select), min(self.distances)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"code.post_select = {self.post_select!r} is not distance, none or a count"
+                ) from None
+            if not 0 <= count <= smallest:  # a survivor count that some distance cannot reach
                 raise ConfigurationError(
                     f"code.post_select = {count} is outside [0, {smallest}] "
                     "(0 to the smallest code distance)"
@@ -151,14 +169,16 @@ class LifetimeParams:
     idle_model: IdleErrorModel = field(default_factory=IdleErrorModel)
 
     def __post_init__(self):
+        _sweep_list("code.distances", self.distances)
         for d in self.distances:
             check_code(d, self.rounds, per_round_flip=self.per_round_flip,
                        per_round_loss=self.per_round_loss)
         round_time = self.idle_ms + self.round_overhead_ms
-        if min(self.idle_ms, self.round_overhead_ms) < 0 or round_time <= 0:
+        terms_ok = 0 <= self.idle_ms < math.inf and 0 <= self.round_overhead_ms < math.inf
+        if not terms_ok or round_time <= 0:
             raise ConfigurationError(
                 f"lifetime round time {round_time} ms (idle_ms + round_overhead_ms) must be "
-                "positive, with neither term negative"
+                "positive, with both terms finite and non-negative"
             )
         if self.rounds < MIN_FIT_POINTS:
             raise ConfigurationError(
@@ -203,29 +223,27 @@ class ExperimentResult:
 
 
 def _sweep(
-    n_points: int,
-    kernel: Callable[[int, np.random.Generator, int], Any],
-    trials: int,
-    master_seed: int,
-    threads: int,
+    spec: ExperimentSpec,
+    points: list,
+    kernel: Callable[[Any, np.random.Generator, int], Any],
     chunk: int = CHUNK_TRIALS,
 ) -> list:
     """Per sweep point, the sum of kernel(point, rng, size) over the chunks
-    of `trials`, `chunk` trials each and the last one shorter.  Each chunk
-    draws from stream(master_seed, point, chunk index).  Every (point,
-    chunk) task of the run goes, point-major, through one `map_chunks` call,
-    so one pool serves the whole run, and each point's results are summed in
-    chunk order: the thread count never changes the result."""
+    of spec.trials, `chunk` trials each and the last one shorter.  The
+    kernel gets the point's value; chunk c of the point at index i draws
+    from stream(spec.master_seed, i, c).  Every (point, chunk) task of the
+    run goes, point-major, through one `map_chunks` call, so one pool serves
+    the whole run, and each point's results are summed in chunk order: the
+    thread count never changes the result."""
 
     def chunk_result(task: tuple[int, int, int]):
-        point, index, size = task
-        return kernel(point, stream(master_seed, point, index), size)
+        i, c, size = task
+        return kernel(points[i], stream(spec.master_seed, i, c), size)
 
-    chunks = chunk_sizes(trials, chunk)
-    tasks = [(point, index, size) for point in range(n_points) for index, _, size in chunks]
-    results = map_chunks(chunk_result, tasks, threads)
-    n = len(chunks)
-    return [functools.reduce(operator.add, results[p * n : (p + 1) * n]) for p in range(n_points)]
+    sizes = chunk_sizes(spec.trials, chunk)
+    tasks = [(i, c, size) for i in range(len(points)) for c, size in enumerate(sizes)]
+    results, n = map_chunks(chunk_result, tasks, spec.threads), len(sizes)
+    return [functools.reduce(operator.add, results[s : s + n]) for s in range(0, len(results), n)]
 
 
 # ----------------------------------------------------------------- histogram
@@ -236,9 +254,7 @@ def _sweep(
 HISTOGRAM_CHUNK = 1 << 14
 
 
-def run_histogram(
-    photon: PhotonModel, trials: int, master_seed: int, threads: int
-) -> ExperimentResult:
+def run_histogram(spec: ExperimentSpec) -> ExperimentResult:
     """Photon-count histograms of a bright and a dark emitter over the full
     interval and of a bright one under adaptive termination.
 
@@ -248,7 +264,7 @@ def run_histogram(
     chunk are one multinomial draw of the chunk size over the full table's
     half, one cell per count; the adaptive counts are sampled per trial and
     binned over the adaptive table's bright half."""
-    conditions = ["bright_full", "bright_adaptive", "dark_full"]
+    photon, conditions = spec.parameters, ["bright_full", "bright_adaptive", "dark_full"]
     full, adaptive = outcome_table(photon, False), outcome_table(photon, True)
     halves = {"bright_full": (full, full.bright), "bright_adaptive": (adaptive, adaptive.bright),
               "dark_full": (full, ~full.bright)}
@@ -257,14 +273,13 @@ def run_histogram(
     first = {c: int(counts.min()) for c, counts in support.items()}
     n_adaptive = int(support["bright_adaptive"].max()) + 1 - first["bright_adaptive"]
 
-    def histogram(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        cond = conditions[point]
+    def histogram(cond: str, rng: np.random.Generator, size: int) -> np.ndarray:
         if cond == "bright_adaptive":
             counts, _ = sample_adaptive_bright_batch(photon, size, rng)
             return np.bincount(counts - first[cond], minlength=n_adaptive)
         return rng.multinomial(size, law[cond])
 
-    hists = _sweep(len(conditions), histogram, trials, master_seed, threads, chunk=HISTOGRAM_CHUNK)
+    hists = _sweep(spec, conditions, histogram, chunk=HISTOGRAM_CHUNK)
     rows = [
         {"counts": first[cond] + i, "frequency": int(hist[i]), "condition": cond}
         for cond, hist in zip(conditions, hists)
@@ -291,9 +306,7 @@ def _depump_params(config: Config) -> DepumpScalingParams:
     )
 
 
-def run_depump_scaling(
-    params: DepumpScalingParams, trials: int, master_seed: int, threads: int
-) -> ExperimentResult:
+def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
     """Bright-state error rates in repeated sequential readouts.
 
     Atoms are re-pumped to F=2 right after each measurement, so from the
@@ -302,10 +315,10 @@ def run_depump_scaling(
     are counted among atoms whose presence was detected.  Each chunk of
     trials is read out as one state-code array.
     """
+    params = spec.parameters
     rates = measurement_rates(params.rates, params.adaptive, params.adaptive_loss_factor)
 
-    def trial_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        n = params.sizes[point]
+    def trial_counts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
         registers = np.tile(uniform_register(n, F2), (size, 1))
         records, _ = sequential_array_readout(
             registers, params.hiding_power_mw, rng,
@@ -322,7 +335,7 @@ def run_depump_scaling(
             acc[:, rec.round_index, 1] = np.count_nonzero(detected, axis=0)
         return acc
 
-    totals = _sweep(len(params.sizes), trial_counts, trials, master_seed, threads)
+    totals = _sweep(spec, params.sizes, trial_counts)
     fieldnames = ["n_sites", "site_index", "error_rate", "stderr", "hiding_power_mW",
                   "adaptive_rounds"]
     rows = []
@@ -380,24 +393,21 @@ def _search_params(config: Config) -> SearchCostParams:
     )
 
 
-def run_search_cost(
-    params: SearchCostParams, trials: int, master_seed: int, threads: int
-) -> ExperimentResult:
+def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
+    params, trials = spec.parameters, spec.trials
     noise = None if params.noise == GroupCheckNoise() else params.noise  # noiseless: no draws
     at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
     points = list(itertools.product(params.sizes, params.probabilities, params.strategies))
 
-    def cost_moments(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        n, p, strat = points[point]
+    def cost_moments(point: tuple, rng: np.random.Generator, size: int) -> np.ndarray:
+        n, p, strat = point
         codes = sample_register(SearchProblem(n, p, params.placement), rng, size)
         used = run_search(codes, strat, rng, at_most_one=at_most_one, noise=noise).intervals_used
         return np.array([np.sum(used), np.sum(used**2)], dtype=float)
 
     fieldnames = ["n", "p", "strategy", "mean_intervals", "stderr", "analytic"]
     rows = []
-    for (n, p, strat), moments in zip(
-        points, _sweep(len(points), cost_moments, trials, master_seed, threads)
-    ):
+    for (n, p, strat), moments in zip(points, _sweep(spec, points, cost_moments)):
         s, s2 = (float(m) for m in moments)
         mean = s / trials
         var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
@@ -434,9 +444,7 @@ def _kept_survivors(post_select: str, d: int) -> range:
     return range(s, s + 1)
 
 
-def run_error_scaling(
-    params: ErrorScalingParams, trials: int, master_seed: int, threads: int
-) -> ExperimentResult:
+def run_error_scaling(spec: ExperimentSpec) -> ExperimentResult:
     """Per-round logical error per (distance, flip) point and kept survivor
     count, and the log-log exponent of the full-distance cells.
 
@@ -447,13 +455,14 @@ def run_error_scaling(
     one binomial draw.  Its cost does not grow with the trials, so each
     point is drawn as one chunk.  A cell with no rounds, no errors or a
     stderr above a tenth of its estimate is flagged."""
+    params = spec.parameters
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
 
-    def survivor_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        d, p = points[point]
+    def survivor_counts(point: tuple, rng: np.random.Generator, size: int) -> np.ndarray:
+        d, p = point
         return round_counts(d, p, params.per_round_loss, params.rounds, size, rng)
 
-    totals = _sweep(len(points), survivor_counts, trials, master_seed, threads, chunk=trials)
+    totals = _sweep(spec, points, survivor_counts, chunk=spec.trials)
     fieldnames = ["p_phys", "d", "survivors", "p_logical", "stderr"]
     rows, flagged = [], []
     curves: dict[int, list[tuple[float, float]]] = {d: [] for d in params.distances}
@@ -509,29 +518,25 @@ def _lifetime_params(config: Config) -> LifetimeParams:
     )
 
 
-def run_lifetime(
-    params: LifetimeParams, trials: int, master_seed: int, threads: int
-) -> ExperimentResult:
-    """Error vs time of an unprotected idling bit (sweep point 0, d = 0 in
-    the CSV) and of each code distance (points 1, 2, ...)."""
+def run_lifetime(spec: ExperimentSpec) -> ExperimentResult:
+    """Error vs time of an unprotected idling bit (sweep point d = 0, as in
+    the CSV) and of each code distance."""
+    params, trials = spec.parameters, spec.trials
     round_time = params.idle_ms + params.round_overhead_ms
     times = round_time * np.arange(1, params.rounds + 1)
 
-    def error_counts(point: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        if point == 0:
+    def error_counts(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+        if d == 0:
             return simulate_idling_bit(params.idle_model, times, size, rng)
         trace = simulate_code_abstract(
-            params.distances[point - 1], params.per_round_flip, params.per_round_loss,
-            params.rounds, size, rng,
+            d, params.per_round_flip, params.per_round_loss, params.rounds, size, rng
         )
         out = np.zeros((2, params.rounds), dtype=np.int64)
         out[0] = trace.err_vs_initial.sum(axis=0)
         out[1] = trace.survivors.sum(axis=0)
         return out
 
-    phys_counts, *code_counts = _sweep(
-        1 + len(params.distances), error_counts, trials, master_seed, threads
-    )
+    phys_counts, *code_counts = _sweep(spec, [0, *params.distances], error_counts)
     phys = logical_lifetime(times, phys_counts / trials)
     fits: dict[str, Any] = {"physical": dataclasses.asdict(phys)}
     curves = [(0, phys_counts, None)]
@@ -588,7 +593,7 @@ class Experiment:
     params: type
     build: Callable[[Config], Any]  # params from a parsed config
     trials_key: str  # [run] key holding the configured trial count
-    runner: Callable[[Any, int, int, int], ExperimentResult]
+    runner: Callable[[ExperimentSpec], ExperimentResult]
     summary_lines: Callable[[dict], list[str]] = lambda summary: []
 
     @property
@@ -627,8 +632,7 @@ EXPERIMENTS: dict[str, Experiment] = {
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Run an experiment; deterministic in (spec, master_seed) regardless of
     the thread count."""
-    runner = EXPERIMENTS[spec.experiment].runner
-    return runner(spec.parameters, spec.trials, spec.master_seed, spec.threads)
+    return EXPERIMENTS[spec.experiment].runner(spec)
 
 
 # ----------------------------------------------------------------- csv / io

@@ -61,7 +61,7 @@ class DetectorModel:
     n_detectors: int = 2
 
     def __post_init__(self):
-        if self.dark_rate_hz < 0 or self.n_detectors < 1:
+        if not 0 <= self.dark_rate_hz < math.inf or self.n_detectors < 1:
             raise ConfigurationError("invalid detector model")
 
     def dark_mean(self, interval_us: float) -> float:
@@ -82,8 +82,8 @@ class PhotonModel:
             raise ConfigurationError("bright mean must be positive")
         if self.threshold < 1:
             raise ConfigurationError("threshold must be >= 1")
-        if not (self.full_interval_us > 0 and self.sub_interval_us > 0):
-            raise ConfigurationError("measurement intervals must be positive")
+        if not (0 < self.full_interval_us < math.inf and 0 < self.sub_interval_us < math.inf):
+            raise ConfigurationError("measurement intervals must be positive and finite")
         n = self.full_interval_us / self.sub_interval_us
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ConfigurationError(

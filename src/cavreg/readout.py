@@ -54,8 +54,8 @@ class ErrorRates:
 def measurement_rates(rates: ErrorRates, adaptive: bool, adaptive_loss_factor: float) -> ErrorRates:
     """A calibration row as measure_site applies it: adaptive termination
     divides the bright-state loss by adaptive_loss_factor."""
-    if not adaptive_loss_factor > 0:
-        raise ConfigurationError(f"adaptive loss factor {adaptive_loss_factor} must be positive")
+    if not 0 < adaptive_loss_factor < math.inf:
+        raise ConfigurationError(f"adaptive loss factor {adaptive_loss_factor} is not in (0, inf)")
     loss = rates.loss_f2 / adaptive_loss_factor
     if adaptive and loss > 1.0:
         raise ConfigurationError(
@@ -82,8 +82,8 @@ class HidingModel:
 
     def __post_init__(self):
         pts = sorted(self.suppression_points)
-        if not pts or any(f < 1.0 for _, f in pts):
-            raise ConfigurationError("suppression factors must be >= 1")
+        if not pts or not all(math.isfinite(p) and 1.0 <= f < math.inf for p, f in pts):
+            raise ConfigurationError("suppression powers must be finite and factors finite, >= 1")
         if pts[0][0] < 0.0:
             raise ConfigurationError(f"suppression power {pts[0][0]} mW is negative")
         repeated = [p1 for (p1, _), (p2, _) in zip(pts, pts[1:]) if p1 == p2]
@@ -115,8 +115,8 @@ def suppression_factor(model: HidingModel, power_mw: float) -> float:
 def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
     """Depump probability per target measurement for a hidden bright atom,
     clamped from below by the background floor."""
-    if power_mw < 0:
-        raise ConfigurationError("hiding power must be non-negative")
+    if not 0 <= power_mw < math.inf:
+        raise ConfigurationError("hiding power must be non-negative and finite")
     return max(
         model.background_floor,
         model.depump_per_interval_unhidden / suppression_factor(model, power_mw),

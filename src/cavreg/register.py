@@ -27,8 +27,8 @@ class IdleErrorModel:
     tau_vacuum_ms: float = 800.0
 
     def __post_init__(self):
-        if self.tau_depump_ms <= 0 or self.tau_vacuum_ms <= 0:
-            raise ConfigurationError("idle time constants must be positive")
+        if not (0 < self.tau_depump_ms < math.inf and 0 < self.tau_vacuum_ms < math.inf):
+            raise ConfigurationError("idle time constants must be positive and finite")
 
 
 def flip_probability(duration_ms: float, model: IdleErrorModel) -> float:

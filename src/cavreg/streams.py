@@ -45,17 +45,10 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK_TRIALS) -> list[tuple[int, int, int]]:
-    """(chunk_index, start, size) triples covering `total` trials."""
-    out = []
-    start = 0
-    index = 0
-    while start < total:
-        size = min(chunk, total - start)
-        out.append((index, start, size))
-        start += size
-        index += 1
-    return out
+def chunk_sizes(total: int, chunk: int = CHUNK_TRIALS) -> list[int]:
+    """The sizes of the chunks covering `total` trials, `chunk` each and the
+    last one shorter; a chunk's index is its position in the list."""
+    return [min(chunk, total - start) for start in range(0, total, chunk)]
 
 
 def map_chunks(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> list[R]:

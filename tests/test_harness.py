@@ -50,9 +50,8 @@ def test_stream_determinism_and_independence():
 
 
 def test_chunk_sizes_cover_total():
-    chunks = chunk_sizes(10_000, 4096)
-    assert [c[2] for c in chunks] == [4096, 4096, 1808]
-    assert chunks[-1][1] + chunks[-1][2] == 10_000
+    assert chunk_sizes(10_000, 4096) == [4096, 4096, 1808]
+    assert chunk_sizes(8192, 4096) == [4096, 4096]
 
 
 @pytest.mark.parametrize("cores, n_chunks, workers", [(4, 10, 4), (4, 3, 3), (64, 10, 10)])
@@ -76,7 +75,7 @@ def test_thread_pool_is_clamped_to_chunks_and_cores(monkeypatch, cores, n_chunks
 
     monkeypatch.setattr(cavreg.streams, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: cores)
-    out = map_chunks(lambda c: c[0], chunk_sizes(n_chunks * 10, 10), threads=10**6)
+    out = map_chunks(lambda c: c, range(n_chunks), threads=10**6)
     assert out == list(range(n_chunks))
     assert sizes == [workers]
 
@@ -149,17 +148,21 @@ def test_thread_count_never_changes_results(experiment, params, trials, tmp_path
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_sweep_reduces_each_point_in_chunk_order(threads, monkeypatch):
-    # list `+` keeps order: each point must read its own chunks' streams, in chunk order
+    # list `+` keeps order: each kernel call gets its point's value, and each
+    # point reads its own chunks' streams, keyed by the point's index, in chunk order
     monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
+    points = ["a", "b", "c"]
 
     def kernel(point, rng, size):
         return [(point, size, int(rng.integers(2**62)))]
 
     expected = [
-        [(p, size, int(stream(3, p, i).integers(2**62))) for i, _, size in chunk_sizes(MULTI_CHUNK)]
-        for p in range(3)
+        [(point, size, int(stream(3, i, c).integers(2**62)))
+         for c, size in enumerate(chunk_sizes(MULTI_CHUNK))]
+        for i, point in enumerate(points)
     ]
-    assert _sweep(3, kernel, MULTI_CHUNK, 3, threads) == expected
+    spec = ExperimentSpec("histogram", trials=MULTI_CHUNK, master_seed=3, threads=threads)
+    assert _sweep(spec, points, kernel) == expected
 
 
 @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (4, 1)])

@@ -68,11 +68,10 @@ def test_default_runs_draw_from_distinct_streams(name, monkeypatch):
     trials, seed = config[("run", exp.trials_key)], config[("run", "master_seed")]
     seen = []
 
-    def recording_sweep(n_points, kernel, sweep_trials, master_seed, threads,
-                        chunk=CHUNK_TRIALS):
-        assert sweep_trials == trials
-        sweep(n_points, lambda point, rng, size: 0, sweep_trials, master_seed, threads, chunk)
-        seen.append((n_points, chunk))
+    def recording_sweep(spec, points, kernel, chunk=CHUNK_TRIALS):
+        assert spec.trials == trials
+        sweep(spec, points, lambda point, rng, size: 0, chunk)
+        seen.append((len(points), chunk))
         raise _Recorded
 
     sweep = harness._sweep

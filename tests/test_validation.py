@@ -1,6 +1,7 @@
 """Bad input is rejected at the edge with exit code 2, before any compute."""
 
 import functools
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -87,9 +88,11 @@ def test_run_error_scaling_rejects_unreachable_post_select(count):
         # combinations no one-key config edit reaches
         (lambda: PhotonModel(full_interval_us=-200.0, sub_interval_us=-20.0), "intervals"),
         (lambda: DepumpScalingParams(adaptive=False, adaptive_loss_factor=0.0), "loss factor"),
+        (lambda: ErrorScalingParams(post_select="bogus"), "code.post_select"),
+        (lambda: ErrorScalingParams(post_select=None), "code.post_select"),
     ],
     ids=["error_scaling_post_select", "lifetime_zero_round_time", "both_intervals_negative",
-         "zero_loss_factor_unused"],
+         "zero_loss_factor_unused", "post_select_not_a_count", "post_select_none"],
 )
 def test_code_params_reject_bad_input_when_built(build, key):
     # checked by the params class itself, so no caller can sample first
@@ -446,10 +449,27 @@ OUT_OF_RANGE = {
 }
 
 
+def _unparsable(key, shipped):
+    """Values every parser of a key of this type rejects: a non-finite float,
+    an empty sweep list or one that repeats a value, a non-finite
+    calibration pair."""
+    if key == ("hiding", "suppression_points_mw"):
+        return [((0.0, 1.0), (math.nan, 5.2)), ((0.0, 1.0), (0.4, math.inf))]
+    if isinstance(shipped, float):
+        return [math.nan, math.inf, -math.inf]
+    if isinstance(shipped, list):
+        return [[], [*shipped, shipped[0]]]
+    return []
+
+
 @pytest.mark.parametrize("key, value", [
     pytest.param(key, value, id=f"{key[0]}.{key[1]}={value}")
     for key, (parser, _) in SCHEMA.items() if key[0] != "run"
     for value in OUT_OF_RANGE.get(parser, [])
+] + [
+    pytest.param(key, value, id=f"{key[0]}.{key[1]}={value}")
+    for key, shipped in load_config().values.items() if key[0] not in ("run", "error_table")
+    for value in _unparsable(key, shipped)
 ])
 def test_params_built_past_the_parser_reject_what_it_rejects(key, value):
     # the models and params enforce each key's range themselves, so a value
