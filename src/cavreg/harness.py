@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integers
 from .fitting import MIN_FIT_POINTS, fit_linear
 from .photons import PhotonModel, outcome_table, sample_adaptive_bright_batch
 from .readout import (
@@ -52,6 +52,7 @@ from .search import (
     SearchProblem,
     Strategy,
     expected_cost,
+    placements,
     run_search,
     sample_register,
 )
@@ -99,6 +100,9 @@ class DepumpScalingParams:
 
     def __post_init__(self):
         _sweep_list("readout.sizes", self.sizes)
+        check_integers("readout.sizes", *self.sizes)
+        check_integers("readout.readout_rounds", self.rounds)
+        check_integers("readout.idle_intervals", self.idle_intervals)
         if min(self.sizes) < 1:
             raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
         if self.rounds < 1 or self.idle_intervals < 0:
@@ -125,8 +129,14 @@ class SearchCostParams:
         _sweep_list("search.sizes", self.sizes)
         _sweep_list("search.bright_probabilities", self.probabilities)
         _sweep_list("search.strategies", self.strategies)
+        # run_search_cost picks its kernel by these types, so no look-alike may stand in
+        typed = [("search noise", self.noise, GroupCheckNoise),
+                 *(("search.strategies", s, Strategy) for s in self.strategies)]
+        for key, value, kind in typed:
+            if not isinstance(value, kind):
+                raise ConfigurationError(f"{key} {value!r} is not a {kind.__name__}")
         for n, p in itertools.product(self.sizes, self.probabilities):
-            SearchProblem(n, p, self.placement)  # range-checks every sweep point
+            SearchProblem(n, p, self.placement)  # checks every sweep point and the placement
 
 
 @dataclass
@@ -195,6 +205,9 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
+        check_integers("trials", self.trials)
+        check_integers("threads", self.threads)
+        check_integers("master seed", self.master_seed)
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.threads < 1:
@@ -394,14 +407,34 @@ def _search_params(config: Config) -> SearchCostParams:
 
 
 def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
+    """Mean readout intervals, with stderr and closed form, per (size,
+    probability, strategy) point.
+
+    Each chunk draws its registers with one `sample_register` call.  Under
+    the at-most-one placement a noiseless search's cost is a function of
+    the placement alone, so each (size, strategy) is searched once over its
+    n + 1 placements and a chunk's registers are priced by how many drew
+    each placement.  The independent placement and noisy checks search
+    every chunk's registers."""
     params, trials = spec.parameters, spec.trials
     noise = None if params.noise == GroupCheckNoise() else params.noise  # noiseless: no draws
     at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
     points = list(itertools.product(params.sizes, params.probabilities, params.strategies))
+    # the cost of each placement, bright at site i (row i) or all dark (row n)
+    placement_costs = {
+        (n, strat): run_search(placements(n), strat).intervals_used
+        for n, strat in itertools.product(params.sizes, params.strategies)
+    } if at_most_one and noise is None else {}
 
     def cost_moments(point: tuple, rng: np.random.Generator, size: int) -> np.ndarray:
         n, p, strat = point
         codes = sample_register(SearchProblem(n, p, params.placement), rng, size)
+        if (n, strat) in placement_costs:
+            cost = placement_costs[n, strat]
+            bright = np.flatnonzero(codes == F2) % n  # the bright site of each register with one
+            counts = np.bincount(bright, minlength=n + 1)
+            counts[n] = size - bright.size  # all dark
+            return np.array([counts @ cost, counts @ cost**2], dtype=float)
         used = run_search(codes, strat, rng, at_most_one=at_most_one, noise=noise).intervals_used
         return np.array([np.sum(used), np.sum(used**2)], dtype=float)
 

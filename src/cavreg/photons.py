@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integers
 from .register import F2
 
 # Most sub-intervals a full interval may poll: the adaptive table builds one
@@ -61,6 +61,7 @@ class DetectorModel:
     n_detectors: int = 2
 
     def __post_init__(self):
+        check_integers("detector.n_detectors", self.n_detectors)
         if not 0 <= self.dark_rate_hz < math.inf or self.n_detectors < 1:
             raise ConfigurationError("invalid detector model")
 
@@ -80,6 +81,7 @@ class PhotonModel:
     def __post_init__(self):
         if self.bright_mean_full <= 0:
             raise ConfigurationError("bright mean must be positive")
+        check_integers("photon.threshold_counts", self.threshold)
         if self.threshold < 1:
             raise ConfigurationError("threshold must be >= 1")
         if not (0 < self.full_interval_us < math.inf and 0 < self.sub_interval_us < math.inf):

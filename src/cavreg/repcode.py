@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integers
 from .fitting import SaturatingExpFit, fit_linear, fit_saturating_exponential
 from .register import IdleErrorModel, flip_probability, loss_probability
 
@@ -39,7 +39,9 @@ from .register import IdleErrorModel, flip_probability, loss_probability
 def check_code(distance: int, rounds: int, **probabilities: float) -> None:
     """Reject a code run that cannot be simulated: a distance that is not odd
     and >= 1, a probability (named by its keyword) outside [0, 1], or no
-    rounds."""
+    rounds.  The distance and the rounds must be ints."""
+    check_integers("code.distances", distance)
+    check_integers("code.rounds", rounds)
     if distance < 1 or distance % 2 == 0:
         raise ConfigurationError(f"code distance {distance} is not odd and >= 1")
     for name, p in probabilities.items():

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integers
 from .register import F1, F2
 
 
@@ -43,10 +43,13 @@ class SearchProblem:
     placement: Placement = Placement.AT_MOST_ONE_BRIGHT
 
     def __post_init__(self):
+        check_integers("register size", self.n)
         if not 1 <= self.n <= 64:
             raise ConfigurationError("register size must be in [1, 64] (one uint64 bitmask)")
         if not (0.0 <= self.p <= 1.0):
             raise ConfigurationError("bright probability must be in [0, 1]")
+        if not isinstance(self.placement, Placement):  # a look-alike would run as independent
+            raise ConfigurationError(f"placement {self.placement!r} is not a Placement")
 
 
 @dataclass(frozen=True)
@@ -66,17 +69,21 @@ class SearchResult:
 
 
 @lru_cache(maxsize=None)
-def _placements(n: int) -> np.ndarray:
-    """Row i of the at-most-one placements is bright at site i; row n is all dark."""
+def placements(n: int) -> np.ndarray:
+    """The n + 1 at-most-one placements of an n-site register as a read-only
+    (n + 1, n) state-code array: row i is bright at site i; row n is all dark."""
     table = F1 + np.eye(n + 1, n, dtype=np.int8)
     table.flags.writeable = False  # shared by every caller
     return table
 
 
 @lru_cache(maxsize=256)
-def _placement_edges(n: int, p: float) -> tuple[float, ...]:
-    """Uniform thresholds k*p/n, k = 1..n, splitting [0, p) into n parts."""
-    return tuple((p / n * np.arange(1, n + 1)).tolist())
+def _placement_edges(n: int, p: float) -> np.ndarray:
+    """Uniform thresholds k*p/n, k = 1..n, splitting [0, p) into n parts, as
+    a read-only array that searchsorted reads without converting."""
+    edges = p / n * np.arange(1, n + 1)
+    edges.flags.writeable = False  # shared by every caller
+    return edges
 
 
 def sample_register(
@@ -92,8 +99,9 @@ def sample_register(
     if problem.placement is Placement.AT_MOST_ONE_BRIGHT:
         edges = _placement_edges(n, p)
         if size is None:  # bisect skips numpy's per-call cost on one uniform
-            return _placements(n)[bisect_right(edges, rng.random())].copy()
-        return _placements(n)[np.searchsorted(edges, rng.random(size), side="right")]
+            return placements(n)[bisect_right(edges, rng.random())].copy()
+        # take copies rows a few times faster than fancy indexing does
+        return placements(n).take(edges.searchsorted(rng.random(size), side="right"), axis=0)
     shape = (n,) if size is None else (size, n)
     codes = np.full(shape, F1, dtype=np.int8)
     codes[rng.random(shape) < p] = F2
@@ -278,6 +286,6 @@ def enumerate_mean_intervals(problem: SearchProblem, strategy: Strategy) -> floa
     noiseless search on all of them in one call."""
     if problem.placement is not Placement.AT_MOST_ONE_BRIGHT:
         raise ConfigurationError("enumeration covers the at-most-one placement")
-    costs = run_search(_placements(problem.n), strategy).intervals_used
+    costs = run_search(placements(problem.n), strategy).intervals_used
     weights = np.r_[np.full(problem.n, problem.p / problem.n), 1.0 - problem.p]
     return float(weights @ costs)

@@ -23,6 +23,7 @@ from cavreg.harness import (
     run,
 )
 from cavreg.photons import PhotonModel
+from cavreg.search import GroupCheckNoise, Placement
 from cavreg.streams import chunk_sizes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -87,13 +88,28 @@ def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
     params = SearchCostParams()
     spec = ExperimentSpec("search_cost", params, trials=20, master_seed=3)
     calls = _traced_calls(bench, monkeypatch, "search-scan", spec)
-    # one chunk per sweep point: one register draw and one search over all
-    # of its trials, and group checks per search level, at most 2n of them
+    # one chunk per sweep point: one register draw over all of its trials;
+    # noiseless at-most-one costs come from one search per (size, strategy)
+    # over its n + 1 placements, with group checks per level, at most 2n of them
     per_size = len(params.probabilities) * len(params.strategies)
     points = len(params.sizes) * per_size
     assert calls["search.sample_register"] == points
-    assert calls["search.run_search"] == points
+    assert calls["search.run_search"] == len(params.sizes) * len(params.strategies)
     assert calls["search.group_check"] <= sum(2 * n * per_size for n in params.sizes)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SearchCostParams(noise=GroupCheckNoise(false_positive=0.1)),
+     SearchCostParams(placement=Placement.INDEPENDENT_PER_SITE)],
+    ids=["noisy", "independent"],
+)
+def test_per_trial_search_specs_search_once_per_point(params, bench, monkeypatch):
+    # noisy checks or the independent placement: each chunk's registers are searched
+    spec = ExperimentSpec("search_cost", params, trials=20, master_seed=3)
+    calls = _traced_calls(bench, monkeypatch, "search-scan", spec)
+    points = len(params.sizes) * len(params.probabilities) * len(params.strategies)
+    assert calls["search.sample_register"] == calls["search.run_search"] == points
 
 
 def test_code_sweep_runs_reach_the_code_sweep_layers(bench, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import threading
@@ -27,6 +28,8 @@ from cavreg.harness import (
 )
 import cavreg.streams
 from cavreg.photons import MAX_MEAN_COUNTS, PhotonModel, outcome_table
+from cavreg.search import (SearchProblem, Strategy, enumerate_mean_intervals, placements,
+                           run_search, sample_register)
 from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
 
 from oracles import poisson_pmf
@@ -115,6 +118,40 @@ def test_search_cost_p_zero_is_exactly_one():
 
 
 MULTI_CHUNK = 2 * CHUNK_TRIALS + 1  # three chunks per point, the last one short
+
+
+@pytest.mark.parametrize("trials", [1, CHUNK_TRIALS, MULTI_CHUNK])
+def test_placement_priced_search_moments_equal_the_per_trial_search(trials, monkeypatch):
+    # noiseless at-most-one searches are priced by placement counts; the sums
+    # of the per-trial costs and their squares must come out bit for bit
+    params = SearchCostParams(sizes=[1, 2, 10, 64], probabilities=[0.0, 0.1, 1.0],
+                              strategies=list(Strategy))
+    points = list(itertools.product(params.sizes, params.probabilities, params.strategies))
+    reference = []
+    for i, (n, p, strategy) in enumerate(points):
+        moments = np.zeros(2)
+        for c, size in enumerate(chunk_sizes(trials)):
+            codes = sample_register(SearchProblem(n, p), stream(11, i, c), size)
+            used = run_search(codes, strategy).intervals_used
+            moments += [np.sum(used), np.sum(used**2)]
+        reference.append(moments)
+    swept = []
+
+    def recording_sweep(*args, **kwargs):
+        swept.extend(_sweep(*args, **kwargs))
+        return swept
+
+    monkeypatch.setattr("cavreg.harness._sweep", recording_sweep)
+    run(ExperimentSpec("search_cost", params, trials=trials, master_seed=11))
+    assert np.array_equal(swept, reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 64])
+def test_placement_costs_weigh_up_to_the_enumerated_mean(n):
+    for strategy, p in itertools.product(Strategy, [0.0, 0.1, 1.0]):
+        cost = run_search(placements(n), strategy).intervals_used
+        weights = np.r_[np.full(n, p / n), 1.0 - p]
+        assert weights @ cost == enumerate_mean_intervals(SearchProblem(n, p), strategy)
 
 
 @pytest.mark.parametrize(

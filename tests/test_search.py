@@ -20,9 +20,9 @@ from cavreg import (
 )
 from cavreg.search import (
     _expected_splits,
-    _placements,
     bright_bits,
     enumerate_mean_intervals,
+    placements,
     sample_register,
     site_mask,
 )
@@ -164,7 +164,7 @@ def test_sample_register_one_at_a_time_matches_batch():
 
 def test_cached_one_register_search_matches_batch(rng):
     # a single (n,) register is served from a cache; a batch always runs
-    registers = [_placements(n) for n in range(1, 11)]
+    registers = [placements(n) for n in range(1, 11)]
     registers += [np.where(rng.random((50, n)) < 0.4, F2, F1).astype(np.int8) for n in (2, 5, 10)]
     for batch in registers:
         for strategy in Strategy:

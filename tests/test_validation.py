@@ -4,6 +4,7 @@ import functools
 import math
 import os
 import tempfile
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from cavreg.cli import main
 from cavreg.config import (SCHEMA, Config, _nonneg_float, _nonneg_int, _positive_float,
                            _positive_int, _probability, load_config, parse_config_text)
 from cavreg.harness import (EXPERIMENTS, DepumpScalingParams, ErrorScalingParams, ExperimentSpec,
-                            LifetimeParams, run)
+                            LifetimeParams, SearchCostParams, run)
 from cavreg.photons import PhotonModel
+from cavreg.search import SearchProblem
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 
@@ -90,9 +92,19 @@ def test_run_error_scaling_rejects_unreachable_post_select(count):
         (lambda: DepumpScalingParams(adaptive=False, adaptive_loss_factor=0.0), "loss factor"),
         (lambda: ErrorScalingParams(post_select="bogus"), "code.post_select"),
         (lambda: ErrorScalingParams(post_select=None), "code.post_select"),
+        (lambda: ErrorScalingParams(rounds=2.5), "code.rounds"),
+        # a look-alike of a member used to pass: the enum's value string ran
+        # the independent placement, a strategy's failed partway through the sweep
+        (lambda: SearchCostParams(placement="at_most_one"), "placement"),
+        (lambda: SearchCostParams(strategies=["sequential"]), "search.strategies"),
+        (lambda: SearchCostParams(noise=(0.1, 0.1)), "search noise"),
+        (lambda: SearchProblem(6, 0.3, "at_most_one"), "placement"),
+        (lambda: SearchProblem(2.5, 0.3), "register size"),
     ],
     ids=["error_scaling_post_select", "lifetime_zero_round_time", "both_intervals_negative",
-         "zero_loss_factor_unused", "post_select_not_a_count", "post_select_none"],
+         "zero_loss_factor_unused", "post_select_not_a_count", "post_select_none",
+         "rounds_not_an_int", "placement_value_string", "strategy_value_string",
+         "noise_not_a_model", "problem_placement_value_string", "problem_size_not_an_int"],
 )
 def test_code_params_reject_bad_input_when_built(build, key):
     # checked by the params class itself, so no caller can sample first
@@ -119,6 +131,16 @@ def test_cli_rejects_threads_below_one(threads, tmp_path, capsys):
 def test_spec_rejects_threads_below_one(threads):
     with pytest.raises(ConfigurationError, match="threads"):
         ExperimentSpec("histogram", trials=10, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("trials", 10.5), ("trials", True), ("threads", 1.5), ("threads", True),
+                   ("master_seed", 7.0), ("master_seed", False)]
+)
+def test_spec_rejects_counts_that_are_not_ints(key, value):
+    # a float used to build, and the run then died with a TypeError in range
+    with pytest.raises(ConfigurationError, match=key.replace("_", " ")):
+        ExperimentSpec("histogram", **{"trials": 10, key: value})
 
 
 def test_cli_missing_output_directory_is_exit_2(tmp_path, capsys):
@@ -451,14 +473,20 @@ OUT_OF_RANGE = {
 
 def _unparsable(key, shipped):
     """Values every parser of a key of this type rejects: a non-finite float,
-    an empty sweep list or one that repeats a value, a non-finite
+    a non-integer or bool count, an enum member's bare value, a sweep list
+    that is empty, repeats a value or ends in one of these, a non-finite
     calibration pair."""
     if key == ("hiding", "suppression_points_mw"):
         return [((0.0, 1.0), (math.nan, 5.2)), ((0.0, 1.0), (0.4, math.inf))]
     if isinstance(shipped, float):
         return [math.nan, math.inf, -math.inf]
+    if isinstance(shipped, int) and not isinstance(shipped, bool):
+        return [2.5, True]
+    if isinstance(shipped, Enum):
+        return [shipped.value]
     if isinstance(shipped, list):
-        return [[], [*shipped, shipped[0]]]
+        return [[], [*shipped, shipped[0]],
+                *([*shipped[:-1], value] for value in _unparsable(key, shipped[-1]))]
     return []
 
 
