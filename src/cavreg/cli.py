@@ -7,12 +7,13 @@ stderr), 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .config import load_config, schema_help
 from .errors import ConfigurationError
-from .harness import EXPERIMENTS, ExperimentSpec, run, write_metadata, write_result_csv
+from .harness import EXPERIMENTS, run, write_metadata, write_result_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,16 +52,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "validate-config":
-            config.validate_models()
             print("configuration OK")
             return 0
         exp = args.experiment
-        spec = ExperimentSpec(
-            experiment=exp.name,
-            parameters=exp.build(config),
-            trials=args.trials if args.trials is not None else config[("run", exp.trials_key)],
-            master_seed=args.seed if args.seed is not None else config[("run", "master_seed")],
-            threads=args.threads if args.threads is not None else config[("run", "threads")],
+        flags = {"trials": args.trials, "master_seed": args.seed, "threads": args.threads}
+        spec = dataclasses.replace(
+            config.specs[exp.name], **{k: v for k, v in flags.items() if v is not None}
         )
         out = args.out if args.out is not None else f"{args.command}.csv"
         out_dir = os.path.dirname(out) or "."

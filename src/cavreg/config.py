@@ -4,45 +4,27 @@ The file format is `key = value` lines grouped under `[section]` headers,
 with `#` comments.  Every key must be known and every known key must be
 present; violations are reported with the key name and line number.  All
 physical quantities carry their unit in the key name.
+
+The parser converts syntax only.  Every range rule lives in the model and
+params constructors, which name the key they check; the parse ends by
+building every experiment's spec, so a value out of range is reported with
+its key and line as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Any, Callable
 
 from .errors import ConfigurationError
-from .harness import EXPERIMENTS
+from .harness import EXPERIMENTS, ExperimentSpec
 from .photons import DetectorModel, PhotonModel
 from .readout import ErrorRates, HidingModel
 from .register import IdleErrorModel
 from .search import Placement, Strategy
-from .streams import SEED_LIMIT
-
-
-def _checked(kind: type, rejects: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
-    """A parser that converts text with `kind` and raises ValueError(rule)
-    when rejects(value)."""
-
-    def parse(text: str):
-        v = kind(text)
-        if rejects(v):
-            raise ValueError(rule)
-        return v
-
-    return parse
-
-
-_float = _checked(float, lambda v: not math.isfinite(v), "must be a finite number")
-_positive_float = _checked(_float, lambda v: v <= 0, "must be positive")
-_nonneg_float = _checked(_float, lambda v: v < 0, "must be non-negative")
-_probability = _checked(float, lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]")
-_positive_int = _checked(int, lambda v: v < 1, "must be >= 1")
-_nonneg_int = _checked(int, lambda v: v < 0, "must be >= 0")
-_seed = _checked(int, lambda v: not 0 <= v < SEED_LIMIT, "must be in [0, 2**64)")
 
 
 def _bool(text: str) -> bool:
@@ -54,29 +36,10 @@ def _bool(text: str) -> bool:
     raise ValueError("must be true/false")
 
 
-def _tokens(text: str) -> list[str]:
-    """The comma- or space-separated tokens of a list value; at least one."""
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("needs at least one value")
-    return tokens
-
-
 def _list_of(kind: Callable[[str], Any]) -> Callable[[str], list]:
-    """A parser of a sweep list whose tokens each convert with `kind`; no
-    value may repeat, since each is one sweep point (one curve, one fit
-    point)."""
-
-    def parse(text: str) -> list:
-        out = []
-        for tok in _tokens(text):
-            v = kind(tok)
-            if v in out:
-                raise ValueError(f"repeats the value {tok}")
-            out.append(v)
-        return out
-
-    return parse
+    """A parser of a comma- or space-separated list whose tokens each convert
+    with `kind`."""
+    return lambda text: [kind(tok) for tok in text.replace(",", " ").split()]
 
 
 def _member(enum: type[Enum], what: str) -> Callable[[str], Any]:
@@ -91,15 +54,24 @@ def _member(enum: type[Enum], what: str) -> Callable[[str], Any]:
     return parse
 
 
-def _pairs(text: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for tok in _tokens(text):
-        power, factor = tok.split(":")
-        out.append((_float(power), _float(factor)))
-    return tuple(out)
+def _pair(tok: str) -> tuple[float, float]:
+    parts = tok.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected power:factor, got {tok!r}")
+    return float(parts[0]), float(parts[1])
 
 
-def _row_key(depth_mk: float, detuning_mhz: float) -> tuple[float, float]:
+def _row_key(depth_mk: float, detuning_mhz: float, depth_key: str | None = None,
+             detuning_key: str | None = None) -> tuple[float, float]:
+    """The key a calibration row is quoted by and the probe looks its row up
+    by.  No lookup could reach a depth that is not positive and finite or a
+    detuning that is not finite.  The probe names the config key of each;
+    a row is one key, which the parser names."""
+    if not 0 < depth_mk < math.inf:
+        raise ConfigurationError(f"tweezer depth must be positive and finite, not {depth_mk}",
+                                 depth_key)
+    if not math.isfinite(detuning_mhz):
+        raise ConfigurationError(f"detuning {detuning_mhz} is not finite", detuning_key)
     # calibration rows are quoted by depth and |detuning|; sign conventions
     # vary between the table header and the running text
     return (round(depth_mk, 6), round(abs(detuning_mhz), 6))
@@ -107,76 +79,69 @@ def _row_key(depth_mk: float, detuning_mhz: float) -> tuple[float, float]:
 
 def _table_row(text: str) -> tuple[tuple[float, float], ErrorRates]:
     """A calibration row as (its probe key, its error rates)."""
-    vals = [_float(tok) for tok in text.replace(",", " ").split()]
+    vals = _list_of(float)(text)
     if len(vals) != 6:
         raise ValueError(
             "expected 6 numbers: depth_mk detuning_mhz infid_f1 loss_f1 infid_f2 loss_f2"
         )
-    if vals[0] <= 0:
-        raise ValueError("tweezer depth must be positive")
     return _row_key(vals[0], vals[1]), ErrorRates(*vals[2:])
-
-
-def _post_select(text: str) -> str:
-    if text in ("distance", "none"):
-        return text
-    int(text)  # raises if not an integer survivor count
-    return text
 
 
 # (section, key) -> (parser, description); the single source of truth for
 # what a configuration file may and must contain.
 SCHEMA: dict[tuple[str, str], tuple] = {
-    ("register", "tau_depump_ms"): (_positive_float, "background depump/repump timescale"),
-    ("register", "tau_vacuum_ms"): (_positive_float, "vacuum (background-gas) lifetime"),
-    ("detector", "dark_rate_hz"): (_nonneg_float, "dark counts per second per detector"),
-    ("detector", "n_detectors"): (_positive_int, "number of photon counters"),
-    ("photon", "bright_mean_full"): (_positive_float, "mean bright-atom counts per full interval"),
-    ("photon", "full_interval_us"): (_positive_float, "full measurement interval"),
-    ("photon", "sub_interval_us"): (_positive_float, "adaptive polling period"),
-    ("photon", "threshold_counts"): (_positive_int, "bright iff counts >= threshold"),
-    ("hiding", "depump_per_interval_unhidden"): (_probability, "unhidden depump probability per interval"),
-    ("hiding", "suppression_points_mw"): (_pairs, "power_mW:factor calibration pairs"),
-    ("hiding", "background_floor_per_interval"): (_probability, "background depump floor per interval"),
-    ("probe", "tweezer_depth_mk"): (_positive_float, "tweezer depth"),
-    ("probe", "detuning_pc_mhz"): (_float, "probe-cavity detuning"),
+    ("register", "tau_depump_ms"): (float, "background depump/repump timescale"),
+    ("register", "tau_vacuum_ms"): (float, "vacuum (background-gas) lifetime"),
+    ("detector", "dark_rate_hz"): (float, "dark counts per second per detector"),
+    ("detector", "n_detectors"): (int, "number of photon counters"),
+    ("photon", "bright_mean_full"): (float, "mean bright-atom counts per full interval"),
+    ("photon", "full_interval_us"): (float, "full measurement interval"),
+    ("photon", "sub_interval_us"): (float, "adaptive polling period"),
+    ("photon", "threshold_counts"): (int, "bright iff counts >= threshold"),
+    ("hiding", "depump_per_interval_unhidden"): (float, "unhidden depump probability per interval"),
+    ("hiding", "suppression_points_mw"): (_list_of(_pair), "power_mW:factor calibration pairs"),
+    ("hiding", "background_floor_per_interval"): (float, "background depump floor per interval"),
+    ("probe", "tweezer_depth_mk"): (float, "tweezer depth"),
+    ("probe", "detuning_pc_mhz"): (float, "probe-cavity detuning"),
     ("error_table", "row_1"): (_table_row, "calibration row: depth detuning infid_f1 loss_f1 infid_f2 loss_f2"),
     ("error_table", "row_2"): (_table_row, "calibration row"),
     ("error_table", "row_3"): (_table_row, "calibration row"),
     ("error_table", "row_4"): (_table_row, "calibration row"),
     ("readout", "adaptive_termination"): (_bool, "stop probing once the threshold is crossed"),
-    ("readout", "adaptive_loss_factor"): (_positive_float, "bright-state loss reduction under adaptive termination"),
-    ("readout", "hiding_power_mw"): (_nonneg_float, "hiding power per atom"),
+    ("readout", "adaptive_loss_factor"): (float, "bright-state loss reduction under adaptive termination"),
+    ("readout", "hiding_power_mw"): (float, "hiding power per atom"),
     ("readout", "adaptive_rounds"): (_bool, "skip sites read vacant in the previous round"),
-    ("readout", "readout_rounds"): (_positive_int, "sequential-readout rounds per trial"),
+    ("readout", "readout_rounds"): (int, "sequential-readout rounds per trial"),
     ("readout", "sizes"): (_list_of(int), "array sizes for the depump scaling sweep"),
-    ("readout", "idle_intervals"): (_nonneg_int, "probe-free intervals per round (background depumping only)"),
+    ("readout", "idle_intervals"): (int, "probe-free intervals per round (background depumping only)"),
     ("search", "sizes"): (_list_of(int), "register sizes for the search-cost sweep"),
-    ("search", "bright_probabilities"): (_list_of(_float), "bright-atom probabilities p"),
+    ("search", "bright_probabilities"): (_list_of(float), "bright-atom probabilities p"),
     ("search", "strategies"): (_list_of(_member(Strategy, "strategy")),
                                "sequential, global_then_sequential, partitioned"),
     ("search", "placement"): (_member(Placement, "placement"), "at_most_one or independent"),
-    ("search", "false_positive"): (_probability, "group-check false-positive rate"),
-    ("search", "false_negative"): (_probability, "group-check false-negative rate"),
+    ("search", "false_positive"): (float, "group-check false-positive rate"),
+    ("search", "false_negative"): (float, "group-check false-negative rate"),
     ("code", "distances"): (_list_of(int), "repetition-code distances"),
-    ("code", "rounds"): (_positive_int, "error-correction rounds per trial"),
-    ("code", "idle_ms"): (_nonneg_float, "idling time per round"),
-    ("code", "per_round_flip"): (_probability, "per-atom flip probability per round"),
-    ("code", "per_round_loss"): (_probability, "per-atom loss probability per round"),
-    ("code", "round_overhead_ms"): (_nonneg_float, "measurement wall-clock added per round"),
-    ("code", "flip_sweep"): (_list_of(_float), "physical error sweep for the scaling experiment"),
-    ("code", "post_select"): (_post_select, "survivor post-selection: distance, none, or a count"),
-    ("run", "trials"): (_positive_int, "default Monte-Carlo trials"),
-    ("run", "error_scaling_trials"): (_positive_int, "trials per sweep point for error-scaling"),
-    ("run", "lifetime_trials"): (_positive_int, "trials for the lifetime experiment"),
-    ("run", "master_seed"): (_seed, "master seed for all random streams"),
-    ("run", "threads"): (_positive_int, "worker threads (never changes results)"),
+    ("code", "rounds"): (int, "error-correction rounds per trial"),
+    ("code", "idle_ms"): (float, "idling time per round"),
+    ("code", "per_round_flip"): (float, "per-atom flip probability per round"),
+    ("code", "per_round_loss"): (float, "per-atom loss probability per round"),
+    ("code", "round_overhead_ms"): (float, "measurement wall-clock added per round"),
+    ("code", "flip_sweep"): (_list_of(float), "physical error sweep for the scaling experiment"),
+    ("code", "post_select"): (str, "survivor post-selection: distance, none, or a count"),
+    ("run", "trials"): (int, "default Monte-Carlo trials"),
+    ("run", "error_scaling_trials"): (int, "trials per sweep point for error-scaling"),
+    ("run", "lifetime_trials"): (int, "trials for the lifetime experiment"),
+    ("run", "master_seed"): (int, "master seed for all random streams"),
+    ("run", "threads"): (int, "worker threads (never changes results)"),
 }
 
 
 @dataclass
 class Config:
     values: dict[tuple[str, str], object]
+    # one spec per experiment, built once by parse_config_text
+    specs: dict[str, ExperimentSpec] = field(default_factory=dict)
 
     def __getitem__(self, key: tuple[str, str]):
         return self.values[key]
@@ -223,21 +188,33 @@ class Config:
                 )
             rows[key] = (name, rates)
         depth, det = self[("probe", "tweezer_depth_mk")], self[("probe", "detuning_pc_mhz")]
-        if _row_key(depth, det) not in rows:
+        probe = _row_key(depth, det, "probe.tweezer_depth_mk", "probe.detuning_pc_mhz")
+        if probe not in rows:
             raise ConfigurationError(f"no calibration row for depth {depth} mK / detuning {det} MHz")
-        return rows[_row_key(depth, det)][1]
+        return rows[probe][1]
 
-    def validate_models(self) -> None:
-        """Build every model object and every experiment's params so range
-        invariants are checked."""
-        for exp in EXPERIMENTS.values():
-            exp.build(self)
+    def validate_models(self) -> dict[str, ExperimentSpec]:
+        """One spec per experiment, from its params and the [run] keys.
+        Building them builds every model and params, so every range check
+        runs."""
+        return {
+            name: ExperimentSpec(name, exp.build(self), self[("run", exp.trials_key)],
+                                 self[("run", "master_seed")], self[("run", "threads")])
+            for name, exp in EXPERIMENTS.items()
+        }
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Config:
-    """Strict parse: every key known, every known key present."""
+    """Strict parse: every key known, every known key present, and every
+    experiment's spec built.  An error of one key names its key and line."""
     values: dict[tuple[str, str], object] = {}
     seen_lines: dict[tuple[str, str], int] = {}
+
+    def invalid(key: tuple[str, str], detail) -> ConfigurationError:
+        return ConfigurationError(
+            f"{source}:{seen_lines[key]}: invalid value for '{key[0]}.{key[1]}': {detail}"
+        )
+
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -267,19 +244,24 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
                 f"{source}:{lineno}: duplicate key '{section}.{key}' "
                 f"(first set at line {seen_lines[full]})"
             )
+        seen_lines[full] = lineno
         parser, _desc = SCHEMA[full]
         try:
             values[full] = parser(value)
-        except (ValueError, ConfigurationError) as err:
-            raise ConfigurationError(
-                f"{source}:{lineno}: invalid value for '{section}.{key}': {err}"
-            ) from None
-        seen_lines[full] = lineno
+        except ValueError as err:
+            raise invalid(full, err) from None
     missing = [k for k in SCHEMA if k not in values]
     if missing:
         names = ", ".join(f"{s}.{k}" for s, k in missing)
         raise ConfigurationError(f"{source}: missing keys: {names}")
-    return Config(values)
+    config = Config(values)
+    try:
+        config.specs = config.validate_models()
+    except ConfigurationError as err:
+        if err.key is None:  # a check across keys or models has no line
+            raise ConfigurationError(f"{source}: {err}") from None
+        raise invalid(tuple(err.key.split(".", 1)), err.message) from None
+    return config
 
 
 def load_config(path: str | None = None) -> Config:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, check_integers
+from .errors import ConfigurationError, check_finite, check_integers
 from .fitting import MIN_FIT_POINTS, fit_linear
 from .photons import PhotonModel, outcome_table, sample_adaptive_bright_batch
 from .readout import (
@@ -79,10 +79,13 @@ class Estimate:
 
 
 def _sweep_list(key: str, values: list) -> None:
-    """Reject an empty sweep list or one that repeats a value, as the config
-    parser does: each value is one sweep point (one curve, one fit point)."""
-    if not values or len(set(values)) < len(values):
-        raise ConfigurationError(f"{key} {values}: a sweep needs values, none repeated")
+    """Reject an empty sweep list or one that repeats a value: each value is
+    one sweep point (one curve, one fit point)."""
+    if not values:
+        raise ConfigurationError("a sweep needs at least one value", key)
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigurationError(f"repeats the value {repeated[0]}", key)
 
 
 @dataclass
@@ -100,13 +103,9 @@ class DepumpScalingParams:
 
     def __post_init__(self):
         _sweep_list("readout.sizes", self.sizes)
-        check_integers("readout.sizes", *self.sizes)
-        check_integers("readout.readout_rounds", self.rounds)
-        check_integers("readout.idle_intervals", self.idle_intervals)
-        if min(self.sizes) < 1:
-            raise ConfigurationError(f"readout sizes {self.sizes}: a register needs a site")
-        if self.rounds < 1 or self.idle_intervals < 0:
-            raise ConfigurationError("readout needs rounds >= 1 and idle intervals >= 0")
+        check_integers("readout.sizes", *self.sizes, least=1)  # a register needs a site
+        check_integers("readout.readout_rounds", self.rounds, least=1)
+        check_integers("readout.idle_intervals", self.idle_intervals, least=0)
         measurement_rates(self.rates, self.adaptive, self.adaptive_loss_factor)
         hidden_depump_probability(self.hiding, self.hiding_power_mw)
 
@@ -130,11 +129,11 @@ class SearchCostParams:
         _sweep_list("search.bright_probabilities", self.probabilities)
         _sweep_list("search.strategies", self.strategies)
         # run_search_cost picks its kernel by these types, so no look-alike may stand in
-        typed = [("search noise", self.noise, GroupCheckNoise),
-                 *(("search.strategies", s, Strategy) for s in self.strategies)]
-        for key, value, kind in typed:
-            if not isinstance(value, kind):
-                raise ConfigurationError(f"{key} {value!r} is not a {kind.__name__}")
+        if not isinstance(self.noise, GroupCheckNoise):
+            raise ConfigurationError(f"search noise {self.noise!r} is not a GroupCheckNoise")
+        for s in self.strategies:
+            if not isinstance(s, Strategy):
+                raise ConfigurationError(f"{s!r} is not a Strategy", "search.strategies")
         for n, p in itertools.product(self.sizes, self.probabilities):
             SearchProblem(n, p, self.placement)  # checks every sweep point and the placement
 
@@ -153,18 +152,18 @@ class ErrorScalingParams:
         _sweep_list("code.distances", self.distances)
         _sweep_list("code.flip_sweep", self.flip_sweep)
         for d, p in itertools.product(self.distances, self.flip_sweep):
-            check_code(d, self.rounds, per_round_flip=p, per_round_loss=self.per_round_loss)
+            check_code(d, self.rounds, {"code.flip_sweep": p,
+                                        "code.per_round_loss": self.per_round_loss})
         if self.post_select not in ("distance", "none"):
             try:
                 count, smallest = int(self.post_select), min(self.distances)
             except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"code.post_select = {self.post_select!r} is not distance, none or a count"
-                ) from None
+                raise ConfigurationError(f"{self.post_select!r} is not distance, none or a count",
+                                         "code.post_select") from None
             if not 0 <= count <= smallest:  # a survivor count that some distance cannot reach
                 raise ConfigurationError(
-                    f"code.post_select = {count} is outside [0, {smallest}] "
-                    "(0 to the smallest code distance)"
+                    f"{count} is outside [0, {smallest}] (0 to the smallest code distance)",
+                    "code.post_select",
                 )
 
 
@@ -181,18 +180,17 @@ class LifetimeParams:
     def __post_init__(self):
         _sweep_list("code.distances", self.distances)
         for d in self.distances:
-            check_code(d, self.rounds, per_round_flip=self.per_round_flip,
-                       per_round_loss=self.per_round_loss)
-        round_time = self.idle_ms + self.round_overhead_ms
-        terms_ok = 0 <= self.idle_ms < math.inf and 0 <= self.round_overhead_ms < math.inf
-        if not terms_ok or round_time <= 0:
-            raise ConfigurationError(
-                f"lifetime round time {round_time} ms (idle_ms + round_overhead_ms) must be "
-                "positive, with both terms finite and non-negative"
-            )
+            check_code(d, self.rounds, {"code.per_round_flip": self.per_round_flip,
+                                        "code.per_round_loss": self.per_round_loss})
+        check_finite("code.idle_ms", self.idle_ms, positive=False)
+        check_finite("code.round_overhead_ms", self.round_overhead_ms, positive=False)
+        if self.idle_ms + self.round_overhead_ms == 0:
+            raise ConfigurationError("lifetime round time 0 ms (code.idle_ms + "
+                                     "code.round_overhead_ms) must be positive")
         if self.rounds < MIN_FIT_POINTS:
             raise ConfigurationError(
-                f"lifetime rounds {self.rounds}: the lifetime fit needs >= {MIN_FIT_POINTS}"
+                f"lifetime rounds {self.rounds}: the lifetime fit needs >= {MIN_FIT_POINTS}",
+                "code.rounds",
             )
 
 
@@ -205,21 +203,15 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
-        check_integers("trials", self.trials)
-        check_integers("threads", self.threads)
-        check_integers("master seed", self.master_seed)
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
-        if not 0 <= self.master_seed < SEED_LIMIT:
-            raise ConfigurationError(
-                f"master seed {self.master_seed} is outside [0, 2**64)"
-            )
         try:
             exp = EXPERIMENTS[self.experiment]
         except KeyError:
             raise ConfigurationError(f"unknown experiment {self.experiment!r}") from None
+        check_integers(f"run.{exp.trials_key}", self.trials, least=1)
+        check_integers("run.threads", self.threads, least=1)
+        check_integers("run.master_seed", self.master_seed)
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ConfigurationError(f"{self.master_seed} is outside [0, 2**64)", "run.master_seed")
         if self.parameters is None:
             self.parameters = exp.params()
         if not isinstance(self.parameters, exp.params):

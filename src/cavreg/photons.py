@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, check_integers
+from .errors import ConfigurationError, check_finite, check_integers
 from .register import F2
 
 # Most sub-intervals a full interval may poll: the adaptive table builds one
@@ -61,9 +61,8 @@ class DetectorModel:
     n_detectors: int = 2
 
     def __post_init__(self):
-        check_integers("detector.n_detectors", self.n_detectors)
-        if not 0 <= self.dark_rate_hz < math.inf or self.n_detectors < 1:
-            raise ConfigurationError("invalid detector model")
+        check_finite("detector.dark_rate_hz", self.dark_rate_hz, positive=False)
+        check_integers("detector.n_detectors", self.n_detectors, least=1)
 
     def dark_mean(self, interval_us: float) -> float:
         """Summed dark-count mean over all detectors for one interval."""
@@ -79,13 +78,10 @@ class PhotonModel:
     detector: DetectorModel = field(default_factory=DetectorModel)
 
     def __post_init__(self):
-        if self.bright_mean_full <= 0:
-            raise ConfigurationError("bright mean must be positive")
-        check_integers("photon.threshold_counts", self.threshold)
-        if self.threshold < 1:
-            raise ConfigurationError("threshold must be >= 1")
-        if not (0 < self.full_interval_us < math.inf and 0 < self.sub_interval_us < math.inf):
-            raise ConfigurationError("measurement intervals must be positive and finite")
+        check_finite("photon.bright_mean_full", self.bright_mean_full)
+        check_finite("photon.full_interval_us", self.full_interval_us)
+        check_finite("photon.sub_interval_us", self.sub_interval_us)
+        check_integers("photon.threshold_counts", self.threshold, least=1)
         n = self.full_interval_us / self.sub_interval_us
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ConfigurationError(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite, check_probability
 from .photons import (
     PhotonModel,
     sample_adaptive_interval,
@@ -47,15 +47,14 @@ class ErrorRates:
 
     def __post_init__(self):
         for v in (self.infidelity_f1, self.loss_f1, self.infidelity_f2, self.loss_f2):
-            if not (0.0 <= v <= 1.0):
-                raise ConfigurationError("error rates must be probabilities")
+            if not 0.0 <= v <= 1.0:
+                raise ConfigurationError(f"error rate {v!r} is outside [0, 1]")
 
 
 def measurement_rates(rates: ErrorRates, adaptive: bool, adaptive_loss_factor: float) -> ErrorRates:
     """A calibration row as measure_site applies it: adaptive termination
     divides the bright-state loss by adaptive_loss_factor."""
-    if not 0 < adaptive_loss_factor < math.inf:
-        raise ConfigurationError(f"adaptive loss factor {adaptive_loss_factor} is not in (0, inf)")
+    check_finite("readout.adaptive_loss_factor", adaptive_loss_factor)
     loss = rates.loss_f2 / adaptive_loss_factor
     if adaptive and loss > 1.0:
         raise ConfigurationError(
@@ -81,18 +80,23 @@ class HidingModel:
     background_floor: float = 0.0008
 
     def __post_init__(self):
-        pts = sorted(self.suppression_points)
+        key, pts = "hiding.suppression_points_mw", sorted(self.suppression_points)
         if not pts or not all(math.isfinite(p) and 1.0 <= f < math.inf for p, f in pts):
-            raise ConfigurationError("suppression powers must be finite and factors finite, >= 1")
+            raise ConfigurationError("powers must be finite and factors finite, >= 1", key)
         if pts[0][0] < 0.0:
-            raise ConfigurationError(f"suppression power {pts[0][0]} mW is negative")
+            raise ConfigurationError(f"suppression power {pts[0][0]} mW is negative", key)
         repeated = [p1 for (p1, _), (p2, _) in zip(pts, pts[1:]) if p1 == p2]
         if repeated:
-            raise ConfigurationError(f"suppression power {repeated[0]} mW is calibrated twice")
+            raise ConfigurationError(f"suppression power {repeated[0]} mW is calibrated twice", key)
         if any(f2 < f1 for (_, f1), (_, f2) in zip(pts, pts[1:])):
-            raise ConfigurationError("suppression must be non-decreasing in power")
-        if not 0.0 <= self.background_floor <= self.depump_per_interval_unhidden <= 1.0:
-            raise ConfigurationError("need 0 <= background floor <= unhidden depump rate <= 1")
+            raise ConfigurationError("suppression must be non-decreasing in power", key)
+        check_probability("hiding.depump_per_interval_unhidden", self.depump_per_interval_unhidden)
+        check_probability("hiding.background_floor_per_interval", self.background_floor)
+        if self.background_floor > self.depump_per_interval_unhidden:
+            raise ConfigurationError(
+                f"hiding.background_floor_per_interval {self.background_floor} exceeds "
+                f"hiding.depump_per_interval_unhidden {self.depump_per_interval_unhidden}"
+            )
         object.__setattr__(self, "suppression_points", tuple(pts))
 
 
@@ -115,8 +119,7 @@ def suppression_factor(model: HidingModel, power_mw: float) -> float:
 def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
     """Depump probability per target measurement for a hidden bright atom,
     clamped from below by the background floor."""
-    if not 0 <= power_mw < math.inf:
-        raise ConfigurationError("hiding power must be non-negative and finite")
+    check_finite("readout.hiding_power_mw", power_mw, positive=False)
     return max(
         model.background_floor,
         model.depump_per_interval_unhidden / suppression_factor(model, power_mw),

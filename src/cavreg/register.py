@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 
 # State codes; F1 + F2 - code swaps the hyperfine state of an occupied site.
 VACANT, F1, F2 = 0, 1, 2
@@ -27,8 +27,8 @@ class IdleErrorModel:
     tau_vacuum_ms: float = 800.0
 
     def __post_init__(self):
-        if not (0 < self.tau_depump_ms < math.inf and 0 < self.tau_vacuum_ms < math.inf):
-            raise ConfigurationError("idle time constants must be positive and finite")
+        check_finite("register.tau_depump_ms", self.tau_depump_ms)
+        check_finite("register.tau_vacuum_ms", self.tau_vacuum_ms)
 
 
 def flip_probability(duration_ms: float, model: IdleErrorModel) -> float:

@@ -31,24 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_integers
+from .errors import ConfigurationError, check_integers, check_probability
 from .fitting import SaturatingExpFit, fit_linear, fit_saturating_exponential
 from .register import IdleErrorModel, flip_probability, loss_probability
 
 
-def check_code(distance: int, rounds: int, **probabilities: float) -> None:
-    """Reject a code run that cannot be simulated: a distance that is not odd
-    and >= 1, a probability (named by its keyword) outside [0, 1], or no
-    rounds.  The distance and the rounds must be ints."""
+def check_code(distance: int, rounds: int, probabilities: dict[str, float]) -> None:
+    """Reject a code run that cannot be simulated: a distance that is not an
+    odd int >= 1, a round count that is not an int >= 1, or a probability
+    outside [0, 1].  Each is named by its config key; `probabilities` maps
+    key to value."""
     check_integers("code.distances", distance)
-    check_integers("code.rounds", rounds)
     if distance < 1 or distance % 2 == 0:
-        raise ConfigurationError(f"code distance {distance} is not odd and >= 1")
-    for name, p in probabilities.items():
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"{name} {p} is outside [0, 1]")
-    if rounds < 1:
-        raise ConfigurationError("need at least one round")
+        raise ConfigurationError(f"{distance} is not odd and >= 1", "code.distances")
+    check_integers("code.rounds", rounds, least=1)
+    for key, p in probabilities.items():
+        check_probability(key, p)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, check_integers
+from .errors import ConfigurationError, check_integers, check_probability
 from .register import F1, F2
 
 
@@ -43,13 +43,13 @@ class SearchProblem:
     placement: Placement = Placement.AT_MOST_ONE_BRIGHT
 
     def __post_init__(self):
-        check_integers("register size", self.n)
+        check_integers("search.sizes", self.n)
         if not 1 <= self.n <= 64:
-            raise ConfigurationError("register size must be in [1, 64] (one uint64 bitmask)")
-        if not (0.0 <= self.p <= 1.0):
-            raise ConfigurationError("bright probability must be in [0, 1]")
+            raise ConfigurationError(f"{self.n} is outside [1, 64] (one uint64 bitmask)",
+                                     "search.sizes")
+        check_probability("search.bright_probabilities", self.p)
         if not isinstance(self.placement, Placement):  # a look-alike would run as independent
-            raise ConfigurationError(f"placement {self.placement!r} is not a Placement")
+            raise ConfigurationError(f"{self.placement!r} is not a Placement", "search.placement")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class GroupCheckNoise:
     false_negative: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.false_positive <= 1.0 and 0.0 <= self.false_negative <= 1.0):
-            raise ConfigurationError("group-check error rates must be in [0, 1]")
+        check_probability("search.false_positive", self.false_positive)
+        check_probability("search.false_negative", self.false_negative)
 
 
 @dataclass

@@ -100,10 +100,7 @@ def test_every_schema_key_reaches_an_experiment(monkeypatch):
         return original(self, key)
 
     monkeypatch.setattr(Config, "__getitem__", recording)
-    for exp in EXPERIMENTS.values():
-        exp.build(config)
-        read.add(("run", exp.trials_key))
-    read |= {("run", "master_seed"), ("run", "threads")}  # read by the CLI
+    config.validate_models()  # every experiment's params and [run] keys
     assert read == set(SCHEMA)
 
 

@@ -64,10 +64,11 @@ def test_invalid_models_rejected():
     for model in (
         lambda: PhotonModel(bright_mean_full=1e8),
         lambda: PhotonModel(detector=DetectorModel(dark_rate_hz=1e12)),  # 4e8 dark counts
-        lambda: PhotonModel(bright_mean_full=math.nan),
     ):
         with pytest.raises(ConfigurationError, match="exceeds 1e\\+06"):
             model()
+    with pytest.raises(ConfigurationError, match="photon.bright_mean_full: nan"):
+        PhotonModel(bright_mean_full=math.nan)
     PhotonModel(bright_mean_full=MAX_MEAN_COUNTS, detector=DetectorModel(dark_rate_hz=0.0))
 
 

@@ -40,26 +40,25 @@ def test_code_config_invariants():
         lambda: ErrorScalingParams(distances=[1, 2]),
         lambda: LifetimeParams(distances=[3, 2]),
     ):
-        with pytest.raises(ConfigurationError, match="distance 2"):
+        with pytest.raises(ConfigurationError, match="code.distances: 2 is not odd"):
             params()
-    for params in (
-        lambda: ErrorScalingParams(flip_sweep=[0.1, 1.5]),
-        lambda: LifetimeParams(per_round_flip=1.5),
-    ):
-        with pytest.raises(ConfigurationError, match="per_round_flip 1.5"):
-            params()
-    with pytest.raises(ConfigurationError, match="per_round_loss -0.1"):
+    # each sweep entry is named by its own key
+    with pytest.raises(ConfigurationError, match="code.flip_sweep: 1.5"):
+        ErrorScalingParams(flip_sweep=[0.1, 1.5])
+    with pytest.raises(ConfigurationError, match="code.per_round_flip: 1.5"):
+        LifetimeParams(per_round_flip=1.5)
+    with pytest.raises(ConfigurationError, match="code.per_round_loss: -0.1"):
         LifetimeParams(per_round_loss=-0.1)
-    with pytest.raises(ConfigurationError, match="at least one round"):
+    with pytest.raises(ConfigurationError, match="code.rounds: 0 is below 1"):
         ErrorScalingParams(rounds=0)
 
 
 
 def test_check_code_accepts_the_range_edges():
-    check_code(1, 1, per_round_flip=0.0, per_round_loss=1.0)
-    check_code(5, 300, per_round_flip=1.0, per_round_loss=0.0)
-    with pytest.raises(ConfigurationError, match="per_round_loss 1.01"):
-        check_code(3, 1, per_round_flip=0.5, per_round_loss=1.01)
+    check_code(1, 1, {"code.per_round_flip": 0.0, "code.per_round_loss": 1.0})
+    check_code(5, 300, {"code.per_round_flip": 1.0, "code.per_round_loss": 0.0})
+    with pytest.raises(ConfigurationError, match="code.per_round_loss: 1.01"):
+        check_code(3, 1, {"code.per_round_flip": 0.5, "code.per_round_loss": 1.01})
 
 
 def test_two_survivor_tie_errs_at_the_flip_rate():

@@ -1,5 +1,6 @@
 """Bad input is rejected at the edge with exit code 2, before any compute."""
 
+import dataclasses
 import functools
 import math
 import os
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 
 from cavreg import ConfigurationError
 from cavreg.cli import main
-from cavreg.config import (SCHEMA, Config, _nonneg_float, _nonneg_int, _positive_float,
-                           _positive_int, _probability, load_config, parse_config_text)
+from cavreg.config import SCHEMA, Config, load_config, parse_config_text
 from cavreg.harness import (EXPERIMENTS, DepumpScalingParams, ErrorScalingParams, ExperimentSpec,
                             LifetimeParams, SearchCostParams, run)
 from cavreg.photons import PhotonModel
@@ -59,9 +59,8 @@ def test_config_rejects_seed_outside_u64(seed):
 @pytest.mark.parametrize("count", ["-1", "9", "2"])
 def test_config_rejects_unreachable_post_select(count):
     # the shipped distances are 1, 3, 5: a count above 1 misses d = 1
-    config = parse_config_text(_with("post_select = distance", f"post_select = {count}"))
-    with pytest.raises(ConfigurationError, match="post_select"):
-        EXPERIMENTS["error_scaling"].build(config)
+    with pytest.raises(ConfigurationError, match="'code.post_select'"):
+        parse_config_text(_with("post_select = distance", f"post_select = {count}"))
 
 
 @pytest.mark.parametrize("count", ["-1", "9"])
@@ -88,8 +87,10 @@ def test_run_error_scaling_rejects_unreachable_post_select(count):
         (lambda: ErrorScalingParams(distances=[3, 5], post_select="4"), "post_select"),
         (lambda: LifetimeParams(idle_ms=0.0, round_overhead_ms=0.0), "lifetime round time"),
         # combinations no one-key config edit reaches
-        (lambda: PhotonModel(full_interval_us=-200.0, sub_interval_us=-20.0), "intervals"),
-        (lambda: DepumpScalingParams(adaptive=False, adaptive_loss_factor=0.0), "loss factor"),
+        (lambda: PhotonModel(full_interval_us=-200.0, sub_interval_us=-20.0),
+         "photon.full_interval_us"),
+        (lambda: DepumpScalingParams(adaptive=False, adaptive_loss_factor=0.0),
+         "readout.adaptive_loss_factor"),
         (lambda: ErrorScalingParams(post_select="bogus"), "code.post_select"),
         (lambda: ErrorScalingParams(post_select=None), "code.post_select"),
         (lambda: ErrorScalingParams(rounds=2.5), "code.rounds"),
@@ -99,7 +100,7 @@ def test_run_error_scaling_rejects_unreachable_post_select(count):
         (lambda: SearchCostParams(strategies=["sequential"]), "search.strategies"),
         (lambda: SearchCostParams(noise=(0.1, 0.1)), "search noise"),
         (lambda: SearchProblem(6, 0.3, "at_most_one"), "placement"),
-        (lambda: SearchProblem(2.5, 0.3), "register size"),
+        (lambda: SearchProblem(2.5, 0.3), "search.sizes"),
     ],
     ids=["error_scaling_post_select", "lifetime_zero_round_time", "both_intervals_negative",
          "zero_loss_factor_unused", "post_select_not_a_count", "post_select_none",
@@ -139,7 +140,7 @@ def test_spec_rejects_threads_below_one(threads):
 )
 def test_spec_rejects_counts_that_are_not_ints(key, value):
     # a float used to build, and the run then died with a TypeError in range
-    with pytest.raises(ConfigurationError, match=key.replace("_", " ")):
+    with pytest.raises(ConfigurationError, match=f"run.{key}"):
         ExperimentSpec("histogram", **{"trials": 10, key: value})
 
 
@@ -188,9 +189,10 @@ def test_failed_sidecar_write_leaves_no_output(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "old, new, key",
     [
-        ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 2, 65", "register size"),
-        ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 0, 3", "register size"),
-        ("bright_probabilities = 0.0, 0.1", "bright_probabilities = 1.5, 0.1", "probability"),
+        ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 2, 65", "'search.sizes': 65"),
+        ("sizes = 2,3,4,5,6,7,8,9,10", "sizes = 0, 3", "'search.sizes': 0"),
+        ("bright_probabilities = 0.0, 0.1", "bright_probabilities = 1.5, 0.1",
+         "'search.bright_probabilities': 1.5"),
         ("sizes = 2,3,4,5,6,7,8,9,10", "sizes =", "search.sizes"),
         ("bright_probabilities = 0.0, 0.1, 0.3, 0.5, 1.0", "bright_probabilities =",
          "search.bright_probabilities"),
@@ -208,10 +210,14 @@ def test_cli_search_sweep_out_of_range_is_exit_2(old, new, key, tmp_path, capsys
 
 
 CODE_SWEEPS = [
-    ("flip_sweep = 0.02, 0.04", "flip_sweep = 1.5, 0.04", "per_round_flip 1.5", ["error-scaling"]),
-    ("flip_sweep = 0.02, 0.04", "flip_sweep = -0.1, 0.04", "per_round_flip -0.1", ["error-scaling"]),
-    ("distances = 1, 3, 5", "distances = 1, 2, 5", "distance 2", ["error-scaling", "lifetime"]),
-    ("distances = 1, 3, 5", "distances = -1, 3, 5", "distance -1", ["error-scaling", "lifetime"]),
+    ("flip_sweep = 0.02, 0.04", "flip_sweep = 1.5, 0.04", "'code.flip_sweep': 1.5",
+     ["error-scaling"]),
+    ("flip_sweep = 0.02, 0.04", "flip_sweep = -0.1, 0.04", "'code.flip_sweep': -0.1",
+     ["error-scaling"]),
+    ("distances = 1, 3, 5", "distances = 1, 2, 5", "'code.distances': 2",
+     ["error-scaling", "lifetime"]),
+    ("distances = 1, 3, 5", "distances = -1, 3, 5", "'code.distances': -1",
+     ["error-scaling", "lifetime"]),
     ("distances = 1, 3, 5", "distances =", "code.distances", ["error-scaling", "lifetime"]),
     ("flip_sweep = 0.02, 0.04, 0.08, 0.12, 0.2", "flip_sweep =", "code.flip_sweep", ["error-scaling"]),
     ("flip_sweep = 0.02, 0.04", "flip_sweep = nan, 0.04", "code.flip_sweep", ["error-scaling"]),
@@ -252,6 +258,8 @@ def test_code_sweep_out_of_range_is_exit_2_before_sampling(
         ("0:1, 0:5.2", "calibrated twice"),
         ("0:1, 0.4:5.2, 0.4:6", "calibrated twice"),
         ("-0.4:1, 0.4:5.2", "is negative"),
+        ("0:1, 0.4", "expected power:factor, got '0.4'"),
+        ("0:1:2", "expected power:factor, got '0:1:2'"),
     ],
 )
 def test_hiding_calibration_with_repeated_or_negative_power_is_exit_2(
@@ -356,6 +364,54 @@ def test_calibration_row_selection_is_exit_2_before_sampling(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("rounds = 17", "rounds = 2", "'code.rounds': lifetime rounds 2"),
+        ("tweezer_depth_mk = 0.25", "tweezer_depth_mk = 0.30", "no calibration row for depth 0.3"),
+    ],
+    ids=["code_rounds_the_lifetime_rejects", "probe_without_row"],
+)
+@pytest.mark.parametrize("command", ["histogram", "error-scaling"])
+def test_every_command_rejects_what_validate_config_rejects(
+    old, new, message, command, tmp_path, capsys, monkeypatch
+):
+    # every command builds every experiment's params as it loads the config,
+    # so none runs a config that validate-config rejects
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with a config that should have been rejected")
+
+    for sampler in ("map_chunks", "outcome_table", "sample_adaptive_bright_batch",
+                    "round_counts"):
+        monkeypatch.setattr(f"cavreg.harness.{sampler}", no_sampling)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_with(old, new))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--trials", "50", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.25  nan", "detuning nan is not finite"),
+        ("0.25  inf", "detuning inf is not finite"),
+        ("inf  17", "tweezer depth must be positive and finite, not inf"),
+        ("nan  17", "tweezer depth must be positive and finite, not nan"),
+    ],
+)
+def test_calibration_row_rules_report_key_and_line(row, message):
+    # no probe could look such a row up, so it would sit in the table unused
+    text = _with("row_4 = 0.25  17", f"row_4 = {row}")
+    nline = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("row_4"))
+    with pytest.raises(ConfigurationError, match=f"bad.cfg:{nline}: invalid value for "
+                                                 f"'error_table.row_4': {message}"):
+        parse_config_text(text, source="bad.cfg")
+
+
 def test_code_sweep_edges_run():
     params = ErrorScalingParams(distances=[1], flip_sweep=[0.0, 1.0], rounds=2)
     rows = run(ExperimentSpec("error_scaling", params, trials=100, master_seed=1)).rows
@@ -373,11 +429,11 @@ def test_readout_size_below_one_is_exit_2_before_any_readout(sizes, tmp_path, ca
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_with("sizes = 1,2,3,4,5,6,7,8,9,10", f"sizes = {sizes}"))
     assert main(["validate-config", "--config", str(cfg)]) == 2
-    assert "readout size" in capsys.readouterr().err
+    assert "'readout.sizes'" in capsys.readouterr().err
     out = tmp_path / "d.csv"
     rc = main(["depump-scaling", "--config", str(cfg), "--trials", "50", "--out", str(out)])
     assert rc == 2
-    assert "readout size" in capsys.readouterr().err
+    assert "'readout.sizes'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -443,8 +499,7 @@ def _set(key: tuple[str, str], value: str) -> str:
 @example(edit=(("detector", "dark_rate_hz"), "1e12"))
 def test_validate_config_agrees_with_every_reader_of_one_key(edit):
     # a config validate-config accepts runs in every experiment reading the
-    # edited key; one it rejects is rejected, before writing, by one of them
-    # (not every one: error-scaling runs the code.rounds lifetime rejects)
+    # edited key; one it rejects is rejected, before writing, by all of them
     key, value = edit
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "edit.cfg"
@@ -458,17 +513,75 @@ def test_validate_config_agrees_with_every_reader_of_one_key(edit):
                                    "--threads", "1", "--out", str(out)])
             written = {out.exists(), Path(f"{out}.meta.json").exists()}
             assert written == {codes[command] == 0}, (command, codes[command])
-        if valid == 0:
-            assert set(codes.values()) == {0}, codes
-        else:
-            assert 2 in codes.values() and 1 not in codes.values(), codes
+        assert set(codes.values()) == {valid}, codes
 
 
-# Values outside the range of each ranged parser.
+# Values outside the range of each config key, set on a parsed config so
+# that only the models and params see them: the parser converts syntax only.
 OUT_OF_RANGE = {
-    _positive_float: [0.0, -1.0], _nonneg_float: [-1.0], _probability: [-0.1, 1.1],
-    _positive_int: [0, -1], _nonneg_int: [-1],
+    "register.tau_depump_ms": [0.0, -1.0],
+    "register.tau_vacuum_ms": [0.0, -1.0],
+    "detector.dark_rate_hz": [-1.0],
+    "detector.n_detectors": [0, -1],
+    "photon.bright_mean_full": [0.0, -1.0, 1e7],
+    "photon.full_interval_us": [0.0, -1.0, 210.0],
+    "photon.sub_interval_us": [0.0, -1.0, 0.1],
+    "photon.threshold_counts": [0, -1],
+    "hiding.depump_per_interval_unhidden": [-0.1, 1.1, 0.0001],
+    "hiding.suppression_points_mw": [(), ((0.0, 0.5),), ((-0.4, 1.0), (0.4, 5.2)),
+                                      ((0.0, 1.0), (0.0, 5.2)), ((0.0, 5.2), (0.4, 1.0))],
+    "hiding.background_floor_per_interval": [-0.1, 1.1, 0.05],
+    "probe.tweezer_depth_mk": [0.0, -1.0, 0.3],
+    "readout.adaptive_loss_factor": [0.0, -1.0, 0.001],
+    "readout.hiding_power_mw": [-1.0],
+    "readout.readout_rounds": [0, -1],
+    "readout.sizes": [[0], [10, 0], [-2, 3]],
+    "readout.idle_intervals": [-1],
+    "search.sizes": [[0], [2, 65]],
+    "search.bright_probabilities": [[-0.1], [0.5, 1.1]],
+    "search.false_positive": [-0.1, 1.1],
+    "search.false_negative": [-0.1, 1.1],
+    "code.distances": [[0], [2], [1, -1]],
+    "code.rounds": [0, -1, 2],
+    "code.idle_ms": [-1.0],
+    "code.per_round_flip": [-0.1, 1.1],
+    "code.per_round_loss": [-0.1, 1.1],
+    "code.round_overhead_ms": [-1.0],
+    "code.flip_sweep": [[1.5], [0.1, -0.1]],
+    "code.post_select": ["-1", "9", "2", "bogus"],
+    "run.trials": [0, -1],
+    "run.error_scaling_trials": [0, -1],
+    "run.lifetime_trials": [0, -1],
+    "run.master_seed": [-1, 2**64],
+    "run.threads": [0, -1],
 }
+# Numeric keys with no range of their own, each with where its rule lives.
+NO_RANGE = {
+    "probe.detuning_pc_mhz": "any finite detuning; nan and inf are _unparsable cases",
+    **{f"error_table.row_{i}": "a row is built as ErrorRates while parsing; "
+       "test_calibration_row_rules_report_key_and_line" for i in range(1, 5)},
+}
+
+
+def _name(key: tuple[str, str]) -> str:
+    return f"{key[0]}.{key[1]}"
+
+
+def _numeric(value) -> bool:
+    """A number, or a list, tuple or dataclass of them (a sweep list,
+    calibration pairs, a calibration row)."""
+    if dataclasses.is_dataclass(value):
+        return _numeric(dataclasses.astuple(value))
+    if isinstance(value, (list, tuple)):
+        return all(_numeric(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def test_every_numeric_key_has_an_out_of_range_case():
+    # a range rule added to a model needs a case here, or a reason it has none
+    numeric = {_name(key) for key, value in load_config().values.items() if _numeric(value)}
+    assert numeric - set(OUT_OF_RANGE) == set(NO_RANGE)
+    assert set(OUT_OF_RANGE) <= {_name(key) for key in SCHEMA}
 
 
 def _unparsable(key, shipped):
@@ -491,18 +604,19 @@ def _unparsable(key, shipped):
 
 
 @pytest.mark.parametrize("key, value", [
-    pytest.param(key, value, id=f"{key[0]}.{key[1]}={value}")
-    for key, (parser, _) in SCHEMA.items() if key[0] != "run"
-    for value in OUT_OF_RANGE.get(parser, [])
+    pytest.param(tuple(name.split(".")), value, id=f"{name}={value}")
+    for name, values in OUT_OF_RANGE.items() for value in values
 ] + [
-    pytest.param(key, value, id=f"{key[0]}.{key[1]}={value}")
-    for key, shipped in load_config().values.items() if key[0] not in ("run", "error_table")
+    pytest.param(key, value, id=f"{_name(key)}={value}")
+    for key, shipped in load_config().values.items() if key[0] != "error_table"
     for value in _unparsable(key, shipped)
 ])
 def test_params_built_past_the_parser_reject_what_it_rejects(key, value):
-    # the models and params enforce each key's range themselves, so a value
-    # that never went through the parser is rejected all the same
+    # the models and params are the one home of each key's range, so a value
+    # that never went through the parser is rejected all the same, and the
+    # error names the key (or none, for a check across keys or models)
     config = load_config()
     config.values[key] = value
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as err:
         config.validate_models()
+    assert err.value.key in (_name(key), None)
