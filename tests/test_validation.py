@@ -558,8 +558,8 @@ OUT_OF_RANGE = {
 # Numeric keys with no range of their own, each with where its rule lives.
 NO_RANGE = {
     "probe.detuning_pc_mhz": "any finite detuning; nan and inf are _unparsable cases",
-    **{f"error_table.row_{i}": "a row is built as ErrorRates while parsing; "
-       "test_calibration_row_rules_report_key_and_line" for i in range(1, 5)},
+    **{f"error_table.row_{i}": "checked as it is parsed, by _row_key and ErrorRates: "
+       "the test_calibration_row_* tests" for i in range(1, 5)},
 }
 
 
@@ -585,7 +585,7 @@ def test_every_numeric_key_has_an_out_of_range_case():
 
 
 def _unparsable(key, shipped):
-    """Values every parser of a key of this type rejects: a non-finite float,
+    """Values the models reject for a key of this type: a non-finite float,
     a non-integer or bool count, an enum member's bare value, a sweep list
     that is empty, repeats a value or ends in one of these, a non-finite
     calibration pair."""
