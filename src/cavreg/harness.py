@@ -333,11 +333,11 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
         )
         # [site, round, (errors, detections)]
         acc = np.zeros((n, params.rounds, 2), dtype=np.int64)
-        for rec in records:
+        for r, rec in enumerate(records):
             # lost atoms / undetected presence are excluded
             detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
-            acc[:, rec.round_index, 0] = np.count_nonzero(detected & (rec.inferred == F1), axis=0)
-            acc[:, rec.round_index, 1] = np.count_nonzero(detected, axis=0)
+            acc[:, r, 0] = np.count_nonzero(detected & (rec.inferred == F1), axis=0)
+            acc[:, r, 1] = np.count_nonzero(detected, axis=0)
         return acc
 
     totals = _sweep(spec, params.sizes, trial_counts)

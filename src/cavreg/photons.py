@@ -46,8 +46,8 @@ class CavityParams:
     gamma_mhz: float = 6.0
 
     def __post_init__(self):
-        if self.g0_mhz <= 0 or self.kappa_mhz <= 0 or self.gamma_mhz <= 0:
-            raise ConfigurationError("cavity rates must be positive")
+        for name in ("g0_mhz", "kappa_mhz", "gamma_mhz"):
+            check_finite(name, getattr(self, name))
 
 
 def cooperativity(params: CavityParams) -> float:
@@ -213,10 +213,10 @@ def outcome_table(model: PhotonModel, adaptive: bool) -> OutcomeTable:
 def _sample_interval(
     codes: np.ndarray, model: PhotonModel, rng: np.random.Generator, adaptive: bool
 ) -> IntervalOutcome:
-    """One interval per trial of a 1-D array of state codes: each trial
-    draws one uniform, offset into the bright half of the outcome table for
-    F=2, and takes the cell it falls in, found in O(1) through the table's
-    guide for all but the draws near an edge.  Vacant sites look dark."""
+    """One interval per code of an array of any shape: each code draws one
+    uniform, in C order, offset into the bright half of the outcome table
+    for F=2, and takes the cell it falls in, found in O(1) through the
+    table's guide for all but the draws near an edge.  Vacant sites look dark."""
     table = outcome_table(model, adaptive)
     cell = table.cells(rng.random(codes.shape) + (codes == F2))
     counts = table.counts[cell]
@@ -226,7 +226,7 @@ def _sample_interval(
 def sample_full_interval(
     codes: np.ndarray, model: PhotonModel, rng: np.random.Generator
 ) -> IntervalOutcome:
-    """Poisson counts over the full interval, one per trial of `codes`."""
+    """Poisson counts over the full interval, one per element of `codes`."""
     return _sample_interval(codes, model, rng, False)
 
 
@@ -235,7 +235,7 @@ def sample_adaptive_interval(
 ) -> IntervalOutcome:
     """Counts and probe-on duration of adaptive termination, which stops at
     the first sub-interval boundary where the cumulative count reaches the
-    threshold, one per trial of `codes`."""
+    threshold, one per element of `codes`."""
     return _sample_interval(codes, model, rng, True)
 
 

@@ -134,17 +134,18 @@ def measure_site(
     *,
     adaptive: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measure one site in every trial of a 1-D array of state codes and
-    return (inferred, post-measurement state codes).  inferred is VACANT
-    where the occupation interval read dark, else F2 or F1 by the hyperfine
-    interval.
+    """Measure the sites of an array of state codes, of any shape, and
+    return (inferred, post-measurement state codes) of that shape.  inferred
+    is VACANT where the occupation interval read dark, else F2 or F1 by the
+    hyperfine interval.
 
     The state-appropriate infidelity flips the effective emitter for the
     hyperfine interval (misclassification channel).  Loss is applied once per
     measurement as a lump probability keyed by the pre-measurement state;
     `rates` comes from measurement_rates with the same `adaptive`, so its
     bright-state loss already reflects adaptive termination.  Re-preparation
-    is left to the caller.
+    is left to the caller.  One sampler call draws both intervals, and every
+    draw runs over the cells in C order, so an array draws what its ravel() does.
     """
     sample = sample_adaptive_interval if adaptive else sample_full_interval
     # probabilities per state code (vacant, F=1, F=2)
@@ -153,11 +154,11 @@ def measure_site(
 
     flip = rng.random(codes.shape) < infidelity
     effective = np.where(flip, F1 + F2 - codes, codes)
-    hyperfine = sample(effective, photon, rng)
-    # repumper on: any present atom is bright
-    occupation = sample(np.array([VACANT, F2, F2])[codes], photon, rng)
+    # repumper on for the occupation interval: any present atom is bright
+    occupancy = np.array([VACANT, F2, F2])[codes]
+    hyperfine, occupied = sample(np.stack((effective, occupancy)), photon, rng).bright
     # present: F=2 if the hyperfine interval read bright, else F=1
-    inferred = np.where(occupation.bright, F1 + hyperfine.bright, VACANT)
+    inferred = np.where(occupied, F1 + hyperfine, VACANT)
     post = np.where(rng.random(codes.shape) < loss, VACANT, effective)
     return inferred, post
 
@@ -167,7 +168,6 @@ class ReadoutRecord:
     """One readout round as (trials, sites) arrays, column j for site j; a
     cell that adaptive_rounds skipped reads VACANT in inferred."""
 
-    round_index: int
     measured: np.ndarray  # the trial measured the site in this round
     prepared: np.ndarray  # ground-truth state codes at the site's step
     inferred: np.ndarray  # the state codes read out
@@ -212,8 +212,9 @@ def sequential_array_readout(
     post-measurement state.
 
     A round draws one depump uniform per (trial, site) and makes one
-    measure_site call over the measured cells; one uniform per (trial, site)
-    applies the depump left after the last round.
+    measure_site call over the whole array, whose skipped cells throw their
+    draws away and keep their state; one uniform per (trial, site) applies
+    the depump left after the last round.
     """
     if register.ndim != 2:
         raise ConfigurationError(f"register must be a (trials, sites) array, not {register.shape}")
@@ -229,21 +230,17 @@ def sequential_array_readout(
     measured = np.ones((1, n), dtype=bool)  # the same for every trial until adaptive rounds skip
     records: list[ReadoutRecord] = []
 
-    for round_index in range(rounds):
+    for _ in range(rounds):
         # hidden exposures of each site in this round, before its step and in all
         before = np.cumsum(measured, axis=1) - measured
         total = measured.sum(axis=1, keepdims=True)
         prepared = _depump_since_update(states, keep * decay[before], rng)
-        cells = np.broadcast_to(measured, prepared.shape)
-        codes = prepared.ravel() if measured.all() else prepared[cells]  # C order either way
-        found, post = measure_site(codes, rates, photon, rng, adaptive=adaptive)
+        found, post = measure_site(prepared, rates, photon, rng, adaptive=adaptive)
         if re_prepare == "bright":
             post = np.where(post != VACANT, F2, post)
-        states = prepared.copy()
-        states[cells] = post
-        inferred = np.full(prepared.shape, VACANT, found.dtype)
-        inferred[cells] = found
-        records.append(ReadoutRecord(round_index, cells, prepared, inferred))
+        states = np.where(measured, post, prepared)
+        inferred = np.where(measured, found, VACANT)
+        records.append(ReadoutRecord(np.broadcast_to(measured, prepared.shape), prepared, inferred))
         keep = decay[total - before - measured] * idle_keep
         if adaptive_rounds:
             measured = inferred != VACANT

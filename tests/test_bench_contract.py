@@ -75,13 +75,13 @@ def test_depump_scaling_reaches_the_readout_seq_layers(bench, monkeypatch):
     spec = ExperimentSpec("depump_scaling", params, trials=20, master_seed=3)
     calls = _traced_calls(bench, monkeypatch, "readout-seq", spec)
     # one chunk per array size: one stream, one register and one readout
-    # per size, one batched measurement per round, two intervals each
+    # per size, one batched measurement per round, both intervals in one call
     rounds = len(params.sizes) * params.rounds
     assert calls["streams.stream"] == len(params.sizes)
     assert calls["register.uniform_register"] == len(params.sizes)
     assert calls["readout.sequential_array_readout"] == len(params.sizes)
     assert calls["readout.measure_site"] == rounds
-    assert calls["photons.sample_adaptive_interval"] == 2 * rounds
+    assert calls["photons.sample_adaptive_interval"] == rounds
 
 
 def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):

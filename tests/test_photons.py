@@ -53,6 +53,11 @@ def test_cooperativity_limits_and_scaling():
 def test_invalid_models_rejected():
     with pytest.raises(ConfigurationError):
         CavityParams(kappa_mhz=0.0)
+    # a nan rate made the cooperativity nan, an infinite one made it 0 or inf
+    for name in ("g0_mhz", "kappa_mhz", "gamma_mhz"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match=f"^{name}: {value!r}"):
+                CavityParams(**{name: value})
     with pytest.raises(ConfigurationError):
         PhotonModel(threshold=0)
     with pytest.raises(ConfigurationError):

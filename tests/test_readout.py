@@ -49,9 +49,7 @@ def _tally(records, n_sites, from_round=0):
     """Per site: (errors, detections) among atoms present and detected."""
     errors = np.zeros(n_sites)
     counts = np.zeros(n_sites)
-    for rec in records:
-        if rec.round_index < from_round:
-            continue
+    for rec in records[from_round:]:
         detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
         counts += np.count_nonzero(detected, axis=0)
         errors += np.count_nonzero(detected & (rec.inferred == F1), axis=0)
@@ -268,12 +266,11 @@ def test_exposure_law_matches_closed_form(rng):
         se = math.sqrt(expected * (1 - expected) / dark.size)
         return abs(np.count_nonzero(dark) / dark.size - expected) <= 4 * se
 
-    for rec in records:
+    for r, rec in enumerate(records):
         assert np.array_equal(rec.inferred, rec.prepared)
         for q in range(n_sites):
-            kept = ((1 - p) ** q if rec.round_index == 0
-                    else (1 - p) ** (n_sites - 1) * (1 - floor))
-            assert close(rec.prepared[:, q] == F1, 1 - kept), (rec.round_index, q)
+            kept = (1 - p) ** q if r == 0 else (1 - p) ** (n_sites - 1) * (1 - floor)
+            assert close(rec.prepared[:, q] == F1, 1 - kept), (r, q)
     # after the last round a site keeps the exposure after its own step and
     # the idle interval
     for q in range(n_sites):
@@ -291,7 +288,7 @@ def test_adaptive_rounds_skip_sites_read_vacant(rng):
     assert np.all(reg == VACANT)
     # atom loss lands after its measurement: round 0 reads everyone present,
     # round 1 reads everyone vacant, round 2 is skipped entirely
-    assert [rec.round_index for rec in records] == [0, 1, 2]
+    assert len(records) == 3
     assert records[0].measured.all() and records[1].measured.all()
     assert np.all(records[1].inferred == VACANT)
     assert not records[2].measured.any()

@@ -20,6 +20,7 @@ from cavreg import (
     HidingModel,
     PhotonModel,
     hidden_depump_probability,
+    measure_site,
     measurement_rates,
     sample_adaptive_interval,
     sequential_array_readout,
@@ -94,9 +95,9 @@ def _run_config(kw):
         codes, power, np.random.default_rng(202),
         rates=rates, photon=PHOTON, hiding=hiding, rounds=ROUNDS, **kw,
     )
-    for rec in records:
+    for r, rec in enumerate(records):
         detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
-        kernel[:, rec.round_index] = np.stack(
+        kernel[:, r] = np.stack(
             [np.count_nonzero(c, axis=0)
              for c in (rec.measured, detected, detected & (rec.inferred == F1))],
             axis=-1,
@@ -168,16 +169,62 @@ def test_array_readout_leaves_its_input_alone():
     )
     assert np.array_equal(codes, before)
     assert final.shape == codes.shape
-    assert [rec.round_index for rec in records] == [0, 1]
+    assert len(records) == 2
     assert all(rec.prepared.shape == rec.measured.shape == (50, 3) for rec in records)
 
 
+def test_skipped_cells_keep_their_state():
+    # no depump, so a cell changes only where it is measured; a dim probe
+    # reads many present atoms vacant, so skipped cells hold atoms too
+    photon = PhotonModel(bright_mean_full=2.0)
+    records, final = sequential_array_readout(
+        np.tile(uniform_register(4, F2), (2000, 1)), 0.0, np.random.default_rng(12),
+        rates=measurement_rates(LOSSY, True, 4.5), photon=photon,
+        hiding=HidingModel(depump_per_interval_unhidden=0.0, background_floor=0.0),
+        adaptive_rounds=True, rounds=3, re_prepare="none",
+    )
+    assert records[0].measured.all()
+    # each later round's skipped cells, as the next round or the final state finds them
+    for rec, after in zip(records[1:], [rec.prepared for rec in records[2:]] + [final]):
+        skipped = ~rec.measured
+        assert np.count_nonzero(rec.prepared[skipped] != VACANT) > 50
+        assert np.array_equal(after[skipped], rec.prepared[skipped])
+        assert np.all(rec.inferred[skipped] == VACANT)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_measure_site_draws_an_array_as_its_ravel(adaptive):
+    # one readout round measures the whole (trials, sites) array in the
+    # draws a flat array of its cells in C order would take
+    codes = np.random.default_rng(8).integers(VACANT, F2 + 1, (300, 7), dtype=np.int8)
+    rates = measurement_rates(LOSSY, adaptive, 4.5)
+    grid_rng, flat_rng = np.random.default_rng(9), np.random.default_rng(9)
+    grid = measure_site(codes, rates, PHOTON, grid_rng, adaptive=adaptive)
+    flat = measure_site(codes.ravel(), rates, PHOTON, flat_rng, adaptive=adaptive)
+    for g, f in zip(grid, flat):
+        assert g.shape == codes.shape
+        assert np.array_equal(g.ravel(), f)
+    assert grid_rng.random() == flat_rng.random()  # both took the same draws
+
+
+def test_stacked_interval_codes_draw_as_two_calls_in_order():
+    # measure_site samples its hyperfine and occupation intervals in one call
+    codes = np.random.default_rng(10).integers(VACANT, F2 + 1, (2, 1000), dtype=np.int8)
+    both_rng, halves_rng = np.random.default_rng(11), np.random.default_rng(11)
+    both = sample_adaptive_interval(codes, PHOTON, both_rng)
+    halves = [sample_adaptive_interval(half, PHOTON, halves_rng) for half in codes]
+    for field in ("counts", "duration_us", "bright"):
+        assert np.array_equal(getattr(both, field), [getattr(h, field) for h in halves])
+    assert both_rng.random() == halves_rng.random()
+
+
 def test_array_interval_shapes(rng):
-    codes = np.array([F2, F1, VACANT, F2], dtype=np.int8)
-    out = sample_adaptive_interval(codes, PHOTON, rng)
-    assert out.counts.shape == out.duration_us.shape == out.bright.shape == (4,)
-    assert np.array_equal(out.bright, out.counts >= PHOTON.threshold)
-    assert np.all(out.duration_us <= PHOTON.full_interval_us)
+    for shape in ((4,), (2, 4)):
+        codes = np.resize(np.array([F2, F1, VACANT, F2], dtype=np.int8), shape)
+        out = sample_adaptive_interval(codes, PHOTON, rng)
+        assert out.counts.shape == out.duration_us.shape == out.bright.shape == shape
+        assert np.array_equal(out.bright, out.counts >= PHOTON.threshold)
+        assert np.all(out.duration_us <= PHOTON.full_interval_us)
 
 
 def test_depump_summary_keeps_steady_state_counts():
