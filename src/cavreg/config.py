@@ -14,7 +14,7 @@ its key and line as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from typing import Any, Callable
@@ -22,8 +22,7 @@ from typing import Any, Callable
 from .errors import ConfigurationError
 from .harness import EXPERIMENTS, ExperimentSpec
 from .photons import DetectorModel, PhotonModel
-from .readout import ErrorRates, HidingModel
-from .register import IdleErrorModel
+from .readout import ErrorRates
 from .search import Placement, Strategy
 
 
@@ -146,35 +145,14 @@ class Config:
     def __getitem__(self, key: tuple[str, str]):
         return self.values[key]
 
-    # ------------------------------------------------------------ model builders
-
-    def idle_model(self) -> IdleErrorModel:
-        return IdleErrorModel(
-            tau_depump_ms=self[("register", "tau_depump_ms")],
-            tau_vacuum_ms=self[("register", "tau_vacuum_ms")],
-        )
-
-    def detector_model(self) -> DetectorModel:
-        return DetectorModel(
-            dark_rate_hz=self[("detector", "dark_rate_hz")],
-            n_detectors=self[("detector", "n_detectors")],
-        )
+    def build(self, cls: type, section: str, **given: Any) -> Any:
+        """A `cls` whose every field but those `given` (nested models, the
+        calibration row) is the [section] key of its name."""
+        keys = {f.name: self[(section, f.name)] for f in fields(cls) if f.name not in given}
+        return cls(**keys, **given)
 
     def photon_model(self) -> PhotonModel:
-        return PhotonModel(
-            bright_mean_full=self[("photon", "bright_mean_full")],
-            full_interval_us=self[("photon", "full_interval_us")],
-            sub_interval_us=self[("photon", "sub_interval_us")],
-            threshold=self[("photon", "threshold_counts")],
-            detector=self.detector_model(),
-        )
-
-    def hiding_model(self) -> HidingModel:
-        return HidingModel(
-            depump_per_interval_unhidden=self[("hiding", "depump_per_interval_unhidden")],
-            suppression_points=self[("hiding", "suppression_points_mw")],
-            background_floor=self[("hiding", "background_floor_per_interval")],
-        )
+        return self.build(PhotonModel, "photon", detector=self.build(DetectorModel, "detector"))
 
     def error_rates(self) -> ErrorRates:
         """The [error_table] row at the [probe] depth and |detuning|."""

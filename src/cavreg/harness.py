@@ -8,8 +8,9 @@ index), the kernel gets the point's value, and results are reduced in chunk
 order.  Thread count changes wall-clock time only, never output bytes.
 
 EXPERIMENTS is the one list of experiments: each record names its params
-class, how to build the params from a config, its [run] trial-count key, its
-runner and its summary lines.  The CLI, `validate-config` and `run` read it.
+class, its one-line `Config.build` recipe for the params, its [run]
+trial-count key, its runner and its summary lines.  The CLI,
+`validate-config` and `run` read it.
 """
 
 from __future__ import annotations
@@ -90,11 +91,14 @@ def _sweep_list(key: str, values: list) -> None:
 
 @dataclass
 class DepumpScalingParams:
+    """Each field but the nested `rates`, `photon` and `hiding` is the
+    [readout] key of its name; `rates` is the probe's calibration row."""
+
     sizes: list[int] = field(default_factory=lambda: list(range(1, 11)))
-    rounds: int = 4
+    readout_rounds: int = 4
     hiding_power_mw: float = 2.0
     adaptive_rounds: bool = False
-    adaptive: bool = True
+    adaptive_termination: bool = True
     adaptive_loss_factor: float = 4.5
     idle_intervals: int = 0
     rates: ErrorRates = ErrorRates(0.0039, 0.021, 0.008, 0.030)  # the 0.25 mK / 5 MHz row
@@ -104,16 +108,16 @@ class DepumpScalingParams:
     def __post_init__(self):
         _sweep_list("readout.sizes", self.sizes)
         check_integers("readout.sizes", *self.sizes, least=1)  # a register needs a site
-        check_integers("readout.readout_rounds", self.rounds, least=1)
+        check_integers("readout.readout_rounds", self.readout_rounds, least=1)
         check_integers("readout.idle_intervals", self.idle_intervals, least=0)
-        measurement_rates(self.rates, self.adaptive, self.adaptive_loss_factor)
+        measurement_rates(self.rates, self.adaptive_termination, self.adaptive_loss_factor)
         hidden_depump_probability(self.hiding, self.hiding_power_mw)
 
 
 @dataclass
 class SearchCostParams:
     sizes: list[int] = field(default_factory=lambda: list(range(2, 11)))
-    probabilities: list[float] = field(default_factory=lambda: [0.0, 0.1, 0.3, 0.5, 1.0])
+    bright_probabilities: list[float] = field(default_factory=lambda: [0.0, 0.1, 0.3, 0.5, 1.0])
     strategies: list[Strategy] = field(
         default_factory=lambda: [
             Strategy.DETERMINISTIC_SEQUENTIAL,
@@ -126,7 +130,7 @@ class SearchCostParams:
 
     def __post_init__(self):
         _sweep_list("search.sizes", self.sizes)
-        _sweep_list("search.bright_probabilities", self.probabilities)
+        _sweep_list("search.bright_probabilities", self.bright_probabilities)
         _sweep_list("search.strategies", self.strategies)
         # run_search_cost picks its kernel by these types, so no look-alike may stand in
         if not isinstance(self.noise, GroupCheckNoise):
@@ -134,7 +138,7 @@ class SearchCostParams:
         for s in self.strategies:
             if not isinstance(s, Strategy):
                 raise ConfigurationError(f"{s!r} is not a Strategy", "search.strategies")
-        for n, p in itertools.product(self.sizes, self.probabilities):
+        for n, p in itertools.product(self.sizes, self.bright_probabilities):
             SearchProblem(n, p, self.placement)  # checks every sweep point and the placement
 
 
@@ -296,21 +300,6 @@ def run_histogram(spec: ExperimentSpec) -> ExperimentResult:
 # ----------------------------------------------------------- depump scaling
 
 
-def _depump_params(config: Config) -> DepumpScalingParams:
-    return DepumpScalingParams(
-        sizes=config[("readout", "sizes")],
-        rounds=config[("readout", "readout_rounds")],
-        hiding_power_mw=config[("readout", "hiding_power_mw")],
-        adaptive_rounds=config[("readout", "adaptive_rounds")],
-        adaptive=config[("readout", "adaptive_termination")],
-        adaptive_loss_factor=config[("readout", "adaptive_loss_factor")],
-        idle_intervals=config[("readout", "idle_intervals")],
-        rates=config.error_rates(),
-        photon=config.photon_model(),
-        hiding=config.hiding_model(),
-    )
-
-
 def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
     """Bright-state error rates in repeated sequential readouts.
 
@@ -321,18 +310,20 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
     trials is read out as one state-code array.
     """
     params = spec.parameters
-    rates = measurement_rates(params.rates, params.adaptive, params.adaptive_loss_factor)
+    rates = measurement_rates(params.rates, params.adaptive_termination,
+                              params.adaptive_loss_factor)
 
     def trial_counts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
         registers = np.tile(uniform_register(n, F2), (size, 1))
         records, _ = sequential_array_readout(
             registers, params.hiding_power_mw, rng,
             rates=rates, photon=params.photon, hiding=params.hiding,
-            adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive,
-            rounds=params.rounds, idle_intervals=params.idle_intervals, re_prepare="bright",
+            adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive_termination,
+            rounds=params.readout_rounds, idle_intervals=params.idle_intervals,
+            re_prepare="bright",
         )
         # [site, round, (errors, detections)]
-        acc = np.zeros((n, params.rounds, 2), dtype=np.int64)
+        acc = np.zeros((n, params.readout_rounds, 2), dtype=np.int64)
         for r, rec in enumerate(records):
             # lost atoms / undetected presence are excluded
             detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
@@ -347,7 +338,7 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
     steady_counts = []  # per size, over rounds 2 and on
     for n, total in zip(params.sizes, totals):
         # [site, (errors, detections)] over rounds 2 and on, or round 1 if it is the only one
-        steady = total[:, min(1, params.rounds - 1):].sum(axis=1)
+        steady = total[:, min(1, params.readout_rounds - 1):].sum(axis=1)
         for site, (err, det) in enumerate(steady.tolist()):
             est = Estimate.from_binomial(err, det)
             rows.append(dict(zip(fieldnames, (n, site, est.mean, est.stderr,
@@ -385,19 +376,6 @@ def _depump_lines(summary: dict) -> list[str]:
 # --------------------------------------------------------------- search cost
 
 
-def _search_params(config: Config) -> SearchCostParams:
-    return SearchCostParams(
-        sizes=config[("search", "sizes")],
-        probabilities=config[("search", "bright_probabilities")],
-        strategies=config[("search", "strategies")],
-        placement=config[("search", "placement")],
-        noise=GroupCheckNoise(
-            false_positive=config[("search", "false_positive")],
-            false_negative=config[("search", "false_negative")],
-        ),
-    )
-
-
 def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
     """Mean readout intervals, with stderr and closed form, per (size,
     probability, strategy) point.
@@ -411,7 +389,7 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
     params, trials = spec.parameters, spec.trials
     noise = None if params.noise == GroupCheckNoise() else params.noise  # noiseless: no draws
     at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
-    points = list(itertools.product(params.sizes, params.probabilities, params.strategies))
+    points = list(itertools.product(params.sizes, params.bright_probabilities, params.strategies))
     # the cost of each placement, bright at site i (row i) or all dark (row n)
     placement_costs = {
         (n, strat): run_search(placements(n), strat).intervals_used
@@ -448,16 +426,6 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
 
 
 # ------------------------------------------------------------- error scaling
-
-
-def _error_scaling_params(config: Config) -> ErrorScalingParams:
-    return ErrorScalingParams(
-        distances=config[("code", "distances")],
-        flip_sweep=config[("code", "flip_sweep")],
-        per_round_loss=config[("code", "per_round_loss")],
-        rounds=config[("code", "rounds")],
-        post_select=config[("code", "post_select")],
-    )
 
 
 def _kept_survivors(post_select: str, d: int) -> range:
@@ -529,18 +497,6 @@ def _error_scaling_lines(summary: dict) -> list[str]:
 
 
 # ------------------------------------------------------------------ lifetime
-
-
-def _lifetime_params(config: Config) -> LifetimeParams:
-    return LifetimeParams(
-        distances=config[("code", "distances")],
-        per_round_flip=config[("code", "per_round_flip")],
-        per_round_loss=config[("code", "per_round_loss")],
-        rounds=config[("code", "rounds")],
-        idle_ms=config[("code", "idle_ms")],
-        round_overhead_ms=config[("code", "round_overhead_ms")],
-        idle_model=config.idle_model(),
-    )
 
 
 def run_lifetime(spec: ExperimentSpec) -> ExperimentResult:
@@ -616,7 +572,7 @@ class Experiment:
     name: str  # ExperimentSpec.experiment; the CLI subcommand uses dashes
     help: str
     params: type
-    build: Callable[[Config], Any]  # params from a parsed config
+    build: Callable[[Config], Any]  # the params from a parsed config, via Config.build
     trials_key: str  # [run] key holding the configured trial count
     runner: Callable[[ExperimentSpec], ExperimentResult]
     summary_lines: Callable[[dict], list[str]] = lambda summary: []
@@ -631,24 +587,32 @@ EXPERIMENTS: dict[str, Experiment] = {
     for e in (
         Experiment(
             "histogram", "photon-count histograms for bright/dark/adaptive conditions",
-            PhotonModel, lambda config: config.photon_model(), "trials", run_histogram,
+            PhotonModel, lambda c: c.photon_model(), "trials", run_histogram,
         ),
         Experiment(
             "depump_scaling", "bright-state error vs array size for a sequential hidden readout",
-            DepumpScalingParams, _depump_params, "trials", run_depump_scaling, _depump_lines,
+            DepumpScalingParams,
+            lambda c: c.build(DepumpScalingParams, "readout", rates=c.error_rates(),
+                              photon=c.photon_model(), hiding=c.build(HidingModel, "hiding")),
+            "trials", run_depump_scaling, _depump_lines,
         ),
         Experiment(
             "search_cost", "mean readout intervals for bright-atom search strategies",
-            SearchCostParams, _search_params, "trials", run_search_cost,
+            SearchCostParams,
+            lambda c: c.build(SearchCostParams, "search", noise=c.build(GroupCheckNoise, "search")),
+            "trials", run_search_cost,
         ),
         Experiment(
             "error_scaling", "per-round logical error vs physical error for repetition codes",
-            ErrorScalingParams, _error_scaling_params, "error_scaling_trials",
-            run_error_scaling, _error_scaling_lines,
+            ErrorScalingParams, lambda c: c.build(ErrorScalingParams, "code"),
+            "error_scaling_trials", run_error_scaling, _error_scaling_lines,
         ),
         Experiment(
             "lifetime", "logical error vs time and fitted lifetimes for repetition codes",
-            LifetimeParams, _lifetime_params, "lifetime_trials", run_lifetime, _lifetime_lines,
+            LifetimeParams,
+            lambda c: c.build(LifetimeParams, "code",
+                              idle_model=c.build(IdleErrorModel, "register")),
+            "lifetime_trials", run_lifetime, _lifetime_lines,
         ),
     )
 }

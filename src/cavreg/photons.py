@@ -74,14 +74,14 @@ class PhotonModel:
     bright_mean_full: float = 15.0
     full_interval_us: float = 200.0
     sub_interval_us: float = 20.0
-    threshold: int = 2  # bright iff counts >= threshold
+    threshold_counts: int = 2  # bright iff counts >= threshold_counts
     detector: DetectorModel = field(default_factory=DetectorModel)
 
     def __post_init__(self):
         check_finite("photon.bright_mean_full", self.bright_mean_full)
         check_finite("photon.full_interval_us", self.full_interval_us)
         check_finite("photon.sub_interval_us", self.sub_interval_us)
-        check_integers("photon.threshold_counts", self.threshold, least=1)
+        check_integers("photon.threshold_counts", self.threshold_counts, least=1)
         n = self.full_interval_us / self.sub_interval_us
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ConfigurationError(
@@ -170,7 +170,7 @@ def outcome_table(model: PhotonModel, adaptive: bool) -> OutcomeTable:
     Pois((k-1) lam; j) * Pois(lam; y), and no stop with j < t counts has
     probability Pois(n lam; j).  Cells below MIN_CELL_PROB are dropped, so
     the table's size does not grow with the threshold."""
-    n, t = model.n_sub, model.threshold
+    n, t = model.n_sub, model.threshold_counts
     blocks = []
     for bright in (False, True):
         mean = model.mean_full(bright)
@@ -220,7 +220,7 @@ def _sample_interval(
     table = outcome_table(model, adaptive)
     cell = table.cells(rng.random(codes.shape) + (codes == F2))
     counts = table.counts[cell]
-    return IntervalOutcome(counts, table.duration_us[cell], counts >= model.threshold)
+    return IntervalOutcome(counts, table.duration_us[cell], counts >= model.threshold_counts)
 
 
 def sample_full_interval(

@@ -67,20 +67,20 @@ def measurement_rates(rates: ErrorRates, adaptive: bool, adaptive_loss_factor: f
 class HidingModel:
     """Hiding-beam suppression of probe-induced depumping.
 
-    suppression_points are (power_mW, factor) calibration pairs; the factor
+    suppression_points_mw are (power_mW, factor) calibration pairs; the factor
     is interpolated log-linearly in power and extrapolated beyond the end
     points, but never below 1: hiding light does not raise the depump rate,
     so the unhidden rate bounds the hidden one even below the first
-    calibrated power.  The hidden depump probability never drops below the
-    background floor from the trapping light.
+    calibrated power.  The hidden depump probability never drops below
+    background_floor_per_interval, the depumping by the trapping light.
     """
 
     depump_per_interval_unhidden: float = 0.044
-    suppression_points: tuple[tuple[float, float], ...] = ((0.0, 1.0), (0.4, 5.2))
-    background_floor: float = 0.0008
+    suppression_points_mw: tuple[tuple[float, float], ...] = ((0.0, 1.0), (0.4, 5.2))
+    background_floor_per_interval: float = 0.0008
 
     def __post_init__(self):
-        key, pts = "hiding.suppression_points_mw", sorted(self.suppression_points)
+        key, pts = "hiding.suppression_points_mw", sorted(self.suppression_points_mw)
         if not pts or not all(math.isfinite(p) and 1.0 <= f < math.inf for p, f in pts):
             raise ConfigurationError("powers must be finite and factors finite, >= 1", key)
         if pts[0][0] < 0.0:
@@ -90,20 +90,21 @@ class HidingModel:
             raise ConfigurationError(f"suppression power {repeated[0]} mW is calibrated twice", key)
         if any(f2 < f1 for (_, f1), (_, f2) in zip(pts, pts[1:])):
             raise ConfigurationError("suppression must be non-decreasing in power", key)
-        check_probability("hiding.depump_per_interval_unhidden", self.depump_per_interval_unhidden)
-        check_probability("hiding.background_floor_per_interval", self.background_floor)
-        if self.background_floor > self.depump_per_interval_unhidden:
+        unhidden, floor = self.depump_per_interval_unhidden, self.background_floor_per_interval
+        check_probability("hiding.depump_per_interval_unhidden", unhidden)
+        check_probability("hiding.background_floor_per_interval", floor)
+        if floor > unhidden:
             raise ConfigurationError(
-                f"hiding.background_floor_per_interval {self.background_floor} exceeds "
-                f"hiding.depump_per_interval_unhidden {self.depump_per_interval_unhidden}"
+                f"hiding.background_floor_per_interval {floor} exceeds "
+                f"hiding.depump_per_interval_unhidden {unhidden}"
             )
-        object.__setattr__(self, "suppression_points", tuple(pts))
+        object.__setattr__(self, "suppression_points_mw", tuple(pts))
 
 
 def suppression_factor(model: HidingModel, power_mw: float) -> float:
     """Log-linear interpolation of the suppression factor vs hiding power,
     clamped at 1 from below and infinite past the float range."""
-    pts = model.suppression_points
+    pts = model.suppression_points_mw
     if len(pts) == 1:
         return pts[0][1]
     # the calibrated segment holding power_mw; the end segments extrapolate
@@ -121,7 +122,7 @@ def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
     clamped from below by the background floor."""
     check_finite("readout.hiding_power_mw", power_mw, positive=False)
     return max(
-        model.background_floor,
+        model.background_floor_per_interval,
         model.depump_per_interval_unhidden / suppression_factor(model, power_mw),
     )
 
@@ -224,7 +225,7 @@ def sequential_array_readout(
     n = register.shape[1]
     states = register
     decay = (1.0 - hidden_depump_probability(hiding, hiding_power_mw)) ** np.arange(n + 1)
-    idle_keep = (1.0 - hiding.background_floor) ** idle_intervals
+    idle_keep = (1.0 - hiding.background_floor_per_interval) ** idle_intervals
     # chance that a bright atom is still bright, from its last update to now
     keep = np.ones((1, n))
     measured = np.ones((1, n), dtype=bool)  # the same for every trial until adaptive rounds skip

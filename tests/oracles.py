@@ -89,12 +89,12 @@ def adaptive_interval_reference(
         if live.size == 0:
             break
         running = running + rng.poisson(lam)
-        crossed = running >= model.threshold
+        crossed = running >= model.threshold_counts
         if crossed.any():
             counts[live[crossed]], probed[live[crossed]] = running[crossed], k
             live, running, lam = live[~crossed], running[~crossed], lam[~crossed]
     counts[live] = running
-    return IntervalOutcome(counts, probed * model.sub_interval_us, counts >= model.threshold)
+    return IntervalOutcome(counts, probed * model.sub_interval_us, counts >= model.threshold_counts)
 
 
 def majority_flip_probability_enumeration(d: int, p: float) -> float:
@@ -253,7 +253,7 @@ def _oracle_interval(bright: bool, photon, rng, adaptive: bool) -> tuple[int, fl
     total = 0
     for k in range(1, photon.n_sub + 1):
         total += int(rng.poisson(lam_sub))
-        if total >= photon.threshold:
+        if total >= photon.threshold_counts:
             return total, k * photon.sub_interval_us
     return total, photon.full_interval_us
 
@@ -275,10 +275,10 @@ def _oracle_measure(site, rates, photon, rng, adaptive, adaptive_loss_factor):
             effective = 1 if site == 2 else 2
         hyper, _ = _oracle_interval(effective == 2, photon, rng, adaptive)
         occ, _ = _oracle_interval(True, photon, rng, adaptive)
-    if occ < photon.threshold:
+    if occ < photon.threshold_counts:
         inferred = None
     else:
-        inferred = 2 if hyper >= photon.threshold else 1
+        inferred = 2 if hyper >= photon.threshold_counts else 1
     if site is None:
         return inferred, None
     return inferred, None if rng.random() < loss else effective

@@ -76,7 +76,7 @@ def test_depump_scaling_reaches_the_readout_seq_layers(bench, monkeypatch):
     calls = _traced_calls(bench, monkeypatch, "readout-seq", spec)
     # one chunk per array size: one stream, one register and one readout
     # per size, one batched measurement per round, both intervals in one call
-    rounds = len(params.sizes) * params.rounds
+    rounds = len(params.sizes) * params.readout_rounds
     assert calls["streams.stream"] == len(params.sizes)
     assert calls["register.uniform_register"] == len(params.sizes)
     assert calls["readout.sequential_array_readout"] == len(params.sizes)
@@ -91,7 +91,7 @@ def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
     # one chunk per sweep point: one register draw over all of its trials;
     # noiseless at-most-one costs come from one search per (size, strategy)
     # over its n + 1 placements, with group checks per level, at most 2n of them
-    per_size = len(params.probabilities) * len(params.strategies)
+    per_size = len(params.bright_probabilities) * len(params.strategies)
     points = len(params.sizes) * per_size
     assert calls["search.sample_register"] == points
     assert calls["search.run_search"] == len(params.sizes) * len(params.strategies)
@@ -108,7 +108,7 @@ def test_per_trial_search_specs_search_once_per_point(params, bench, monkeypatch
     # noisy checks or the independent placement: each chunk's registers are searched
     spec = ExperimentSpec("search_cost", params, trials=20, master_seed=3)
     calls = _traced_calls(bench, monkeypatch, "search-scan", spec)
-    points = len(params.sizes) * len(params.probabilities) * len(params.strategies)
+    points = len(params.sizes) * len(params.bright_probabilities) * len(params.strategies)
     assert calls["search.sample_register"] == calls["search.run_search"] == points
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import inspect
 import json
@@ -13,6 +14,7 @@ from cavreg.cli import main
 from cavreg.config import SCHEMA, Config, load_config, parse_config_text, schema_help
 from cavreg.harness import EXPERIMENTS
 from cavreg.readout import ErrorRates
+from cavreg.register import IdleErrorModel
 
 DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 
@@ -20,8 +22,8 @@ DEFAULTS = Path(__file__).parent.parent / "src" / "cavreg" / "defaults.cfg"
 def test_defaults_load_and_match_module_defaults():
     config = load_config()
     assert config.photon_model() == PhotonModel()
-    assert config.hiding_model() == HidingModel()
-    assert config.idle_model().tau_depump_ms == 150.0
+    assert config.build(HidingModel, "hiding") == HidingModel()
+    assert config.build(IdleErrorModel, "register").tau_depump_ms == 150.0
     # the shipped probe, 0.25 mK at -5 MHz, selects row_2
     assert config.error_rates() == ErrorRates(0.0039, 0.021, 0.008, 0.030)
     config.validate_models()
@@ -102,6 +104,37 @@ def test_every_schema_key_reaches_an_experiment(monkeypatch):
     monkeypatch.setattr(Config, "__getitem__", recording)
     config.validate_models()  # every experiment's params and [run] keys
     assert read == set(SCHEMA)
+
+
+def test_every_built_field_is_its_config_key_or_given(monkeypatch):
+    # a params or model field carries its config key's name within the
+    # section it is built from; only nested models and the calibration row
+    # are passed in `given`
+    built = []
+    original = Config.build
+
+    def recording(self, cls, section, **given):
+        built.append((cls, section, set(given)))
+        return original(self, cls, section, **given)
+
+    monkeypatch.setattr(Config, "build", recording)
+    specs = load_config().validate_models()
+    unnamed = [
+        f"{cls.__name__}.{f.name} from [{section}]"
+        for cls, section, given in built for f in dataclasses.fields(cls)
+        if (section, f.name) not in SCHEMA and f.name not in given
+    ]
+    assert unnamed == []
+
+    def classes(obj):  # the dataclasses of a params object, nested ones too
+        if dataclasses.is_dataclass(obj):
+            yield type(obj)
+            for f in dataclasses.fields(obj):
+                yield from classes(getattr(obj, f.name))
+
+    # every params and model object comes through Config.build; the row is parsed
+    made = {cls for spec in specs.values() for cls in classes(spec.parameters)}
+    assert made - {cls for cls, _, _ in built} == {ErrorRates}
 
 
 # Names cavreg exports that no CLI run reaches, each with the reason it is public.

@@ -106,7 +106,7 @@ def test_registry_record_reaches_cli_config_and_run(exp):
 def test_search_cost_p_zero_is_exactly_one():
     spec = ExperimentSpec(
         "search_cost",
-        SearchCostParams(sizes=[4], probabilities=[0.0]),
+        SearchCostParams(sizes=[4], bright_probabilities=[0.0]),
         trials=2000,
         master_seed=3,
     )
@@ -124,9 +124,9 @@ MULTI_CHUNK = 2 * CHUNK_TRIALS + 1  # three chunks per point, the last one short
 def test_placement_priced_search_moments_equal_the_per_trial_search(trials, monkeypatch):
     # noiseless at-most-one searches are priced by placement counts; the sums
     # of the per-trial costs and their squares must come out bit for bit
-    params = SearchCostParams(sizes=[1, 2, 10, 64], probabilities=[0.0, 0.1, 1.0],
+    params = SearchCostParams(sizes=[1, 2, 10, 64], bright_probabilities=[0.0, 0.1, 1.0],
                               strategies=list(Strategy))
-    points = list(itertools.product(params.sizes, params.probabilities, params.strategies))
+    points = list(itertools.product(params.sizes, params.bright_probabilities, params.strategies))
     reference = []
     for i, (n, p, strategy) in enumerate(points):
         moments = np.zeros(2)
@@ -158,13 +158,13 @@ def test_placement_costs_weigh_up_to_the_enumerated_mean(n):
     "experiment,params,trials",
     [
         ("histogram", PhotonModel(), 3000),
-        ("search_cost", SearchCostParams(sizes=[3, 6], probabilities=[0.0, 0.3]), 400),
+        ("search_cost", SearchCostParams(sizes=[3, 6], bright_probabilities=[0.0, 0.3]), 400),
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), 3000),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), 3000),
-        ("depump_scaling", DepumpScalingParams(sizes=[1, 3], rounds=2), 60),
+        ("depump_scaling", DepumpScalingParams(sizes=[1, 3], readout_rounds=2), 60),
         ("histogram", PhotonModel(), MULTI_CHUNK),
         ("histogram", PhotonModel(), 2 * HISTOGRAM_CHUNK + 1),  # three histogram chunks
-        ("search_cost", SearchCostParams(sizes=[3, 6], probabilities=[0.0, 0.3]), MULTI_CHUNK),
+        ("search_cost", SearchCostParams(sizes=[3, 6], bright_probabilities=[0.0, 0.3]), MULTI_CHUNK),
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), MULTI_CHUNK),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), MULTI_CHUNK),
     ],
@@ -258,6 +258,12 @@ def test_repeat_run_is_bit_identical(tmp_path):
     assert meta["version"].startswith("cavreg-")
 
 
+# The config section of each experiment's own keys; the histogram's params
+# are its PhotonModel.
+OWN_SECTION = {"histogram": "photon", "depump_scaling": "readout", "search_cost": "search",
+               "error_scaling": "code", "lifetime": "code"}
+
+
 @pytest.mark.parametrize("exp", EXPERIMENTS.values(), ids=lambda e: e.name)
 def test_spec_without_parameters_records_the_defaults(exp, tmp_path):
     # the run and its .meta.json both see the params class defaults
@@ -272,6 +278,10 @@ def test_spec_without_parameters_records_the_defaults(exp, tmp_path):
     assert metas[0] == metas[1]
     fields = json.loads(metas[0])["parameters"]
     assert set(fields) == {f.name for f in dataclasses.fields(exp.params)}
+    # a recorded parameter reads against its config: every name but a nested
+    # model's is a key of the experiment's own section
+    flat = [name for name, value in fields.items() if not isinstance(value, dict)]
+    assert [name for name in flat if (OWN_SECTION[exp.name], name) not in SCHEMA] == []
 
 
 def test_stderr_scales_as_inverse_sqrt_trials():
@@ -279,7 +289,7 @@ def test_stderr_scales_as_inverse_sqrt_trials():
     def stderr_at(trials):
         spec = ExperimentSpec(
             "search_cost",
-            SearchCostParams(sizes=[6], probabilities=[0.3]),
+            SearchCostParams(sizes=[6], bright_probabilities=[0.3]),
             trials=trials,
             master_seed=17,
         )

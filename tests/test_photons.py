@@ -59,7 +59,7 @@ def test_invalid_models_rejected():
             with pytest.raises(ConfigurationError, match=f"^{name}: {value!r}"):
                 CavityParams(**{name: value})
     with pytest.raises(ConfigurationError):
-        PhotonModel(threshold=0)
+        PhotonModel(threshold_counts=0)
     with pytest.raises(ConfigurationError):
         PhotonModel(full_interval_us=200.0, sub_interval_us=30.0)
     # an outcome table of 2e11 sub-intervals would never finish building
@@ -108,7 +108,7 @@ def test_threshold_consistency_full_and_adaptive(model, rng):
         codes = uniform_register(300, state)
         full = sample_full_interval(codes, model, rng)
         for out in (full, sample_adaptive_interval(codes, model, rng)):
-            assert np.array_equal(out.bright, out.counts >= model.threshold)
+            assert np.array_equal(out.bright, out.counts >= model.threshold_counts)
             assert np.all(out.duration_us <= model.full_interval_us)
             # a trial read dark never crossed, so it ran the full interval
             # exactly, not the 3 * 0.1 = 0.30000000000000004 of its stop index
@@ -128,7 +128,7 @@ class _ScriptedRng:
 
 
 def test_adaptive_stops_at_first_crossing():
-    model = PhotonModel(threshold=1)
+    model = PhotonModel(threshold_counts=1)
     out = adaptive_interval_reference(uniform_register(1, F2), model, _ScriptedRng([3]))
     assert (out.counts.tolist(), out.duration_us.tolist(), out.bright.tolist()) == (
         [3], [20.0], [True]
@@ -211,7 +211,7 @@ def test_outcome_table_cell_frequencies(mean, sub_interval_us, threshold, rng):
     # dark (F1, vacant) and bright codes share one call; each half of the
     # table is checked against the enumerated (stop, counts) law
     model = PhotonModel(bright_mean_full=mean, sub_interval_us=sub_interval_us,
-                        threshold=threshold)
+                        threshold_counts=threshold)
     n = 100_000
     codes = rng.permutation(np.repeat(np.array([F2, F1, VACANT], np.int8), [n, n // 2, n // 2]))
     out = sample_adaptive_interval(codes, model, rng)
@@ -237,7 +237,7 @@ def test_outcome_table_without_dark_counts():
 
 def test_outcome_table_size_does_not_grow_with_threshold():
     t0 = time.perf_counter()
-    table = outcome_table(PhotonModel(threshold=10**6), True)
+    table = outcome_table(PhotonModel(threshold_counts=10**6), True)
     assert time.perf_counter() - t0 < 0.5
     assert table.prob.size < 1000
     # nothing crosses: every cell is a full interval below threshold
@@ -247,10 +247,10 @@ def test_outcome_table_size_does_not_grow_with_threshold():
 
 @pytest.mark.parametrize("adaptive", [True, False])
 def test_outcome_table_is_cached_per_model(adaptive):
-    table = outcome_table(PhotonModel(threshold=3), adaptive)
-    assert outcome_table(PhotonModel(threshold=3), adaptive) is table
-    assert outcome_table(PhotonModel(threshold=2), adaptive) is not table
-    assert outcome_table(PhotonModel(threshold=3), not adaptive) is not table
+    table = outcome_table(PhotonModel(threshold_counts=3), adaptive)
+    assert outcome_table(PhotonModel(threshold_counts=3), adaptive) is table
+    assert outcome_table(PhotonModel(threshold_counts=2), adaptive) is not table
+    assert outcome_table(PhotonModel(threshold_counts=3), not adaptive) is not table
     assert not table.prob.flags.writeable
     assert not table.guide.flags.writeable
     assert table.guide.size == 2 * GUIDE_BUCKETS + 1
@@ -258,13 +258,13 @@ def test_outcome_table_is_cached_per_model(adaptive):
 
 GUIDE_MODELS = {
     "shipped": PhotonModel(),
-    "threshold 1": PhotonModel(threshold=1),
-    "threshold 3": PhotonModel(threshold=3),
+    "threshold 1": PhotonModel(threshold_counts=1),
+    "threshold 3": PhotonModel(threshold_counts=3),
     "mean 0.5": PhotonModel(bright_mean_full=0.5),
     "1000 sub-intervals": PhotonModel(sub_interval_us=0.2),  # more cells than 2 G
     "largest mean": PhotonModel(bright_mean_full=MAX_MEAN_COUNTS - 1),
     "no dark counts": PhotonModel(detector=DetectorModel(dark_rate_hz=0.0)),
-    "threshold 1e6": PhotonModel(threshold=10**6),
+    "threshold 1e6": PhotonModel(threshold_counts=10**6),
 }
 
 
@@ -308,7 +308,7 @@ def test_reduction_factors_default(rng):
 
 def test_reduction_factors_trivial_limits(rng):
     # threshold far above the bright mean: never stops early
-    never = adaptive_reduction_factors(PhotonModel(threshold=60), 20_000, rng)
+    never = adaptive_reduction_factors(PhotonModel(threshold_counts=60), 20_000, rng)
     assert never["duration_factor"] == pytest.approx(1.0)
     assert never["photon_factor"] == pytest.approx(1.0, abs=0.01)
     # a single check is a full interval
@@ -334,10 +334,10 @@ def test_adaptive_mode_at_threshold_and_gap_below(rng):
     model = PhotonModel()
     counts, durations = sample_adaptive_bright_batch(model, 50_000, rng)
     values, freqs = np.unique(counts, return_counts=True)
-    assert values[np.argmax(freqs)] == model.threshold
+    assert values[np.argmax(freqs)] == model.threshold_counts
     # stopped trials carry no mass below threshold
     stopped = durations < model.full_interval_us
-    assert not np.any(counts[stopped] < model.threshold)
+    assert not np.any(counts[stopped] < model.threshold_counts)
 
 
 def _full_half(model: PhotonModel, bright: bool, table=None) -> tuple[int, np.ndarray]:
@@ -436,7 +436,7 @@ def test_full_interval_counts_are_poisson(rng):
 )
 def test_threshold_consistency_property(mean, threshold, seed):
     rng = np.random.default_rng(seed)
-    model = PhotonModel(bright_mean_full=mean, threshold=threshold)
+    model = PhotonModel(bright_mean_full=mean, threshold_counts=threshold)
     for state in (F2, F1):
         out = sample_adaptive_interval(uniform_register(1, state), model, rng)
         assert np.array_equal(out.bright, out.counts >= threshold)

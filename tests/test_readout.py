@@ -83,13 +83,13 @@ def test_hiding_monotone_and_floored(p1, p2):
     a = hidden_depump_probability(HIDING, lo)
     b = hidden_depump_probability(HIDING, hi)
     assert b <= a + 1e-15
-    assert b >= HIDING.background_floor
+    assert b >= HIDING.background_floor_per_interval
 
 
 def test_hidden_depump_below_first_calibrated_power_is_the_unhidden_rate():
     # below its first calibration point the factor would extrapolate under 1
     # and push the hidden rate above the unhidden one, here to 44
-    hiding = HidingModel(suppression_points=((1.0, 1.0), (2.0, 1000.0)))
+    hiding = HidingModel(suppression_points_mw=((1.0, 1.0), (2.0, 1000.0)))
     assert hidden_depump_probability(hiding, 0.0) == hiding.depump_per_interval_unhidden
     assert hidden_depump_probability(hiding, 1.5) < hiding.depump_per_interval_unhidden
 
@@ -100,16 +100,16 @@ def test_hidden_depump_past_float_range_is_the_floor():
     slope = math.log(5.2) / 0.4
     assert suppression_factor(HIDING, 172.0) == math.exp(slope * 172.0)
     assert suppression_factor(HIDING, 173.0) == math.inf
-    assert hidden_depump_probability(HIDING, 250.0) == HIDING.background_floor
+    assert hidden_depump_probability(HIDING, 250.0) == HIDING.background_floor_per_interval
 
 
 def test_hiding_model_invariants():
     with pytest.raises(ConfigurationError):
-        HidingModel(suppression_points=((0.0, 1.0), (0.4, 0.5)))
+        HidingModel(suppression_points_mw=((0.0, 1.0), (0.4, 0.5)))
     with pytest.raises(ConfigurationError):
-        HidingModel(suppression_points=((0.0, 2.0), (0.4, 1.5)))
+        HidingModel(suppression_points_mw=((0.0, 2.0), (0.4, 1.5)))
     with pytest.raises(ConfigurationError):
-        HidingModel(background_floor=0.1)
+        HidingModel(background_floor_per_interval=0.1)
 
 
 def test_measure_site_vacant(rng):
@@ -251,10 +251,10 @@ def test_exposure_law_matches_closed_form(rng):
     # since it was last re-prepared: 1 - (1 - p)^q at site q in round 0,
     # 1 - (1 - p)^(n-1) (1 - floor)^idle in later rounds
     photon = PhotonModel(
-        bright_mean_full=1e3, threshold=1, detector=DetectorModel(dark_rate_hz=0.0)
+        bright_mean_full=1e3, threshold_counts=1, detector=DetectorModel(dark_rate_hz=0.0)
     )
-    hiding = HidingModel(background_floor=0.02)
-    p, floor = hidden_depump_probability(hiding, 0.0), hiding.background_floor
+    hiding = HidingModel(background_floor_per_interval=0.02)
+    p, floor = hidden_depump_probability(hiding, 0.0), hiding.background_floor_per_interval
     n_sites, rounds, trials = 6, 3, 20_000
     records, final = sequential_array_readout(
         _trials(trials, n_sites), 0.0, rng,

@@ -38,7 +38,7 @@ ROW_5 = ErrorRates(0.0039, 0.021, 0.008, 0.030)
 # loss and misreads large enough that adaptive_rounds skips sites often
 LOSSY = ErrorRates(0.02, 0.08, 0.03, 0.25)
 # a background floor large enough that one idle interval per round shows
-HIGH_FLOOR = HidingModel(background_floor=0.02)
+HIGH_FLOOR = HidingModel(background_floor_per_interval=0.02)
 
 N_SITES, ROUNDS = 4, 3
 ORACLE_TRIALS, KERNEL_TRIALS = 2500, 20_000
@@ -78,7 +78,7 @@ def _run_config(kw):
             [None if c == VACANT else c for c in register], list(range(n)),
             hidden_depump_probability(hiding, power), rng,
             rates=row, photon=PHOTON,
-            background_floor=hiding.background_floor, rounds=ROUNDS, **kw,
+            background_floor=hiding.background_floor_per_interval, rounds=ROUNDS, **kw,
         )
         for round_index, site, prepared, inferred in transcript:
             cell = oracle[site, round_index]
@@ -180,7 +180,7 @@ def test_skipped_cells_keep_their_state():
     records, final = sequential_array_readout(
         np.tile(uniform_register(4, F2), (2000, 1)), 0.0, np.random.default_rng(12),
         rates=measurement_rates(LOSSY, True, 4.5), photon=photon,
-        hiding=HidingModel(depump_per_interval_unhidden=0.0, background_floor=0.0),
+        hiding=HidingModel(depump_per_interval_unhidden=0.0, background_floor_per_interval=0.0),
         adaptive_rounds=True, rounds=3, re_prepare="none",
     )
     assert records[0].measured.all()
@@ -223,7 +223,7 @@ def test_array_interval_shapes(rng):
         codes = np.resize(np.array([F2, F1, VACANT, F2], dtype=np.int8), shape)
         out = sample_adaptive_interval(codes, PHOTON, rng)
         assert out.counts.shape == out.duration_us.shape == out.bright.shape == shape
-        assert np.array_equal(out.bright, out.counts >= PHOTON.threshold)
+        assert np.array_equal(out.bright, out.counts >= PHOTON.threshold_counts)
         assert np.all(out.duration_us <= PHOTON.full_interval_us)
 
 

@@ -89,7 +89,7 @@ def test_run_error_scaling_rejects_unreachable_post_select(count):
         # combinations no one-key config edit reaches
         (lambda: PhotonModel(full_interval_us=-200.0, sub_interval_us=-20.0),
          "photon.full_interval_us"),
-        (lambda: DepumpScalingParams(adaptive=False, adaptive_loss_factor=0.0),
+        (lambda: DepumpScalingParams(adaptive_termination=False, adaptive_loss_factor=0.0),
          "readout.adaptive_loss_factor"),
         (lambda: ErrorScalingParams(post_select="bogus"), "code.post_select"),
         (lambda: ErrorScalingParams(post_select=None), "code.post_select"),
