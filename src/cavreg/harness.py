@@ -158,17 +158,7 @@ class ErrorScalingParams:
         for d, p in itertools.product(self.distances, self.flip_sweep):
             check_code(d, self.rounds, {"code.flip_sweep": p,
                                         "code.per_round_loss": self.per_round_loss})
-        if self.post_select not in ("distance", "none"):
-            try:
-                count, smallest = int(self.post_select), min(self.distances)
-            except (TypeError, ValueError):
-                raise ConfigurationError(f"{self.post_select!r} is not distance, none or a count",
-                                         "code.post_select") from None
-            if not 0 <= count <= smallest:  # a survivor count that some distance cannot reach
-                raise ConfigurationError(
-                    f"{count} is outside [0, {smallest}] (0 to the smallest code distance)",
-                    "code.post_select",
-                )
+        _kept_survivors(self.post_select, min(self.distances))  # a count every distance reaches
 
 
 @dataclass
@@ -387,14 +377,13 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
     each placement.  The independent placement and noisy checks search
     every chunk's registers."""
     params, trials = spec.parameters, spec.trials
-    noise = None if params.noise == GroupCheckNoise() else params.noise  # noiseless: no draws
     at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
     points = list(itertools.product(params.sizes, params.bright_probabilities, params.strategies))
     # the cost of each placement, bright at site i (row i) or all dark (row n)
     placement_costs = {
         (n, strat): run_search(placements(n), strat).intervals_used
         for n, strat in itertools.product(params.sizes, params.strategies)
-    } if at_most_one and noise is None else {}
+    } if at_most_one and not params.noise else {}
 
     def cost_moments(point: tuple, rng: np.random.Generator, size: int) -> np.ndarray:
         n, p, strat = point
@@ -405,7 +394,8 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
             counts = np.bincount(bright, minlength=n + 1)
             counts[n] = size - bright.size  # all dark
             return np.array([counts @ cost, counts @ cost**2], dtype=float)
-        used = run_search(codes, strat, rng, at_most_one=at_most_one, noise=noise).intervals_used
+        used = run_search(codes, strat, rng, at_most_one=at_most_one,
+                          noise=params.noise).intervals_used
         return np.array([np.sum(used), np.sum(used**2)], dtype=float)
 
     fieldnames = ["n", "p", "strategy", "mean_intervals", "stderr", "analytic"]
@@ -419,7 +409,7 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
             analytic = expected_cost(SearchProblem(n, p, params.placement), strat)
         except ConfigurationError:
             analytic = math.nan
-        if noise is not None and strat is not Strategy.DETERMINISTIC_SEQUENTIAL:
+        if params.noise and strat is not Strategy.DETERMINISTIC_SEQUENTIAL:
             analytic = math.nan  # the closed forms assume noiseless checks
         rows.append(dict(zip(fieldnames, (n, p, strat.value, mean, stderr, analytic))))
     return ExperimentResult(fieldnames, rows, {})
@@ -430,10 +420,17 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
 
 def _kept_survivors(post_select: str, d: int) -> range:
     """The survivor counts whose rounds code.post_select keeps at distance d:
-    "none" keeps 0..d, "distance" keeps d, and an integer keeps itself."""
+    "none" keeps 0..d, "distance" keeps d, and a count in [0, d] keeps itself."""
     if post_select == "none":
         return range(d + 1)
-    s = d if post_select == "distance" else int(post_select)
+    try:
+        s = d if post_select == "distance" else int(post_select)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{post_select!r} is not distance, none or a count",
+                                 "code.post_select") from None
+    if not 0 <= s <= d:  # a survivor count that this distance cannot reach
+        raise ConfigurationError(f"{s} is outside [0, {d}] (0 to the smallest code distance)",
+                                 "code.post_select")
     return range(s, s + 1)
 
 

@@ -61,6 +61,9 @@ class GroupCheckNoise:
         check_probability("search.false_positive", self.false_positive)
         check_probability("search.false_negative", self.false_negative)
 
+    def __bool__(self):  # the zero model is the noiseless check: no draws, no rng
+        return self.false_positive > 0 or self.false_negative > 0
+
 
 @dataclass
 class SearchResult:
@@ -134,14 +137,14 @@ def group_check(
     bits: np.ndarray,
     subset: int | np.ndarray,
     rng: np.random.Generator | None = None,
-    noise: GroupCheckNoise | None = None,
+    noise: GroupCheckNoise = GroupCheckNoise(),
 ) -> np.ndarray:
     """One fluorescence interval over the sites of the bitmask `subset` for
     every register of `bits` (see bright_bits): true iff any bright atom.
     An array of subsets broadcasts against `bits`.  Noisy checks draw one
-    uniform per outcome."""
+    uniform per outcome; the zero noise model draws nothing."""
     truth = (bits & subset) != 0
-    if noise is None:
+    if not noise:
         return truth
     if rng is None:
         raise ConfigurationError("noisy group checks need a random stream")
@@ -172,7 +175,7 @@ def run_search(
     rng: np.random.Generator | None = None,
     *,
     at_most_one: bool = True,
-    noise: GroupCheckNoise | None = None,
+    noise: GroupCheckNoise = GroupCheckNoise(),
 ) -> SearchResult:
     """Locate the bright atoms of every register of a (..., n) state-code
     array.
@@ -188,11 +191,11 @@ def run_search(
 
     Each group_check call covers every register: the singles are one call,
     and bisection walks its tree in pre-order, so a search makes at most 2N.
-    A noiseless search draws nothing, so the result of one (n,) register is
-    cached and returned as a copy.
+    A search under the zero noise model draws nothing, so the result of one
+    (n,) register is cached and returned as a copy.
     """
     codes = np.asarray(codes)
-    if codes.ndim == 1 and noise is None:
+    if codes.ndim == 1 and not noise:
         found, intervals = _search_one(codes.tobytes(), codes.dtype, codes.size, strategy,
                                        at_most_one)
         return SearchResult(found.copy(), intervals.copy())
@@ -202,7 +205,7 @@ def run_search(
 @lru_cache(maxsize=4096)
 def _search_one(key: bytes, dtype: np.dtype, n: int, strategy: Strategy, at_most_one: bool):
     """(found, intervals_used) of the noiseless search of one register."""
-    result = _search(np.frombuffer(key, dtype), strategy, None, at_most_one, None)
+    result = _search(np.frombuffer(key, dtype), strategy, None, at_most_one, GroupCheckNoise())
     return result.found, result.intervals_used
 
 

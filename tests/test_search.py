@@ -18,8 +18,10 @@ from cavreg import (
     run_search,
     uniform_register,
 )
+from cavreg.config import load_config
 from cavreg.search import (
     _expected_splits,
+    _search_one,
     bright_bits,
     enumerate_mean_intervals,
     placements,
@@ -38,7 +40,7 @@ def _single_bright(n, k):
     return register
 
 
-def _check(register, subset, rng=None, noise=None):
+def _check(register, subset, rng=None, noise=GroupCheckNoise()):
     return group_check(bright_bits(register), site_mask(subset, len(register)), rng, noise)
 
 
@@ -70,6 +72,41 @@ def test_group_check_noise_rates(rng):
         not _check(_single_bright(8, 0), (0, 1), rng, noise) for _ in range(n)
     ) / n
     assert abs(fn - 0.2) < 4 * math.sqrt(0.2 * 0.8 / n)
+
+
+# the shipped [search] model has both rates zero: it is the noiseless check,
+# which draws nothing, needs no random stream and is served by the cache
+ZERO_NOISE = load_config().build(GroupCheckNoise, "search")
+BATCH_6 = np.where(np.random.default_rng(3).random((40, 6)) < 0.3, F2, F1).astype(np.int8)
+
+
+def test_config_zero_noise_needs_no_rng():
+    bits = bright_bits(BATCH_6)
+    assert np.array_equal(group_check(bits, 0b101, noise=ZERO_NOISE), group_check(bits, 0b101))
+    for strategy in Strategy:
+        for codes in (BATCH_6, BATCH_6[0]):
+            with_model = run_search(codes, strategy, noise=ZERO_NOISE)
+            default = run_search(codes, strategy)
+            assert np.array_equal(with_model.found, default.found)
+            assert np.array_equal(with_model.intervals_used, default.intervals_used)
+
+
+def test_config_zero_noise_draws_nothing():
+    for strategy in Strategy:
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        group_check(bright_bits(BATCH_6), 0b11, rng, ZERO_NOISE)
+        run_search(BATCH_6, strategy, rng, noise=ZERO_NOISE)
+        run_search(BATCH_6, strategy, ref)
+        assert rng.random() == ref.random()
+
+
+def test_config_zero_noise_one_register_search_is_cached():
+    for strategy in Strategy:
+        rng = np.random.default_rng(5)
+        run_search(BATCH_6[1], strategy, rng, noise=ZERO_NOISE)
+        hits = _search_one.cache_info().hits
+        run_search(BATCH_6[1], strategy, rng, noise=ZERO_NOISE)
+        assert _search_one.cache_info().hits == hits + 1
 
 
 def test_all_dark_global_check_is_one_interval():

@@ -516,6 +516,39 @@ def test_validate_config_agrees_with_every_reader_of_one_key(edit):
         assert set(codes.values()) == {valid}, codes
 
 
+# Pairs of keys whose values interact: a round time, a hiding power within
+# its calibration, and a threshold against the bright mean.
+PAIRS = [(("code", "idle_ms"), ("code", "round_overhead_ms")),
+         (("readout", "hiding_power_mw"), ("hiding", "suppression_points_mw")),
+         (("photon", "bright_mean_full"), ("photon", "threshold_counts"))]
+PAIR_EDITS = st.sampled_from(PAIRS).flatmap(lambda pair: st.tuples(
+    *(st.tuples(st.just(key), st.sampled_from(VARIANTS.get(key, EDGES))) for key in pair)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(edits=PAIR_EDITS)
+@example(edits=((("code", "idle_ms"), "0"), (("code", "round_overhead_ms"), "0")))
+@example(edits=((("photon", "bright_mean_full"), "0.5"), (("photon", "threshold_counts"), "64")))
+def test_validate_config_agrees_with_every_reader_of_a_key_pair(edits):
+    # the one-key contract over the union of both keys' readers
+    # _set rewrites one line in place, so each line is taken from whichever edit changed it
+    base = DEFAULTS.read_text().splitlines()
+    edited = [_set(key, value).splitlines() for key, value in edits]
+    text = [next((lines[i] for lines in edited if lines[i] != line), line)
+            for i, line in enumerate(base)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "edit.cfg"
+        cfg.write_text("\n".join(text) + "\n")
+        valid = main(["validate-config", "--config", str(cfg)])
+        assert valid in (0, 2)
+        for command in sorted({c for key, _ in edits for c in _readers()[key]}):
+            out = Path(tmp) / f"{command}.csv"
+            code = main([command, "--config", str(cfg), "--trials", "64", "--threads", "1",
+                         "--out", str(out)])
+            assert code == valid, (command, code, valid)
+            assert {out.exists(), Path(f"{out}.meta.json").exists()} == {code == 0}, command
+
+
 # Values outside the range of each config key, set on a parsed config so
 # that only the models and params see them: the parser converts syntax only.
 OUT_OF_RANGE = {
