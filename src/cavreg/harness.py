@@ -1,11 +1,12 @@
 """Experiment orchestration: seeded Monte-Carlo ensembles, estimation, CSV.
 
-Every experiment is a deterministic function of (spec, master_seed): each
-runner takes its spec and hands `_sweep` its list of sweep-point values and
-a kernel.  Trials are partitioned into fixed-size chunks, each chunk draws
-from a counter-based stream keyed by (master_seed, point index, chunk
-index), the kernel gets the point's value, and results are reduced in chunk
-order.  Thread count changes wall-clock time only, never output bytes.
+Every experiment is a deterministic function of (spec, master_seed).  A
+count-law sweep point (its cost grows with rounds or a grid, not trials) is
+drawn on the calling thread as one chunk of all trials; `_sweep` splits the
+trials of each per-trial point into fixed-size chunks.  Chunk c of point i
+draws from the counter-based stream keyed by (master_seed, i, c), and
+results are reduced in chunk order.  Thread count changes wall-clock time
+only, never output bytes.
 
 EXPERIMENTS is the one list of experiments: each record names its params
 class, its one-line `Config.build` recipe for the params, its [run]
@@ -24,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -223,24 +224,24 @@ class ExperimentResult:
 
 def _sweep(
     spec: ExperimentSpec,
-    points: list,
+    points: Iterable[tuple[int, Any]],
     kernel: Callable[[Any, np.random.Generator, int], Any],
     chunk: int = CHUNK_TRIALS,
 ) -> list:
-    """Per sweep point, the sum of kernel(point, rng, size) over the chunks
-    of spec.trials, `chunk` trials each and the last one shorter.  The
-    kernel gets the point's value; chunk c of the point at index i draws
-    from stream(spec.master_seed, i, c).  Every (point, chunk) task of the
-    run goes, point-major, through one `map_chunks` call, so one pool serves
-    the whole run, and each point's results are summed in chunk order: the
+    """Per (stream index i, point) pair of a per-trial kernel, the sum of
+    kernel(point, rng, size) over the chunks of spec.trials, `chunk` trials
+    each and the last one shorter; chunk c draws from
+    stream(spec.master_seed, i, c).  Every (pair, chunk) task of the run
+    goes, pair-major, through one `map_chunks` call, so one pool serves the
+    whole run, and each pair's results are summed in chunk order: the
     thread count never changes the result."""
 
-    def chunk_result(task: tuple[int, int, int]):
-        i, c, size = task
-        return kernel(points[i], stream(spec.master_seed, i, c), size)
+    def chunk_result(task: tuple[int, Any, int, int]):
+        i, point, c, size = task
+        return kernel(point, stream(spec.master_seed, i, c), size)
 
     sizes = chunk_sizes(spec.trials, chunk)
-    tasks = [(i, c, size) for i in range(len(points)) for c, size in enumerate(sizes)]
+    tasks = [(i, point, c, size) for i, point in points for c, size in enumerate(sizes)]
     results, n = map_chunks(chunk_result, tasks, spec.threads), len(sizes)
     return [functools.reduce(operator.add, results[s : s + n]) for s in range(0, len(results), n)]
 
@@ -257,12 +258,12 @@ def run_histogram(spec: ExperimentSpec) -> ExperimentResult:
     """Photon-count histograms of a bright and a dark emitter over the full
     interval and of a bright one under adaptive termination.
 
-    Each chunk of HISTOGRAM_CHUNK trials is a count vector over its
-    condition's support, from its first count on, the counts of that
-    condition's half of its outcome table.  The full-interval counts of a
-    chunk are one multinomial draw of the chunk size over the full table's
-    half, one cell per count; the adaptive counts are sampled per trial and
-    binned over the adaptive table's bright half."""
+    Condition i is point i.  Its histogram is a count vector over the counts
+    of its half of its outcome table, from its first count on.  Each
+    full-interval condition is one multinomial draw of all trials over the
+    full table's half, one cell per count; the adaptive counts are sampled
+    per trial, in chunks of HISTOGRAM_CHUNK, and binned over the adaptive
+    table's bright half."""
     photon, conditions = spec.parameters, ["bright_full", "bright_adaptive", "dark_full"]
     full, adaptive = outcome_table(photon, False), outcome_table(photon, True)
     halves = {"bright_full": (full, full.bright), "bright_adaptive": (adaptive, adaptive.bright),
@@ -272,17 +273,17 @@ def run_histogram(spec: ExperimentSpec) -> ExperimentResult:
     first = {c: int(counts.min()) for c, counts in support.items()}
     n_adaptive = int(support["bright_adaptive"].max()) + 1 - first["bright_adaptive"]
 
-    def histogram(cond: str, rng: np.random.Generator, size: int) -> np.ndarray:
-        if cond == "bright_adaptive":
-            counts, _ = sample_adaptive_bright_batch(photon, size, rng)
-            return np.bincount(counts - first[cond], minlength=n_adaptive)
-        return rng.multinomial(size, law[cond])
+    def adaptive_histogram(_point: None, rng: np.random.Generator, size: int) -> np.ndarray:
+        counts, _ = sample_adaptive_bright_batch(photon, size, rng)
+        return np.bincount(counts - first["bright_adaptive"], minlength=n_adaptive)
 
-    hists = _sweep(spec, conditions, histogram, chunk=HISTOGRAM_CHUNK)
+    hists = {c: stream(spec.master_seed, i, 0).multinomial(spec.trials, law[c])
+             for i, c in [(0, "bright_full"), (2, "dark_full")]}
+    (hists["bright_adaptive"],) = _sweep(spec, [(1, None)], adaptive_histogram, HISTOGRAM_CHUNK)
     rows = [
-        {"counts": first[cond] + i, "frequency": int(hist[i]), "condition": cond}
-        for cond, hist in zip(conditions, hists)
-        for i in np.flatnonzero(hist).tolist()
+        {"counts": first[cond] + i, "frequency": int(hists[cond][i]), "condition": cond}
+        for cond in conditions
+        for i in np.flatnonzero(hists[cond]).tolist()
     ]
     return ExperimentResult(["counts", "frequency", "condition"], rows, {})
 
@@ -321,7 +322,7 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
             acc[:, r, 1] = np.count_nonzero(detected, axis=0)
         return acc
 
-    totals = _sweep(spec, params.sizes, trial_counts)
+    totals = _sweep(spec, enumerate(params.sizes), trial_counts)
     fieldnames = ["n_sites", "site_index", "error_rate", "stderr", "hiding_power_mW",
                   "adaptive_rounds"]
     rows = []
@@ -400,7 +401,7 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
 
     fieldnames = ["n", "p", "strategy", "mean_intervals", "stderr", "analytic"]
     rows = []
-    for (n, p, strat), moments in zip(points, _sweep(spec, points, cost_moments)):
+    for (n, p, strat), moments in zip(points, _sweep(spec, enumerate(points), cost_moments)):
         s, s2 = (float(m) for m in moments)
         mean = s / trials
         var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
@@ -443,16 +444,13 @@ def run_error_scaling(spec: ExperimentSpec) -> ExperimentResult:
     law without a per-trial trace: one multinomial draw per round moves the
     trials between survivor counts, and the erring rounds of each count are
     one binomial draw.  Its cost does not grow with the trials, so each
-    point is drawn as one chunk.  A cell with no rounds, no errors or a
-    stderr above a tenth of its estimate is flagged."""
+    point is drawn as one chunk of all trials.  A cell with no rounds, no
+    errors or a stderr above a tenth of its estimate is flagged."""
     params = spec.parameters
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
-
-    def survivor_counts(point: tuple, rng: np.random.Generator, size: int) -> np.ndarray:
-        d, p = point
-        return round_counts(d, p, params.per_round_loss, params.rounds, size, rng)
-
-    totals = _sweep(spec, points, survivor_counts, chunk=spec.trials)
+    totals = [round_counts(d, p, params.per_round_loss, params.rounds, spec.trials,
+                           stream(spec.master_seed, i, 0))
+              for i, (d, p) in enumerate(points)]
     fieldnames = ["p_phys", "d", "survivors", "p_logical", "stderr"]
     rows, flagged = [], []
     curves: dict[int, list[tuple[float, float]]] = {d: [] for d in params.distances}
@@ -497,24 +495,21 @@ def _error_scaling_lines(summary: dict) -> list[str]:
 
 
 def run_lifetime(spec: ExperimentSpec) -> ExperimentResult:
-    """Error vs time of an unprotected idling bit (sweep point d = 0, as in
-    the CSV) and of each code distance."""
+    """Error vs time of an unprotected idling bit (point 0, a count chain;
+    d = 0 in the CSV) and of each code distance (points 1..k, per trial)."""
     params, trials = spec.parameters, spec.trials
     round_time = params.idle_ms + params.round_overhead_ms
     times = round_time * np.arange(1, params.rounds + 1)
 
     def error_counts(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        if d == 0:
-            return simulate_idling_bit(params.idle_model, times, size, rng)
         trace = simulate_code_abstract(
             d, params.per_round_flip, params.per_round_loss, params.rounds, size, rng
         )
-        out = np.zeros((2, params.rounds), dtype=np.int64)
-        out[0] = trace.err_vs_initial.sum(axis=0)
-        out[1] = trace.survivors.sum(axis=0)
-        return out
+        return np.stack([trace.err_vs_initial.sum(axis=0), trace.survivors.sum(axis=0)])
 
-    phys_counts, *code_counts = _sweep(spec, [0, *params.distances], error_counts)
+    phys_counts = simulate_idling_bit(params.idle_model, times, trials,
+                                      stream(spec.master_seed, 0, 0))
+    code_counts = _sweep(spec, enumerate(params.distances, 1), error_counts)
     phys = logical_lifetime(times, phys_counts / trials)
     fits: dict[str, Any] = {"physical": dataclasses.asdict(phys)}
     curves = [(0, phys_counts, None)]
@@ -522,7 +517,7 @@ def run_lifetime(spec: ExperimentSpec) -> ExperimentResult:
         res = logical_lifetime(times, acc[0] / trials)
         fits[str(d)] = {
             **dataclasses.asdict(res),
-            "extension_factor": res.tau_ms / phys.tau_ms if phys.tau_ms else math.nan,
+            "extension_factor": res.tau_ms / phys.tau_ms,
         }
         curves.append((d, acc[0], acc[1] / trials))
 
@@ -653,6 +648,8 @@ def write_metadata(path: str, spec: ExperimentSpec, result: ExperimentResult) ->
         "summary": result.summary,
         "version": f"cavreg-{__version__}",
     }
+    # RFC 8259 has no NaN or Infinity, which json writes bare: re-read them as null
+    text = json.dumps(meta, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(json.loads(text, parse_constant=lambda _: None), fh, indent=2)
         fh.write("\n")

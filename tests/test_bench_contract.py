@@ -121,12 +121,12 @@ def test_code_sweep_runs_reach_the_code_sweep_layers(bench, monkeypatch):
         ExperimentSpec("histogram", PhotonModel(), trials=20, master_seed=3),
     ]
     calls = _traced_calls(bench, monkeypatch, "code-sweep", *specs)
-    # one per-trial code trace per lifetime chunk; each error-scaling point is
-    # one chunk of round counts without one, which opens one stream
+    # one per-trial code trace per lifetime distance and chunk; the idling bit
+    # and each error-scaling point are one count-law draw of all trials, which
+    # opens one stream, and so are the histogram's two full-interval conditions
     chunks = len(chunk_sizes(trials))
-    lifetime_points = 1 + len(lifetime.distances)  # the idling bit and each distance
     scaling_points = len(scaling.distances) * len(scaling.flip_sweep)
     assert calls["repcode.simulate_code_abstract"] == len(lifetime.distances) * chunks
-    assert calls["repcode.simulate_idling_bit"] == chunks
+    assert calls["repcode.simulate_idling_bit"] == 1
     assert calls["photons.sample_adaptive_bright_batch"] == 1
-    assert calls["streams.stream"] == lifetime_points * chunks + scaling_points + 3
+    assert calls["streams.stream"] == 1 + len(lifetime.distances) * chunks + scaling_points + 3

@@ -215,6 +215,36 @@ def test_schema_help_covers_sections():
         assert f"[{section}]" in text
 
 
+@pytest.mark.parametrize(
+    "key, old, new",
+    [
+        ("search.placement", "placement = at_most_one", "placement = nowhere"),
+        ("error_table.row_3", "row_3 = 0.25  11  0.0030 0.007 0.026 0.011",
+         "row_3 = 0.25  11  0.0030 0.007 0.026"),
+    ],
+)
+def test_cli_bad_value_exits_2_naming_key_and_line(key, old, new, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    text = DEFAULTS.read_text()
+    nline = next(i for i, line in enumerate(text.splitlines(), 1) if line == old)
+    bad.write_text(text.replace(old, new))
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert f"bad.cfg:{nline}: invalid value for '{key}'" in capsys.readouterr().err
+
+
+def test_cli_error_scaling_sweep_under_a_decade_reports_the_fit_error(tmp_path):
+    # a flip sweep spanning less than a decade has no exponent fit; the run
+    # still succeeds and records why
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(DEFAULTS.read_text().replace(
+        "flip_sweep = 0.02, 0.04, 0.08, 0.12, 0.2", "flip_sweep = 0.05, 0.08, 0.12, 0.2, 0.3"))
+    out = tmp_path / "e.csv"
+    argv = ["error-scaling", "--config", str(cfg), "--trials", "20000", "--out", str(out)]
+    assert main(argv) == 0
+    exponents = json.loads(Path(f"{out}.meta.json").read_text())["summary"]["exponents"]
+    assert exponents == {d: {"error": "sweep must span at least a decade"} for d in ("3", "5")}
+
+
 def test_cli_validate_config_ok(capsys):
     assert main(["validate-config"]) == 0
     assert "OK" in capsys.readouterr().out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cavreg import ConfigurationError, Estimate, ExperimentSpec, run
-from cavreg.cli import _build_parser
+from cavreg.cli import _build_parser, main
 from cavreg.config import SCHEMA, load_config
 from cavreg.harness import (
     EXPERIMENTS,
@@ -32,6 +32,7 @@ from cavreg.search import (SearchProblem, Strategy, enumerate_mean_intervals, pl
                            run_search, sample_register)
 from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
 
+from cavreg.repcode import simulate_idling_bit
 from oracles import poisson_pmf
 
 
@@ -186,20 +187,22 @@ def test_thread_count_never_changes_results(experiment, params, trials, tmp_path
 @pytest.mark.parametrize("threads", [1, 4])
 def test_sweep_reduces_each_point_in_chunk_order(threads, monkeypatch):
     # list `+` keeps order: each kernel call gets its point's value, and each
-    # point reads its own chunks' streams, keyed by the point's index, in chunk order
+    # point reads its own chunks' streams, keyed by the stream index paired
+    # with it, in chunk order; the indices need not be 0..k-1
     monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
-    points = ["a", "b", "c"]
 
     def kernel(point, rng, size):
         return [(point, size, int(rng.integers(2**62)))]
 
-    expected = [
-        [(point, size, int(stream(3, i, c).integers(2**62)))
-         for c, size in enumerate(chunk_sizes(MULTI_CHUNK))]
-        for i, point in enumerate(points)
-    ]
     spec = ExperimentSpec("histogram", trials=MULTI_CHUNK, master_seed=3, threads=threads)
-    assert _sweep(spec, points, kernel) == expected
+    for indices in ([0, 1, 2], [1, 4, 9]):
+        points = list(zip(indices, ["a", "b", "c"]))
+        expected = [
+            [(point, size, int(stream(3, i, c).integers(2**62)))
+             for c, size in enumerate(chunk_sizes(MULTI_CHUNK))]
+            for i, point in points
+        ]
+        assert _sweep(spec, points, kernel) == expected
 
 
 @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (4, 1)])
@@ -213,9 +216,52 @@ def test_one_run_opens_at_most_one_pool(threads, pools, monkeypatch):
 
     monkeypatch.setattr(cavreg.streams, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
-    params = ErrorScalingParams(flip_sweep=[0.02, 0.05, 0.1, 0.2], distances=[1, 3, 5])
-    run(ExperimentSpec("error_scaling", params, trials=MULTI_CHUNK, master_seed=5, threads=threads))
+    # 3 chunks for each of 3 per-trial code points; the idling bit is one count-law draw
+    params = LifetimeParams(distances=[1, 3, 5], rounds=8)
+    run(ExperimentSpec("lifetime", params, trials=MULTI_CHUNK, master_seed=5, threads=threads))
     assert opened == [threads] * pools
+    # error-scaling's points are all count laws, drawn on the calling thread
+    opened.clear()
+    params = ErrorScalingParams(flip_sweep=[0.02, 0.05, 0.1, 0.2], distances=[1, 3, 5])
+    run(ExperimentSpec("error_scaling", params, trials=MULTI_CHUNK, master_seed=5, threads=4))
+    assert opened == []
+
+
+def test_lifetime_idling_bit_is_one_count_law_draw():
+    # the d = 0 rows are one chain of all trials from point 0's chunk-0 stream
+    params = LifetimeParams(distances=[1, 3], rounds=8)
+    result = run(ExperimentSpec("lifetime", params, trials=MULTI_CHUNK, master_seed=21, threads=2))
+    times = (params.idle_ms + params.round_overhead_ms) * np.arange(1, params.rounds + 1)
+    errors = simulate_idling_bit(params.idle_model, times, MULTI_CHUNK, stream(21, 0, 0))
+    assert [row["p_err"] for row in result.rows if row["d"] == 0] == (errors / MULTI_CHUNK).tolist()
+
+
+def test_histogram_full_conditions_are_one_multinomial_draw_each():
+    # above one histogram chunk, each full-interval condition is still one
+    # multinomial draw of all trials from its point's chunk-0 stream
+    trials, photon = 2 * HISTOGRAM_CHUNK + 1, PhotonModel()
+    result = run(ExperimentSpec("histogram", photon, trials=trials, master_seed=8, threads=2))
+    full = outcome_table(photon, False)
+    for i, cond, half in [(0, "bright_full", full.bright), (2, "dark_full", ~full.bright)]:
+        frequency = stream(8, i, 0).multinomial(trials, full.prob[half])
+        expected = [(int(c), int(f)) for c, f in zip(full.counts[half], frequency) if f]
+        rows = [(row["counts"], row["frequency"]) for row in result.rows if row["condition"] == cond]
+        assert rows == expected, cond
+
+
+def test_metadata_is_strict_json(tmp_path):
+    # a one-trial lifetime fit is degenerate: its NaNs are written as null,
+    # which a strict reader accepts, and the CSV keeps its nan cells
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    out = tmp_path / "l.csv"
+    assert main(["lifetime", "--trials", "1", "--seed", "1", "--out", str(out)]) == 0
+    meta = json.loads(Path(f"{out}.meta.json").read_text(), parse_constant=reject)
+    fits = meta["summary"]["fits"]
+    assert any(fit["tau_ms"] is None and fit["tau_stderr"] is None for fit in fits.values())
+    assert any(fit.get("extension_factor", 0.0) is None for fit in fits.values())
+    assert ",nan" in out.read_text()
 
 
 def test_map_chunks_returns_item_order_when_early_items_finish_last(monkeypatch):

@@ -34,6 +34,17 @@ from oracles import search_transcript, transcript_supports
 ALL_DARK_8 = uniform_register(8, F1)
 
 
+def test_noisy_group_check_needs_a_stream():
+    bits = bright_bits(uniform_register(3, F2))
+    with pytest.raises(ConfigurationError, match="random stream"):
+        group_check(bits, 1, noise=GroupCheckNoise(false_positive=0.1))
+
+
+def test_search_rejects_a_register_over_64_sites():
+    with pytest.raises(ConfigurationError, match="at most 64 sites"):
+        run_search(uniform_register(65, F1), Strategy.DETERMINISTIC_SEQUENTIAL)
+
+
 def _single_bright(n, k):
     register = uniform_register(n, F1)
     register[k] = F2

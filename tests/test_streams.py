@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavreg.harness as harness
-from cavreg import ConfigurationError, ExperimentSpec, run
+from cavreg import ConfigurationError, run
 from cavreg.config import load_config
-from cavreg.harness import EXPERIMENTS
+from cavreg.harness import EXPERIMENTS, HISTOGRAM_CHUNK
 from cavreg.streams import CHUNK_TRIALS, MAX_PATH, chunk_sizes, stream
 
 
@@ -55,29 +55,37 @@ def test_stream_rejects_long_paths_and_out_of_range_indices(seed, path):
         stream(seed, *path)
 
 
-class _Recorded(Exception):
-    pass
+def _shipped_paths(name: str, params, trials: int) -> list[tuple[int, int]]:
+    """The (point, chunk) path of every stream a run opens: chunk 0 of each
+    count-law point and every chunk of each per-trial point."""
+    def chunked(points, chunk=CHUNK_TRIALS):
+        return [(i, c) for i in points for c in range(len(chunk_sizes(trials, chunk)))]
+
+    if name == "histogram":  # bright_full, bright_adaptive, dark_full
+        return [(0, 0), *chunked([1], HISTOGRAM_CHUNK), (2, 0)]
+    if name == "error_scaling":
+        return [(i, 0) for i in range(len(params.distances) * len(params.flip_sweep))]
+    if name == "lifetime":  # the idling bit, then each distance
+        return [(0, 0), *chunked(range(1, len(params.distances) + 1))]
+    if name == "depump_scaling":
+        return chunked(range(len(params.sizes)))
+    sizes, probs, strategies = params.sizes, params.bright_probabilities, params.strategies
+    return chunked(range(len(sizes) * len(probs) * len(strategies)))
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_default_runs_draw_from_distinct_streams(name, monkeypatch):
-    # record the streams the sweep requests at the shipped trial count, with
-    # the experiment's kernel replaced by a no-op
-    config = load_config()
-    exp = EXPERIMENTS[name]
-    trials, seed = config[("run", exp.trials_key)], config[("run", "master_seed")]
+    # record every stream a shipped run opens, count-law draws included
+    spec = load_config().specs[name]
     seen = []
 
-    def recording_sweep(spec, points, kernel, chunk=CHUNK_TRIALS):
-        assert spec.trials == trials
-        sweep(spec, points, lambda point, rng, size: 0, chunk)
-        seen.append((len(points), chunk))
-        raise _Recorded
+    def recording_stream(seed, *path):
+        seen.append((seed, path))
+        return stream(seed, *path)
 
-    sweep = harness._sweep
-    monkeypatch.setattr(harness, "_sweep", recording_sweep)
-    monkeypatch.setattr(harness, "stream", lambda *key: seen.append(_start(*key)))
-    with pytest.raises(_Recorded):
-        run(ExperimentSpec(name, exp.build(config), trials=trials, master_seed=seed))
-    *starts, (n_points, chunk) = seen
-    assert len(set(starts)) == len(starts) == n_points * len(chunk_sizes(trials, chunk))
+    monkeypatch.setattr(harness, "stream", recording_stream)
+    run(spec)
+    starts = [_start(seed, *path) for seed, path in seen]
+    assert len(set(starts)) == len(starts)
+    paths = _shipped_paths(name, spec.parameters, spec.trials)
+    assert sorted(seen) == sorted((spec.master_seed, path) for path in paths)
