@@ -122,8 +122,8 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
     note = ""
     try:
         cov = sigma2 * np.linalg.inv(jac.T @ jac)
-        p_inf_se = math.sqrt(max(cov[0, 0], 0.0))
-        tau_se = math.sqrt(max(cov[1, 1], 0.0))
+        # a variance of -0.0 or below reads +0.0; max(v, 0.0) would keep -0.0
+        p_inf_se, tau_se = (0.0 if v <= 0 else math.sqrt(v) for v in np.diag(cov))
     except np.linalg.LinAlgError:
         p_inf_se = tau_se = math.nan
         note = "singular Jacobian: parameter errors unavailable"

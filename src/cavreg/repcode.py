@@ -12,16 +12,12 @@ probabilities (the Monte-Carlo convention behind the headline lifetime
 factors); no measurement goes through the readout protocol.  Each atom is
 lost independently with the per-round loss before each round's vote, so
 its alive rounds are a prefix, and a round with s survivors errs with the
-round hazard h_s, independently of every other round.  Two kernels sample
-that law.  simulate_code_abstract builds the per-trial, per-round survivors
-and vote errors that lifetime curves need: one uniform per atom fixes how
-many rounds it stays alive, and each round's survivors are counted from
-those uniforms.  round_counts gives the error-scaling cells only the
-rounds spent with s survivors: it steps the number of trials at each
-survivor count through the rounds, one multinomial draw per round, and
-draws the erring rounds of each s as one binomial.  simulate_idling_bit steps the unprotected bit the same way: the
-number of trials in F1, F2 and vacant moves through the time grid with one
-multinomial draw per grid step.
+round hazard h_s, independently of every other round.
+simulate_code_abstract samples the per-trial, per-round trace that lifetime
+curves need, from one loss uniform per atom.  round_counts (error-scaling's
+rounds per survivor count) and simulate_idling_bit (the unprotected bit)
+are count chains on sample_chain: the trials in each state move on
+together, one multinomial draw per step, at a cost free of the trials.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_integers, check_probability
 from .fitting import SaturatingExpFit, fit_linear, fit_saturating_exponential
-from .register import IdleErrorModel, flip_probability, loss_probability
+from .register import F1, F2, VACANT, IdleErrorModel, flip_probability, loss_probability
 
 
 def check_code(distance: int, rounds: int, probabilities: dict[str, float]) -> None:
@@ -100,16 +96,28 @@ def simulate_code_abstract(
     return CodeTrace(new_error, err_vs_initial, survivors)
 
 
+def sample_chain(start, laws, rng: np.random.Generator) -> np.ndarray:
+    """(steps, states) trial counts of a finite Markov chain: row k holds the
+    trials in each state after step k, stepped from the counts `start` by
+    laws[k] (row = current state, column = next state) in one multinomial
+    draw.  State 0 must be absorbing and reachable from every row: numpy's
+    multinomial gives a row's rounding remainder to its last column, so
+    each law is drawn with its columns reversed and the remainder lands in
+    state 0."""
+    at = np.asarray(start, dtype=np.int64)
+    counts = np.empty((len(laws), at.size), dtype=np.int64)
+    for k, law in enumerate(laws):
+        at = counts[k] = rng.multinomial(at, law[:, ::-1]).sum(axis=0)[::-1]
+    return counts
+
+
 def _survivor_law(distance: int, loss_p: float) -> np.ndarray:
     """(distance + 1, distance + 1) one-round survivor transition: row s is
-    the Binomial(s, 1 - loss_p) law of the next round's survivors, and
-    column c holds survivor count distance - c.  numpy's multinomial gives
-    the last column whatever rounding leaves of a row, so the last column
-    is the empty register, which every row can reach."""
+    the Binomial(s, 1 - loss_p) law of the next round's survivors."""
     q = 1.0 - loss_p
     return np.array([
         [math.comb(s, j) * q**j * (1 - q) ** (s - j) if j <= s else 0.0
-         for j in range(distance, -1, -1)]
+         for j in range(distance + 1)]
         for s in range(distance + 1)
     ])
 
@@ -126,21 +134,15 @@ def round_counts(
     survivors, summed over n_trials trials of the simulate_code_abstract
     ensemble, without a per-trial trace.
 
-    Atoms are lost independently, so the survivor count is a Markov chain
-    and the trials at each count move on together: before each round's
-    vote, the trials with s survivors split over the next counts in one
-    multinomial draw by _survivor_law, and the N_s rounds with s survivors
-    are the per-round counts summed.  Given the survivors, rounds err
-    independently with the round hazard, so the erring rounds with s
+    Atoms are lost independently, so the survivor count is a Markov chain:
+    sample_chain steps the trials at each count by _survivor_law before
+    each round's vote, from all `distance` atoms, and the N_s rounds with s
+    survivors are the per-round counts summed.  Given the survivors, rounds
+    err independently with the round hazard, so the erring rounds with s
     survivors are Binomial(N_s, round_hazard(distance, flip_p)[s]).  The
     cost grows with distance and rounds, not with n_trials."""
-    law = _survivor_law(distance, loss_p)
-    at = np.zeros(distance + 1, dtype=np.int64)  # trials per survivor count
-    at[distance] = n_trials
-    n_rounds = np.zeros(distance + 1, dtype=np.int64)
-    for _ in range(rounds):
-        at = rng.multinomial(at, law).sum(axis=0)[::-1]
-        n_rounds += at
+    start = n_trials * np.eye(distance + 1, dtype=np.int64)[distance]  # all atoms alive
+    n_rounds = sample_chain(start, [_survivor_law(distance, loss_p)] * rounds, rng).sum(axis=0)
     errors = rng.binomial(n_rounds, round_hazard(distance, flip_p))
     return np.stack([n_rounds - errors, errors], axis=1)
 
@@ -166,16 +168,15 @@ def fit_error_exponent(
 
 
 def _idle_law(dt: float, model: IdleErrorModel) -> np.ndarray:
-    """(3, 3) one-step law of an idling bit over (F1, F2, vacant): row c is
-    the next state's law from state c.  An occupied atom flips with f and is
-    lost with l, independently; vacant stays vacant.  Vacant is the last
-    column, so numpy's multinomial gives it a row's rounding remainder, and
-    every row can reach it."""
+    """(3, 3) one-step law of an idling bit, indexed by the state codes
+    (VACANT, F1, F2): row c is the next state's law from state c.  An
+    occupied atom flips with f and is lost with l, independently; vacant
+    stays vacant."""
     if dt < 0:
         raise ConfigurationError("idle duration must be non-negative")
     f, l = flip_probability(dt, model), loss_probability(dt, model)
     stay, flip = (1 - f) * (1 - l), f * (1 - l)
-    return np.array([[stay, flip, l], [flip, stay, l], [0.0, 0.0, 1.0]])
+    return np.array([[1.0, 0.0, 0.0], [l, stay, flip], [l, flip, stay]])
 
 
 def simulate_idling_bit(
@@ -187,20 +188,16 @@ def simulate_idling_bit(
     """Error counts of n_trials unmeasured idling bits, read out destructively
     at each grid time (a lost atom reads as a coin toss).
 
-    The trials are independent Markov chains on (F1, F2, vacant), so the
-    numbers of trials in each state move on together: each grid step splits
-    them over the next states in one multinomial draw by _idle_law, and the
-    step's errors are the F2 trials plus a fresh Binomial(vacant, 1/2) coin
-    count.  The cost grows with the grid, not with n_trials.  A decreasing
-    grid is rejected before any draw."""
+    The trials are independent Markov chains on the state codes:
+    sample_chain steps them from all-F1 by _idle_law, one grid step each.
+    A step's errors are its F2 trials plus a fresh Binomial(vacant, 1/2)
+    coin count, drawn for every step in one call after the chain.  The cost
+    grows with the grid, not with n_trials.  A decreasing grid is rejected
+    before any draw."""
     times_ms = np.asarray(times_ms, dtype=float)
     laws = [_idle_law(dt, idle_model) for dt in np.diff(times_ms, prepend=0.0)]
-    at = np.array([n_trials, 0, 0], dtype=np.int64)  # trials in F1, F2, vacant
-    errors = np.empty(len(times_ms), dtype=np.int64)
-    for k, law in enumerate(laws):
-        at = rng.multinomial(at, law).sum(axis=0)
-        errors[k] = at[1] + rng.binomial(at[2], 0.5)
-    return errors
+    at = sample_chain(n_trials * np.eye(3, dtype=np.int64)[F1], laws, rng)
+    return at[:, F2] + rng.binomial(at[:, VACANT], 0.5)
 
 
 def logical_lifetime(times_ms: np.ndarray, p_err: np.ndarray) -> SaturatingExpFit:

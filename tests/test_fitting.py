@@ -56,6 +56,13 @@ def test_satexp_constant_zero_flagged():
     assert "unidentifiable" in fit.note
 
 
+def test_satexp_exact_fit_stderrs_are_positive_zero():
+    # the residuals vanish, so each variance is 0 and its stderr reads +0.0
+    fit = fit_saturating_exponential([5] * 5, [0.1] * 5, p_inf_max=0.5)
+    assert math.copysign(1.0, fit.tau_stderr) == math.copysign(1.0, fit.p_inf_stderr) == 1.0
+    assert fit.tau_stderr == fit.p_inf_stderr == 0.0
+
+
 def test_satexp_validation():
     with pytest.raises(ConfigurationError):
         fit_saturating_exponential([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])

@@ -22,6 +22,7 @@ from cavreg.harness import (
     HISTOGRAM_CHUNK,
     LifetimeParams,
     SearchCostParams,
+    _json_default,
     _sweep,
     write_metadata,
     write_result_csv,
@@ -262,6 +263,13 @@ def test_metadata_is_strict_json(tmp_path):
     assert any(fit["tau_ms"] is None and fit["tau_stderr"] is None for fit in fits.values())
     assert any(fit.get("extension_factor", 0.0) is None for fit in fits.values())
     assert ",nan" in out.read_text()
+
+
+def test_metadata_writes_numpy_scalars_and_rejects_other_objects():
+    params = DepumpScalingParams(adaptive_rounds=np.bool_(True))
+    assert json.loads(json.dumps(params, default=_json_default))["adaptive_rounds"] is True
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        json.dumps(object(), default=_json_default)
 
 
 def test_map_chunks_returns_item_order_when_early_items_finish_last(monkeypatch):

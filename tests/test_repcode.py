@@ -256,18 +256,17 @@ def test_idling_bit_curve_and_lifetime(rng):
 SHIPPED_GRID = 24.0 * np.arange(1, 18)  # idle_ms + round_overhead_ms, 17 rounds
 
 
-def test_idle_law_rows_keep_vacant_last():
+def test_idle_law_rows_follow_the_state_codes():
     model = IdleErrorModel()
     f, lost = 0.5 * (1 - math.exp(-24.0 / 150.0)), 1 - math.exp(-24.0 / 800.0)
+    stay, flip = (1 - f) * (1 - lost), f * (1 - lost)
     law = _idle_law(24.0, model)
-    np.testing.assert_allclose(law, [
-        [(1 - f) * (1 - lost), f * (1 - lost), lost],
-        [f * (1 - lost), (1 - f) * (1 - lost), lost],
-        [0.0, 0.0, 1.0],
-    ], rtol=1e-12)
-    # numpy's multinomial gives a row's rounding remainder to the last
-    # column: vacant, which every row reaches
-    assert (law[:, -1] > 0).all()
+    assert law[VACANT].tolist() == [1.0, 0.0, 0.0]
+    np.testing.assert_allclose(law[F1], [lost, stay, flip], rtol=1e-12)
+    np.testing.assert_allclose(law[F2], [lost, flip, stay], rtol=1e-12)
+    # sample_chain gives a row's rounding remainder to state 0: VACANT,
+    # which every row reaches
+    assert VACANT == 0 and (law[:, VACANT] > 0).all()
     np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=1e-15)
     assert (_idle_law(0.0, model) == np.eye(3)).all()
 

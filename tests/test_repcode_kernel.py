@@ -13,7 +13,9 @@ multinomial draw per round over all trials) and reduces it to (clean,
 erring) rounds per survivor count.  Its round totals N_s match the exact
 mean from tests/oracles.py and the trace's survivor counts on independent
 streams within K standard errors, and are exact where loss is 0 or 1; its
-error rates agree with the trace's within K standard errors.
+error rates agree with the trace's within K standard errors.  sample_chain,
+the chain step both count kernels share, keeps every trial and never moves
+one to a state of probability 0.
 """
 
 import itertools
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 from cavreg import round_counts, round_hazard, simulate_code_abstract
-from cavreg.repcode import _survivor_law
+from cavreg.repcode import _survivor_law, sample_chain
 from cavreg.streams import stream
 
 from oracles import (
@@ -137,17 +139,38 @@ def test_round_counts_loss_edges_are_exact(distance):
 
 
 @pytest.mark.parametrize("distance, loss", CASES)
-def test_survivor_law_rows_are_binomial_with_a_reachable_last_column(distance, loss):
-    # column c is survivor count distance - c; numpy's multinomial gives the
-    # last column a row's rounding remainder, so every row must reach it
+def test_survivor_law_rows_are_binomial_with_a_reachable_empty_register(distance, loss):
+    # sample_chain gives a row's rounding remainder to state 0, the empty
+    # register, so every row must reach it
     law = _survivor_law(distance, loss)
     q = 1.0 - loss
     for s in range(distance + 1):
         for j in range(distance + 1):
             exact = math.comb(s, j) * q**j * (1 - q) ** (s - j) if j <= s else 0.0
-            assert math.isclose(law[s, distance - j], exact, rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(law[s, j], exact, rel_tol=1e-12, abs_tol=0.0)
     if 0.0 < loss < 1.0:
-        assert (law[:, -1] > 0).all()
+        assert (law[:, 0] > 0).all()
+
+
+@pytest.mark.parametrize("distance, loss", CASES)
+def test_sample_chain_conserves_trials_and_never_revives_an_atom(distance, loss):
+    # no trial enters a state its row gives probability 0: the trials with
+    # at least s survivors never rise, for every s
+    law = _survivor_law(distance, loss)
+    start = np.zeros(distance + 1, dtype=np.int64)
+    start[distance] = TRIALS
+    for seed in range(5):
+        counts = sample_chain(start, [law] * ROUNDS, stream(45, distance, seed))
+        assert counts.shape == (ROUNDS, distance + 1) and counts.dtype == np.int64
+        assert (counts >= 0).all() and (counts.sum(axis=1) == TRIALS).all()
+        at_least = np.cumsum(np.vstack([start, counts])[:, ::-1], axis=1)
+        assert (np.diff(at_least, axis=0) <= 0).all()
+
+
+def test_sample_chain_gives_a_short_row_remainder_to_state_0():
+    # row 1 sums to 1/2 and never names state 0, yet its shortfall lands there
+    counts = sample_chain([0, 1000], [np.array([[1.0, 0.0], [0.0, 0.5]])], stream(46))
+    assert counts.sum() == 1000 and 0 < counts[0, 0] < 1000
 
 
 @pytest.mark.parametrize("distance, loss", CASES)

@@ -158,6 +158,20 @@ def test_expected_cost_closed_forms():
         )
 
 
+def test_unknown_strategy_is_rejected():
+    # a value that is no Strategy reaches neither a search nor a closed form
+    with pytest.raises(ConfigurationError, match="unknown strategy"):
+        run_search(ALL_DARK_8, "sequential")
+    with pytest.raises(ConfigurationError, match="unknown strategy"):
+        expected_cost(SearchProblem(8, 0.5), "sequential")
+
+
+def test_enumeration_refuses_the_independent_placement():
+    with pytest.raises(ConfigurationError, match="at-most-one"):
+        enumerate_mean_intervals(SearchProblem(8, 0.5, Placement.INDEPENDENT_PER_SITE),
+                                 Strategy.DETERMINISTIC_SEQUENTIAL)
+
+
 def test_expected_splits_recursion():
     # powers of two give exactly log2(n); others sit below ceil(log2 n)
     assert _expected_splits(8) == pytest.approx(3.0)
