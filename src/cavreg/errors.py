@@ -35,3 +35,13 @@ def check_finite(key: str, value: float, *, positive: bool = True) -> None:
     if not (0.0 < value if positive else 0.0 <= value) or value == math.inf:
         rule = "positive" if positive else "non-negative"
         raise ConfigurationError(f"{value!r} is not {rule} and finite", key)
+
+
+def check_sweep(key: str, values: list) -> None:
+    """Reject an empty sweep list or one that repeats a value: each value is
+    one sweep point (one curve, one fit point)."""
+    if not values:
+        raise ConfigurationError("a sweep needs at least one value", key)
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigurationError(f"repeats the value {repeated[0]}", key)

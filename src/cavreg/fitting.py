@@ -36,6 +36,8 @@ def fit_linear(xs, ys) -> LinearFit:
     n = len(xs)
     if n < 3 or len(ys) != n:
         raise ConfigurationError("linear fit needs at least 3 (x, y) points")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ConfigurationError("linear fit needs finite (x, y) points")
     sxx = float(((xs - xs.mean()) ** 2).sum())
     if sxx == 0.0:
         raise ConfigurationError("degenerate x-range in linear fit")
@@ -86,6 +88,8 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
     ps = np.asarray(ps, dtype=float)
     if len(ts) < MIN_FIT_POINTS or len(ts) != len(ps):
         raise ConfigurationError(f"saturating-exponential fit needs >= {MIN_FIT_POINTS} points")
+    if not (np.isfinite(ts).all() and np.isfinite(ps).all()):  # an inf time never ends the zoom
+        raise ConfigurationError("saturating-exponential fit needs finite (t, p) points")
     if np.any((ps < 0) | (ps > 1)):
         raise ConfigurationError("probabilities must lie in [0, 1]")
     if np.any(ts <= 0):

@@ -30,16 +30,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, check_finite, check_integers
+from .errors import ConfigurationError, check_finite, check_integers, check_sweep
 from .fitting import MIN_FIT_POINTS, fit_linear
 from .photons import PhotonModel, outcome_table, sample_adaptive_bright_batch
-from .readout import (
-    ErrorRates,
-    HidingModel,
-    hidden_depump_probability,
-    measurement_rates,
-    sequential_array_readout,
-)
+from .readout import DepumpScalingParams, HidingModel, sequential_array_readout
 from .register import F1, F2, VACANT, IdleErrorModel, uniform_register
 from .repcode import (
     check_code,
@@ -80,41 +74,6 @@ class Estimate:
         return cls(p, math.sqrt(max(p * (1 - p), 0.0) / n), n)
 
 
-def _sweep_list(key: str, values: list) -> None:
-    """Reject an empty sweep list or one that repeats a value: each value is
-    one sweep point (one curve, one fit point)."""
-    if not values:
-        raise ConfigurationError("a sweep needs at least one value", key)
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ConfigurationError(f"repeats the value {repeated[0]}", key)
-
-
-@dataclass
-class DepumpScalingParams:
-    """Each field but the nested `rates`, `photon` and `hiding` is the
-    [readout] key of its name; `rates` is the probe's calibration row."""
-
-    sizes: list[int] = field(default_factory=lambda: list(range(1, 11)))
-    readout_rounds: int = 4
-    hiding_power_mw: float = 2.0
-    adaptive_rounds: bool = False
-    adaptive_termination: bool = True
-    adaptive_loss_factor: float = 4.5
-    idle_intervals: int = 0
-    rates: ErrorRates = ErrorRates(0.0039, 0.021, 0.008, 0.030)  # the 0.25 mK / 5 MHz row
-    photon: PhotonModel = field(default_factory=PhotonModel)
-    hiding: HidingModel = field(default_factory=HidingModel)
-
-    def __post_init__(self):
-        _sweep_list("readout.sizes", self.sizes)
-        check_integers("readout.sizes", *self.sizes, least=1)  # a register needs a site
-        check_integers("readout.readout_rounds", self.readout_rounds, least=1)
-        check_integers("readout.idle_intervals", self.idle_intervals, least=0)
-        measurement_rates(self.rates, self.adaptive_termination, self.adaptive_loss_factor)
-        hidden_depump_probability(self.hiding, self.hiding_power_mw)
-
-
 @dataclass
 class SearchCostParams:
     sizes: list[int] = field(default_factory=lambda: list(range(2, 11)))
@@ -130,9 +89,9 @@ class SearchCostParams:
     noise: GroupCheckNoise = field(default_factory=GroupCheckNoise)
 
     def __post_init__(self):
-        _sweep_list("search.sizes", self.sizes)
-        _sweep_list("search.bright_probabilities", self.bright_probabilities)
-        _sweep_list("search.strategies", self.strategies)
+        check_sweep("search.sizes", self.sizes)
+        check_sweep("search.bright_probabilities", self.bright_probabilities)
+        check_sweep("search.strategies", self.strategies)
         # run_search_cost picks its kernel by these types, so no look-alike may stand in
         if not isinstance(self.noise, GroupCheckNoise):
             raise ConfigurationError(f"search noise {self.noise!r} is not a GroupCheckNoise")
@@ -154,8 +113,8 @@ class ErrorScalingParams:
     post_select: str = "distance"  # "distance", "none", or an integer string
 
     def __post_init__(self):
-        _sweep_list("code.distances", self.distances)
-        _sweep_list("code.flip_sweep", self.flip_sweep)
+        check_sweep("code.distances", self.distances)
+        check_sweep("code.flip_sweep", self.flip_sweep)
         for d, p in itertools.product(self.distances, self.flip_sweep):
             check_code(d, self.rounds, {"code.flip_sweep": p,
                                         "code.per_round_loss": self.per_round_loss})
@@ -173,7 +132,7 @@ class LifetimeParams:
     idle_model: IdleErrorModel = field(default_factory=IdleErrorModel)
 
     def __post_init__(self):
-        _sweep_list("code.distances", self.distances)
+        check_sweep("code.distances", self.distances)
         for d in self.distances:
             check_code(d, self.rounds, {"code.per_round_flip": self.per_round_flip,
                                         "code.per_round_loss": self.per_round_loss})
@@ -301,18 +260,10 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
     trials is read out as one state-code array.
     """
     params = spec.parameters
-    rates = measurement_rates(params.rates, params.adaptive_termination,
-                              params.adaptive_loss_factor)
 
     def trial_counts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
         registers = np.tile(uniform_register(n, F2), (size, 1))
-        records, _ = sequential_array_readout(
-            registers, params.hiding_power_mw, rng,
-            rates=rates, photon=params.photon, hiding=params.hiding,
-            adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive_termination,
-            rounds=params.readout_rounds, idle_intervals=params.idle_intervals,
-            re_prepare="bright",
-        )
+        records, _ = sequential_array_readout(registers, params, rng)
         # [site, round, (errors, detections)]
         acc = np.zeros((n, params.readout_rounds, 2), dtype=np.int64)
         for r, rec in enumerate(records):

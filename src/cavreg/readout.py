@@ -6,7 +6,9 @@ state (F=2 bright, F=1 dark), the second detects occupation with a repumper
 on (any present atom is bright).  Misclassification and loss probabilities
 are configuration inputs taken from single-atom calibration at a given
 tweezer depth / probe-cavity detuning; they are not derived from atomic
-physics here.
+physics here.  Both kernels take the [readout] section whole
+(DepumpScalingParams), whose rates is the row as configured: measure_site
+applies measurement_rates to it, and no caller does.
 
 During a sequential array readout all atoms except the probed target are
 hidden by local light shifts.  A hidden bright atom still depumps with a
@@ -23,16 +25,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, check_finite, check_probability
-from .photons import (
-    PhotonModel,
-    sample_adaptive_interval,
-    sample_full_interval,
-)
+from .errors import ConfigurationError, check_finite, check_integers, check_probability, check_sweep
+from .photons import PhotonModel, sample_adaptive_interval, sample_full_interval
 from .register import F1, F2, VACANT
 
 
@@ -127,13 +125,35 @@ def hidden_depump_probability(model: HidingModel, power_mw: float) -> float:
     )
 
 
+@dataclass
+class DepumpScalingParams:
+    """The [readout] section, which the readout kernels take whole.  Each
+    field but the nested `rates`, `photon` and `hiding` is the [readout] key
+    of its name; `rates` is the probe's calibration row as configured, and
+    measure_site applies it through measurement_rates."""
+
+    sizes: list[int] = field(default_factory=lambda: list(range(1, 11)))
+    readout_rounds: int = 4
+    hiding_power_mw: float = 2.0
+    adaptive_rounds: bool = False
+    adaptive_termination: bool = True
+    adaptive_loss_factor: float = 4.5
+    idle_intervals: int = 0
+    rates: ErrorRates = ErrorRates(0.0039, 0.021, 0.008, 0.030)  # the 0.25 mK / 5 MHz row
+    photon: PhotonModel = field(default_factory=PhotonModel)
+    hiding: HidingModel = field(default_factory=HidingModel)
+
+    def __post_init__(self):
+        check_sweep("readout.sizes", self.sizes)
+        check_integers("readout.sizes", *self.sizes, least=1)  # a register needs a site
+        check_integers("readout.readout_rounds", self.readout_rounds, least=1)
+        check_integers("readout.idle_intervals", self.idle_intervals, least=0)
+        measurement_rates(self.rates, self.adaptive_termination, self.adaptive_loss_factor)
+        hidden_depump_probability(self.hiding, self.hiding_power_mw)
+
+
 def measure_site(
-    codes: np.ndarray,
-    rates: ErrorRates,
-    photon: PhotonModel,
-    rng: np.random.Generator,
-    *,
-    adaptive: bool,
+    codes: np.ndarray, params: DepumpScalingParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure the sites of an array of state codes, of any shape, and
     return (inferred, post-measurement state codes) of that shape.  inferred
@@ -142,12 +162,13 @@ def measure_site(
 
     The state-appropriate infidelity flips the effective emitter for the
     hyperfine interval (misclassification channel).  Loss is applied once per
-    measurement as a lump probability keyed by the pre-measurement state;
-    `rates` comes from measurement_rates with the same `adaptive`, so its
-    bright-state loss already reflects adaptive termination.  Re-preparation
-    is left to the caller.  One sampler call draws both intervals, and every
-    draw runs over the cells in C order, so an array draws what its ravel() does.
+    measurement as a lump probability keyed by the pre-measurement state,
+    from the measurement_rates of params.rates.  Re-preparation is left to
+    the caller.  One sampler call draws both intervals, and every draw runs
+    over the cells in C order, so an array draws what its ravel() does.
     """
+    adaptive = params.adaptive_termination
+    rates = measurement_rates(params.rates, adaptive, params.adaptive_loss_factor)
     sample = sample_adaptive_interval if adaptive else sample_full_interval
     # probabilities per state code (vacant, F=1, F=2)
     infidelity = np.array([0.0, rates.infidelity_f1, rates.infidelity_f2])[codes]
@@ -157,7 +178,7 @@ def measure_site(
     effective = np.where(flip, F1 + F2 - codes, codes)
     # repumper on for the occupation interval: any present atom is bright
     occupancy = np.array([VACANT, F2, F2])[codes]
-    hyperfine, occupied = sample(np.stack((effective, occupancy)), photon, rng).bright
+    hyperfine, occupied = sample(np.stack((effective, occupancy)), params.photon, rng).bright
     # present: F=2 if the hyperfine interval read bright, else F=1
     inferred = np.where(occupied, F1 + hyperfine, VACANT)
     post = np.where(rng.random(codes.shape) < loss, VACANT, effective)
@@ -181,32 +202,25 @@ def _depump_since_update(codes: np.ndarray, keep: np.ndarray, rng) -> np.ndarray
 
 def sequential_array_readout(
     register: np.ndarray,
-    hiding_power_mw: float,
+    params: DepumpScalingParams,
     rng: np.random.Generator,
     *,
-    rates: ErrorRates,
-    photon: PhotonModel,
-    hiding: HidingModel,
-    adaptive_rounds: bool = False,
-    adaptive: bool = True,
-    rounds: int = 1,
-    idle_intervals: int = 0,
     re_prepare: str = "bright",
 ) -> tuple[list[ReadoutRecord], np.ndarray]:
     """Sequentially measure every site, one at a time in index order, for
-    one or more rounds, and return one record per round and the final state
-    codes.
+    params.readout_rounds rounds, and return one record per round and the
+    final state codes.
 
     `register` is an int8 array of state codes of shape (trials, sites)
-    whose trials are read out together; it is not modified.  `rates` is
-    the calibration row that measurement_rates returns for the same
-    `adaptive`.
+    whose trials are read out together; it is not modified.
 
     While a site is probed, every other occupied bright atom independently
-    depumps with hidden_depump_probability (charged once per site
-    measurement).  idle_intervals adds probe-free intervals per round during
-    which waiting atoms depump at the background floor only.  With
-    adaptive_rounds, sites inferred vacant in the previous round are skipped.
+    depumps with the hidden_depump_probability of params.hiding at
+    params.hiding_power_mw (charged once per site measurement).
+    params.idle_intervals adds probe-free intervals per round during which
+    waiting atoms depump at the background floor only.  With
+    params.adaptive_rounds, sites inferred vacant in the previous round are
+    skipped.
 
     re_prepare: "bright" repumps each present atom to F=2 right after its
     measurement (bright-state characterization), "none" leaves the
@@ -224,25 +238,26 @@ def sequential_array_readout(
 
     n = register.shape[1]
     states = register
-    decay = (1.0 - hidden_depump_probability(hiding, hiding_power_mw)) ** np.arange(n + 1)
-    idle_keep = (1.0 - hiding.background_floor_per_interval) ** idle_intervals
+    hiding = params.hiding
+    decay = (1.0 - hidden_depump_probability(hiding, params.hiding_power_mw)) ** np.arange(n + 1)
+    idle_keep = (1.0 - hiding.background_floor_per_interval) ** params.idle_intervals
     # chance that a bright atom is still bright, from its last update to now
     keep = np.ones((1, n))
     measured = np.ones((1, n), dtype=bool)  # the same for every trial until adaptive rounds skip
     records: list[ReadoutRecord] = []
 
-    for _ in range(rounds):
+    for _ in range(params.readout_rounds):
         # hidden exposures of each site in this round, before its step and in all
         before = np.cumsum(measured, axis=1) - measured
         total = measured.sum(axis=1, keepdims=True)
         prepared = _depump_since_update(states, keep * decay[before], rng)
-        found, post = measure_site(prepared, rates, photon, rng, adaptive=adaptive)
+        found, post = measure_site(prepared, params, rng)
         if re_prepare == "bright":
             post = np.where(post != VACANT, F2, post)
         states = np.where(measured, post, prepared)
         inferred = np.where(measured, found, VACANT)
         records.append(ReadoutRecord(np.broadcast_to(measured, prepared.shape), prepared, inferred))
         keep = decay[total - before - measured] * idle_keep
-        if adaptive_rounds:
+        if params.adaptive_rounds:
             measured = inferred != VACANT
     return records, _depump_since_update(states, keep, rng)

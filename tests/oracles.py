@@ -199,12 +199,6 @@ def repcode_exact_error_curve(
     return curve
 
 
-def repcode_exact_new_error_full_distance(d: int, flip_p: float) -> float:
-    """Per-round logical error conditioned on all d atoms present: losses are
-    independent of flips, so the conditional law is the no-loss majority."""
-    return majority_flip_probability_enumeration(d, flip_p)
-
-
 def idling_bit_error_mean(t_ms: float, tau_depump_ms: float, tau_vacuum_ms: float) -> float:
     """Exact error probability of an idling bit read out at t_ms: a survivor
     has relaxed toward the equal mixture, (1 - exp(-t/tau_depump))/2, and a

@@ -22,6 +22,14 @@ def test_fit_linear_validation():
         fit_linear([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("xs, ys", [([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]),
+                                    ([1.0, 2.0, 3.0], [1.0, -math.inf, 3.0])])
+def test_fit_linear_rejects_non_finite_points(xs, ys):
+    # a nan used to come back as an all-nan LinearFit
+    with pytest.raises(ConfigurationError, match="finite"):
+        fit_linear(xs, ys)
+
+
 def test_fit_linear_noise_recovery(rng):
     xs = np.arange(50, dtype=float)
     ys = 0.5 + 0.03 * xs + rng.normal(0, 0.05, size=50)
@@ -70,6 +78,23 @@ def test_satexp_validation():
         fit_saturating_exponential([1, 2, 3, 4, 5], [0.1, 0.2, 0.3, 0.4, 1.4])
     with pytest.raises(ConfigurationError):
         fit_saturating_exponential([0, 1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4, 0.5])
+
+
+@pytest.mark.parametrize("ts, ps", [
+    ([1, 2, 3, 4, math.inf], [0.1, 0.2, 0.3, 0.4, 0.5]),
+    ([1, 2, math.nan, 4, 5], [0.1, 0.2, 0.3, 0.4, 0.5]),
+    ([1, 2, 3, 4, 5], [0.1, math.nan, 0.3, 0.4, 0.5]),
+    ([1, 2, 3, 4, 5], [0.1, 0.2, 0.3, 0.4, math.inf]),
+])
+def test_satexp_rejects_non_finite_points(ts, ps, monkeypatch):
+    # an inf time used to zoom forever and a nan probability to fit p_inf = nan;
+    # both are rejected before the tau grid is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("built a tau grid for non-finite points")
+
+    monkeypatch.setattr(np, "logspace", no_grid)
+    with pytest.raises(ConfigurationError, match="finite"):
+        fit_saturating_exponential(ts, ps)
 
 
 def test_satexp_noise_recovery(rng):

@@ -1,8 +1,10 @@
-"""Every module of src/cavreg other than the package's export list uses each
-name it imports, every private module-level function, class or constant is
-used somewhere in src/cavreg, every dataclass field of src/cavreg is read
-somewhere in src/cavreg, tests/ or bench/, and every code name README.md
-quotes still exists in src/cavreg or tests/."""
+"""Every module of src/cavreg other than the package's export list, and
+every module of tests/, uses each name it imports, every private
+module-level function, class or constant is used somewhere in src/cavreg,
+every dataclass field of src/cavreg is read somewhere in src/cavreg, tests/
+or bench/, every public function of tests/oracles.py is named by a test
+module, and every code name README.md quotes still exists in src/cavreg or
+tests/."""
 
 import ast
 import re
@@ -12,6 +14,12 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "cavreg"
+TESTS = ROOT / "tests"
+# the modules whose imports are checked, by the name each test id shows
+MODULES = {
+    **{p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"},
+    **{f"tests/{p.name}": p for p in TESTS.glob("*.py")},
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,12 +44,9 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["field"]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
-)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_uses_every_import(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
-
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def unused_private_helpers(sources: dict[str, str]) -> list[str]:
@@ -149,7 +154,7 @@ def test_every_dataclass_field_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     readers = [
         p.read_text(encoding="utf-8")
-        for folder in (SRC, ROOT / "tests", ROOT / "bench") for p in folder.glob("*.py")
+        for folder in (SRC, TESTS, ROOT / "bench") for p in folder.glob("*.py")
     ]
     assert unread_dataclass_fields(sources, readers) == []
 
@@ -196,8 +201,35 @@ def test_quoted_code_names_are_found():
 
 def test_readme_names_only_existing_code():
     names = set()
-    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]:
         if path.name != Path(__file__).name:  # its own examples name deleted code
             names |= code_names(path.read_text(encoding="utf-8"))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert sorted(quoted_code_names(readme) - names) == []
+
+
+def unnamed_oracles(oracles: str, tests: list[str]) -> list[str]:
+    """The public top-level functions of the `oracles` source that no
+    source of `tests` names."""
+    named = set().union(*map(code_names, tests))
+    return sorted(
+        node.name for node in ast.parse(oracles).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_") and node.name not in named
+    )
+
+
+def test_unnamed_oracle_is_found():
+    oracles = (
+        "def called(n):\n    return n\n\ndef by_attribute():\n    pass\n\n"
+        "def dead():\n    return called(1)\n\ndef _helper():\n    pass\n"
+    )
+    tests = ["from oracles import called\nx = called(2)\n",
+             "import oracles\ny = oracles.by_attribute()\n"]
+    # an oracle that only another oracle calls checks nothing
+    assert unnamed_oracles(oracles, tests) == ["dead"]
+
+
+def test_every_oracle_is_named_by_a_test():
+    tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("test_*.py")]
+    assert unnamed_oracles((TESTS / "oracles.py").read_text(encoding="utf-8"), tests) == []

@@ -19,24 +19,17 @@ from cavreg import (
     sequential_array_readout,
     uniform_register,
 )
-from cavreg.readout import ErrorRates, suppression_factor
+from cavreg.readout import DepumpScalingParams, ErrorRates, suppression_factor
 from cavreg.fitting import fit_linear
 
 from oracles import compounded_depump_error
 
-PHOTON = PhotonModel()
 HIDING = HidingModel()
 # the calibration rows at 0.25 mK and 5 MHz, and at 0.25 mK and 17 MHz
 ROW_5 = ErrorRates(0.0039, 0.021, 0.008, 0.030)
 ROW_17 = ErrorRates(0.0036, 0.003, 0.039, 0.006)
-
-
-def _rates(row, adaptive=True):
-    """A calibration row as a readout applies it."""
-    return measurement_rates(row, adaptive, 4.5)
-
-
-RATES_5 = _rates(ROW_5)
+# the shipped [readout] section: the ROW_5 row, adaptive termination, 2 mW hiding, 4 rounds
+PARAMS = DepumpScalingParams()
 IDEAL = ErrorRates(0.0, 0.0, 0.0, 0.0)  # no misreads and no loss, adaptive or not
 
 
@@ -58,8 +51,9 @@ def _tally(records, n_sites, from_round=0):
 
 def test_measurement_rates_divide_bright_loss_only_under_adaptive_termination():
     assert measurement_rates(ROW_5, False, 4.5) is ROW_5
-    assert RATES_5.loss_f2 == 0.030 / 4.5
-    assert (RATES_5.infidelity_f1, RATES_5.loss_f1, RATES_5.infidelity_f2) == (0.0039, 0.021, 0.008)
+    rates = measurement_rates(ROW_5, True, 4.5)
+    assert rates.loss_f2 == 0.030 / 4.5
+    assert (rates.infidelity_f1, rates.loss_f1, rates.infidelity_f2) == (0.0039, 0.021, 0.008)
     with pytest.raises(ConfigurationError, match="adaptive bright-state loss 30 "):
         measurement_rates(ROW_5, True, 0.001)
     assert measurement_rates(ROW_5, False, 0.001) is ROW_5
@@ -113,18 +107,18 @@ def test_hiding_model_invariants():
 
 
 def test_measure_site_vacant(rng):
-    _, post = measure_site(uniform_register(200, VACANT), RATES_5, PHOTON, rng, adaptive=True)
+    _, post = measure_site(uniform_register(200, VACANT), PARAMS, rng)
     assert np.all(post == VACANT)
     # dark counts crossing threshold are ~3e-4 per interval; almost always vacant
     n = 5000
-    inferred, _ = measure_site(uniform_register(n, VACANT), RATES_5, PHOTON, rng, adaptive=True)
+    inferred, _ = measure_site(uniform_register(n, VACANT), PARAMS, rng)
     inferred_vacant = np.count_nonzero(inferred == VACANT)
     assert inferred_vacant / n > 0.995
 
 
 def test_measure_site_misclassification_rate(rng):
     n = 30_000
-    inferred, _ = measure_site(uniform_register(n, F2), RATES_5, PHOTON, rng, adaptive=True)
+    inferred, _ = measure_site(uniform_register(n, F2), PARAMS, rng)
     wrong = np.count_nonzero(inferred == F1)
     # misreads are dominated by the 0.8% misclassification channel
     p = 0.008
@@ -135,20 +129,19 @@ def test_measure_site_misclassification_rate(rng):
 def test_measure_site_loss_rates(rng):
     n = 30_000
     # full-interval mode keeps the calibrated bright-state loss
-    rates = _rates(ROW_5, adaptive=False)
-    post = measure_site(uniform_register(n, F2), rates, PHOTON, rng, adaptive=False)[1]
+    full_interval = DepumpScalingParams(adaptive_termination=False)
+    post = measure_site(uniform_register(n, F2), full_interval, rng)[1]
     lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.03 * 0.97 / n)
     assert abs(lost / n - 0.03) < 4 * se
     # adaptive termination divides bright-state loss by the measured factor
-    post = measure_site(uniform_register(n, F2), RATES_5, PHOTON, rng, adaptive=True)[1]
+    post = measure_site(uniform_register(n, F2), PARAMS, rng)[1]
     lost = np.count_nonzero(post == VACANT)
     p = 0.03 / 4.5
     se = math.sqrt(p * (1 - p) / n)
     assert abs(lost / n - p) < 4 * se
     # dark-state loss at the 0.25 mK / 17 MHz row is 0.3%, adaptive or not
-    rates = _rates(ROW_17)
-    post = measure_site(uniform_register(n, F1), rates, PHOTON, rng, adaptive=True)[1]
+    post = measure_site(uniform_register(n, F1), DepumpScalingParams(rates=ROW_17), rng)[1]
     lost = np.count_nonzero(post == VACANT)
     se = math.sqrt(0.003 * 0.997 / n)
     assert abs(lost / n - 0.003) < 4 * se
@@ -159,9 +152,9 @@ def test_measure_site_is_perfect_in_the_ideal_limit(rng):
         bright_mean_full=200.0,
         detector=DetectorModel(dark_rate_hz=0.0),
     )
+    params = DepumpScalingParams(rates=IDEAL, photon=photon)
     for state in (F2, F1, VACANT):
-        inferred, post = measure_site(uniform_register(300, state), IDEAL, photon, rng,
-                                      adaptive=True)
+        inferred, post = measure_site(uniform_register(300, state), params, rng)
         assert np.all(inferred == state)
         assert np.all(post == state)
 
@@ -169,27 +162,20 @@ def test_measure_site_is_perfect_in_the_ideal_limit(rng):
 def test_sequential_readout_names_the_trial_shape(rng):
     # a 1-D register lacks the leading trial axis
     with pytest.raises(ConfigurationError, match=r"\(trials, sites\)"):
-        sequential_array_readout(
-            uniform_register(3, F2), 2.0, rng,
-            rates=RATES_5, photon=PHOTON, hiding=HIDING,
-        )
+        sequential_array_readout(uniform_register(3, F2), PARAMS, rng)
 
 
 @pytest.mark.parametrize("policy", ["inferred", "dark"])
 def test_sequential_readout_rejects_unknown_re_prepare(policy, rng):
     with pytest.raises(ConfigurationError, match="re_prepare"):
-        sequential_array_readout(
-            _trials(2, 3), 2.0, rng,
-            rates=RATES_5, photon=PHOTON, hiding=HIDING, re_prepare=policy,
-        )
+        sequential_array_readout(_trials(2, 3), PARAMS, rng, re_prepare=policy)
 
 
 def test_single_site_round_error_is_spam_only(rng):
     # one atom: no hiding exposure, per-round bright error is the SPAM error
     n = 20_000
     records, _ = sequential_array_readout(
-        _trials(n, 1), 2.0, rng,
-        rates=RATES_5, photon=PHOTON, hiding=HIDING,
+        _trials(n, 1), DepumpScalingParams(readout_rounds=1), rng
     )
     (errors,), (detections,) = _tally(records, 1)
     p = 0.008
@@ -202,8 +188,7 @@ def test_unhidden_depump_matches_compounded_oracle(rng):
     # position k follows the compounded closed form
     n_sites, trials = 6, 4000
     records, _ = sequential_array_readout(
-        _trials(trials, n_sites), 0.0, rng,
-        rates=RATES_5, photon=PHOTON, hiding=HIDING, rounds=1,
+        _trials(trials, n_sites), DepumpScalingParams(hiding_power_mw=0.0, readout_rounds=1), rng
     )
     errors, counts = _tally(records, n_sites)
     for k in range(n_sites):
@@ -219,8 +204,7 @@ def test_first_round_error_is_affine_in_position(rng):
     p_hidden = hidden_depump_probability(HIDING, power)
     n_sites, trials = 8, 6000
     records, _ = sequential_array_readout(
-        _trials(trials, n_sites), power, rng,
-        rates=RATES_5, photon=PHOTON, hiding=HIDING, rounds=1,
+        _trials(trials, n_sites), DepumpScalingParams(hiding_power_mw=power, readout_rounds=1), rng
     )
     errors, counts = _tally(records, n_sites)
     fit = fit_linear(np.arange(1, n_sites + 1), errors / counts)
@@ -234,8 +218,8 @@ def test_steady_state_exposure_independent_of_position(rng):
     p_hidden = hidden_depump_probability(HIDING, power)
     n_sites, trials, rounds = 5, 4000, 3
     records, _ = sequential_array_readout(
-        _trials(trials, n_sites), power, rng,
-        rates=RATES_5, photon=PHOTON, hiding=HIDING, rounds=rounds,
+        _trials(trials, n_sites), DepumpScalingParams(hiding_power_mw=power, readout_rounds=rounds),
+        rng,
     )
     errors, counts = _tally(records, n_sites, from_round=1)
     rates = errors / counts
@@ -256,11 +240,10 @@ def test_exposure_law_matches_closed_form(rng):
     hiding = HidingModel(background_floor_per_interval=0.02)
     p, floor = hidden_depump_probability(hiding, 0.0), hiding.background_floor_per_interval
     n_sites, rounds, trials = 6, 3, 20_000
-    records, final = sequential_array_readout(
-        _trials(trials, n_sites), 0.0, rng,
-        rates=IDEAL, photon=photon, hiding=hiding,
-        rounds=rounds, idle_intervals=1, re_prepare="bright",
-    )
+    params = DepumpScalingParams(readout_rounds=rounds, hiding_power_mw=0.0, idle_intervals=1,
+                                 rates=IDEAL, photon=photon, hiding=hiding)
+    records, final = sequential_array_readout(_trials(trials, n_sites), params, rng,
+                                              re_prepare="bright")
 
     def close(dark: np.ndarray, expected: float) -> bool:
         se = math.sqrt(expected * (1 - expected) / dark.size)
@@ -280,11 +263,9 @@ def test_exposure_law_matches_closed_form(rng):
 def test_adaptive_rounds_skip_sites_read_vacant(rng):
     # with loss forced to 1 in full-interval mode every atom is gone after
     # round 1; adaptive rounds must not re-measure them
-    records, reg = sequential_array_readout(
-        uniform_register(4, F2)[None, :], 2.0, rng,
-        rates=ErrorRates(0.0, 1.0, 0.0, 1.0), photon=PHOTON, hiding=HIDING,
-        adaptive=False, adaptive_rounds=True, rounds=3,
-    )
+    params = DepumpScalingParams(readout_rounds=3, adaptive_rounds=True,
+                                 adaptive_termination=False, rates=ErrorRates(0.0, 1.0, 0.0, 1.0))
+    records, reg = sequential_array_readout(uniform_register(4, F2)[None, :], params, rng)
     assert np.all(reg == VACANT)
     # atom loss lands after its measurement: round 0 reads everyone present,
     # round 1 reads everyone vacant, round 2 is skipped entirely
@@ -294,16 +275,15 @@ def test_adaptive_rounds_skip_sites_read_vacant(rng):
     assert not records[2].measured.any()
 
 
-def test_loss_accounting_product_of_survival_factors(rng):
-    # repeated full-interval measurements of one bright atom: survival after
-    # R rounds is (1 - loss_f2)^R
+@pytest.mark.parametrize("adaptive_termination", [False, True])
+def test_loss_accounting_product_of_survival_factors(adaptive_termination, rng):
+    # repeated measurements of one bright atom: survival after R rounds is
+    # (1 - loss_f2)^R, with loss_f2 divided by 4.5 exactly once under
+    # adaptive termination (twice would read about 0.991, never 0.835)
     rounds, trials = 6, 8000
-    _, final = sequential_array_readout(
-        _trials(trials, 1), 2.0, rng,
-        rates=_rates(ROW_5, adaptive=False), photon=PHOTON, hiding=HIDING,
-        adaptive=False, rounds=rounds,
-    )
+    params = DepumpScalingParams(readout_rounds=rounds, adaptive_termination=adaptive_termination)
+    _, final = sequential_array_readout(_trials(trials, 1), params, rng)
     survived = np.count_nonzero(final[:, 0] != VACANT)
-    expected = (1 - 0.03) ** rounds
+    expected = (1 - (0.03 / 4.5 if adaptive_termination else 0.03)) ** rounds
     se = math.sqrt(expected * (1 - expected) / trials)
     assert abs(survived / trials - expected) < 4 * se

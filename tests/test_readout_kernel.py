@@ -21,7 +21,6 @@ from cavreg import (
     PhotonModel,
     hidden_depump_probability,
     measure_site,
-    measurement_rates,
     sample_adaptive_interval,
     sequential_array_readout,
     uniform_register,
@@ -33,8 +32,6 @@ from oracles import sequential_readout_transcript
 
 K = 4.5
 PHOTON = PhotonModel()
-# the 0.25 mK / 5 MHz calibration row
-ROW_5 = ErrorRates(0.0039, 0.021, 0.008, 0.030)
 # loss and misreads large enough that adaptive_rounds skips sites often
 LOSSY = ErrorRates(0.02, 0.08, 0.03, 0.25)
 # a background floor large enough that one idle interval per round shows
@@ -45,29 +42,31 @@ ORACLE_TRIALS, KERNEL_TRIALS = 2500, 20_000
 # a register with a vacant and a dark site among bright atoms
 MIXED = dict(register=[F2, VACANT, F1, F2, F2])
 
+# each config's DepumpScalingParams fields (the shipped 0.25 mK / 5 MHz row
+# unless it sets rates), register and re_prepare policy
 CONFIGS = {
     "hiding_0mW": dict(hiding_power_mw=0.0),
     "hiding_2mW": dict(hiding_power_mw=2.0),
-    "full_interval": dict(hiding_power_mw=0.4, adaptive=False),
+    "full_interval": dict(hiding_power_mw=0.4, adaptive_termination=False),
     "adaptive_rounds": dict(
-        hiding_power_mw=0.4, adaptive_rounds=True, row=LOSSY, re_prepare="none"
+        hiding_power_mw=0.4, adaptive_rounds=True, rates=LOSSY, re_prepare="none"
     ),
     "idle_intervals": dict(hiding_power_mw=2.0, idle_intervals=1, hiding=HIGH_FLOOR),
     "mixed_idle_intervals": dict(
         MIXED, hiding_power_mw=0.0, idle_intervals=1, hiding=HIGH_FLOOR
     ),
     "mixed_adaptive_rounds": dict(
-        MIXED, hiding_power_mw=0.4, adaptive_rounds=True, row=LOSSY, re_prepare="bright"
+        MIXED, hiding_power_mw=0.4, adaptive_rounds=True, rates=LOSSY, re_prepare="bright"
     ),
 }
 
 
 def _run_config(kw):
     kw = dict(kw)
-    power = kw.pop("hiding_power_mw")
-    row = kw.pop("row", ROW_5)
-    hiding = kw.pop("hiding", HidingModel())
     register = kw.pop("register", [F2] * N_SITES)
+    re_prepare = kw.pop("re_prepare", "bright")
+    params = DepumpScalingParams(readout_rounds=ROUNDS, photon=PHOTON, **kw)
+    hiding = params.hiding
     n = len(register)
     # [site, round, (measured, detected, errors)]; final (occupied, bright) per site
     oracle = np.zeros((n, ROUNDS, 3), dtype=np.int64)
@@ -76,9 +75,11 @@ def _run_config(kw):
     for _ in range(ORACLE_TRIALS):
         transcript, sites = sequential_readout_transcript(
             [None if c == VACANT else c for c in register], list(range(n)),
-            hidden_depump_probability(hiding, power), rng,
-            rates=row, photon=PHOTON,
-            background_floor=hiding.background_floor_per_interval, rounds=ROUNDS, **kw,
+            hidden_depump_probability(hiding, params.hiding_power_mw), rng,
+            rates=params.rates, photon=PHOTON,
+            background_floor=hiding.background_floor_per_interval, rounds=ROUNDS,
+            adaptive_rounds=params.adaptive_rounds, adaptive=params.adaptive_termination,
+            idle_intervals=params.idle_intervals, re_prepare=re_prepare,
         )
         for round_index, site, prepared, inferred in transcript:
             cell = oracle[site, round_index]
@@ -90,10 +91,8 @@ def _run_config(kw):
 
     kernel = np.zeros_like(oracle)
     codes = np.tile(np.array(register, dtype=np.int8), (KERNEL_TRIALS, 1))
-    rates = measurement_rates(row, kw.get("adaptive", True), 4.5)
     records, final = sequential_array_readout(
-        codes, power, np.random.default_rng(202),
-        rates=rates, photon=PHOTON, hiding=hiding, rounds=ROUNDS, **kw,
+        codes, params, np.random.default_rng(202), re_prepare=re_prepare
     )
     for r, rec in enumerate(records):
         detected = (rec.prepared != VACANT) & (rec.inferred != VACANT)
@@ -141,11 +140,10 @@ def test_kernel_matches_per_trial_oracle(name):
 
 def test_adaptive_rounds_records_hold_only_measured_trials():
     codes = np.tile(uniform_register(3, F2), (2000, 1))
-    records, _ = sequential_array_readout(
-        codes, 0.4, np.random.default_rng(5),
-        rates=measurement_rates(LOSSY, True, 4.5), photon=PHOTON, hiding=HidingModel(),
-        adaptive_rounds=True, rounds=3, re_prepare="none",
-    )
+    params = DepumpScalingParams(readout_rounds=3, hiding_power_mw=0.4, adaptive_rounds=True,
+                                 rates=LOSSY)
+    records, _ = sequential_array_readout(codes, params, np.random.default_rng(5),
+                                          re_prepare="none")
     assert records[0].measured.all()
     # each round measures exactly the (trial, site) cells inferred present
     # in the round before; atoms lost in round 0 read vacant in round 1
@@ -161,12 +159,8 @@ def test_adaptive_rounds_records_hold_only_measured_trials():
 def test_array_readout_leaves_its_input_alone():
     codes = np.tile(np.array([F2, VACANT, F1], np.int8), (50, 1))
     before = codes.copy()
-    records, final = sequential_array_readout(
-        codes, 0.0, np.random.default_rng(6),
-        rates=measurement_rates(ROW_5, True, 4.5), photon=PHOTON,
-        hiding=HidingModel(),
-        rounds=2,
-    )
+    params = DepumpScalingParams(readout_rounds=2, hiding_power_mw=0.0)
+    records, final = sequential_array_readout(codes, params, np.random.default_rng(6))
     assert np.array_equal(codes, before)
     assert final.shape == codes.shape
     assert len(records) == 2
@@ -176,12 +170,14 @@ def test_array_readout_leaves_its_input_alone():
 def test_skipped_cells_keep_their_state():
     # no depump, so a cell changes only where it is measured; a dim probe
     # reads many present atoms vacant, so skipped cells hold atoms too
-    photon = PhotonModel(bright_mean_full=2.0)
-    records, final = sequential_array_readout(
-        np.tile(uniform_register(4, F2), (2000, 1)), 0.0, np.random.default_rng(12),
-        rates=measurement_rates(LOSSY, True, 4.5), photon=photon,
+    params = DepumpScalingParams(
+        readout_rounds=3, hiding_power_mw=0.0, adaptive_rounds=True, rates=LOSSY,
+        photon=PhotonModel(bright_mean_full=2.0),
         hiding=HidingModel(depump_per_interval_unhidden=0.0, background_floor_per_interval=0.0),
-        adaptive_rounds=True, rounds=3, re_prepare="none",
+    )
+    records, final = sequential_array_readout(
+        np.tile(uniform_register(4, F2), (2000, 1)), params, np.random.default_rng(12),
+        re_prepare="none",
     )
     assert records[0].measured.all()
     # each later round's skipped cells, as the next round or the final state finds them
@@ -197,10 +193,10 @@ def test_measure_site_draws_an_array_as_its_ravel(adaptive):
     # one readout round measures the whole (trials, sites) array in the
     # draws a flat array of its cells in C order would take
     codes = np.random.default_rng(8).integers(VACANT, F2 + 1, (300, 7), dtype=np.int8)
-    rates = measurement_rates(LOSSY, adaptive, 4.5)
+    params = DepumpScalingParams(rates=LOSSY, adaptive_termination=adaptive)
     grid_rng, flat_rng = np.random.default_rng(9), np.random.default_rng(9)
-    grid = measure_site(codes, rates, PHOTON, grid_rng, adaptive=adaptive)
-    flat = measure_site(codes.ravel(), rates, PHOTON, flat_rng, adaptive=adaptive)
+    grid = measure_site(codes, params, grid_rng)
+    flat = measure_site(codes.ravel(), params, flat_rng)
     for g, f in zip(grid, flat):
         assert g.shape == codes.shape
         assert np.array_equal(g.ravel(), f)

@@ -9,21 +9,18 @@ from cavreg import (
     F2,
     VACANT,
     ConfigurationError,
-    HidingModel,
     IdleErrorModel,
-    PhotonModel,
     combined_idle_lifetime,
     fit_error_exponent,
     idle,
     logical_lifetime,
     majority_error_probability,
-    measurement_rates,
     sequential_array_readout,
     simulate_code_abstract,
     simulate_idling_bit,
 )
 from cavreg.harness import ErrorScalingParams, ExperimentSpec, LifetimeParams, run
-from cavreg.readout import ErrorRates
+from cavreg.readout import DepumpScalingParams
 from cavreg.repcode import _idle_law, check_code, round_hazard
 
 from oracles import (
@@ -335,11 +332,7 @@ def test_physical_mode_statistics(rng):
     idle_model = IdleErrorModel()
     registers = idle(np.full((6000, 1), F2, np.int8), 20.0, idle_model, rng)
     records, _ = sequential_array_readout(
-        registers, 2.0, rng,
-        rates=measurement_rates(ErrorRates(0.0039, 0.021, 0.008, 0.030), True, 4.5),
-        photon=PhotonModel(),
-        hiding=HidingModel(),
-        rounds=1, re_prepare="none",
+        registers, DepumpScalingParams(readout_rounds=1), rng, re_prepare="none"
     )
     inferred = records[0].inferred[:, 0]
     alive = np.count_nonzero(inferred != VACANT)
