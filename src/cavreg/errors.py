@@ -1,4 +1,5 @@
 import math
+from numbers import Integral
 
 
 class ConfigurationError(ValueError):
@@ -14,10 +15,11 @@ class ConfigurationError(ValueError):
 
 
 def check_integers(key: str, *values, least: int | None = None) -> None:
-    """Reject a value that is not an int (a bool is not a count, and a float
-    such as 2.5 would fail only mid-run), or one below `least`."""
+    """Reject a value that is not an integer, numpy's included (a bool is not
+    a count, and a float such as 2.5 would fail only mid-run), or one below
+    `least`."""
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise ConfigurationError(f"{value!r} is not an integer", key)
         if least is not None and value < least:
             raise ConfigurationError(f"{value} is below {least}", key)

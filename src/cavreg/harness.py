@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -202,7 +200,7 @@ def _sweep(
     sizes = chunk_sizes(spec.trials, chunk)
     tasks = [(i, point, c, size) for i, point in points for c, size in enumerate(sizes)]
     results, n = map_chunks(chunk_result, tasks, spec.threads), len(sizes)
-    return [functools.reduce(operator.add, results[s : s + n]) for s in range(0, len(results), n)]
+    return [sum(results[s + 1 : s + n], results[s]) for s in range(0, len(results), n)]
 
 
 # ----------------------------------------------------------------- histogram
@@ -518,7 +516,7 @@ class Experiment:
     build: Callable[[Config], Any]  # the params from a parsed config, via Config.build
     trials_key: str  # [run] key holding the configured trial count
     runner: Callable[[ExperimentSpec], ExperimentResult]
-    summary_lines: Callable[[dict], list[str]] = lambda summary: []
+    summary_lines: Callable[[dict], list[str]] = lambda _: []
 
     @property
     def command(self) -> str:
@@ -585,9 +583,7 @@ def write_result_csv(path: str, result: ExperimentResult) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(result.fieldnames)
-        for row in result.rows:
-            cells = (row[k] for k in result.fieldnames)
-            writer.writerow(repr(v) if isinstance(v, float) else v for v in cells)
+        writer.writerows([row[k] for k in result.fieldnames] for row in result.rows)
 
 
 def write_metadata(path: str, spec: ExperimentSpec, result: ExperimentResult) -> None:

@@ -260,19 +260,10 @@ def adaptive_reduction_factors(
     if n_trials < 10_000:
         raise ConfigurationError("need at least 1e4 trials for stable factors")
     counts, durations = sample_adaptive_bright_batch(model, n_trials, rng)
-    mean_c = float(counts.mean())
-    mean_d = float(durations.mean())
-    se_c = float(counts.std(ddof=1)) / math.sqrt(n_trials)
-    se_d = float(durations.std(ddof=1)) / math.sqrt(n_trials)
-    photon_factor = model.bright_mean_full / mean_c
-    duration_factor = model.full_interval_us / mean_d
-    return {
-        "photon_factor": photon_factor,
-        "photon_factor_stderr": photon_factor * se_c / mean_c,
-        "duration_factor": duration_factor,
-        "duration_factor_stderr": duration_factor * se_d / mean_d,
-        "mean_counts": mean_c,
-        "mean_counts_stderr": se_c,
-        "mean_duration_us": mean_d,
-        "mean_duration_stderr": se_d,
-    }
+    factors = {}
+    for name, full, sample in [("photon", model.bright_mean_full, counts),
+                               ("duration", model.full_interval_us, durations)]:
+        mean, se = float(sample.mean()), float(sample.std(ddof=1)) / math.sqrt(n_trials)
+        factors[f"{name}_factor"] = factor = full / mean
+        factors[f"{name}_factor_stderr"] = factor * se / mean
+    return factors

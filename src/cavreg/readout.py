@@ -44,9 +44,9 @@ class ErrorRates:
     loss_f2: float
 
     def __post_init__(self):
-        for v in (self.infidelity_f1, self.loss_f1, self.infidelity_f2, self.loss_f2):
+        for name, v in vars(self).items():
             if not 0.0 <= v <= 1.0:
-                raise ConfigurationError(f"error rate {v!r} is outside [0, 1]")
+                raise ConfigurationError(f"{name} {v!r} is outside [0, 1]")
 
 
 def measurement_rates(rates: ErrorRates, adaptive: bool, adaptive_loss_factor: float) -> ErrorRates:

@@ -62,7 +62,7 @@ class GroupCheckNoise:
         check_probability("search.false_negative", self.false_negative)
 
     def __bool__(self):  # the zero model is the noiseless check: no draws, no rng
-        return self.false_positive > 0 or self.false_negative > 0
+        return bool(self.false_positive or self.false_negative)  # a Python bool for numpy rates
 
 
 @dataclass
@@ -196,14 +196,13 @@ def run_search(
     """
     codes = np.asarray(codes)
     if codes.ndim == 1 and not noise:
-        found, intervals = _search_one(codes.tobytes(), codes.dtype, codes.size, strategy,
-                                       at_most_one)
+        found, intervals = _search_one(codes.tobytes(), codes.dtype, strategy, at_most_one)
         return SearchResult(found.copy(), intervals.copy())
     return _search(codes, strategy, rng, at_most_one, noise)
 
 
 @lru_cache(maxsize=4096)
-def _search_one(key: bytes, dtype: np.dtype, n: int, strategy: Strategy, at_most_one: bool):
+def _search_one(key: bytes, dtype: np.dtype, strategy: Strategy, at_most_one: bool):
     """(found, intervals_used) of the noiseless search of one register."""
     result = _search(np.frombuffer(key, dtype), strategy, None, at_most_one, GroupCheckNoise())
     return result.found, result.intervals_used

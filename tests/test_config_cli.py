@@ -2,6 +2,7 @@ import dataclasses
 import enum
 import inspect
 import json
+import re
 import sys
 import types
 from pathlib import Path
@@ -65,6 +66,20 @@ def test_calibration_row_out_of_range_reports_key_and_line():
     text = DEFAULTS.read_text().replace("row_3 = 0.25  11  0.0030 0.007", "row_3 = 0.25  11  0.0030 1.7")
     nline = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("row_3"))
     with pytest.raises(ConfigurationError, match=f"bad.cfg:{nline}:.*'error_table.row_3'"):
+        parse_config_text(text, source="bad.cfg")
+
+
+@pytest.mark.parametrize("column, name", enumerate(f.name for f in dataclasses.fields(ErrorRates)))
+def test_calibration_rate_out_of_range_names_its_rate(column, name):
+    # the row's key and line, then the rate's own name: which of the four is wrong
+    rates = ["0.0039", "0.021", "0.008", "0.030"]
+    rates[column] = "1.7"
+    text = DEFAULTS.read_text().replace("row_2 = 0.25  5   0.0039 0.021 0.008 0.030",
+                                        "row_2 = 0.25  5   " + " ".join(rates))
+    nline = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith("row_2"))
+    message = (f"bad.cfg:{nline}: invalid value for 'error_table.row_2': "
+               f"{name} 1.7 is outside [0, 1]")
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         parse_config_text(text, source="bad.cfg")
 
 

@@ -185,6 +185,50 @@ def test_thread_count_never_changes_results(experiment, params, trials, tmp_path
     assert outs[1:] == outs[:1] * 3
 
 
+def _numpy_numbers(value, integers: bool):
+    """`value` with each float an np.float64 and, if `integers`, each int
+    but a bool an np.int64, through nested params, lists and tuples."""
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: _numpy_numbers(getattr(value, f.name), integers)
+                  for f in dataclasses.fields(value)}
+        return dataclasses.replace(value, **fields)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_numpy_numbers(v, integers) for v in value)
+    if isinstance(value, float):
+        return np.float64(value)
+    if integers and isinstance(value, int) and not isinstance(value, bool):
+        return np.int64(value)
+    return value
+
+
+@pytest.mark.parametrize("integers", [False, True], ids=["numpy_floats", "numpy_integers"])
+@pytest.mark.parametrize(
+    "experiment,params,trials",
+    [
+        ("histogram", PhotonModel(), 3000),
+        ("depump_scaling", DepumpScalingParams(sizes=[1, 3], readout_rounds=2), 60),
+        ("search_cost", SearchCostParams(sizes=[2, 5], bright_probabilities=[0.0, 0.25]), 400),
+        ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), 3000),
+        ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), 3000),
+    ],
+)
+def test_numpy_numbers_write_the_same_bytes(experiment, params, trials, integers, tmp_path):
+    # a sweep built in Python from numpy arrays is the same run, cell for cell
+    counts = {"trials": trials, "master_seed": 99, "threads": 2}
+    numpy_counts = {"trials": np.int64(trials), "master_seed": np.uint64(99),
+                    "threads": np.int64(2)} if integers else counts
+    specs = {"python": ExperimentSpec(experiment, params, **counts),
+             "numpy": ExperimentSpec(experiment, _numpy_numbers(params, integers), **numpy_counts)}
+    outs = []
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.csv"
+        result = run(spec)
+        write_result_csv(path, result)
+        write_metadata(f"{path}.meta.json", spec, result)
+        outs.append((path.read_bytes(), Path(f"{path}.meta.json").read_bytes()))
+    assert outs[1] == outs[0]
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 def test_sweep_reduces_each_point_in_chunk_order(threads, monkeypatch):
     # list `+` keeps order: each kernel call gets its point's value, and each

@@ -1,7 +1,8 @@
 """Every module of src/cavreg other than the package's export list, and
 every module of tests/, uses each name it imports, every private
 module-level function, class or constant is used somewhere in src/cavreg,
-every dataclass field of src/cavreg is read somewhere in src/cavreg, tests/
+every parameter of a src/cavreg function is read by its body, every
+dataclass field of src/cavreg is read somewhere in src/cavreg, tests/
 or bench/, every public function of tests/oracles.py is named by a test
 module, and every code name README.md quotes still exists in src/cavreg or
 tests/."""
@@ -102,6 +103,49 @@ def test_unused_private_helper_is_found():
 def test_every_private_helper_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unused_private_helpers(sources) == []
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """The parameters of the functions, methods and lambdas of `sources`
+    (module name to source text) that their body never reads, as
+    `module.function.parameter` (`<lambda>` for a lambda).  `self`, `cls`
+    and `_`-prefixed names are exempt; a read in a nested function counts."""
+    unread = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                      if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [
+                f"{module}.{getattr(node, 'name', '<lambda>')}.{p}" for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")
+            ]
+    return sorted(unread)
+
+
+def test_unread_parameter_is_found():
+    sources = {
+        "a": "def f(used, unused, *args, key=1, **kwargs):\n    return used, args, kwargs\n\n"
+             "def g(n, m):\n    def inner():\n        return n\n    m = 2\n    return inner\n\n"
+             "class A:\n    def method(self, x, _ignored):\n        return 1\n\n"
+             "    @classmethod\n    def make(cls, y, z=lambda w: 0):\n        return y\n\n"
+             "h = lambda _: 0\nk = lambda v, u: v\n",
+    }
+    # a parameter read only by a nested function is read; one only assigned is not
+    assert unread_parameters(sources) == [
+        "a.<lambda>.u", "a.<lambda>.w", "a.f.key", "a.f.unused", "a.g.m", "a.make.z",
+        "a.method.x",
+    ]
+
+
+def test_every_parameter_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unread_parameters(sources) == []
 
 
 def unread_dataclass_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
