@@ -56,7 +56,7 @@ class SaturatingExpFit:
 
     tau_ms: float  # the fitted curve reaches p_inf*(1-1/e) at t = tau_ms
     p_inf: float
-    low_confidence: bool  # not converged, or the last point below p_inf*(1-1/e)
+    low_confidence: bool  # not converged, or the latest point below p_inf*(1-1/e)
     converged: bool
     note: str
     tau_stderr: float
@@ -94,6 +94,8 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
         raise ConfigurationError("probabilities must lie in [0, 1]")
     if np.any(ts <= 0):
         raise ConfigurationError("times must be positive")
+    if ts.min() == ts.max():  # one time fits every tau equally well
+        raise ConfigurationError("saturating-exponential fit needs >= 2 distinct times")
 
     if float(ps.max()) == 0.0:
         return SaturatingExpFit(
@@ -139,6 +141,6 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
         )
     if p_inf == p_inf_max:
         note = (note + "; " if note else "") + "amplitude at its upper bound"
-    # plateau not reached within the data -> extrapolated, low confidence
-    low_confidence = bool(not converged or ps[-1] < (1.0 - 1.0 / math.e) * p_inf)
+    # plateau not reached by the latest time -> extrapolated, low confidence
+    low_confidence = bool(not converged or ps[ts == ts.max()].mean() < (1 - 1 / math.e) * p_inf)
     return SaturatingExpFit(tau, p_inf, low_confidence, converged, note, tau_se, p_inf_se)

@@ -1,12 +1,12 @@
 """Experiment orchestration: seeded Monte-Carlo ensembles, estimation, CSV.
 
-Every experiment is a deterministic function of (spec, master_seed).  A
-count-law sweep point (its cost grows with rounds or a grid, not trials) is
-drawn on the calling thread as one chunk of all trials; `_sweep` splits the
-trials of each per-trial point into fixed-size chunks.  Chunk c of point i
-draws from the counter-based stream keyed by (master_seed, i, c), and
-results are reduced in chunk order.  Thread count changes wall-clock time
-only, never output bytes.
+Every experiment is a deterministic function of (spec, master_seed).  Its
+runner hands `_sweep`, the one caller of `stream`, a (kernel, chunk) pair
+per sweep point: a count-law point (chunk None) is drawn on the calling
+thread as one chunk of all trials, a per-trial point in fixed-size chunks.
+Chunk c of point i draws from the counter-based stream keyed by
+(master_seed, i, c), and results are reduced in chunk order.  Thread count
+changes wall-clock time only, never output bytes.
 
 EXPERIMENTS is the one list of experiments: each record names its params
 class, its one-line `Config.build` recipe for the params, its [run]
@@ -23,7 +23,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -179,28 +180,26 @@ class ExperimentResult:
     summary: dict
 
 
-def _sweep(
-    spec: ExperimentSpec,
-    points: Iterable[tuple[int, Any]],
-    kernel: Callable[[Any, np.random.Generator, int], Any],
-    chunk: int = CHUNK_TRIALS,
-) -> list:
-    """Per (stream index i, point) pair of a per-trial kernel, the sum of
-    kernel(point, rng, size) over the chunks of spec.trials, `chunk` trials
-    each and the last one shorter; chunk c draws from
-    stream(spec.master_seed, i, c).  Every (pair, chunk) task of the run
-    goes, pair-major, through one `map_chunks` call, so one pool serves the
-    whole run, and each pair's results are summed in chunk order: the
-    thread count never changes the result."""
+def _sweep(spec: ExperimentSpec, points: list[tuple[Callable, int | None]]) -> list:
+    """Per (kernel, chunk) point i, kernel(size, rng) over spec.trials trials,
+    chunk c drawing from stream(spec.master_seed, i, c).  A count-law point
+    (chunk None) is one call of all trials on the calling thread.  The other
+    points are cut into chunks of `chunk` trials, the last one shorter, that
+    all go, point-major, through one `map_chunks` call (none if there are no
+    such points); each point's results are summed in chunk order."""
+    out = [kernel(spec.trials, stream(spec.master_seed, i, 0)) if chunk is None else None
+           for i, (kernel, chunk) in enumerate(points)]
+    tasks = [(kernel, i, c, size) for i, (kernel, chunk) in enumerate(points) if chunk is not None
+             for c, size in enumerate(chunk_sizes(spec.trials, chunk))]
 
-    def chunk_result(task: tuple[int, Any, int, int]):
-        i, point, c, size = task
-        return kernel(point, stream(spec.master_seed, i, c), size)
+    def chunk_result(task: tuple[Callable, int, int, int]):
+        kernel, i, c, size = task
+        return kernel(size, stream(spec.master_seed, i, c))
 
-    sizes = chunk_sizes(spec.trials, chunk)
-    tasks = [(i, point, c, size) for i, point in points for c, size in enumerate(sizes)]
-    results, n = map_chunks(chunk_result, tasks, spec.threads), len(sizes)
-    return [sum(results[s + 1 : s + n], results[s]) for s in range(0, len(results), n)]
+    if tasks:
+        for (_, i, c, _), result in zip(tasks, map_chunks(chunk_result, tasks, spec.threads)):
+            out[i] = result if c == 0 else out[i] + result
+    return out
 
 
 # ----------------------------------------------------------------- histogram
@@ -221,7 +220,7 @@ def run_histogram(spec: ExperimentSpec) -> ExperimentResult:
     full table's half, one cell per count; the adaptive counts are sampled
     per trial, in chunks of HISTOGRAM_CHUNK, and binned over the adaptive
     table's bright half."""
-    photon, conditions = spec.parameters, ["bright_full", "bright_adaptive", "dark_full"]
+    photon = spec.parameters
     full, adaptive = outcome_table(photon, False), outcome_table(photon, True)
     halves = {"bright_full": (full, full.bright), "bright_adaptive": (adaptive, adaptive.bright),
               "dark_full": (full, ~full.bright)}
@@ -230,16 +229,17 @@ def run_histogram(spec: ExperimentSpec) -> ExperimentResult:
     first = {c: int(counts.min()) for c, counts in support.items()}
     n_adaptive = int(support["bright_adaptive"].max()) + 1 - first["bright_adaptive"]
 
-    def adaptive_histogram(_point: None, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(cond: str, size: int, rng: np.random.Generator) -> np.ndarray:
+        if cond != "bright_adaptive":
+            return rng.multinomial(size, law[cond])
         counts, _ = sample_adaptive_bright_batch(photon, size, rng)
-        return np.bincount(counts - first["bright_adaptive"], minlength=n_adaptive)
+        return np.bincount(counts - first[cond], minlength=n_adaptive)
 
-    hists = {c: stream(spec.master_seed, i, 0).multinomial(spec.trials, law[c])
-             for i, c in [(0, "bright_full"), (2, "dark_full")]}
-    (hists["bright_adaptive"],) = _sweep(spec, [(1, None)], adaptive_histogram, HISTOGRAM_CHUNK)
+    chunks = {"bright_full": None, "bright_adaptive": HISTOGRAM_CHUNK, "dark_full": None}
+    hists = dict(zip(chunks, _sweep(spec, [(partial(draw, c), k) for c, k in chunks.items()])))
     rows = [
         {"counts": first[cond] + i, "frequency": int(hists[cond][i]), "condition": cond}
-        for cond in conditions
+        for cond in hists
         for i in np.flatnonzero(hists[cond]).tolist()
     ]
     return ExperimentResult(["counts", "frequency", "condition"], rows, {})
@@ -259,7 +259,7 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
     """
     params = spec.parameters
 
-    def trial_counts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    def trial_counts(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
         registers = np.tile(uniform_register(n, F2), (size, 1))
         records, _ = sequential_array_readout(registers, params, rng)
         # [site, round, (errors, detections)]
@@ -271,7 +271,7 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
             acc[:, r, 1] = np.count_nonzero(detected, axis=0)
         return acc
 
-    totals = _sweep(spec, enumerate(params.sizes), trial_counts)
+    totals = _sweep(spec, [(partial(trial_counts, n), CHUNK_TRIALS) for n in params.sizes])
     fieldnames = ["n_sites", "site_index", "error_rate", "stderr", "hiding_power_mW",
                   "adaptive_rounds"]
     rows = []
@@ -335,7 +335,7 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
         for n, strat in itertools.product(params.sizes, params.strategies)
     } if at_most_one and not params.noise else {}
 
-    def cost_moments(point: tuple, rng: np.random.Generator, size: int) -> np.ndarray:
+    def cost_moments(point: tuple, size: int, rng: np.random.Generator) -> np.ndarray:
         n, p, strat = point
         codes = sample_register(SearchProblem(n, p, params.placement), rng, size)
         if (n, strat) in placement_costs:
@@ -350,7 +350,8 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
 
     fieldnames = ["n", "p", "strategy", "mean_intervals", "stderr", "analytic"]
     rows = []
-    for (n, p, strat), moments in zip(points, _sweep(spec, enumerate(points), cost_moments)):
+    swept = _sweep(spec, [(partial(cost_moments, point), CHUNK_TRIALS) for point in points])
+    for (n, p, strat), moments in zip(points, swept):
         s, s2 = (float(m) for m in moments)
         mean = s / trials
         var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
@@ -393,13 +394,12 @@ def run_error_scaling(spec: ExperimentSpec) -> ExperimentResult:
     law without a per-trial trace: one multinomial draw per round moves the
     trials between survivor counts, and the erring rounds of each count are
     one binomial draw.  Its cost does not grow with the trials, so each
-    point is drawn as one chunk of all trials.  A cell with no rounds, no
+    point is a count-law point of `_sweep`.  A cell with no rounds, no
     errors or a stderr above a tenth of its estimate is flagged."""
     params = spec.parameters
     points = [(d, p) for d in params.distances for p in params.flip_sweep]
-    totals = [round_counts(d, p, params.per_round_loss, params.rounds, spec.trials,
-                           stream(spec.master_seed, i, 0))
-              for i, (d, p) in enumerate(points)]
+    totals = _sweep(spec, [(partial(round_counts, d, p, params.per_round_loss, params.rounds),
+                            None) for d, p in points])
     fieldnames = ["p_phys", "d", "survivors", "p_logical", "stderr"]
     rows, flagged = [], []
     curves: dict[int, list[tuple[float, float]]] = {d: [] for d in params.distances}
@@ -450,15 +450,15 @@ def run_lifetime(spec: ExperimentSpec) -> ExperimentResult:
     round_time = params.idle_ms + params.round_overhead_ms
     times = round_time * np.arange(1, params.rounds + 1)
 
-    def error_counts(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    def error_counts(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
         trace = simulate_code_abstract(
             d, params.per_round_flip, params.per_round_loss, params.rounds, size, rng
         )
         return np.stack([trace.err_vs_initial.sum(axis=0), trace.survivors.sum(axis=0)])
 
-    phys_counts = simulate_idling_bit(params.idle_model, times, trials,
-                                      stream(spec.master_seed, 0, 0))
-    code_counts = _sweep(spec, enumerate(params.distances, 1), error_counts)
+    codes = [(partial(error_counts, d), CHUNK_TRIALS) for d in params.distances]
+    phys_counts, *code_counts = _sweep(
+        spec, [(partial(simulate_idling_bit, params.idle_model, times), None), *codes])
     phys = logical_lifetime(times, phys_counts / trials)
     fits: dict[str, Any] = {"physical": dataclasses.asdict(phys)}
     curves = [(0, phys_counts, None)]

@@ -65,8 +65,9 @@ def test_satexp_constant_zero_flagged():
 
 
 def test_satexp_exact_fit_stderrs_are_positive_zero():
-    # the residuals vanish, so each variance is 0 and its stderr reads +0.0
-    fit = fit_saturating_exponential([5] * 5, [0.1] * 5, p_inf_max=0.5)
+    # the residuals vanish and the two times all but coincide, so each
+    # variance comes out -0.0 and its stderr reads +0.0
+    fit = fit_saturating_exponential([3.0] * 2 + [3.00000000003] * 3, [0.05] * 5, p_inf_max=0.5)
     assert math.copysign(1.0, fit.tau_stderr) == math.copysign(1.0, fit.p_inf_stderr) == 1.0
     assert fit.tau_stderr == fit.p_inf_stderr == 0.0
 
@@ -78,6 +79,25 @@ def test_satexp_validation():
         fit_saturating_exponential([1, 2, 3, 4, 5], [0.1, 0.2, 0.3, 0.4, 1.4])
     with pytest.raises(ConfigurationError):
         fit_saturating_exponential([0, 1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4, 0.5])
+
+
+@pytest.mark.parametrize("ps", [[0.1] * 5, [0.1, 0.2, 0.3, 0.4, 0.5]])
+def test_satexp_rejects_a_single_time(ps):
+    # every tau fits points at one time: it used to come back converged with
+    # an arbitrary tau
+    with pytest.raises(ConfigurationError, match="2 distinct times"):
+        fit_saturating_exponential([5] * 5, ps)
+
+
+def test_satexp_confidence_does_not_depend_on_point_order():
+    # a curve that has saturated by its latest time, in either time order,
+    # reads the plateau as reached; it used to read the last point given
+    ts = np.arange(1.0, 11.0)
+    ps = 0.4 * (1 - np.exp(-ts / 2.0))
+    forward = fit_saturating_exponential(ts, ps)
+    backward = fit_saturating_exponential(ts[::-1], ps[::-1])
+    assert not forward.low_confidence and not backward.low_confidence
+    assert backward.tau_ms == pytest.approx(forward.tau_ms, rel=1e-9)
 
 
 @pytest.mark.parametrize("ts, ps", [

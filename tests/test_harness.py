@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -231,23 +232,32 @@ def test_numpy_numbers_write_the_same_bytes(experiment, params, trials, integers
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_sweep_reduces_each_point_in_chunk_order(threads, monkeypatch):
-    # list `+` keeps order: each kernel call gets its point's value, and each
-    # point reads its own chunks' streams, keyed by the stream index paired
-    # with it, in chunk order; the indices need not be 0..k-1
+    # list `+` keeps order: each point's kernel reads its own chunks' streams,
+    # keyed by its position in the list, in chunk order; a count-law point
+    # (chunk None) is one call of all trials from its chunk-0 stream, made on
+    # the calling thread
     monkeypatch.setattr(cavreg.streams.os, "cpu_count", lambda: 4)
+    callers = []
 
-    def kernel(point, rng, size):
-        return [(point, size, int(rng.integers(2**62)))]
+    def kernel(name, size, rng):
+        return [(name, size, int(rng.integers(2**62)))]
+
+    def count_law(size, rng):
+        callers.append(threading.get_ident())
+        return kernel("law", size, rng)
+
+    def chunked(name, i, chunk):
+        return [(name, size, int(stream(3, i, c).integers(2**62)))
+                for c, size in enumerate(chunk_sizes(MULTI_CHUNK, chunk))]
 
     spec = ExperimentSpec("histogram", trials=MULTI_CHUNK, master_seed=3, threads=threads)
-    for indices in ([0, 1, 2], [1, 4, 9]):
-        points = list(zip(indices, ["a", "b", "c"]))
-        expected = [
-            [(point, size, int(stream(3, i, c).integers(2**62)))
-             for c, size in enumerate(chunk_sizes(MULTI_CHUNK))]
-            for i, point in points
-        ]
-        assert _sweep(spec, points, kernel) == expected
+    per_trial = [(partial(kernel, name), CHUNK_TRIALS) for name in "abc"]
+    assert _sweep(spec, per_trial) == [chunked(name, i, CHUNK_TRIALS)
+                                       for i, name in enumerate("abc")]
+    mixed = [(partial(kernel, "a"), 3000), (count_law, None), (partial(kernel, "c"), CHUNK_TRIALS)]
+    law = [("law", MULTI_CHUNK, int(stream(3, 1, 0).integers(2**62)))]
+    assert _sweep(spec, mixed) == [chunked("a", 0, 3000), law, chunked("c", 2, CHUNK_TRIALS)]
+    assert callers == [threading.get_ident()]
 
 
 @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (4, 1)])
@@ -266,10 +276,13 @@ def test_one_run_opens_at_most_one_pool(threads, pools, monkeypatch):
     run(ExperimentSpec("lifetime", params, trials=MULTI_CHUNK, master_seed=5, threads=threads))
     assert opened == [threads] * pools
     # error-scaling's points are all count laws, drawn on the calling thread
+    # without a map_chunks call
     opened.clear()
+    mapped = []
+    monkeypatch.setattr("cavreg.harness.map_chunks", lambda *args: mapped.append(args))
     params = ErrorScalingParams(flip_sweep=[0.02, 0.05, 0.1, 0.2], distances=[1, 3, 5])
     run(ExperimentSpec("error_scaling", params, trials=MULTI_CHUNK, master_seed=5, threads=4))
-    assert opened == []
+    assert opened == [] and mapped == []
 
 
 def test_lifetime_idling_bit_is_one_count_law_draw():

@@ -4,8 +4,8 @@ module-level function, class or constant is used somewhere in src/cavreg,
 every parameter of a src/cavreg function is read by its body, every
 dataclass field of src/cavreg is read somewhere in src/cavreg, tests/
 or bench/, every public function of tests/oracles.py is named by a test
-module, and every code name README.md quotes still exists in src/cavreg or
-tests/."""
+module, every code name README.md quotes still exists in src/cavreg or
+tests/, and no function of harness.py but `_sweep` names `stream`."""
 
 import ast
 import re
@@ -277,3 +277,41 @@ def test_unnamed_oracle_is_found():
 def test_every_oracle_is_named_by_a_test():
     tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("test_*.py")]
     assert unnamed_oracles((TESTS / "oracles.py").read_text(encoding="utf-8"), tests) == []
+
+
+def stream_users(source: str, driver: str = "_sweep") -> list[str]:
+    """The top-level statements of a module, other than the `driver`
+    function, that name `stream` (a call, `streams.stream` or a hand-off
+    such as `partial(stream, ...)`), by the name they define; module-level
+    code reads `<module>`."""
+    users = set()
+    for stmt in ast.parse(source).body:
+        name = getattr(stmt, "name", "<module>")
+        if name != driver and any(
+            getattr(node, "id", getattr(node, "attr", None)) == "stream"
+            for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))
+        ):
+            users.add(name)
+    return sorted(users)
+
+
+def test_stream_user_is_found():
+    source = (
+        "from functools import partial\nfrom . import streams\n"
+        "from .streams import stream\n\n"
+        "def _sweep(spec):\n    def chunk(i):\n        return stream(spec, i)\n"
+        "    return chunk(0)\n\n"
+        "def run_a(spec):\n    return stream(spec, 0, 0)\n\n"
+        "def run_b(spec):\n    return streams.stream(spec, 2)\n\n"
+        "def run_c(spec):\n    return _sweep(partial(stream, spec))\n\n"
+        "def run_d(spec):\n    return _sweep(spec).upstream\n\n"
+        "class Runner:\n    def go(self):\n        return stream(1)\n\n"
+        "FIRST = stream(0)\n"
+    )
+    # _sweep's nested chunk function is _sweep's; a hand-off counts as a call
+    assert stream_users(source) == ["<module>", "Runner", "run_a", "run_b", "run_c"]
+
+
+def test_only_the_sweep_driver_keys_streams():
+    # every stream of a run is keyed by its point's position in `_sweep`'s list
+    assert stream_users((SRC / "harness.py").read_text(encoding="utf-8")) == []
