@@ -81,8 +81,8 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
     For each candidate tau the amplitude has a closed-form least-squares
     solution (clamped to [0, p_inf_max]); tau is located on a log-spaced grid
     and refined by re-gridding the bracket around the best point.  A fit
-    whose optimum sticks to the grid boundary, or data with no rise at all,
-    is returned flagged rather than raising.
+    whose optimum sticks to the grid boundary (its stderrs nan), or data
+    with no rise at all, is returned flagged rather than raising.
     """
     ts = np.asarray(ts, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -135,7 +135,8 @@ def fit_saturating_exponential(ts, ps, *, p_inf_max: float = 1.0) -> SaturatingE
         note = "singular Jacobian: parameter errors unavailable"
 
     converged = not at_edge
-    if at_edge:
+    if at_edge:  # a boundary optimum fixes neither parameter, however small its residuals
+        p_inf_se = tau_se = math.nan
         note = (note + "; " if note else "") + (
             f"optimum at tau grid boundary ({tau:.3g} ms): saturation not resolved"
         )

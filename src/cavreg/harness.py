@@ -46,8 +46,8 @@ from .search import (
     Placement,
     SearchProblem,
     Strategy,
+    bright_bits,
     expected_cost,
-    placements,
     run_search,
     sample_register,
 )
@@ -318,41 +318,33 @@ def _depump_lines(summary: dict) -> list[str]:
 
 def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
     """Mean readout intervals, with stderr and closed form, per (size,
-    probability, strategy) point.
+    probability, strategy).
 
-    Each chunk draws its registers with one `sample_register` call.  Under
-    the at-most-one placement a noiseless search's cost is a function of
-    the placement alone, so each (size, strategy) is searched once over its
-    n + 1 placements and a chunk's registers are priced by how many drew
-    each placement.  The independent placement and noisy checks search
-    every chunk's registers."""
+    A sweep point is a (size, probability) pair, and each chunk of it is one
+    `sample_register` call that every strategy searches.  A noiseless
+    search's cost is a function of the register's bright pattern alone, so a
+    noiseless chunk searches each distinct pattern once and weighs it by its
+    count of registers; a noisy chunk searches every register with weight 1.
+    A chunk returns each strategy's cost moments (sum, sum of squares)."""
     params, trials = spec.parameters, spec.trials
     at_most_one = params.placement is Placement.AT_MOST_ONE_BRIGHT
-    points = list(itertools.product(params.sizes, params.bright_probabilities, params.strategies))
-    # the cost of each placement, bright at site i (row i) or all dark (row n)
-    placement_costs = {
-        (n, strat): run_search(placements(n), strat).intervals_used
-        for n, strat in itertools.product(params.sizes, params.strategies)
-    } if at_most_one and not params.noise else {}
+    points = list(itertools.product(params.sizes, params.bright_probabilities))
 
-    def cost_moments(point: tuple, size: int, rng: np.random.Generator) -> np.ndarray:
-        n, p, strat = point
+    def cost_moments(n: int, p: float, size: int, rng: np.random.Generator) -> np.ndarray:
         codes = sample_register(SearchProblem(n, p, params.placement), rng, size)
-        if (n, strat) in placement_costs:
-            cost = placement_costs[n, strat]
-            bright = np.flatnonzero(codes == F2) % n  # the bright site of each register with one
-            counts = np.bincount(bright, minlength=n + 1)
-            counts[n] = size - bright.size  # all dark
-            return np.array([counts @ cost, counts @ cost**2], dtype=float)
-        used = run_search(codes, strat, rng, at_most_one=at_most_one,
-                          noise=params.noise).intervals_used
-        return np.array([np.sum(used), np.sum(used**2)], dtype=float)
+        weights = np.ones(size, dtype=np.int64)
+        if not params.noise:
+            patterns, weights = np.unique(bright_bits(codes), return_counts=True)
+            codes = F1 + (patterns[:, None] >> np.arange(n, dtype=np.uint64) & 1).astype(np.int8)
+        cost = np.array([run_search(codes, s, rng, at_most_one=at_most_one, noise=params.noise)
+                         .intervals_used for s in params.strategies])  # (strategy, register)
+        return np.stack([cost @ weights, cost**2 @ weights], axis=1)
 
     fieldnames = ["n", "p", "strategy", "mean_intervals", "stderr", "analytic"]
     rows = []
-    swept = _sweep(spec, [(partial(cost_moments, point), CHUNK_TRIALS) for point in points])
-    for (n, p, strat), moments in zip(points, swept):
-        s, s2 = (float(m) for m in moments)
+    swept = _sweep(spec, [(partial(cost_moments, n, p), CHUNK_TRIALS) for n, p in points])
+    cells = itertools.product(points, params.strategies)
+    for ((n, p), strat), (s, s2) in zip(cells, np.concatenate(swept).tolist()):
         mean = s / trials
         var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
         stderr = math.sqrt(var / trials)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from numbers import Integral
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
@@ -34,10 +35,13 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
     Philox is keyed by (master_seed, len(path)) and its counter starts at
     (0, *path), zero-padded, so distinct (master_seed, path) pairs start from
     distinct (key, counter) pairs.  Counter word 0 counts the stream's own
-    blocks; a stream would need 2**64 blocks to reach its neighbour."""
-    if len(path) > MAX_PATH or not all(0 <= v < SEED_LIMIT for v in (master_seed, *path)):
+    blocks; a stream would need 2**64 blocks to reach its neighbour.  A
+    float or bool key is rejected: it would alias the integer it casts to."""
+    values = (master_seed, *path)
+    if len(path) > MAX_PATH or not all(isinstance(v, Integral) and not isinstance(v, bool)
+                                       and 0 <= v < SEED_LIMIT for v in values):
         raise ConfigurationError(
-            f"stream {(master_seed, *path)}: at most {MAX_PATH} path indices, all in [0, 2**64)"
+            f"stream {values}: at most {MAX_PATH} path indices, all integers in [0, 2**64)"
         )
     counter = np.zeros(4, dtype=np.uint64)
     counter[1 : 1 + len(path)] = path

@@ -88,13 +88,13 @@ def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
     params = SearchCostParams()
     spec = ExperimentSpec("search_cost", params, trials=20, master_seed=3)
     calls = _traced_calls(bench, monkeypatch, "search-scan", spec)
-    # one chunk per sweep point: one register draw over all of its trials;
-    # noiseless at-most-one costs come from one search per (size, strategy)
-    # over its n + 1 placements, with group checks per level, at most 2n of them
+    # one chunk per (size, p) point: one register draw over all of its trials
+    # that each strategy searches once, over its distinct bright patterns,
+    # with group checks per level, at most 2n of them
     per_size = len(params.bright_probabilities) * len(params.strategies)
-    points = len(params.sizes) * per_size
+    points = len(params.sizes) * len(params.bright_probabilities)
     assert calls["search.sample_register"] == points
-    assert calls["search.run_search"] == len(params.sizes) * len(params.strategies)
+    assert calls["search.run_search"] == points * len(params.strategies)
     assert calls["search.group_check"] <= sum(2 * n * per_size for n in params.sizes)
 
 
@@ -105,11 +105,13 @@ def test_search_cost_reaches_the_search_scan_layers(bench, monkeypatch):
     ids=["noisy", "independent"],
 )
 def test_per_trial_search_specs_search_once_per_point(params, bench, monkeypatch):
-    # noisy checks or the independent placement: each chunk's registers are searched
+    # noisy checks or the independent placement: each (size, p) chunk draws
+    # its registers once, and each strategy searches them in one call
     spec = ExperimentSpec("search_cost", params, trials=20, master_seed=3)
     calls = _traced_calls(bench, monkeypatch, "search-scan", spec)
-    points = len(params.sizes) * len(params.bright_probabilities) * len(params.strategies)
-    assert calls["search.sample_register"] == calls["search.run_search"] == points
+    points = len(params.sizes) * len(params.bright_probabilities)
+    assert calls["search.sample_register"] == points
+    assert calls["search.run_search"] == points * len(params.strategies)
 
 
 def test_code_sweep_runs_reach_the_code_sweep_layers(bench, monkeypatch):

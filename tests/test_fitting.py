@@ -66,10 +66,22 @@ def test_satexp_constant_zero_flagged():
 
 def test_satexp_exact_fit_stderrs_are_positive_zero():
     # the residuals vanish and the two times all but coincide, so each
-    # variance comes out -0.0 and its stderr reads +0.0
-    fit = fit_saturating_exponential([3.0] * 2 + [3.00000000003] * 3, [0.05] * 5, p_inf_max=0.5)
+    # variance of this optimum inside the grid comes out -0.0 and its
+    # stderr reads +0.0
+    fit = fit_saturating_exponential([42.0] * 2 + [42.0000000000042] * 3, [0.415] * 5,
+                                     p_inf_max=0.5)
+    assert fit.converged
     assert math.copysign(1.0, fit.tau_stderr) == math.copysign(1.0, fit.p_inf_stderr) == 1.0
     assert fit.tau_stderr == fit.p_inf_stderr == 0.0
+
+
+@pytest.mark.parametrize("ts", [[1, 2, 3, 4, 5], [3.0] * 2 + [3.00000000003] * 3])
+def test_satexp_grid_boundary_stderrs_are_nan(ts):
+    # a flat curve fits best at the grid's lower edge, where the residuals
+    # vanish; the data fix no tau there, so no stderr may read 0
+    fit = fit_saturating_exponential(ts, [0.1] * 5, p_inf_max=0.5)
+    assert not fit.converged and "grid boundary" in fit.note
+    assert math.isnan(fit.tau_stderr) and math.isnan(fit.p_inf_stderr)
 
 
 def test_satexp_validation():

@@ -30,8 +30,8 @@ from cavreg.harness import (
 )
 import cavreg.streams
 from cavreg.photons import MAX_MEAN_COUNTS, PhotonModel, outcome_table
-from cavreg.search import (SearchProblem, Strategy, enumerate_mean_intervals, placements,
-                           run_search, sample_register)
+from cavreg.search import (Placement, SearchProblem, Strategy, enumerate_mean_intervals,
+                           placements, run_search, sample_register)
 from cavreg.streams import CHUNK_TRIALS, chunk_sizes, map_chunks, stream
 
 from cavreg.repcode import simulate_idling_bit
@@ -123,20 +123,24 @@ def test_search_cost_p_zero_is_exactly_one():
 MULTI_CHUNK = 2 * CHUNK_TRIALS + 1  # three chunks per point, the last one short
 
 
+@pytest.mark.parametrize("placement", list(Placement), ids=lambda placement: placement.value)
 @pytest.mark.parametrize("trials", [1, CHUNK_TRIALS, MULTI_CHUNK])
-def test_placement_priced_search_moments_equal_the_per_trial_search(trials, monkeypatch):
-    # noiseless at-most-one searches are priced by placement counts; the sums
-    # of the per-trial costs and their squares must come out bit for bit
+def test_pattern_priced_search_moments_equal_the_per_trial_search(trials, placement,
+                                                                  monkeypatch):
+    # a noiseless chunk searches each distinct bright pattern of its one
+    # sample once; the sums of every strategy's per-trial costs on that
+    # sample, and of their squares, must come out bit for bit
     params = SearchCostParams(sizes=[1, 2, 10, 64], bright_probabilities=[0.0, 0.1, 1.0],
-                              strategies=list(Strategy))
-    points = list(itertools.product(params.sizes, params.bright_probabilities, params.strategies))
+                              strategies=list(Strategy), placement=placement)
+    at_most_one = placement is Placement.AT_MOST_ONE_BRIGHT
     reference = []
-    for i, (n, p, strategy) in enumerate(points):
-        moments = np.zeros(2)
+    for i, (n, p) in enumerate(itertools.product(params.sizes, params.bright_probabilities)):
+        moments = np.zeros((len(params.strategies), 2))
         for c, size in enumerate(chunk_sizes(trials)):
-            codes = sample_register(SearchProblem(n, p), stream(11, i, c), size)
-            used = run_search(codes, strategy).intervals_used
-            moments += [np.sum(used), np.sum(used**2)]
+            codes = sample_register(SearchProblem(n, p, placement), stream(11, i, c), size)
+            for s, strategy in enumerate(params.strategies):
+                used = run_search(codes, strategy, at_most_one=at_most_one).intervals_used
+                moments[s] += [np.sum(used), np.sum(used**2)]
         reference.append(moments)
     swept = []
 

@@ -31,6 +31,7 @@ def test_former_fold_collision_is_gone():
 
 def test_path_fills_the_counter_and_its_length_the_key():
     assert _start(7, 3, 12) == ((7, 2), (0, 3, 12, 0))
+    assert _start(np.uint64(7), np.int64(3), np.uint8(12)) == _start(7, 3, 12)
     assert _start(7) == ((7, 0), (0, 0, 0, 0))
 
 
@@ -48,7 +49,10 @@ def test_distinct_paths_start_distinct_streams(a, b):
 
 @pytest.mark.parametrize(
     "seed, path",
-    [(1, (0, 0, 0, 0)), (1, (-1,)), (1, (2**64,)), (-1, ()), (2**64, (3,))],
+    [(1, (0, 0, 0, 0)), (1, (-1,)), (1, (2**64,)), (-1, ()), (2**64, (3,)),
+     # a float or a bool would draw what the integer it casts to draws
+     (1.5, (2,)), (1, (2.7,)), (1, (2.0,)), (True, (2,)), (1, (np.True_,)),
+     (np.float64(1.0), ())],
 )
 def test_stream_rejects_long_paths_and_out_of_range_indices(seed, path):
     with pytest.raises(ConfigurationError, match="2\\*\\*64"):
@@ -69,8 +73,7 @@ def _shipped_paths(name: str, params, trials: int) -> list[tuple[int, int]]:
         return [(0, 0), *chunked(range(1, len(params.distances) + 1))]
     if name == "depump_scaling":
         return chunked(range(len(params.sizes)))
-    sizes, probs, strategies = params.sizes, params.bright_probabilities, params.strategies
-    return chunked(range(len(sizes) * len(probs) * len(strategies)))
+    return chunked(range(len(params.sizes) * len(params.bright_probabilities)))  # search-cost
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
