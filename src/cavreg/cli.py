@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                 if os.path.exists(tmp):
                     os.remove(tmp)
         print(f"{args.command}: wrote {len(result.rows)} rows")
-        for line in exp.summary_lines(result.summary):
+        for line in result.lines:
             print(line)
         return 0
     except ConfigurationError as err:

@@ -10,8 +10,8 @@ changes wall-clock time only, never output bytes.
 
 EXPERIMENTS is the one list of experiments: each record names its params
 class, its one-line `Config.build` recipe for the params, its [run]
-trial-count key, its runner and its summary lines.  The CLI,
-`validate-config` and `run` read it.
+trial-count key and its runner, which also returns the lines the CLI
+prints after a run.  The CLI, `validate-config` and `run` read it.
 """
 
 from __future__ import annotations
@@ -178,6 +178,7 @@ class ExperimentResult:
     fieldnames: list[str]
     rows: list[dict]
     summary: dict
+    lines: list[str] = field(default_factory=list)  # printed after a run
 
 
 def _sweep(spec: ExperimentSpec, points: list[tuple[Callable, int | None]]) -> list:
@@ -287,12 +288,14 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
         steady_counts.append({"n_sites": n, "errors": err, "detections": det})
 
     summary: dict[str, Any] = {"steady_state_counts": steady_counts}
+    lines = []
     steady = [c for c in steady_counts if c["detections"]]
     if len(steady) >= 3:
-        summary["error_vs_size"] = dataclasses.asdict(fit_linear(
-            [float(c["n_sites"]) for c in steady],
-            [c["errors"] / c["detections"] for c in steady],
-        ))
+        fit = fit_linear([float(c["n_sites"]) for c in steady],
+                         [c["errors"] / c["detections"] for c in steady])
+        summary["error_vs_size"] = dataclasses.asdict(fit)
+        lines.append("  error vs array size: intercept %.4f +- %.4f, slope %.5f +- %.5f per site"
+                     % (fit.intercept, fit.intercept_stderr, fit.slope, fit.slope_stderr))
     # [site, (errors, detections)] in round 1 of the largest array
     first_round = totals[params.sizes.index(max(params.sizes))][:, 0]
     seen = np.flatnonzero(first_round[:, 1])
@@ -300,17 +303,7 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
         summary["first_round_error_vs_position"] = dataclasses.asdict(
             fit_linear(seen + 1, first_round[seen, 0] / first_round[seen, 1])
         )
-    return ExperimentResult(fieldnames, rows, summary)
-
-
-def _depump_lines(summary: dict) -> list[str]:
-    if "error_vs_size" not in summary:
-        return []
-    fit = summary["error_vs_size"]
-    return [
-        "  error vs array size: intercept %.4f +- %.4f, slope %.5f +- %.5f per site"
-        % (fit["intercept"], fit["intercept_stderr"], fit["slope"], fit["slope_stderr"])
-    ]
+    return ExperimentResult(fieldnames, rows, summary, lines)
 
 
 # --------------------------------------------------------------- search cost
@@ -408,28 +401,20 @@ def run_error_scaling(spec: ExperimentSpec) -> ExperimentResult:
     # looked up at call time, so a wrapper installed on cavreg.repcode is seen
     from .repcode import fit_error_exponent
 
-    exponents = {}
+    exponents, lines = {}, []
     for d, curve in curves.items():
         if d != 1 and len(curve) >= 4:
             try:
                 exp, se = fit_error_exponent(*map(list, zip(*curve)))
-                exponents[str(d)] = {"exponent": exp, "stderr": se, "theory": (d + 1) / 2}
+                theory = (d + 1) / 2
+                exponents[str(d)] = {"exponent": exp, "stderr": se, "theory": theory}
+                lines.append("  d=%s: exponent %.2f +- %.2f (theory %.1f)" % (d, exp, se, theory))
             except ConfigurationError as err:
                 exponents[str(d)] = {"error": str(err)}
+    if flagged:
+        lines.append(f"  {len(flagged)} cell(s) flagged for low statistics")
     summary = {"flagged_cells": flagged, "exponents": exponents}
-    return ExperimentResult(fieldnames, rows, summary)
-
-
-def _error_scaling_lines(summary: dict) -> list[str]:
-    lines = [
-        "  d=%s: exponent %.2f +- %.2f (theory %.1f)"
-        % (d, fit["exponent"], fit["stderr"], fit["theory"])
-        for d, fit in summary["exponents"].items()
-        if "exponent" in fit
-    ]
-    if summary["flagged_cells"]:
-        lines.append(f"  {len(summary['flagged_cells'])} cell(s) flagged for low statistics")
-    return lines
+    return ExperimentResult(fieldnames, rows, summary, lines)
 
 
 # ------------------------------------------------------------------ lifetime
@@ -453,13 +438,14 @@ def run_lifetime(spec: ExperimentSpec) -> ExperimentResult:
         spec, [(partial(simulate_idling_bit, params.idle_model, times), None), *codes])
     phys = logical_lifetime(times, phys_counts / trials)
     fits: dict[str, Any] = {"physical": dataclasses.asdict(phys)}
+    lines = ["  physical idling bit: tau %.1f ms" % phys.tau_ms]
     curves = [(0, phys_counts, None)]
     for d, acc in zip(params.distances, code_counts):
         res = logical_lifetime(times, acc[0] / trials)
-        fits[str(d)] = {
-            **dataclasses.asdict(res),
-            "extension_factor": res.tau_ms / phys.tau_ms,
-        }
+        factor = res.tau_ms / phys.tau_ms
+        fits[str(d)] = {**dataclasses.asdict(res), "extension_factor": factor}
+        note = " (low confidence)" if res.low_confidence else ""
+        lines.append("  d=%s: tau %.1f ms, extension factor %.2f%s" % (d, res.tau_ms, factor, note))
         curves.append((d, acc[0], acc[1] / trials))
 
     rows = []
@@ -478,21 +464,8 @@ def run_lifetime(spec: ExperimentSpec) -> ExperimentResult:
 
     summary = {"fits": fits, "round_time_ms": round_time}
     return ExperimentResult(
-        ["t_ms", "d", "p_err", "stderr", "survivor_mean"], rows, summary
+        ["t_ms", "d", "p_err", "stderr", "survivor_mean"], rows, summary, lines
     )
-
-
-def _lifetime_lines(summary: dict) -> list[str]:
-    fits = summary["fits"]
-    lines = ["  physical idling bit: tau %.1f ms" % fits["physical"]["tau_ms"]]
-    for d, fit in fits.items():
-        if d != "physical":
-            note = " (low confidence)" if fit["low_confidence"] else ""
-            lines.append(
-                "  d=%s: tau %.1f ms, extension factor %.2f%s"
-                % (d, fit["tau_ms"], fit["extension_factor"], note)
-            )
-    return lines
 
 
 # ------------------------------------------------------------------ registry
@@ -508,7 +481,6 @@ class Experiment:
     build: Callable[[Config], Any]  # the params from a parsed config, via Config.build
     trials_key: str  # [run] key holding the configured trial count
     runner: Callable[[ExperimentSpec], ExperimentResult]
-    summary_lines: Callable[[dict], list[str]] = lambda _: []
 
     @property
     def command(self) -> str:
@@ -527,7 +499,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             DepumpScalingParams,
             lambda c: c.build(DepumpScalingParams, "readout", rates=c.error_rates(),
                               photon=c.photon_model(), hiding=c.build(HidingModel, "hiding")),
-            "trials", run_depump_scaling, _depump_lines,
+            "trials", run_depump_scaling,
         ),
         Experiment(
             "search_cost", "mean readout intervals for bright-atom search strategies",
@@ -538,14 +510,14 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             "error_scaling", "per-round logical error vs physical error for repetition codes",
             ErrorScalingParams, lambda c: c.build(ErrorScalingParams, "code"),
-            "error_scaling_trials", run_error_scaling, _error_scaling_lines,
+            "error_scaling_trials", run_error_scaling,
         ),
         Experiment(
             "lifetime", "logical error vs time and fitted lifetimes for repetition codes",
             LifetimeParams,
             lambda c: c.build(LifetimeParams, "code",
                               idle_model=c.build(IdleErrorModel, "register")),
-            "lifetime_trials", run_lifetime, _lifetime_lines,
+            "lifetime_trials", run_lifetime,
         ),
     )
 }

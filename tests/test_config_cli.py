@@ -2,7 +2,9 @@ import dataclasses
 import enum
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -272,6 +274,19 @@ def test_cli_validate_config_bad_file(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # `python -m cavreg.cli` hands main's return value to the shell
+    env = {**os.environ, "PYTHONPATH": str(Path(cavreg.__file__).parent.parent)}
+    cli = [sys.executable, "-m", "cavreg.cli", "validate-config"]
+    ok = subprocess.run(cli, env=env, capture_output=True, text=True)
+    assert (ok.returncode, ok.stdout) == (0, "configuration OK\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(DEFAULTS.read_text() + "\n[register]\nbogus_key = 3\n")
+    err = subprocess.run([*cli, "--config", str(bad)], env=env, capture_output=True, text=True)
+    assert err.returncode == 2
+    assert err.stderr.startswith("configuration error") and "bogus_key" in err.stderr
+
+
 def test_cli_missing_config_file_is_exit_1(tmp_path, capsys):
     # an unreadable path is a runtime failure, not a config-content error
     rc = main(["validate-config", "--config", str(tmp_path / "nope.cfg")])
@@ -279,8 +294,6 @@ def test_cli_missing_config_file_is_exit_1(tmp_path, capsys):
 
 
 def test_cli_seed_changes_output(tmp_path):
-    import os
-
     cwd = os.getcwd()
     os.chdir(tmp_path)
     try:

@@ -174,6 +174,10 @@ def test_placement_costs_weigh_up_to_the_enumerated_mean(n):
         ("search_cost", SearchCostParams(sizes=[3, 6], bright_probabilities=[0.0, 0.3]), MULTI_CHUNK),
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), MULTI_CHUNK),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), MULTI_CHUNK),
+        # enough flips and sizes for the exponent and depump-fit lines
+        ("error_scaling", ErrorScalingParams(flip_sweep=[0.02, 0.05, 0.1, 0.2], distances=[1, 3]),
+         3000),
+        ("depump_scaling", DepumpScalingParams(sizes=[1, 2, 3], readout_rounds=2), 60),
     ],
 )
 def test_thread_count_never_changes_results(experiment, params, trials, tmp_path, monkeypatch):
@@ -186,7 +190,7 @@ def test_thread_count_never_changes_results(experiment, params, trials, tmp_path
         path = tmp_path / f"t{threads}.csv"
         write_result_csv(path, result)
         write_metadata(f"{path}.meta.json", spec, result)
-        outs.append((path.read_bytes(), Path(f"{path}.meta.json").read_bytes()))
+        outs.append((path.read_bytes(), Path(f"{path}.meta.json").read_bytes(), result.lines))
     assert outs[1:] == outs[:1] * 3
 
 
@@ -215,6 +219,10 @@ def _numpy_numbers(value, integers: bool):
         ("search_cost", SearchCostParams(sizes=[2, 5], bright_probabilities=[0.0, 0.25]), 400),
         ("error_scaling", ErrorScalingParams(flip_sweep=[0.05, 0.2], distances=[1, 3]), 3000),
         ("lifetime", LifetimeParams(distances=[1, 3], rounds=8), 3000),
+        # enough flips and sizes for the exponent and depump-fit lines
+        ("error_scaling", ErrorScalingParams(flip_sweep=[0.02, 0.05, 0.1, 0.2], distances=[1, 3]),
+         3000),
+        ("depump_scaling", DepumpScalingParams(sizes=[1, 2, 3], readout_rounds=2), 60),
     ],
 )
 def test_numpy_numbers_write_the_same_bytes(experiment, params, trials, integers, tmp_path):
@@ -230,7 +238,7 @@ def test_numpy_numbers_write_the_same_bytes(experiment, params, trials, integers
         result = run(spec)
         write_result_csv(path, result)
         write_metadata(f"{path}.meta.json", spec, result)
-        outs.append((path.read_bytes(), Path(f"{path}.meta.json").read_bytes()))
+        outs.append((path.read_bytes(), Path(f"{path}.meta.json").read_bytes(), result.lines))
     assert outs[1] == outs[0]
 
 
