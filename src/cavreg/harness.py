@@ -290,19 +290,24 @@ def run_depump_scaling(spec: ExperimentSpec) -> ExperimentResult:
     summary: dict[str, Any] = {"steady_state_counts": steady_counts}
     lines = []
     steady = [c for c in steady_counts if c["detections"]]
-    if len(steady) >= 3:
+    try:
         fit = fit_linear([float(c["n_sites"]) for c in steady],
                          [c["errors"] / c["detections"] for c in steady])
         summary["error_vs_size"] = dataclasses.asdict(fit)
         lines.append("  error vs array size: intercept %.4f +- %.4f, slope %.5f +- %.5f per site"
                      % (fit.intercept, fit.intercept_stderr, fit.slope, fit.slope_stderr))
+    except ConfigurationError as err:
+        summary["error_vs_size"] = {"error": str(err)}
+        lines.append(f"  error vs array size: no fit ({err})")
     # [site, (errors, detections)] in round 1 of the largest array
     first_round = totals[params.sizes.index(max(params.sizes))][:, 0]
     seen = np.flatnonzero(first_round[:, 1])
-    if seen.size >= 3:
+    try:
         summary["first_round_error_vs_position"] = dataclasses.asdict(
             fit_linear(seen + 1, first_round[seen, 0] / first_round[seen, 1])
         )
+    except ConfigurationError as err:
+        summary["first_round_error_vs_position"] = {"error": str(err)}
     return ExperimentResult(fieldnames, rows, summary, lines)
 
 
@@ -339,7 +344,8 @@ def run_search_cost(spec: ExperimentSpec) -> ExperimentResult:
     cells = itertools.product(points, params.strategies)
     for ((n, p), strat), (s, s2) in zip(cells, np.concatenate(swept).tolist()):
         mean = s / trials
-        var = max(s2 / trials - mean**2, 0.0) * trials / max(trials - 1, 1)
+        # the sample variance is undefined for one trial
+        var = max(s2 / trials - mean**2, 0.0) * trials / (trials - 1) if trials > 1 else math.nan
         stderr = math.sqrt(var / trials)
         try:
             analytic = expected_cost(SearchProblem(n, p, params.placement), strat)
@@ -403,14 +409,15 @@ def run_error_scaling(spec: ExperimentSpec) -> ExperimentResult:
 
     exponents, lines = {}, []
     for d, curve in curves.items():
-        if d != 1 and len(curve) >= 4:
+        if d != 1:
             try:
-                exp, se = fit_error_exponent(*map(list, zip(*curve)))
+                exp, se = fit_error_exponent([p for p, _ in curve], [q for _, q in curve])
                 theory = (d + 1) / 2
                 exponents[str(d)] = {"exponent": exp, "stderr": se, "theory": theory}
                 lines.append("  d=%s: exponent %.2f +- %.2f (theory %.1f)" % (d, exp, se, theory))
             except ConfigurationError as err:
                 exponents[str(d)] = {"error": str(err)}
+                lines.append(f"  d={d}: no exponent fit ({err})")
     if flagged:
         lines.append(f"  {len(flagged)} cell(s) flagged for low statistics")
     summary = {"flagged_cells": flagged, "exponents": exponents}

@@ -13,7 +13,6 @@ check over a subset is `bits & subset != 0` for every register at once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -101,8 +100,6 @@ def sample_register(
     n, p = problem.n, problem.p
     if problem.placement is Placement.AT_MOST_ONE_BRIGHT:
         edges = _placement_edges(n, p)
-        if size is None:  # bisect skips numpy's per-call cost on one uniform
-            return placements(n)[bisect_right(edges, rng.random())].copy()
         # take copies rows a few times faster than fancy indexing does
         return placements(n).take(edges.searchsorted(rng.random(size), side="right"), axis=0)
     shape = (n,) if size is None else (size, n)

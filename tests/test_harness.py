@@ -120,6 +120,13 @@ def test_search_cost_p_zero_is_exactly_one():
     assert row["analytic"] == 1.0
 
 
+def test_search_cost_stderr_is_undefined_at_one_trial():
+    spec = ExperimentSpec("search_cost", SearchCostParams(), trials=1, master_seed=7)
+    rows = run(spec).rows
+    assert len(rows) == 135
+    assert all(math.isnan(r["stderr"]) for r in rows)
+
+
 MULTI_CHUNK = 2 * CHUNK_TRIALS + 1  # three chunks per point, the last one short
 
 
@@ -495,6 +502,32 @@ def test_error_scaling_reports_exponents():
     fit = result.summary["exponents"]["3"]
     assert abs(fit["exponent"] - 2.0) < 0.2
     assert fit["theory"] == 2.0
+
+
+@pytest.mark.parametrize("flips, distance, trials, reason", [
+    ([0.05, 0.1, 0.15, 0.2], 3, 3000, "sweep must span at least a decade"),
+    # at 200 trials only a few d = 5 cells see an error, too few to fit
+    ([0.002, 0.005, 0.01, 0.02, 0.05], 5, 200, "need at least 4 sweep points"),
+])
+def test_error_scaling_records_and_prints_a_failed_exponent_fit(flips, distance, trials, reason):
+    spec = ExperimentSpec(
+        "error_scaling", ErrorScalingParams(flip_sweep=flips, distances=[1, distance]),
+        trials=trials, master_seed=7,
+    )
+    result = run(spec)
+    assert result.summary["exponents"] == {str(distance): {"error": reason}}
+    assert f"  d={distance}: no exponent fit ({reason})" in result.lines
+
+
+def test_depump_scaling_records_and_prints_a_failed_size_fit():
+    spec = ExperimentSpec(
+        "depump_scaling", DepumpScalingParams(sizes=[1, 2]), trials=200, master_seed=7
+    )
+    result = run(spec)
+    reason = "linear fit needs at least 3 (x, y) points"
+    assert result.summary["error_vs_size"] == {"error": reason}
+    assert result.summary["first_round_error_vs_position"] == {"error": reason}
+    assert result.lines == [f"  error vs array size: no fit ({reason})"]
 
 
 def test_lifetime_summary_structure():

@@ -213,8 +213,8 @@ def test_sample_register_draws_one_uniform_per_site_in_order():
 
 
 def test_sample_register_one_at_a_time_matches_batch():
-    # one register bisects the cached edges, a batch searchsorts them; both
-    # take one uniform per register
+    # one register (size None) takes the batch path on a single uniform, so
+    # drawing registers one at a time consumes the stream as a batch does
     for n in (1, 3, 10):
         for p in (0.0, 0.3, 1.0):
             problem = SearchProblem(n, p)
